@@ -13,6 +13,12 @@ TOL_ACT = 1e-7
 # Cone membership / normal-vector checks.
 TOL_CONE = 1e-9
 
+# Numerical rank: a singular value counts when it exceeds
+# max(rows, cols) * RANK_TOL * sigma_max.  One cutoff for every float rank
+# and null-space decision (LICQ, CRCQ, multiplier bases, cones, the
+# determinant probe), so two checks never disagree on the same matrix.
+RANK_TOL = 1e-10
+
 # Constraint-qualification margins (MFCQ t*, strict complementarity).
 TOL_CQ = 1e-8
 

@@ -34,8 +34,8 @@ from .errors import (
     UnboundedMultiplierError,
 )
 from .modelspec import ParametricModel, eval_bundle, eval_bundle_exact
-from .polycone import active_set, nnls
-from .simplex import solve_inequality_lp, solve_standard_lp
+from .polycone import active_set, nnls, rank
+from .simplex import gauss_jordan, nonneg_lstsq_feasible, solve_inequality_lp
 
 __all__ = [
     "CQReport",
@@ -143,28 +143,18 @@ def check_licq(model: ParametricModel, x, p, tol_act: float = TOL_ACT) -> CQRepo
         return CQReport("LICQ", "holds", {"active_set": [], "rank": 0, "vacuous": True})
     bundle = eval_bundle(model, x, p)
     Gact = bundle.grad_phi[list(I)]
-    s = np.linalg.svd(Gact, compute_uv=False)
-    threshold = 1e-8 * (s[0] if s.size and s[0] > 0 else 1.0)
-    rank = int(np.sum(s > threshold))
+    r = rank(Gact)
     witness = {
         "active_set": [i + 1 for i in I],
-        "rank": rank,
+        "rank": r,
         "count": len(I),
-        "singular_values": [float(v) for v in s],
+        "singular_values": [float(v) for v in np.linalg.svd(Gact, compute_uv=False)],
     }
-    return CQReport("LICQ", "holds" if rank == len(I) else "fails", witness)
+    return CQReport("LICQ", "holds" if r == len(I) else "fails", witness)
 
 
 # ---------------------------------------------------------------------------
 # CRCQ probe
-
-
-def _rank(rows: np.ndarray) -> int:
-    if rows.size == 0:
-        return 0
-    s = np.linalg.svd(rows, compute_uv=False)
-    threshold = max(rows.shape) * 1e-10 * (s[0] if s[0] > 0 else 1.0)
-    return int(np.sum(s > threshold))
 
 
 def probe_crcq(
@@ -213,9 +203,9 @@ def probe_crcq(
     for r in range(1, len(I) + 1):
         subsets.extend(itertools.combinations(I, r))
     for subset in subsets:
-        base_rank = _rank(grads[0][list(subset)])
+        base_rank = rank(grads[0][list(subset)])
         for k in range(1, len(points)):
-            rank_k = _rank(grads[k][list(subset)])
+            rank_k = rank(grads[k][list(subset)])
             if rank_k != base_rank:
                 xx, pp = points[k]
                 return CQReport(
@@ -356,7 +346,7 @@ def multiplier_polytope(
     if not vertices:  # pragma: no cover - guarded by feasibility above
         raise NoMultiplierError("vertex enumeration found no feasible basis")
     V = np.array([[float(c) for c in vert] for vert in vertices])
-    dim = _rank(V - V[0]) if len(vertices) > 1 else 0
+    dim = rank(V - V[0]) if len(vertices) > 1 else 0
     return MultiplierSet(
         m=model.m,
         active=I,
@@ -370,10 +360,7 @@ def multiplier_polytope(
 
 def _stationarity_feasible(cols, rhs, tol, exact) -> bool:
     if exact:
-        zero = [Fraction(0)] * len(cols)
-        A = [[cols[j][i] for j in range(len(cols))] for i in range(len(rhs))]
-        res = solve_standard_lp(zero, A, list(rhs))
-        return res.status == "optimal"
+        return nonneg_lstsq_feasible(cols, rhs, tol) is not None
     A = np.array(cols, dtype=float).T if cols else np.zeros((len(rhs), 0))
     _, resid = nnls(A, np.array(rhs, dtype=float))
     return resid <= max(tol, 1e-10)
@@ -448,43 +435,22 @@ def _solve_subset(cols, rhs, subset, exact, tol):
     if exact:
         return _exact_solve([[cols[j][i] for j in subset] for i in range(len(rhs))], list(rhs))
     A = np.array([cols[j] for j in subset], dtype=float).T
-    if _rank(A.T) < len(subset):
+    if rank(A.T) < len(subset):
         return None
-    sol, res, rank, sv = np.linalg.lstsq(A, np.array(rhs, dtype=float), rcond=None)
+    sol, *_ = np.linalg.lstsq(A, np.array(rhs, dtype=float), rcond=None)
     if np.linalg.norm(A @ sol - np.array(rhs, dtype=float)) > tol:
         return None
     return list(sol)
 
 
 def _exact_solve(A, b):
-    """Gaussian elimination over Fractions; None if the columns are
-    dependent or the system inconsistent."""
-    nrows = len(A)
-    ncols = len(A[0]) if nrows else 0
-    M = [[Fraction(A[i][j]) for j in range(ncols)] + [Fraction(b[i])] for i in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        pivot_row = next((r for r in range(row, nrows) if M[r][col] != 0), None)
-        if pivot_row is None:
-            return None  # dependent columns
-        M[row], M[pivot_row] = M[pivot_row], M[row]
-        pivot = M[row][col]
-        M[row] = [v / pivot for v in M[row]]
-        for r in range(nrows):
-            if r != row and M[r][col] != 0:
-                factor = M[r][col]
-                M[r] = [v - factor * w for v, w in zip(M[r], M[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    if row < ncols:
-        return None
-    for r in range(row, nrows):
-        if M[r][-1] != 0:
-            return None  # inconsistent
-    return [M[r][-1] for r in range(ncols)]
+    """Solve A lam = b over Fractions; None if the columns are dependent or
+    the system inconsistent."""
+    ncols = len(A[0]) if A else 0
+    R, pivots, _ = gauss_jordan([list(row) + [bi] for row, bi in zip(A, b)])
+    if pivots != list(range(ncols)):
+        return None  # a column without a pivot, or a pivot in the rhs column
+    return [R[k][-1] for k in range(ncols)]
 
 
 def strict_complement(lam: Sequence, I: Sequence[int], tol_cq: float = TOL_CQ):

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import MAX_CONE_ROWS, TOL_ACT, TOL_CONE
+from .defaults import MAX_CONE_ROWS, RANK_TOL, TOL_ACT, TOL_CONE
 from .errors import (
     DeskScaleError,
     InfeasiblePointError,
     InfeasibleSetError,
     InputError,
+    SolveFailureError,
 )
 from .modelspec import ParametricModel, eval_bundle
 
@@ -33,9 +34,9 @@ __all__ = [
     "span_difference",
     "project_polyhedron",
     "nnls",
+    "rank",
+    "null_space",
 ]
-
-_RANK_TOL = 1e-10
 
 
 class ConeDesc:
@@ -124,14 +125,28 @@ def _as_matrix(M, n) -> np.ndarray:
     return M
 
 
-def _null_space(M: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal basis of {w : M w = 0} as columns."""
+def _rank_of(shape, s: np.ndarray) -> int:
+    """Count of singular values s (descending) of a matrix of the given
+    shape above the shared cutoff max(shape) * RANK_TOL * s[0]."""
+    cutoff = max(shape) * RANK_TOL * (s[0] if s.size and s[0] > 0 else 1.0)
+    return int(np.sum(s > cutoff))
+
+
+def rank(M) -> int:
+    """Numerical rank of M under the shared cutoff (0 for an empty matrix)."""
+    M = np.asarray(M, dtype=float)
+    if M.size == 0:
+        return 0
+    return _rank_of(M.shape, np.linalg.svd(M, compute_uv=False))
+
+
+def null_space(M: np.ndarray, n: int) -> np.ndarray:
+    """Orthonormal basis of {w in R^n : M w = 0} as columns, with the rank
+    decided by the shared cutoff."""
     if M.shape[0] == 0:
         return np.eye(n)
-    u, s, vt = np.linalg.svd(M, full_matrices=True)
-    tol = max(M.shape) * _RANK_TOL * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    return vt[rank:].T
+    _, s, vt = np.linalg.svd(M, full_matrices=True)
+    return vt[_rank_of(M.shape, s):].T
 
 
 def _enumerate_generators(cone: ConeDesc):
@@ -141,14 +156,14 @@ def _enumerate_generators(cone: ConeDesc):
             f"{cone.G.shape[0]} inequality rows exceed the enumeration cap"
         )
     stacked = np.vstack([cone.E, cone.G])
-    lin = _null_space(stacked, n)
+    lin = null_space(stacked, n)
     dim_lin = lin.shape[1]
     rays = []
     kg = cone.G.shape[0]
     for r in range(kg + 1):
         for subset in itertools.combinations(range(kg), r):
             rows = np.vstack([cone.E, cone.G[list(subset)]]) if subset or cone.E.shape[0] else np.zeros((0, n))
-            N = _null_space(rows, n)
+            N = null_space(rows, n)
             if N.shape[1] != dim_lin + 1:
                 continue
             # direction orthogonal to the lineality space inside N
@@ -239,10 +254,8 @@ def span_difference(K: ConeDesc) -> SubspaceBasis:
     stacked = np.vstack([rays, lin.T]) if rays.shape[0] or lin.shape[1] else np.zeros((0, K.n))
     if stacked.shape[0] == 0:
         return SubspaceBasis(V=np.zeros((K.n, 0)))
-    u, s, vt = np.linalg.svd(stacked, full_matrices=False)
-    tol = max(stacked.shape) * _RANK_TOL * s[0]
-    rank = int(np.sum(s > tol))
-    return SubspaceBasis(V=vt[:rank].T)
+    _, s, vt = np.linalg.svd(stacked, full_matrices=False)
+    return SubspaceBasis(V=vt[:_rank_of(stacked.shape, s)].T)
 
 
 # ---------------------------------------------------------------------------
@@ -261,33 +274,44 @@ def polyhedron_rows(model: ParametricModel, p):
 
 
 def project_polyhedron(model: ParametricModel, p, z, tol: float = TOL_CONE):
-    """Euclidean projection of z onto C(p), by verified active-set
-    enumeration: the first candidate passing the KKT test is the projection
-    (the objective is strongly convex, so KKT is sufficient)."""
+    """Euclidean projection of z onto C(p); see :func:`project_onto_rows`."""
     A, b = polyhedron_rows(model, p)
     return project_onto_rows(A, b, np.asarray(z, dtype=float), tol)
 
 
 def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray, tol: float = TOL_CONE):
-    m = A.shape[0]
-    if m > MAX_CONE_ROWS:
-        raise DeskScaleError(f"{m} rows exceed the projection enumeration cap")
+    """Euclidean projection of z onto {x : A x <= b}.
+
+    With y = x - z this is the least-distance problem min ||y|| subject to
+    -A y >= A z - b, solved by one nonnegative least-squares call (Lawson &
+    Hanson, *Solving Least Squares Problems*, ch. 23): u minimizes
+    ||E u - f|| over u >= 0 for E = [-A^T; (A z - b)^T] and f = e_{n+1};
+    with r = E u - f, the projection is x = z - r[:n] / r[n] and the
+    multipliers are mu = u / (-r[n]).  A zero residual is a Farkas
+    certificate that the set is empty (:class:`InfeasibleSetError`).  The
+    point is returned only after primal feasibility and complementarity
+    check out to ``tol`` (relative); otherwise :class:`SolveFailureError`.
+    """
+    m, n = A.shape
     scale = 1.0 + float(np.linalg.norm(z)) + (float(np.max(np.abs(b))) if m else 0.0)
     feas_tol = tol * scale
     if m == 0 or np.all(A @ z <= b + feas_tol):
         return z.copy()
-    for r in range(1, m + 1):
-        for subset in itertools.combinations(range(m), r):
-            S = list(subset)
-            AS = A[S]
-            x = z - np.linalg.pinv(AS, rcond=1e-12) @ (AS @ z - b[S])
-            if not np.all(A @ x <= b + feas_tol):
-                continue
-            resid = z - x
-            mu, nn_res = nnls(AS.T, resid)
-            if nn_res <= tol * scale + 1e-12:
-                return x
-    raise InfeasibleSetError("constraint set is empty (no projection exists)")
+    E = np.vstack([-A.T, (A @ z - b)[None, :]])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    u, _ = nnls(E, f)
+    r = E @ u - f
+    if np.linalg.norm(r) <= tol:
+        raise InfeasibleSetError("constraint set is empty (no projection exists)")
+    x = z - r[:n] / r[n]
+    mu = u / -r[n]
+    viol = A @ x - b
+    feasible = np.all(viol <= feas_tol)
+    complementary = np.all(mu * np.abs(viol) <= feas_tol * (1.0 + mu))
+    if not (r[n] < 0 and feasible and complementary):
+        raise SolveFailureError("projection failed its optimality check")
+    return x
 
 
 def nnls(A: np.ndarray, b: np.ndarray):

@@ -50,10 +50,13 @@ from .polycone import (
     SubspaceBasis,
     active_set,
     critical_cone,
+    null_space,
     project_polyhedron,
+    rank,
     span_difference,
     tangent_cone,
 )
+from .simplex import gauss_jordan
 
 __all__ = [
     "QuadForm",
@@ -140,7 +143,7 @@ def min_on_cone(Q: QuadForm, K: ConeDesc, tol: float = TOL_CONE):
     for r in range(kg + 1):
         for subset in itertools.combinations(range(kg), r):
             rows = np.vstack([K.E, K.G[list(subset)]])
-            V = _nullspace_basis(rows, K.n)
+            V = null_space(rows, K.n)
             if V.shape[1] == 0:
                 continue
             M = V.T @ Hs @ V
@@ -160,15 +163,6 @@ def min_on_cone(Q: QuadForm, K: ConeDesc, tol: float = TOL_CONE):
                             best_w = cand
                         break
     return best, best_w
-
-
-def _nullspace_basis(rows: np.ndarray, n: int) -> np.ndarray:
-    if rows.shape[0] == 0:
-        return np.eye(n)
-    u, s, vt = np.linalg.svd(rows, full_matrices=True)
-    tol = max(rows.shape) * 1e-10 * (s[0] if s.size and s[0] > 0 else 1.0)
-    rank = int(np.sum(s > tol))
-    return vt[rank:].T
 
 
 def lagrangian_jacobian(model: ParametricModel, x, p, lam) -> np.ndarray:
@@ -222,7 +216,7 @@ def check_gssosc(
     for lam in _lambda_scan(ms, scan_random, seed):
         i_plus = strict_complement(lam, ms.active)
         rows = bundle.grad_phi[list(i_plus)] if i_plus else np.zeros((0, model.n))
-        V = SubspaceBasis(V=_nullspace_basis(rows, model.n))
+        V = SubspaceBasis(V=null_space(rows, model.n))
         H = QuadForm(lagrangian_jacobian(model, xf, pf, lam))
         val, w = min_on_subspace(H, V)
         per_lambda.append(val)
@@ -433,7 +427,7 @@ def _intersect_with_orthogonal(span: SubspaceBasis, v: np.ndarray) -> SubspaceBa
     c = span.V.T @ v
     if np.linalg.norm(c) <= 1e-12 * (1 + np.linalg.norm(v)):
         return span
-    inner = _nullspace_basis(c[None, :], span.dim)
+    inner = null_space(c[None, :], span.dim)
     return SubspaceBasis(V=span.V @ inner)
 
 
@@ -503,7 +497,7 @@ def scoc_probe(
             for i in range(n)
         ]
         G = [bundle.grad_phi[i] for i in J]
-        if J and _exact_rank([[row[j] for j in range(n)] for row in G]) < len(J):
+        if J and len(gauss_jordan(G)[1]) < len(J):
             raise InputError("dependent basis rows in the bordered matrix")
         size = n + len(J)
         M = [[Fraction(0)] * size for _ in range(size)]
@@ -515,7 +509,7 @@ def scoc_probe(
         for i, gi in enumerate(G):
             for j in range(n):
                 M[n + i][j] = -Fraction(gi[j])
-        det = _fraction_det([row[:] for row in M])
+        det = gauss_jordan(M)[2]
         M_float = np.array([[float(v) for v in row] for row in M])
     else:
         xf = [float(c) for c in ref.x]
@@ -523,10 +517,8 @@ def scoc_probe(
         jacL = lagrangian_jacobian(model, xf, pf, lam)
         bundle = eval_bundle(model, xf, pf)
         G = bundle.grad_phi[list(J)] if J else np.zeros((0, n))
-        if J:
-            s = np.linalg.svd(G, compute_uv=False)
-            if int(np.sum(s > 1e-10 * max(1.0, s[0]))) < len(J):
-                raise InputError("dependent basis rows in the bordered matrix")
+        if J and rank(G) < len(J):
+            raise InputError("dependent basis rows in the bordered matrix")
         size = n + len(J)
         M_float = np.zeros((size, size))
         M_float[:n, :n] = jacL
@@ -551,45 +543,3 @@ def scoc_probe(
         "zero": bool(is_zero),
         "exact": exact,
     }
-
-
-def _fraction_det(M) -> Fraction:
-    size = len(M)
-    det = Fraction(1)
-    for col in range(size):
-        pivot_row = next((r for r in range(col, size) if M[r][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            M[col], M[pivot_row] = M[pivot_row], M[col]
-            det = -det
-        pivot = M[col][col]
-        det *= pivot
-        inv = Fraction(1) / pivot
-        for r in range(col + 1, size):
-            if M[r][col] != 0:
-                factor = M[r][col] * inv
-                M[r] = [v - factor * w for v, w in zip(M[r], M[col])]
-    return det
-
-
-def _exact_rank(rows) -> int:
-    rows = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    for pivot_col in range(ncols):
-        pivot_row = next(
-            (r for r in range(rank, len(rows)) if rows[r][pivot_col] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][pivot_col]
-        rows[rank] = [v / pivot for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][pivot_col] != 0:
-                factor = rows[r][pivot_col]
-                rows[r] = [v - factor * w for v, w in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank

@@ -152,6 +152,37 @@ def _pivot(rows, basis, leave, enter):
     basis[leave] = enter
 
 
+def gauss_jordan(rows):
+    """Exact Gauss-Jordan elimination over Fractions.
+
+    Returns (reduced, pivots, det): the reduced row echelon form of
+    ``rows``, the pivot column of each nonzero reduced row (so the rank is
+    ``len(pivots)``), and the determinant of ``rows`` (0 when it is
+    singular or not square).
+    """
+    M = [[Fraction(v) for v in row] for row in rows]
+    nrows = len(M)
+    ncols = len(M[0]) if M else 0
+    pivots = [None] * nrows
+    det = Fraction(1)
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pivot_row = next((i for i in range(r, nrows) if M[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            M[r], M[pivot_row] = M[pivot_row], M[r]
+            det = -det
+        det *= M[r][col]
+        _pivot(M, pivots, r, col)
+        r += 1
+    if r < nrows or nrows != ncols:
+        det = Fraction(0)
+    return M, pivots[:r], det
+
+
 def _extract_ray(rows, basis, cost, ncols, tol):
     """Recession direction certifying unboundedness."""
     red = _reduced_costs(rows, basis, cost, ncols)

@@ -58,6 +58,7 @@ from .kkt import (
 )
 from .modelspec import ParametricModel, ReferenceTriple, print_model
 from .monotone import GraphSample
+from .polycone import rank
 from .secondorder import (
     check_gssosc,
     check_gusosc,
@@ -444,9 +445,7 @@ def _max_independent_subset(grad_matrix: np.ndarray, candidates):
     """Greedy maximal independent subset of gradient rows (by index)."""
     chosen = []
     for i in candidates:
-        rows = grad_matrix[chosen + [i]]
-        s = np.linalg.svd(rows, compute_uv=False)
-        if int(np.sum(s > 1e-10 * max(1.0, s[0]))) == len(chosen) + 1:
+        if rank(grad_matrix[chosen + [i]]) == len(chosen) + 1:
             chosen.append(i)
     return tuple(chosen)
 
@@ -603,6 +602,14 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
         notes.append(
             "GSSOSC fails but the uniform test passes: consistent, the "
             "pointwise test is only sufficient"
+        )
+    accepted, requested = (
+        gusosc.details["samples_accepted"], gusosc.details["samples_requested"]
+    )
+    if accepted < requested:
+        notes.append(
+            f"GUSOSC accepted only {accepted} of {requested} requested "
+            "samples: the uniform test rests on fewer graph points than asked for"
         )
     if any(entry["zero"] for entry in scoc):
         notes.append(

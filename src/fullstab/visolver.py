@@ -527,9 +527,17 @@ def build_localization(
         if ok:
             agreements = []
             if model.m == 0 or all(model.affine_x):
+                # step from the reference Jacobian: (kappa, L) =
+                # (lambda_min(sym J_f), ||J_f||_2); solve_projected falls
+                # back to its default step when kappa <= 0
+                Jf = eval_bundle(model, x0, p0).jac_f
+                moduli = (
+                    float(np.linalg.eigvalsh(0.5 * (Jf + Jf.T))[0]),
+                    float(np.linalg.norm(Jf, 2)),
+                )
                 stride = max(1, len(methods) // max(1, cross_checks))
                 for k in range(0, len(methods), stride):
-                    proj = solve_projected(model, V[k], P[k], x0)
+                    proj = solve_projected(model, V[k], P[k], x0, moduli=moduli)
                     if proj.converged:
                         agreements.append(
                             float(np.max(np.abs(proj.x - table_x[k])))

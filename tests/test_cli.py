@@ -1,6 +1,9 @@
 """CLI: subcommands, exit codes, determinism, defaults provenance."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -176,3 +179,16 @@ class TestSubcommands:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "v1,x1,residual,method"
         assert len(lines) > 5
+
+
+class TestModuleEntryPoint:
+    def test_python_m_cli_certify_prints_report(self):
+        src = str(MODELS.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "fullstab.cli", "certify", str(MODELS / "identity.model")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["verdict"] == "fully_stable"

@@ -12,8 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fullstab.errors import NoMultiplierError, UnboundedMultiplierError
+from fullstab.defaults import RANK_TOL
+from fullstab.errors import InputError, NoMultiplierError, UnboundedMultiplierError
 from fullstab.kkt import (
+    _exact_solve,
     check_licq,
     check_mfcq,
     multiplier_polytope,
@@ -21,7 +23,9 @@ from fullstab.kkt import (
     strict_complement,
 )
 from fullstab.modelspec import parse_model
+from fullstab.secondorder import scoc_probe
 from fullstab.simplex import solve_standard_lp
+from fullstab.stabharness import _max_independent_subset
 
 ZERO3 = (Fraction(0), Fraction(0), Fraction(0))
 ZERO2 = (Fraction(0), Fraction(0))
@@ -169,3 +173,38 @@ class TestStrictComplement:
     def test_other_vertex(self):
         lam = (Fraction(0), Fraction(1, 4), Fraction(3, 8), Fraction(3, 8))
         assert strict_complement(lam, (0, 1, 2, 3)) == (1, 2, 3)
+
+
+class TestExactSolve:
+    def test_unique_solution(self):
+        F = Fraction
+        assert _exact_solve([[F(1), F(1)], [F(1), F(-1)], [F(2), F(0)]], [F(3), F(1), F(4)]) == [2, 1]
+
+    def test_dependent_columns_return_none(self):
+        assert _exact_solve([[1, 2], [2, 4]], [1, 2]) is None
+
+    def test_inconsistent_system_returns_none(self):
+        assert _exact_solve([[1], [1]], [1, 2]) is None
+
+
+class TestSharedRankCutoff:
+    @pytest.mark.parametrize("eps", ["0.0000000006", "0.0000000003"])
+    def test_licq_subset_and_probe_agree(self, eps):
+        # gradients (1, 0) and (1, eps): sigma_min / sigma_0 is about eps / 2,
+        # against the cutoff max(shape) * RANK_TOL = 2e-10
+        m = parse_model(
+            f"dims n=2 d=0\nf = (x1, x2)\nconstraint x1 <= 0\n"
+            f"constraint x1 + {eps}*x2 <= 0\nreference x=(0, 0) p=() v=(1, 0)\n"
+        )
+        G = np.array([[1.0, 0.0], [1.0, float(eps)]])
+        s = np.linalg.svd(G, compute_uv=False)
+        above = s[1] > 2 * RANK_TOL * s[0]
+        assert 0.5 < s[1] / (2 * RANK_TOL * s[0]) < 2.0  # near the cutoff
+        licq = check_licq(m, (0, 0), ())
+        assert (licq.verdict == "holds") == above
+        assert (_max_independent_subset(G, [0, 1]) == (0, 1)) == above
+        if above:
+            scoc_probe(m, m.reference, (1.0, 0.0), (0, 1))
+        else:
+            with pytest.raises(InputError, match="dependent"):
+                scoc_probe(m, m.reference, (1.0, 0.0), (0, 1))

@@ -9,7 +9,14 @@ import itertools
 import numpy as np
 import pytest
 
-from fullstab.errors import InfeasiblePointError, InfeasibleSetError, InputError
+from fullstab import polycone
+from fullstab.defaults import MAX_CONE_ROWS
+from fullstab.errors import (
+    InfeasiblePointError,
+    InfeasibleSetError,
+    InputError,
+    SolveFailureError,
+)
 from fullstab.modelspec import parse_model
 from fullstab.polycone import (
     ConeDesc,
@@ -254,6 +261,39 @@ class TestProjection:
             oracle = dykstra_projection(A, b, z)
             assert mine == pytest.approx(oracle, abs=1e-6), trial
             assert np.all(A @ mine <= b + 1e-9)
+
+    def test_many_rows_match_dykstra(self):
+        # more rows than the enumeration cap of the cone paths
+        rng = np.random.default_rng(9)
+        for trial in range(6):
+            n = 3
+            mrows = MAX_CONE_ROWS + int(rng.integers(1, 9))
+            A = rng.normal(size=(mrows, n))
+            b = rng.uniform(0.2, 1.0, size=mrows)
+            z = rng.normal(size=n) * 2.0
+            mine = project_onto_rows(A, b, z)
+            oracle = dykstra_projection(A, b, z)
+            assert mine == pytest.approx(oracle, abs=1e-6), trial
+            assert np.all(A @ mine <= b + 1e-9)
+
+    def test_opposite_faces_are_not_averaged(self):
+        # x1 <= 1 and -x1 <= 0 taken together as equalities give x1 = 1/2,
+        # feasible with z - x in their cone but not tight on either row;
+        # KKT at (0, -1): z - x = 3/2 (-1, 0) + 1/2 (-1, -1)
+        A = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, 0.0], [-1.0, -1.0]])
+        b = np.array([1.0, 1.0, 0.0, 1.0])
+        z = np.array([-2.0, -1.5])
+        x = project_onto_rows(A, b, z)
+        assert x == pytest.approx([0.0, -1.0], abs=1e-12)
+        assert x == pytest.approx(dykstra_projection(A, b, z), abs=1e-6)
+
+    def test_unverified_point_raises(self, monkeypatch):
+        # u = 0 is not the NNLS optimum here; it maps back to x = z, which is
+        # infeasible, and must not be returned as the projection
+        monkeypatch.setattr(polycone, "nnls", lambda E, f: (np.zeros(E.shape[1]), 1.0))
+        A = np.array([[1.0, 0.0]])
+        with pytest.raises(SolveFailureError):
+            project_onto_rows(A, np.array([1.0]), np.array([2.0, 0.0]))
 
     def test_projection_beats_every_feasible_point(self):
         rng = np.random.default_rng(7)

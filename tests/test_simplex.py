@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from fullstab.simplex import (
+    gauss_jordan,
     nonneg_lstsq_feasible,
     solve_inequality_lp,
     solve_standard_lp,
 )
+
+from oracles import cofactor_det
 
 
 def test_basic_standard_form():
@@ -131,3 +134,27 @@ def test_nonneg_feasibility():
     assert recon == pytest.approx([2.0, 1.0], abs=1e-9)
     assert min(lam) >= -1e-12
     assert nonneg_lstsq_feasible(cols, [-1.0, 0.0], 1e-9) is None
+
+
+def test_gauss_jordan_matches_cofactor_det_and_numpy_rank():
+    rng = np.random.default_rng(11)
+    singular = 0
+    for trial in range(80):
+        nrows = int(rng.integers(1, 6))
+        ncols = nrows if trial % 2 else int(rng.integers(1, 6))
+        M = [
+            [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        if trial % 3 == 0 and nrows > 1:  # a dependent row
+            M[-1] = [a + 2 * b for a, b in zip(M[0], M[1])]
+        R, pivots, det = gauss_jordan(M)
+        r = int(np.linalg.matrix_rank(np.array(M, dtype=float)))
+        assert len(pivots) == r, trial
+        for k, col in enumerate(pivots):
+            assert [row[col] for row in R] == [int(i == k) for i in range(nrows)]
+        assert all(v == 0 for row in R[r:] for v in row)
+        if nrows == ncols:
+            assert det == cofactor_det(M), trial
+            singular += det == 0
+    assert singular >= 5  # the singular branch was exercised

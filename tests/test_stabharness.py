@@ -223,6 +223,20 @@ class TestCertify:
         assert rep.multipliers.get("unbounded") is True
         assert rep.multipliers["recession"] is not None
 
+    def test_short_gusosc_sample_flagged(self):
+        # circle boundary: at seed 3 one ambient draw of 40000 lands within
+        # tol_act of the circle, and the verdict rests on that one sample
+        m = parse_model(
+            "dims n=2 d=1\nf = (x1 + p1, x2)\nconstraint x1^2 + x2^2 - 1 <= 0\n"
+            "reference x=(1, 0) p=(0) v=(2, 0)\n"
+        )
+        rep = certify(m, CertifyOptions(seed=3))
+        details = rep.gusosc["details"]
+        assert details["samples_accepted"] < details["samples_requested"]
+        assert any(
+            f"accepted only {details['samples_accepted']} of 500" in note for note in rep.notes
+        )
+
     def test_missing_reference_rejected(self):
         m = parse_model("dims n=1 d=0\nf = (x1)\n")
         with pytest.raises(InputError):

@@ -8,6 +8,7 @@ the underlying inequality against many feasible points.
 import numpy as np
 import pytest
 
+from fullstab import visolver
 from fullstab.errors import LocalizationError, UnboundedMultiplierError
 from fullstab.modelspec import parse_model
 from fullstab.polycone import polyhedron_rows
@@ -215,6 +216,27 @@ class TestBuildLocalization:
         with pytest.raises(LocalizationError) as err:
             build_localization(m, m.reference, grid_v=3, n_random=0, box_radius=2.0)
         assert err.value.witness is not None
+
+    def test_cross_check_step_from_reference_jacobian(self, monkeypatch):
+        # box3-b of the acceptance corpus: at the fixed default step 1e-2
+        # four of its eleven cross-checks took about 1680 iterations each
+        model = parse_model(
+            "dims n=3 d=1\nf = (2*x1, 3*x2 + p1, x3 + x1)\n"
+            "constraint x1 - 1 <= 0\nconstraint x2 - 1 <= 0\nconstraint x3 - 1 <= 0\n"
+            "constraint -x1 <= 0\nconstraint -x2 <= 0\nconstraint -x3 <= 0\n"
+            "reference x=(1, 0, 1) p=(0) v=(3, -3, 2)\n"
+        )
+        iterations = []
+
+        def recording(*args, **kwargs):
+            out = solve_projected(*args, **kwargs)
+            iterations.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(visolver, "solve_projected", recording)
+        table = build_localization(model, model.reference, grid_v=3, grid_p=3, seed=5)
+        assert table.meta["cross_checks"] == len(iterations) == 11
+        assert max(iterations) < 400
 
     def test_csv_export_shape(self, identity_model):
         table = build_localization(
