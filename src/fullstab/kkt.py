@@ -34,8 +34,8 @@ from .errors import (
     UnboundedMultiplierError,
 )
 from .modelspec import ParametricModel, eval_bundle, eval_bundle_exact
-from .polycone import active_set, nnls, rank
-from .simplex import gauss_jordan, nonneg_lstsq_feasible, solve_inequality_lp
+from .polycone import active_set, rank
+from .simplex import gauss_jordan, solve_inequality_lp
 
 __all__ = [
     "CQReport",
@@ -335,16 +335,14 @@ def multiplier_polytope(
                 recession=ray,
             )
 
-    feasible = _stationarity_feasible(cols, rhs, tol * scale, exact)
-    if not feasible:
+    # a nonempty {lam >= 0 : G lam = rhs} has a basic solution, so the
+    # vertex enumeration also decides feasibility
+    vertices = _enumerate_vertices(cols, rhs, model.m, I, exact, tol * scale)
+    if not vertices:
         raise NoMultiplierError(
             "no multiplier exists: v is not in Psi(x, p); the reference "
             "triple is not on the solution-map graph"
         )
-
-    vertices = _enumerate_vertices(cols, rhs, model.m, I, exact, tol * scale)
-    if not vertices:  # pragma: no cover - guarded by feasibility above
-        raise NoMultiplierError("vertex enumeration found no feasible basis")
     V = np.array([[float(c) for c in vert] for vert in vertices])
     dim = rank(V - V[0]) if len(vertices) > 1 else 0
     return MultiplierSet(
@@ -356,14 +354,6 @@ def multiplier_polytope(
         stationarity_rhs=rhs,
         grad_matrix=grad_matrix,
     )
-
-
-def _stationarity_feasible(cols, rhs, tol, exact) -> bool:
-    if exact:
-        return nonneg_lstsq_feasible(cols, rhs, tol) is not None
-    A = np.array(cols, dtype=float).T if cols else np.zeros((len(rhs), 0))
-    _, resid = nnls(A, np.array(rhs, dtype=float))
-    return resid <= max(tol, 1e-10)
 
 
 def _recession_direction(cols, m, I, exact):

@@ -85,9 +85,8 @@ class ParametricModel:
     hess_phi: tuple = field(default=(), compare=False)  # m x n x n exprs
     affine_x: tuple = field(default=(), compare=False)  # per-constraint flag
     affine_xp: tuple = field(default=(), compare=False)  # gradient constant in (x,p)
-    affine_joint: tuple = field(default=(), compare=False)  # phi_i affine in (x,p)
     param_free: tuple = field(default=(), compare=False)  # phi_i independent of p
-    f_affine: bool = field(default=False, compare=False)  # f affine in (x,p)
+    f_affine: bool = field(default=False, compare=False)  # f affine in x
 
     @property
     def m(self) -> int:
@@ -134,40 +133,17 @@ class ParametricModel:
             )
             for phi in self.constraints
         )
-        affine_joint = tuple(
-            affine_xp[i]
-            and all(
-                ex.expr_is_zero(
-                    ex.differentiate(ex.differentiate(phi, "p", l), "p", l2), n, d
-                )
-                for l in range(d)
-                for l2 in range(d)
-            )
-            for i, phi in enumerate(self.constraints)
-        )
         f_affine = all(
             ex.expr_is_zero(ex.differentiate(fij, "x", k), n, d)
-            and all(
-                ex.expr_is_zero(ex.differentiate(fij, "p", l), n, d)
-                for l in range(d)
-            )
             for row in f_jac
             for fij in row
             for k in range(n)
-        ) and all(
-            ex.expr_is_zero(
-                ex.differentiate(ex.differentiate(fi, "p", l), "p", l2), n, d
-            )
-            for fi in self.f_components
-            for l in range(d)
-            for l2 in range(d)
         )
         object.__setattr__(self, "f_jac", f_jac)
         object.__setattr__(self, "grad_phi", grad_phi)
         object.__setattr__(self, "hess_phi", hess_phi)
         object.__setattr__(self, "affine_x", affine_x)
         object.__setattr__(self, "affine_xp", affine_xp)
-        object.__setattr__(self, "affine_joint", affine_joint)
         object.__setattr__(self, "param_free", param_free)
         object.__setattr__(self, "f_affine", f_affine)
         if self.reference is not None:

@@ -496,36 +496,21 @@ def scoc_probe(
             ]
             for i in range(n)
         ]
-        G = [bundle.grad_phi[i] for i in J]
-        if J and len(gauss_jordan(G)[1]) < len(J):
-            raise InputError("dependent basis rows in the bordered matrix")
-        size = n + len(J)
-        M = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(n):
-            for j in range(n):
-                M[i][j] = Fraction(jacL[i][j])
-            for j, gi in enumerate(G):
-                M[i][n + j] = Fraction(gi[i])
-        for i, gi in enumerate(G):
-            for j in range(n):
-                M[n + i][j] = -Fraction(gi[j])
-        det = gauss_jordan(M)[2]
-        M_float = np.array([[float(v) for v in row] for row in M])
+        grads = bundle.grad_phi
+        cast = Fraction
     else:
         xf = [float(c) for c in ref.x]
         pf = [float(c) for c in ref.p]
         jacL = lagrangian_jacobian(model, xf, pf, lam)
-        bundle = eval_bundle(model, xf, pf)
-        G = bundle.grad_phi[list(J)] if J else np.zeros((0, n))
-        if J and rank(G) < len(J):
-            raise InputError("dependent basis rows in the bordered matrix")
-        size = n + len(J)
-        M_float = np.zeros((size, size))
-        M_float[:n, :n] = jacL
-        if J:
-            M_float[:n, n:] = G.T
-            M_float[n:, :n] = -G
-        det = float(np.linalg.det(M_float))
+        grads = eval_bundle(model, xf, pf).grad_phi
+        cast = float
+    G = [grads[i] for i in J]
+    if J and (len(gauss_jordan(G)[1]) if exact else rank(np.array(G))) < len(J):
+        raise InputError("dependent basis rows in the bordered matrix")
+    M = [[cast(jacL[i][j]) for j in range(n)] + [cast(g[i]) for g in G] for i in range(n)]
+    M += [[-cast(g[j]) for j in range(n)] + [cast(0)] * len(J) for g in G]
+    M_float = np.array(M, dtype=float).reshape(n + len(J), n + len(J))
+    det = gauss_jordan(M)[2] if exact else float(np.linalg.det(M_float))
     norms = np.linalg.norm(M_float, axis=1)
     norms[norms == 0] = 1.0
     scaled_det = float(np.linalg.det(M_float / norms[:, None]))

@@ -252,29 +252,3 @@ def solve_inequality_lp(
     value = sum(_cast(c[j], exact) * x[j] for j in range(nvar))
     return LPResult(status="optimal", x=x, value=value)
 
-
-def nonneg_lstsq_feasible(A_cols, b, tol) -> Optional[list]:
-    """Find lam >= 0 with sum_j lam_j A_cols[j] = b, or None.
-
-    Phase-1 style feasibility via the simplex; exact when inputs are
-    Fractions.  A_cols is a list of columns (vectors).
-    """
-    if not A_cols:
-        if all(_near_zero(v, tol) for v in b):
-            return []
-        return None
-    nrows = len(b)
-    ncols = len(A_cols)
-    exact = _is_exact(A_cols + [list(b)])
-    A = [[_cast(A_cols[j][i], exact) for j in range(ncols)] for i in range(nrows)]
-    zero = [Fraction(0) if exact else 0.0] * ncols
-    res = solve_standard_lp(zero, A, [_cast(v, exact) for v in b])
-    if res.status != "optimal":
-        return None
-    return res.x
-
-
-def _near_zero(v, tol):
-    if isinstance(v, Fraction):
-        return v == 0
-    return abs(v) <= tol

@@ -211,14 +211,11 @@ def fit_moduli(
     kappa_vacuous = kappa_hat is None
     kappa_flagged = (kappa_hat is not None) and kappa_hat <= tol
     kappa_used = 1.0 if kappa_vacuous or kappa_flagged else kappa_hat
-    if kappa_flagged:
-        kappa_used = 1.0
 
     # --- exponent from v-frozen pairs at the canonical center
     exponent_hat = None
     v_frozen = 0
     if d:
-        center = table.v_nodes[0] if N else None
         # the tensor grid repeats each v-node across all p-nodes; use the
         # node closest to the table's median v as the frozen slice
         med = np.median(table.v_nodes, axis=0)
@@ -545,16 +542,11 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
         localization["single_valued"] = True
         fitted = fit_moduli(table, pair_cap=opts.pair_cap)
         moduli = fitted.to_json_dict()
-        if fitted.ell_hat is not None:
-            violations, violation_count = verify_inequality(
-                table, fitted.kappa_used, fitted.ell_hat,
-                fitted.exponent_used, pair_cap=opts.pair_cap,
-            )
-        else:
-            violations, violation_count = verify_inequality(
-                table, fitted.kappa_used, 0.0, fitted.exponent_used,
-                pair_cap=opts.pair_cap,
-            )
+        ell = fitted.ell_hat if fitted.ell_hat is not None else 0.0
+        violations, violation_count = verify_inequality(
+            table, fitted.kappa_used, ell, fitted.exponent_used,
+            pair_cap=opts.pair_cap,
+        )
         harness_clean = (
             not fitted.kappa_flagged
             and fitted.ell_hat is not None

@@ -1,21 +1,24 @@
 """Solvers for the perturbed variational condition and the localization
 table they produce.
 
-Two independent routes at desk scale:
+One uniqueness oracle and one cross-check, both at desk scale:
 
+* the face sweep - exhaustive enumeration of candidate active sets J,
+  solving the stationarity system with phi_J = 0 and filtering by sign,
+  feasibility and a sup-norm box.  Data affine in x give a linear system,
+  solved for many nodes at once by one batched least-squares call per
+  guess; curved data run a Newton multistart per node.  A fixed-point
+  solver cannot certify single-valuedness, enumeration over a box can.
+  ``solve_faces`` runs it on one node, ``build_localization`` on a grid.
 * ``solve_projected`` - the classical fixed-point reformulation
   x = Proj_{C(p)}(x - gamma (f(x, p) - v)), contraction for
   gamma < 2 kappa / L^2 under strong monotonicity (checked empirically,
-  with step halving on divergence);
-* ``solve_faces`` - exhaustive enumeration of candidate active sets,
-  solving each stationarity-plus-equality system and filtering by sign
-  and feasibility.  This is the uniqueness oracle: a fixed-point solver
-  cannot certify single-valuedness, enumeration over a box can.
+  with step halving on divergence), which cross-checks the table.
 
 ``build_localization`` tabulates the solution map on a tensor grid around
-the reference (plus random interior nodes), aborting with a witness when
-any node admits zero or several solutions in the box even after halving
-the radii.
+the reference (plus random interior nodes), aborting with a witness at the
+first node that admits zero or several solutions in the box even after
+halving the radii.
 """
 
 from __future__ import annotations
@@ -131,28 +134,20 @@ def solve_projected(
                 x=x, lam=np.zeros(model.m), residual=resid,
                 iterations=it, method="projected-iteration", converged=True,
             )
-        if not np.all(np.isfinite(x)) or resid > 1e6:
-            halvings += 1
-            if halvings > MAX_SHRINK:
-                break
-            gamma *= 0.5
-            x = np.asarray(x0, dtype=float).copy()
-            best_resid = math.inf
-            stall = 0
-            continue
-        if resid < best_resid * (1 - 1e-12):
-            best_resid = resid
-            stall = 0
-        else:
+        if np.all(np.isfinite(x)) and resid <= 1e6:
+            if resid < best_resid * (1 - 1e-12):
+                best_resid, stall = resid, 0
+                continue
             stall += 1
-            if stall > 200:
-                halvings += 1
-                if halvings > MAX_SHRINK:
-                    break
-                gamma *= 0.5
-                x = np.asarray(x0, dtype=float).copy()
-                best_resid = math.inf
-                stall = 0
+            if stall <= 200:
+                continue
+        # diverged or stalled: restart from x0 with half the step
+        halvings += 1
+        if halvings > MAX_SHRINK:
+            break
+        gamma *= 0.5
+        x = np.asarray(x0, dtype=float).copy()
+        best_resid, stall = math.inf, 0
     final = step(x)
     resid = float(np.linalg.norm(final - x))
     return SolveOutcome(
@@ -163,31 +158,6 @@ def solve_projected(
 
 # ---------------------------------------------------------------------------
 # face enumeration
-
-
-def _affine_face_data(model: ParametricModel, p):
-    """Per-parameter affine data: f(x, p) = f0 + Jf x, phi_i = g_i . x + c_i."""
-    p = [float(c) for c in p]
-    bundle = eval_bundle(model, [0.0] * model.n, p)
-    return bundle.f, bundle.jac_f, bundle.grad_phi, bundle.phi
-
-
-def _solve_face_affine(f0, Jf, G, c, v, J, n):
-    """Linear stationarity system for one active-set guess J."""
-    k = len(J)
-    size = n + k
-    M = np.zeros((size, size))
-    M[:n, :n] = Jf
-    rhs = np.zeros(size)
-    rhs[:n] = v - f0
-    for idx, i in enumerate(J):
-        M[:n, n + idx] = G[i]
-        M[n + idx, :n] = G[i]
-        rhs[n + idx] = -c[i]
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    if np.linalg.norm(M @ sol - rhs) > 1e-9 * (1 + np.linalg.norm(rhs)):
-        return None
-    return sol
 
 
 def _solve_face_newton(model, v, p, J, x_start, max_iter=60):
@@ -233,6 +203,105 @@ def _kkt_residual(model, x, lam, v, p):
     return float(np.linalg.norm(stat)) + feas + comp
 
 
+def _face_sweep(model, V, P, center, box_radius, tol_act):
+    """Yield, node by node over the rows of (V, P), the merged solutions
+    [(x, lam, residual), ...] of v in f(x, p) + N_{C(p)}(x) inside the
+    sup-norm box around ``center``.
+
+    Each active-set guess J is solved with phi_J = 0 and kept when
+    lam >= 0, phi <= tol_act and x lies in the box.  When f and every phi
+    are affine in x the system is linear: the data are evaluated once per
+    distinct parameter row, and each guess is one batched lstsq over the
+    nodes that share (jac_f, grad_phi), filtered by the linear residual.
+    Otherwise a Newton multistart runs per node, filtered by the KKT
+    residual, and the least-residual copy of each duplicate is kept.
+    """
+    n, m = model.n, model.m
+    if m > MAX_CONE_ROWS:
+        raise DeskScaleError(f"m = {m} exceeds the face-enumeration cap")
+    subsets = (itertools.combinations(range(m), r) for r in range(m + 1))
+    guesses = [list(J) for J in itertools.chain.from_iterable(subsets)]
+    if not (model.f_affine and all(model.affine_x)):
+        starts = _newton_starts(center, box_radius, n)
+        for v, p in zip(V, P):
+            found = []
+            for J in guesses:
+                for start in starts:
+                    z = _solve_face_newton(model, v, p, J, start)
+                    if z is None:
+                        continue
+                    x, lam = z[:n], np.zeros(m)
+                    lam[J] = z[n:]
+                    if m and np.min(lam) < -1e-9:
+                        continue
+                    phi = [float(c) for c in model.phi_values(list(x), list(p))]
+                    if m and max(phi) > tol_act:
+                        continue
+                    if np.max(np.abs(x - center)) > box_radius + 1e-12:
+                        continue
+                    lam = np.clip(lam, 0.0, None)
+                    resid = _kkt_residual(model, x, lam, v, p)
+                    if resid <= 1e-8 * (1 + np.linalg.norm(v)):
+                        found.append((x, lam, resid))
+            # least KKT residual first, so _merge keeps that copy
+            found.sort(key=lambda s: s[2])
+            yield _merge(found)
+        return
+    N = V.shape[0]
+    rows, which = np.unique(P, axis=0, return_inverse=True)
+    bundles = [eval_bundle(model, [0.0] * n, row) for row in rows]
+    node_bundles = [bundles[b] for b in which.reshape(-1)]
+    groups = {}
+    for k, bundle in enumerate(node_bundles):
+        key = (bundle.jac_f.tobytes(), bundle.grad_phi.tobytes())
+        groups.setdefault(key, []).append(k)
+    found = [[] for _ in range(N)]
+    for nodes in groups.values():
+        Jf, G = node_bundles[nodes[0]].jac_f, node_bundles[nodes[0]].grad_phi
+        f0 = np.array([node_bundles[k].f for k in nodes])
+        c = np.array([node_bundles[k].phi for k in nodes]).reshape(len(nodes), m)
+        for J in guesses:
+            size = n + len(J)
+            M = np.zeros((size, size))
+            M[:n, :n] = Jf
+            M[:n, n:] = G[J].T
+            M[n:, :n] = G[J]
+            rhs = np.zeros((len(nodes), size))
+            rhs[:, :n] = V[nodes] - f0
+            rhs[:, n:] = -c[:, J]
+            sol = np.linalg.lstsq(M, rhs.T, rcond=None)[0].T
+            X, lam_j = sol[:, :n], sol[:, n:]
+            ok = (
+                np.linalg.norm(rhs - sol @ M.T, axis=1)
+                <= 1e-9 * (1 + np.linalg.norm(rhs, axis=1))
+            )
+            if J:
+                ok &= np.min(lam_j, axis=1) >= -1e-9
+            if m:
+                ok &= np.max(X @ G.T + c, axis=1) <= tol_act
+            ok &= np.max(np.abs(X - center), axis=1) <= box_radius + 1e-12
+            for i in np.flatnonzero(ok):
+                lam = np.zeros(m)
+                lam[J] = np.clip(lam_j[i], 0.0, None)
+                found[nodes[i]].append((X[i], lam))
+    for k in range(N):
+        yield [
+            (x, lam, _kkt_residual(model, x, lam, V[k], P[k]))
+            for x, lam in _merge(found[k])
+        ]
+
+
+def _merge(solutions):
+    """Keep the first of each group of solutions whose x agree to 1e-7;
+    deterministic order by x."""
+    merged = []
+    for sol in solutions:
+        if not any(np.max(np.abs(prev[0] - sol[0])) < 1e-7 for prev in merged):
+            merged.append(sol)
+    merged.sort(key=lambda s: tuple(np.round(s[0], 12)))
+    return merged
+
+
 def solve_faces(
     model: ParametricModel,
     v,
@@ -242,38 +311,16 @@ def solve_faces(
     tol_act: float = TOL_ACT,
 ) -> list:
     """All solutions of v in f(x, p) + N_{C(p)}(x) inside the sup-norm box,
-    by enumerating active-set guesses J, solving the stationarity system
-    with phi_J = 0 and filtering lam >= 0, phi <= 0 off J.  Duplicate x's
-    from different guesses are merged.  Deterministic order."""
-    if model.m > MAX_CONE_ROWS:
-        raise DeskScaleError(f"m = {model.m} exceeds the face-enumeration cap")
-    v = np.asarray(v, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n = model.n
+    by the face sweep of ``build_localization`` on the single node (v, p).
+    Deterministic order."""
     center = (
         np.asarray(box_center, dtype=float)
         if box_center is not None
-        else (model.reference.as_arrays()[0] if model.reference else np.zeros(n))
+        else (model.reference.as_arrays()[0] if model.reference else np.zeros(model.n))
     )
-    affine = (model.m == 0 or all(model.affine_x)) and model.f_affine
-    if affine:
-        f0, Jf, G, c = _affine_face_data(model, p)
-    else:
-        starts = _newton_starts(center, box_radius, n)
-    solutions = []
-    for r in range(model.m + 1):
-        for J in itertools.combinations(range(model.m), r):
-            if affine:
-                sols = [_solve_face_affine(f0, Jf, G, c, v, J, n)]
-            else:
-                sols = [_solve_face_newton(model, v, p, J, s) for s in starts]
-            for sol in sols:
-                if sol is None:
-                    continue
-                _collect_face_solution(
-                    model, sol, J, v, p, center, box_radius, tol_act, solutions
-                )
-    merged = _merge_solutions(solutions)
+    V = np.asarray(v, dtype=float).reshape(1, model.n)
+    P = np.asarray(p, dtype=float).reshape(1, model.d)
+    merged = next(_face_sweep(model, V, P, center, box_radius, tol_act))
     multiplicity = "unique-in-box" if len(merged) == 1 else (
         "multiple-found" if merged else "unknown"
     )
@@ -299,42 +346,6 @@ def _newton_starts(center, box_radius, n):
     for _ in range(4):
         starts.append(center + box_radius * rng.uniform(-1, 1, size=n))
     return starts
-
-
-def _collect_face_solution(model, sol, J, v, p, center, box_radius, tol_act, out):
-    n = model.n
-    x = sol[:n]
-    lam = np.zeros(model.m)
-    lam[list(J)] = sol[n:]
-    if model.m and np.min(lam) < -1e-9:
-        return
-    lam = np.clip(lam, 0.0, None)
-    if model.m:
-        phi = np.array([float(c) for c in model.phi_values(list(x), list(p))])
-        if np.max(phi) > tol_act:
-            return
-    if np.max(np.abs(x - center)) > box_radius + 1e-12:
-        return
-    resid = _kkt_residual(model, x, lam, v, p)
-    if resid > 1e-8 * (1 + np.linalg.norm(v)):
-        return
-    out.append((x, lam, resid))
-
-
-def _merge_solutions(solutions):
-    merged = []
-    for x, lam, resid in solutions:
-        dup = False
-        for prev in merged:
-            if np.max(np.abs(prev[0] - x)) < 1e-7:
-                dup = True
-                if resid < prev[2]:
-                    prev[0], prev[1], prev[2] = x, lam, resid
-                break
-        if not dup:
-            merged.append([x, lam, resid])
-    merged.sort(key=lambda t: tuple(np.round(t[0], 12)))
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -403,59 +414,6 @@ def _grid_nodes(ref_v, ref_p, rho_v, rho_p, grid_v, grid_p, n, d, n_random, seed
     return V, P
 
 
-def _batched_affine_solutions(model, V, P, center, box_radius, tol_act):
-    """Fast path: the full face sweep vectorized over all nodes when both
-    the base map and the constraint gradients are constant (jointly affine
-    model data)."""
-    n, m = model.n, model.m
-    f0_ref, Jf, G, c_ref = _affine_face_data(model, [0.0] * model.d)
-    # f(0, p) and phi(0, p) are affine in p: evaluate basis offsets
-    Fp = np.zeros((n, model.d))
-    Cp = np.zeros((m, model.d))
-    for l in range(model.d):
-        e = [0.0] * model.d
-        e[l] = 1.0
-        bundle = eval_bundle(model, [0.0] * n, e)
-        Fp[:, l] = bundle.f - f0_ref
-        Cp[:, l] = bundle.phi - c_ref
-    N = V.shape[0]
-    f0_all = f0_ref[None, :] + P @ Fp.T
-    c_all = c_ref[None, :] + P @ Cp.T if m else np.zeros((N, 0))
-    found = [[] for _ in range(N)]
-    for r in range(m + 1):
-        for J in itertools.combinations(range(m), r):
-            k = len(J)
-            size = n + k
-            M = np.zeros((size, size))
-            M[:n, :n] = Jf
-            for idx, i in enumerate(J):
-                M[:n, n + idx] = G[i]
-                M[n + idx, :n] = G[i]
-            rhs = np.zeros((N, size))
-            rhs[:, :n] = V - f0_all
-            for idx, i in enumerate(J):
-                rhs[:, n + idx] = -c_all[:, i]
-            sol, *_ = np.linalg.lstsq(M, rhs.T, rcond=None)
-            sol = sol.T
-            ok = (
-                np.linalg.norm(rhs - sol @ M.T, axis=1)
-                <= 1e-9 * (1 + np.linalg.norm(rhs, axis=1))
-            )
-            X = sol[:, :n]
-            lam_j = sol[:, n:]
-            if k:
-                ok &= np.min(lam_j, axis=1) >= -1e-9
-            phi_all = X @ G.T + c_all if m else np.zeros((N, 0))
-            if m:
-                ok &= np.max(phi_all, axis=1) <= tol_act
-            ok &= np.max(np.abs(X - center[None, :]), axis=1) <= box_radius + 1e-12
-            for idx in np.flatnonzero(ok):
-                lam = np.zeros(m)
-                lam[list(J)] = np.clip(lam_j[idx], 0.0, None)
-                found[idx].append((X[idx], lam))
-    return found
-
-
 def build_localization(
     model: ParametricModel,
     ref: ReferenceTriple,
@@ -483,48 +441,20 @@ def build_localization(
         V, P = _grid_nodes(
             v0, p0, attempt_rho_v, attempt_rho_p, grid_v, grid_p, n, d, n_random, seed
         )
-        affine = (model.m == 0 or all(model.affine_joint)) and model.f_affine
-        table_x = np.zeros((V.shape[0], n))
-        resids = np.zeros(V.shape[0])
-        methods = []
-        ok = True
-        if affine:
-            found = _batched_affine_solutions(model, V, P, x0, box_radius, tol_act)
-            for k, candidates in enumerate(found):
-                merged = []
-                for x, lam in candidates:
-                    if not any(np.max(np.abs(x - mx)) < 1e-7 for mx, _ in merged):
-                        merged.append((x, lam))
-                if len(merged) != 1:
-                    ok = False
-                    last_witness = {
-                        "v": V[k].tolist(),
-                        "p": P[k].tolist(),
-                        "solutions": len(merged),
-                    }
-                    break
-                x, lam = merged[0]
-                table_x[k] = x
-                resids[k] = _kkt_residual(model, x, lam, V[k], P[k])
-                methods.append("face-enumeration")
+        N = V.shape[0]
+        table_x = np.zeros((N, n))
+        resids = np.zeros(N)
+        sweep = _face_sweep(model, V, P, x0, box_radius, tol_act)
+        for k, merged in enumerate(sweep):
+            if len(merged) != 1:
+                last_witness = {
+                    "v": V[k].tolist(),
+                    "p": P[k].tolist(),
+                    "solutions": len(merged),
+                }
+                break
+            table_x[k], _, resids[k] = merged[0]
         else:
-            for k in range(V.shape[0]):
-                outs = solve_faces(
-                    model, V[k], P[k], box_center=x0,
-                    box_radius=box_radius, tol_act=tol_act,
-                )
-                if len(outs) != 1:
-                    ok = False
-                    last_witness = {
-                        "v": V[k].tolist(),
-                        "p": P[k].tolist(),
-                        "solutions": len(outs),
-                    }
-                    break
-                table_x[k] = outs[0].x
-                resids[k] = outs[0].residual
-                methods.append(outs[0].method)
-        if ok:
             agreements = []
             if model.m == 0 or all(model.affine_x):
                 # step from the reference Jacobian: (kappa, L) =
@@ -535,8 +465,8 @@ def build_localization(
                     float(np.linalg.eigvalsh(0.5 * (Jf + Jf.T))[0]),
                     float(np.linalg.norm(Jf, 2)),
                 )
-                stride = max(1, len(methods) // max(1, cross_checks))
-                for k in range(0, len(methods), stride):
+                stride = max(1, N // max(1, cross_checks))
+                for k in range(0, N, stride):
                     proj = solve_projected(model, V[k], P[k], x0, moduli=moduli)
                     if proj.converged:
                         agreements.append(
@@ -556,7 +486,7 @@ def build_localization(
             }
             return LocalizationTable(
                 v_nodes=V, p_nodes=P, x_values=table_x,
-                residuals=resids, methods=methods, meta=meta,
+                residuals=resids, methods=["face-enumeration"] * N, meta=meta,
             )
         attempt_rho_v *= 0.5
         attempt_rho_p *= 0.5

@@ -126,6 +126,14 @@ class TestMultiplierPolytope:
         with pytest.raises(NoMultiplierError):
             multiplier_polytope(ex64_model, (0, 0, 1), ZERO2, (5.0, 5.0, 5.0))
 
+    @pytest.mark.parametrize("five", [Fraction(5), 5.0], ids=["exact", "float"])
+    def test_no_multiplier_at_active_point_raises(self, ex64_model, five):
+        # all four constraints are active and MFCQ holds, but v - f =
+        # (19/4, 5, 4) is outside the cone of the gradients: each gradient
+        # has third entry -1, so no nonnegative combination reaches +4
+        with pytest.raises(NoMultiplierError, match="not in Psi"):
+            multiplier_polytope(ex64_model, ZERO3, ZERO2, (five,) * 3)
+
     def test_unbounded_reports_recession(self):
         m = parse_model(
             "dims n=1 d=0\nf = (x1)\nconstraint x1 <= 0\nconstraint -x1 <= 0\n"

@@ -7,7 +7,6 @@ import pytest
 
 from fullstab.simplex import (
     gauss_jordan,
-    nonneg_lstsq_feasible,
     solve_inequality_lp,
     solve_standard_lp,
 )
@@ -124,16 +123,6 @@ def _brute_force_max(c, A, b, n):
         if all(r @ x <= s + 1e-9 for r, s in rows):
             best = max(best, float(np.asarray(c) @ x))
     return best
-
-
-def test_nonneg_feasibility():
-    cols = [[1.0, 0.0], [1.0, 1.0]]
-    lam = nonneg_lstsq_feasible(cols, [2.0, 1.0], 1e-9)
-    assert lam is not None
-    recon = np.array(cols).T @ np.array(lam)
-    assert recon == pytest.approx([2.0, 1.0], abs=1e-9)
-    assert min(lam) >= -1e-12
-    assert nonneg_lstsq_feasible(cols, [-1.0, 0.0], 1e-9) is None
 
 
 def test_gauss_jordan_matches_cofactor_det_and_numpy_rank():

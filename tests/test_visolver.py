@@ -217,6 +217,49 @@ class TestBuildLocalization:
             build_localization(m, m.reference, grid_v=3, n_random=0, box_radius=2.0)
         assert err.value.witness is not None
 
+    def test_newton_sweep_stops_at_first_bad_node(self, monkeypatch):
+        # x^3 - x has three roots at the first node of every attempt; the
+        # sweep yields node by node, so each of the 1 + MAX_SHRINK attempts
+        # runs the Newton stencil (7 starts, one active-set guess) once
+        m = parse_model(
+            "dims n=1 d=0\nf = (x1^3 - x1)\nreference x=(0) p=() v=(0)\n"
+        )
+        calls = []
+        newton = visolver._solve_face_newton
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(visolver, "_solve_face_newton", counting)
+        with pytest.raises(LocalizationError):
+            build_localization(m, m.reference, grid_v=3, n_random=0, box_radius=2.0)
+        assert len(calls) == (1 + visolver.MAX_SHRINK) * 7
+
+    @pytest.mark.parametrize("name", ["p-dependent-gradient", "ex64"])
+    def test_table_rows_match_single_node_sweep(self, name, ex64_model):
+        # the batched sweep groups nodes by (jac_f, grad_phi); with a
+        # Jacobian and a gradient that depend on p every parameter row is
+        # its own group
+        model = ex64_model if name == "ex64" else parse_model(
+            "dims n=2 d=1\nf = ((2 + p1)*x1 + p1, x2)\n"
+            "constraint x1 + p1*x2 - 1/4 <= 0\n"
+            "reference x=(1/4, 0) p=(0) v=(3/2, 0)\n"
+        )
+        assert model.f_affine and all(model.affine_x)
+        table = build_localization(
+            model, model.reference, grid_v=3, grid_p=3, n_random=6, seed=3
+        )
+        assert table.meta["shrinks"] == 0
+        x0 = model.reference.as_arrays()[0]
+        for k in range(len(table)):
+            outs = solve_faces(
+                model, table.v_nodes[k], table.p_nodes[k], box_center=x0
+            )
+            assert len(outs) == 1
+            assert np.max(np.abs(outs[0].x - table.x_values[k])) <= 1e-12
+            assert abs(outs[0].residual - table.residuals[k]) <= 1e-12
+
     def test_cross_check_step_from_reference_jacobian(self, monkeypatch):
         # box3-b of the acceptance corpus: at the fixed default step 1e-2
         # four of its eleven cross-checks took about 1680 iterations each
