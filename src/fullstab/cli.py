@@ -12,6 +12,7 @@ The JSON report is the machine interface; the text rendering mirrors it
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -26,6 +27,7 @@ from .monotone import GraphSample, estimate_from_inverse, estimate_moduli
 from .polycone import active_set, critical_cone, span_difference, tangent_cone
 from .stabharness import (
     CertifyOptions,
+    StabilityReport,
     certify,
     graph_sample_from_model,
 )
@@ -41,6 +43,30 @@ def _vector(text: str):
     return tuple(float(s) for s in text.split(","))
 
 
+# every model flag; each subcommand registers only the ones it reads
+_FLAGS = {
+    "--eta": dict(type=float, default=dflt.ETA, help="graph-sampling radius"),
+    "--rho-v": dict(type=float, default=dflt.RHO_V,
+                    help="canonical-parameter grid radius"),
+    "--rho-p": dict(type=float, default=dflt.RHO_P,
+                    help="basic-parameter grid radius"),
+    "--samples": dict(type=int, default=dflt.SAMPLES,
+                      help="sample count for neighborhood probes"),
+    "--seed": dict(type=int, default=dflt.SEED),
+    "--tol-pd": dict(type=float, default=dflt.TOL_PD,
+                     help="positive-definiteness threshold"),
+    "--tol-act": dict(type=float, default=dflt.TOL_ACT,
+                      help="active-set detection tolerance"),
+    "--grid-v": dict(type=int, default=dflt.GRID_V),
+    "--grid-p": dict(type=int, default=dflt.GRID_P),
+    "--json": dict(metavar="PATH", default=None,
+                   help="write the JSON report here instead of stdout"),
+    "--csv-table": dict(metavar="PATH", default=None,
+                        help="write the localization table (or cone rows) as CSV"),
+    "--text": dict(action="store_true", help="print the human-readable rendering"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fullstab",
@@ -48,46 +74,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def model_command(name, summary, flags):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("model", help="model file path")
-        p.add_argument("--eta", type=float, default=dflt.ETA,
-                       help="graph-sampling radius")
-        p.add_argument("--rho-v", type=float, default=dflt.RHO_V,
-                       help="canonical-parameter grid radius")
-        p.add_argument("--rho-p", type=float, default=dflt.RHO_P,
-                       help="basic-parameter grid radius")
-        p.add_argument("--samples", type=int, default=dflt.SAMPLES,
-                       help="sample count for neighborhood probes")
-        p.add_argument("--seed", type=int, default=dflt.SEED)
-        p.add_argument("--tol-pd", type=float, default=dflt.TOL_PD,
-                       help="positive-definiteness threshold")
-        p.add_argument("--tol-act", type=float, default=dflt.TOL_ACT,
-                       help="active-set detection tolerance")
-        p.add_argument("--grid-v", type=int, default=dflt.GRID_V)
-        p.add_argument("--grid-p", type=int, default=dflt.GRID_P)
-        p.add_argument("--json", metavar="PATH", default=None,
-                       help="write the JSON report here instead of stdout")
-        p.add_argument("--csv-table", metavar="PATH", default=None,
-                       help="write the localization table (or cone rows) as CSV")
-        p.add_argument("--text", action="store_true",
-                       help="print the human-readable rendering")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    certify_p = sub.add_parser("certify", help="run the full certification pipeline")
-    common(certify_p)
+    model_command("certify", "run the full certification pipeline", _FLAGS)
 
-    solve_p = sub.add_parser("solve", help="solve the system at one (v, p)")
-    common(solve_p)
+    solve_p = model_command("solve", "solve the system at one (v, p)", ["--json"])
     solve_p.add_argument("--v", type=_vector, default=None, help="comma-separated")
     solve_p.add_argument("--p", type=_vector, default=None, help="comma-separated")
     solve_p.add_argument("--x0", type=_vector, default=None, help="start point")
 
-    mono_p = sub.add_parser("probe-monotone", help="estimate monotonicity moduli")
-    common(mono_p)
+    mono_p = model_command(
+        "probe-monotone", "estimate monotonicity moduli",
+        ["--eta", "--samples", "--seed", "--json"],
+    )
     mono_p.add_argument("--from-csv", metavar="PATH", default=None,
                         help="read graph samples from CSV (u1..un, v1..vn)")
 
-    cones_p = sub.add_parser("cones", help="tangent/critical cone geometry")
-    common(cones_p)
+    model_command(
+        "cones", "tangent/critical cone geometry",
+        ["--tol-act", "--seed", "--json", "--csv-table"],
+    )
 
     report_p = sub.add_parser("report", help="render a JSON report as text")
     report_p.add_argument("path", help="JSON report file")
@@ -178,8 +189,7 @@ def _cmd_probe_monotone(args) -> int:
         )
     est = estimate_moduli(sample)
     payload = est.to_json_dict()
-    inverse = GraphSample(u=sample.v.copy(), v=sample.u.copy())
-    payload["inverse_lipschitz"] = estimate_from_inverse(inverse)
+    payload["inverse_lipschitz"] = estimate_from_inverse(sample.inverse())
     payload["points"] = len(sample)
     _emit(payload, args)
     return 0
@@ -229,18 +239,13 @@ def _cmd_report(args) -> int:
     if not path.exists():
         raise InputError(f"report file not found: {args.path}")
     data = json.loads(path.read_text())
-    from .stabharness import StabilityReport
-
-    fields = {f: data.get(f) for f in (
-        "verdict", "fully_stable", "model_hash", "cq", "multipliers", "gssosc",
-        "gusosc", "pvi_pointwise", "smooth_psd", "scoc_probe", "moduli",
-        "violations", "violation_count", "localization", "notes", "options",
-    )}
+    fields = {f.name: data.get(f.name) for f in dataclasses.fields(StabilityReport)}
+    fields["schema"] = data.get("schema", 1)
     fields["scoc_probe"] = fields["scoc_probe"] or []
     fields["violations"] = fields["violations"] or []
     fields["notes"] = fields["notes"] or []
     fields["violation_count"] = fields["violation_count"] or 0
-    report = StabilityReport(schema=data.get("schema", 1), **fields)
+    report = StabilityReport(**fields)
     sys.stdout.write(report.to_text())
     return 0
 

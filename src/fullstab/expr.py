@@ -19,6 +19,14 @@ from .errors import EvaluationError, ModelSyntaxError, UnknownIdentifierError
 
 Number = Union[int, float, Fraction]
 
+
+def is_rational(*vectors) -> bool:
+    """True when every entry is an int or a Fraction: evaluation there is
+    exact, since every literal is a Fraction and +, -, *, / and integer
+    powers keep Fractions as Fractions."""
+    return all(isinstance(c, (int, Fraction)) for vec in vectors for c in vec)
+
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

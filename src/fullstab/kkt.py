@@ -33,6 +33,7 @@ from .errors import (
     NoMultiplierError,
     UnboundedMultiplierError,
 )
+from .expr import is_rational
 from .modelspec import ParametricModel, eval_bundle, eval_bundle_exact
 from .polycone import active_set, rank
 from .simplex import gauss_jordan, solve_inequality_lp
@@ -80,12 +81,6 @@ def _jsonify(obj):
     return obj
 
 
-def _is_rational_point(*vectors) -> bool:
-    return all(
-        isinstance(c, (int, Fraction)) for vec in vectors for c in vec
-    )
-
-
 # ---------------------------------------------------------------------------
 # MFCQ
 
@@ -99,15 +94,9 @@ def check_mfcq(model: ParametricModel, x, p, tol_act: float = TOL_ACT, tol_cq: f
         return CQReport(
             "MFCQ", "holds", {"active_set": [], "t_star": float("inf"), "vacuous": True}
         )
-    exact = _is_rational_point(x, p)
-    if exact:
-        bundle = eval_bundle_exact(model, list(x), list(p))
-        grads = [bundle.grad_phi[i] for i in I]
-        # float-valued model constants degrade the run to float mode
-        exact = _is_rational_point(*grads)
-    if not exact:
-        bundle = eval_bundle(model, x, p)
-        grads = [list(map(float, bundle.grad_phi[i])) for i in I]
+    exact = is_rational(x, p)
+    bundle = (eval_bundle_exact if exact else eval_bundle)(model, x, p)
+    grads = [list(bundle.grad_phi[i]) for i in I]
     n = model.n
     one = Fraction(1) if exact else 1.0
     zero = Fraction(0) if exact else 0.0
@@ -243,10 +232,6 @@ class MultiplierSet:
     stationarity_rhs: list  # v - f(x, p)
     grad_matrix: np.ndarray  # (m, n) float gradients for re-verification
 
-    @property
-    def is_singleton(self) -> bool:
-        return len(self.vertices) == 1
-
     def vertices_float(self) -> np.ndarray:
         return np.array([[float(c) for c in vert] for vert in self.vertices])
 
@@ -291,22 +276,12 @@ def multiplier_polytope(
     fails and the set is unbounded.
     """
     I = active_set(model, x, p, tol_act)
-    exact = _is_rational_point(x, p, v)
-    if exact:
-        bundle = eval_bundle_exact(model, list(x), list(p))
-        # float-valued model constants degrade the run to float mode
-        exact = _is_rational_point(bundle.f, *(bundle.grad_phi or [()]))
-    if exact:
-        cols = [[bundle.grad_phi[i][j] for j in range(model.n)] for i in I]
-        rhs = [Fraction(vi) - fi for vi, fi in zip(v, bundle.f)]
-        grad_matrix = np.array(
-            [[float(g) for g in row] for row in bundle.grad_phi]
-        ).reshape(model.m, model.n)
-    else:
-        fb = eval_bundle(model, x, p)
-        cols = [list(map(float, fb.grad_phi[i])) for i in I]
-        rhs = [float(vi) - fi for vi, fi in zip(v, fb.f)]
-        grad_matrix = fb.grad_phi
+    exact = is_rational(x, p, v)
+    bundle = (eval_bundle_exact if exact else eval_bundle)(model, x, p)
+    cast = Fraction if exact else float
+    cols = [list(bundle.grad_phi[i]) for i in I]
+    rhs = [cast(vi) - fi for vi, fi in zip(v, bundle.f)]
+    grad_matrix = np.array(bundle.grad_phi, dtype=float).reshape(model.m, model.n)
     scale = 1.0 + max((abs(float(r)) for r in rhs), default=0.0)
 
     if not I:
@@ -314,11 +289,10 @@ def multiplier_polytope(
             raise NoMultiplierError(
                 "no multiplier exists: v != f(x, p) at an interior point"
             )
-        zero = Fraction(0) if exact else 0.0
         return MultiplierSet(
             m=model.m,
             active=(),
-            vertices=[tuple([zero] * model.m)],
+            vertices=[tuple([cast(0)] * model.m)],
             dim=0,
             exact=exact,
             stationarity_rhs=rhs,

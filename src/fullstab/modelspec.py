@@ -64,12 +64,6 @@ class ReferenceTriple:
             np.array([float(c) for c in self.v]),
         )
 
-    @property
-    def is_rational(self) -> bool:
-        return all(
-            isinstance(c, (int, Fraction)) for c in (*self.x, *self.p, *self.v)
-        )
-
 
 @dataclass(frozen=True)
 class ParametricModel:
@@ -178,69 +172,71 @@ class ParametricModel:
 
 @dataclass(frozen=True)
 class EvalBundle:
-    """All first- and second-order data at one point (float arrays)."""
+    """All first- and second-order data at one point: float arrays from
+    :func:`eval_bundle`, nested lists of Fractions from
+    :func:`eval_bundle_exact`."""
 
-    f: np.ndarray  # (n,)
-    jac_f: np.ndarray  # (n, n), entry [i, j] = d f_i / d x_j
-    phi: np.ndarray  # (m,)
-    grad_phi: np.ndarray  # (m, n)
-    hess_phi: np.ndarray  # (m, n, n)
+    f: object  # (n,)
+    jac_f: object  # (n, n), entry [i, j] = d f_i / d x_j
+    phi: object  # (m,)
+    grad_phi: object  # (m, n)
+    hess_phi: object  # (m, n, n)
+
+    def lagrangian_jacobian(self, lam):
+        """x-Jacobian of the Lagrangian map f + sum lam_i grad phi_i, i.e.
+        jac_f + sum lam_i hess_phi_i (not necessarily symmetric), with lam
+        cast to the bundle's number type."""
+        exact = isinstance(self.jac_f, list)
+        H = np.array(self.jac_f, dtype=object if exact else float)
+        for li, hess in zip(map(Fraction if exact else float, lam), self.hess_phi):
+            if li != 0:
+                H += li * np.asarray(hess, dtype=H.dtype)
+        return H
 
 
-def eval_bundle(model: ParametricModel, x, p) -> EvalBundle:
-    """Evaluate f, its x-Jacobian, all constraints with gradients and
-    Hessians at (x, p).  Raises EvaluationError on division by zero."""
-    x = [float(c) for c in x]
-    p = [float(c) for c in p]
+def _eval_tables(model: ParametricModel, x, p, cast):
+    """f, jac_f, phi, grad_phi and hess_phi at (x, p) as nested lists, each
+    entry passed through ``cast`` as it is evaluated."""
     if len(x) != model.n or len(p) != model.d:
         raise DimensionError(
             f"point has dims ({len(x)}, {len(p)}), model needs ({model.n}, {model.d})"
         )
+    ev = ex.evaluate
+    return (
+        [cast(ev(e, x, p)) for e in model.f_components],
+        [[cast(ev(e, x, p)) for e in row] for row in model.f_jac],
+        [cast(ev(e, x, p)) for e in model.constraints],
+        [[cast(ev(e, x, p)) for e in row] for row in model.grad_phi],
+        [[[cast(ev(e, x, p)) for e in row] for row in rows] for rows in model.hess_phi],
+    )
+
+
+def eval_bundle(model: ParametricModel, x, p) -> EvalBundle:
+    """Evaluate f, its x-Jacobian, all constraints with gradients and
+    Hessians at (x, p) in floats.  Raises EvaluationError on division by
+    zero or a non-finite value."""
+    f, jac, phi, grad, hess = _eval_tables(
+        model, [float(c) for c in x], [float(c) for c in p], float
+    )
     n, m = model.n, model.m
-    f = np.array([float(ex.evaluate(fi, x, p)) for fi in model.f_components])
-    jac = np.array(
-        [[float(ex.evaluate(model.f_jac[i][j], x, p)) for j in range(n)] for i in range(n)]
-    ).reshape(n, n)
-    phi = np.array([float(ex.evaluate(c, x, p)) for c in model.constraints])
-    grad = np.array(
-        [[float(ex.evaluate(model.grad_phi[i][j], x, p)) for j in range(n)] for i in range(m)]
-    ).reshape(m, n)
-    hess = np.array(
-        [
-            [
-                [float(ex.evaluate(model.hess_phi[i][j][k], x, p)) for k in range(n)]
-                for j in range(n)
-            ]
-            for i in range(m)
-        ]
-    ).reshape(m, n, n)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(jac)) and np.all(np.isfinite(phi))):
+    bundle = EvalBundle(
+        f=np.array(f),
+        jac_f=np.array(jac).reshape(n, n),
+        phi=np.array(phi),
+        grad_phi=np.array(grad).reshape(m, n),
+        hess_phi=np.array(hess).reshape(m, n, n),
+    )
+    if not all(np.all(np.isfinite(a)) for a in (bundle.f, bundle.jac_f, bundle.phi)):
         raise EvaluationError("non-finite value in evaluation bundle")
-    return EvalBundle(f=f, jac_f=jac, phi=phi, grad_phi=grad, hess_phi=hess)
+    return bundle
 
 
-class EvalBundleExact:
-    """Fraction-valued twin of :class:`EvalBundle` for certification runs."""
-
-    def __init__(self, f, jac_f, phi, grad_phi, hess_phi):
-        self.f = f
-        self.jac_f = jac_f
-        self.phi = phi
-        self.grad_phi = grad_phi
-        self.hess_phi = hess_phi
-
-
-def eval_bundle_exact(model: ParametricModel, x, p) -> EvalBundleExact:
-    n, m = model.n, model.m
-    f = [ex.evaluate(fi, x, p) for fi in model.f_components]
-    jac = [[ex.evaluate(model.f_jac[i][j], x, p) for j in range(n)] for i in range(n)]
-    phi = [ex.evaluate(c, x, p) for c in model.constraints]
-    grad = [[ex.evaluate(model.grad_phi[i][j], x, p) for j in range(n)] for i in range(m)]
-    hess = [
-        [[ex.evaluate(model.hess_phi[i][j][k], x, p) for k in range(n)] for j in range(n)]
-        for i in range(m)
-    ]
-    return EvalBundleExact(f, jac, phi, grad, hess)
+def eval_bundle_exact(model: ParametricModel, x, p) -> EvalBundle:
+    """The same data in Fractions at a rational point (see
+    :func:`expr.is_rational`), as nested lists."""
+    return EvalBundle(
+        *_eval_tables(model, [Fraction(c) for c in x], [Fraction(c) for c in p], Fraction)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,14 @@ from .errors import (
     DeskScaleError,
     InputError,
 )
-from .kkt import MultiplierSet, check_mfcq, multiplier_polytope, strict_complement
+from .expr import is_rational
+from .kkt import (
+    MultiplierSet,
+    _jsonify,
+    check_mfcq,
+    multiplier_polytope,
+    strict_complement,
+)
 from .modelspec import (
     ParametricModel,
     ReferenceTriple,
@@ -101,8 +108,6 @@ class SecondOrderReport:
         return self.verdict in ("holds", "corroborated", "vacuous")
 
     def to_json_dict(self):
-        from .kkt import _jsonify
-
         vacuous = self.modulus is not None and not math.isfinite(self.modulus)
         return {
             "condition": self.condition,
@@ -168,13 +173,7 @@ def min_on_cone(Q: QuadForm, K: ConeDesc, tol: float = TOL_CONE):
 def lagrangian_jacobian(model: ParametricModel, x, p, lam) -> np.ndarray:
     """x-Jacobian of the Lagrangian map L(x, p, lam) = f + sum lam_i grad
     phi_i, i.e. jac_f + sum lam_i hess phi_i (not necessarily symmetric)."""
-    bundle = eval_bundle(model, x, p)
-    H = bundle.jac_f.copy()
-    for i in range(model.m):
-        li = float(lam[i])
-        if li != 0.0:
-            H += li * bundle.hess_phi[i]
-    return H
+    return eval_bundle(model, x, p).lagrangian_jacobian(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +206,7 @@ def check_gssosc(
     definiteness of the Lagrangian Jacobian on the null space of the
     strongly active constraint gradients."""
     ms = multipliers or multiplier_polytope(model, ref.x, ref.p, ref.v)
-    xf = [float(c) for c in ref.x]
-    pf = [float(c) for c in ref.p]
-    bundle = eval_bundle(model, xf, pf)
+    bundle = eval_bundle(model, ref.x, ref.p)
     worst = math.inf
     witness = {}
     per_lambda = []
@@ -217,7 +214,7 @@ def check_gssosc(
         i_plus = strict_complement(lam, ms.active)
         rows = bundle.grad_phi[list(i_plus)] if i_plus else np.zeros((0, model.n))
         V = SubspaceBasis(V=null_space(rows, model.n))
-        H = QuadForm(lagrangian_jacobian(model, xf, pf, lam))
+        H = QuadForm(bundle.lagrangian_jacobian(lam))
         val, w = min_on_subspace(H, V)
         per_lambda.append(val)
         if val < worst:
@@ -336,7 +333,7 @@ def check_gusosc(
         for vert in verts:
             i_plus = strict_complement(vert, active) if model.m else ()
             cone = mixed_sign_cone(bundle.grad_phi, active, i_plus, model.n)
-            H = QuadForm(lagrangian_jacobian(model, x_new, p_new, list(vert) if model.m else []))
+            H = QuadForm(bundle.lagrangian_jacobian(vert))
             val, w = min_on_cone(H, cone)
             cones_evaluated += 1
             if val < ell_hat:
@@ -476,35 +473,12 @@ def scoc_probe(
     rational), the row-scaled determinant and the zero flag.
     """
     J = tuple(J)
-    exact = ref.is_rational and all(isinstance(c, (int, Fraction)) for c in lam)
+    exact = is_rational(ref.x, ref.p, lam)
+    bundle = (eval_bundle_exact if exact else eval_bundle)(model, ref.x, ref.p)
+    cast = Fraction if exact else float
     n = model.n
-    if exact:
-        bundle = eval_bundle_exact(model, list(ref.x), list(ref.p))
-        flat = (
-            list(bundle.f)
-            + [v for row in bundle.jac_f for v in row]
-            + [v for rows in bundle.hess_phi for row in rows for v in row]
-            + [v for row in bundle.grad_phi for v in row]
-        )
-        exact = all(isinstance(c, (int, Fraction)) for c in flat)
-    if exact:
-        jacL = [
-            [
-                bundle.jac_f[i][j]
-                + sum(Fraction(lam[k]) * bundle.hess_phi[k][i][j] for k in range(model.m))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        grads = bundle.grad_phi
-        cast = Fraction
-    else:
-        xf = [float(c) for c in ref.x]
-        pf = [float(c) for c in ref.p]
-        jacL = lagrangian_jacobian(model, xf, pf, lam)
-        grads = eval_bundle(model, xf, pf).grad_phi
-        cast = float
-    G = [grads[i] for i in J]
+    jacL = bundle.lagrangian_jacobian(lam)
+    G = [bundle.grad_phi[i] for i in J]
     if J and (len(gauss_jordan(G)[1]) if exact else rank(np.array(G))) < len(J):
         raise InputError("dependent basis rows in the bordered matrix")
     M = [[cast(jacL[i][j]) for j in range(n)] + [cast(g[i]) for g in G] for i in range(n)]
@@ -514,15 +488,11 @@ def scoc_probe(
     norms = np.linalg.norm(M_float, axis=1)
     norms[norms == 0] = 1.0
     scaled_det = float(np.linalg.det(M_float / norms[:, None]))
-    det_float = float(det)
-    if exact:
-        is_zero = det == 0 or abs(scaled_det) < zero_tol
-    else:
-        is_zero = abs(scaled_det) < zero_tol
+    is_zero = (exact and det == 0) or abs(scaled_det) < zero_tol
     return {
         "J": [i + 1 for i in J],
         "lambda": [float(c) for c in lam],
-        "det": det_float,
+        "det": float(det),
         "det_exact": str(det) if exact else None,
         "det_scaled": scaled_det,
         "zero": bool(is_zero),

@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 from .defaults import MAX_LP_DIM
 from .errors import DeskScaleError
+from .expr import is_rational
 
 _FLOAT_EPS = 1e-11
 
@@ -27,17 +28,13 @@ class LPResult:
     ray: Optional[list] = None  # recession direction when unbounded
 
 
-def _is_exact(rows) -> bool:
-    return all(isinstance(v, (int, Fraction)) for row in rows for v in row)
-
-
 def solve_standard_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
     """Minimize c.x s.t. A x = b, x >= 0 (two-phase, Bland's rule)."""
     m = len(A)
     n = len(c)
     if n > MAX_LP_DIM:
         raise DeskScaleError(f"LP has {n} columns, cap is {MAX_LP_DIM}")
-    exact = _is_exact(list(A) + [list(c), list(b)])
+    exact = is_rational(*A, c, b)
     zero = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
     tol = zero if exact else _FLOAT_EPS
@@ -58,7 +55,7 @@ def solve_standard_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResu
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         return LPResult(status="infeasible")
     phase1_value = _objective(full, basis, cost1, m)
-    if phase1_value > (tol if not exact else zero):
+    if phase1_value > tol:
         return LPResult(status="infeasible")
     # drive artificials out of the basis where possible
     for i in range(m):
@@ -215,7 +212,9 @@ def solve_inequality_lp(
     shift-and-slack conversion to standard form.
     """
     nvar = len(c)
-    exact = _is_exact(list(A_ub) + [list(c), list(b_ub), list(lower), list(upper)])
+    exact = is_rational(*A_ub, c, b_ub, lower, upper)
+    zero = Fraction(0) if exact else 0.0
+    one = Fraction(1) if exact else 1.0
     lo = [_cast(v, exact) for v in lower]
     hi = [_cast(v, exact) for v in upper]
     span = [h - l for h, l in zip(hi, lo)]
@@ -227,24 +226,21 @@ def solve_inequality_lp(
     b = []
     for i in range(mrows):
         row = [_cast(v, exact) for v in A_ub[i]] + [
-            (Fraction(1) if exact else 1.0) if j == i else (Fraction(0) if exact else 0.0)
-            for j in range(mrows)
-        ] + [Fraction(0) if exact else 0.0] * nvar
+            one if j == i else zero for j in range(mrows)
+        ] + [zero] * nvar
         rhs = _cast(b_ub[i], exact) - sum(
             _cast(A_ub[i][j], exact) * lo[j] for j in range(nvar)
         )
         A.append(row)
         b.append(rhs)
     for j in range(nvar):
-        row = [Fraction(0) if exact else 0.0] * ncols
-        row[j] = Fraction(1) if exact else 1.0
-        row[nvar + mrows + j] = Fraction(1) if exact else 1.0
+        row = [zero] * ncols
+        row[j] = one
+        row[nvar + mrows + j] = one
         A.append(row)
         b.append(span[j])
     sign = -1 if maximize else 1
-    cc = [sign * _cast(v, exact) for v in c] + [Fraction(0) if exact else 0.0] * (
-        mrows + nvar
-    )
+    cc = [sign * _cast(v, exact) for v in c] + [zero] * (mrows + nvar)
     res = solve_standard_lp(cc, A, b)
     if res.status != "optimal":
         return res

@@ -19,7 +19,7 @@ with the harness as corroboration, and any disagreement is reported as
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -57,7 +57,7 @@ from .kkt import (
     strict_complement,
 )
 from .modelspec import ParametricModel, ReferenceTriple, print_model
-from .monotone import GraphSample
+from .monotone import GraphSample, _pair_ratios
 from .polycone import rank
 from .secondorder import (
     check_gssosc,
@@ -96,6 +96,21 @@ def _pair_indices(count: int, cap: int = PAIR_CAP):
     return lo, hi
 
 
+def _pair_terms(table: LocalizationTable, kappa: float, pair_cap: int):
+    """Over the (capped) pairs of the table: the pair indices, lhs =
+    ||dv - 2 kappa dx||, ||dv|| and d_p."""
+    ii, jj = _pair_indices(len(table), pair_cap)
+    dv = table.v_nodes[ii] - table.v_nodes[jj]
+    dx = table.x_values[ii] - table.x_values[jj]
+    dp = (
+        np.linalg.norm(table.p_nodes[ii] - table.p_nodes[jj], axis=1)
+        if table.p_nodes.shape[1]
+        else np.zeros(ii.size)
+    )
+    lhs = np.linalg.norm(dv - 2.0 * kappa * dx, axis=1)
+    return ii, jj, lhs, np.linalg.norm(dv, axis=1), dp
+
+
 def verify_inequality(
     table: LocalizationTable,
     kappa: float,
@@ -111,16 +126,8 @@ def verify_inequality(
         raise InputError("empty localization table")
     if kappa <= 0 or ell < 0:
         raise InputError("need kappa > 0 and ell >= 0")
-    ii, jj = _pair_indices(len(table), pair_cap)
-    dv = table.v_nodes[ii] - table.v_nodes[jj]
-    dx = table.x_values[ii] - table.x_values[jj]
-    dp = (
-        np.linalg.norm(table.p_nodes[ii] - table.p_nodes[jj], axis=1)
-        if table.p_nodes.shape[1]
-        else np.zeros(ii.size)
-    )
-    lhs = np.linalg.norm(dv - 2.0 * kappa * dx, axis=1)
-    rhs = np.linalg.norm(dv, axis=1) + ell * dp**exponent + tol
+    ii, jj, lhs, base, dp = _pair_terms(table, kappa, pair_cap)
+    rhs = base + ell * dp**exponent + tol
     bad = np.flatnonzero(lhs > rhs)
     order = np.argsort(lhs[bad] - rhs[bad])[::-1]
     bad = bad[order]
@@ -191,23 +198,15 @@ def fit_moduli(
     p_frozen = 0
     witness = {}
     for idx in groups.values():
-        if len(idx) < 2:
-            continue
         idx = np.array(idx)
-        ii, jj = np.triu_indices(len(idx), k=1)
-        dv = table.v_nodes[idx[ii]] - table.v_nodes[idx[jj]]
-        dx = table.x_values[idx[ii]] - table.x_values[idx[jj]]
-        sq = np.einsum("ij,ij->i", dx, dx)
-        keep = np.sqrt(sq) > 1e-12
-        p_frozen += int(np.sum(keep))
-        if not np.any(keep):
+        ratios, ii, jj = _pair_ratios(table.x_values[idx], table.v_nodes[idx])
+        p_frozen += ratios.size
+        if not ratios.size:
             continue
-        ratios = np.einsum("ij,ij->i", dv[keep], dx[keep]) / sq[keep]
         k_min = int(np.argmin(ratios))
         if kappa_hat is None or ratios[k_min] < kappa_hat:
             kappa_hat = float(ratios[k_min])
-            kidx = np.flatnonzero(keep)[k_min]
-            witness["kappa_pair"] = (int(idx[ii[kidx]]), int(idx[jj[kidx]]))
+            witness["kappa_pair"] = (int(idx[ii[k_min]]), int(idx[jj[k_min]]))
     kappa_vacuous = kappa_hat is None
     kappa_flagged = (kappa_hat is not None) and kappa_hat <= tol
     kappa_used = 1.0 if kappa_vacuous or kappa_flagged else kappa_hat
@@ -258,16 +257,7 @@ def fit_moduli(
 
 
 def _fit_ell(table, kappa, exponent, tol, pair_cap):
-    ii, jj = _pair_indices(len(table), pair_cap)
-    dv = table.v_nodes[ii] - table.v_nodes[jj]
-    dx = table.x_values[ii] - table.x_values[jj]
-    dp = (
-        np.linalg.norm(table.p_nodes[ii] - table.p_nodes[jj], axis=1)
-        if table.p_nodes.shape[1]
-        else np.zeros(ii.size)
-    )
-    lhs = np.linalg.norm(dv - 2.0 * kappa * dx, axis=1)
-    base = np.linalg.norm(dv, axis=1)
+    ii, jj, lhs, base, dp = _pair_terms(table, kappa, pair_cap)
     frozen = dp <= 1e-15
     gap = lhs - base - tol
     if np.any(frozen & (gap > 0)):
@@ -384,27 +374,7 @@ class StabilityReport:
     schema: int = 1
 
     def to_json_dict(self):
-        return _jsonify(
-            {
-                "schema": self.schema,
-                "verdict": self.verdict,
-                "fully_stable": self.fully_stable,
-                "model_hash": self.model_hash,
-                "cq": self.cq,
-                "multipliers": self.multipliers,
-                "gssosc": self.gssosc,
-                "gusosc": self.gusosc,
-                "pvi_pointwise": self.pvi_pointwise,
-                "smooth_psd": self.smooth_psd,
-                "scoc_probe": self.scoc_probe,
-                "moduli": self.moduli,
-                "violations": self.violations,
-                "violation_count": self.violation_count,
-                "localization": self.localization,
-                "notes": self.notes,
-                "options": self.options,
-            }
-        )
+        return _jsonify({f.name: getattr(self, f.name) for f in fields(self)})
 
     def to_text(self) -> str:
         """Human-readable rendering mirroring the JSON 1:1."""
@@ -424,12 +394,8 @@ class StabilityReport:
                 lines.append(f"{pad}{key}: {value}")
 
         data = self.to_json_dict()
-        for key in [
-            "schema", "verdict", "fully_stable", "model_hash", "cq",
-            "multipliers", "gssosc", "gusosc", "pvi_pointwise", "smooth_psd",
-            "scoc_probe", "moduli", "violations", "violation_count",
-            "localization", "notes", "options",
-        ]:
+        # schema first, then the fields in declaration order
+        for key in ["schema"] + [f.name for f in fields(self) if f.name != "schema"]:
             emit(key, data[key])
         return "\n".join(lines) + "\n"
 

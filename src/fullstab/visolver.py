@@ -161,6 +161,8 @@ def solve_projected(
 
 
 def _solve_face_newton(model, v, p, J, x_start, max_iter=60):
+    """Newton's method on the face phi_J = 0 from x_start; returns z =
+    (x, lam_J) with the bundle evaluated at (x, p), or None."""
     n = model.n
     k = len(J)
     z = np.concatenate([x_start, np.ones(k)])
@@ -177,7 +179,7 @@ def _solve_face_newton(model, v, p, J, x_start, max_iter=60):
             F[n + idx] = bundle.phi[i]
             JL += lam_j[idx] * bundle.hess_phi[i]
         if np.linalg.norm(F) < 1e-12 * (1 + np.linalg.norm(v)):
-            return z
+            return z, bundle
         Jmat = np.zeros((n + k, n + k))
         Jmat[:n, :n] = JL
         for idx, i in enumerate(J):
@@ -193,13 +195,15 @@ def _solve_face_newton(model, v, p, J, x_start, max_iter=60):
     return None
 
 
-def _kkt_residual(model, x, lam, v, p):
-    bundle = eval_bundle(model, x, [float(c) for c in p])
-    stat = bundle.f - np.asarray(v, dtype=float)
-    if model.m:
-        stat = stat + bundle.grad_phi.T @ lam
-    feas = float(np.max(np.clip(bundle.phi, 0.0, None))) if model.m else 0.0
-    comp = float(np.max(np.abs(lam * bundle.phi))) if model.m else 0.0
+def _kkt_residual(f, phi, grad_phi, lam, v):
+    """KKT residual of (x, lam) at the node v, from f, phi and grad phi
+    evaluated at (x, p)."""
+    stat = f - v
+    if not phi.size:
+        return float(np.linalg.norm(stat))
+    stat = stat + grad_phi.T @ lam
+    feas = float(np.max(np.clip(phi, 0.0, None)))
+    comp = float(np.max(np.abs(lam * phi)))
     return float(np.linalg.norm(stat)) + feas + comp
 
 
@@ -227,20 +231,20 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
             found = []
             for J in guesses:
                 for start in starts:
-                    z = _solve_face_newton(model, v, p, J, start)
-                    if z is None:
+                    solved = _solve_face_newton(model, v, p, J, start)
+                    if solved is None:
                         continue
+                    z, bundle = solved
                     x, lam = z[:n], np.zeros(m)
                     lam[J] = z[n:]
                     if m and np.min(lam) < -1e-9:
                         continue
-                    phi = [float(c) for c in model.phi_values(list(x), list(p))]
-                    if m and max(phi) > tol_act:
+                    if m and np.max(bundle.phi) > tol_act:
                         continue
                     if np.max(np.abs(x - center)) > box_radius + 1e-12:
                         continue
                     lam = np.clip(lam, 0.0, None)
-                    resid = _kkt_residual(model, x, lam, v, p)
+                    resid = _kkt_residual(bundle.f, bundle.phi, bundle.grad_phi, lam, v)
                     if resid <= 1e-8 * (1 + np.linalg.norm(v)):
                         found.append((x, lam, resid))
             # least KKT residual first, so _merge keeps that copy
@@ -284,9 +288,13 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
                 lam = np.zeros(m)
                 lam[J] = np.clip(lam_j[i], 0.0, None)
                 found[nodes[i]].append((X[i], lam))
-    for k in range(N):
+    for k, b in enumerate(node_bundles):
+        # f and phi are affine in x, so the bundle at (0, p) gives their
+        # values at x
         yield [
-            (x, lam, _kkt_residual(model, x, lam, V[k], P[k]))
+            (x, lam, _kkt_residual(
+                b.f + b.jac_f @ x, b.phi + b.grad_phi @ x, b.grad_phi, lam, V[k]
+            ))
             for x, lam in _merge(found[k])
         ]
 

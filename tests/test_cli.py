@@ -181,6 +181,16 @@ class TestSubcommands:
         assert len(lines) > 5
 
 
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("argv", [
+        ["solve", str(MODELS / "ex64.model"), "--grid-v", "3"],
+        ["cones", str(MODELS / "ex64.model"), "--text"],
+    ])
+    def test_unread_flag_is_rejected(self, argv, capsys):
+        assert run(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestModuleEntryPoint:
     def test_python_m_cli_certify_prints_report(self):
         src = str(MODELS.parent / "src")

@@ -22,7 +22,7 @@ from fullstab.kkt import (
     probe_crcq,
     strict_complement,
 )
-from fullstab.modelspec import parse_model
+from fullstab.modelspec import eval_bundle_exact, parse_model
 from fullstab.secondorder import scoc_probe
 from fullstab.simplex import solve_standard_lp
 from fullstab.stabharness import _max_independent_subset
@@ -168,6 +168,31 @@ class TestMultiplierPolytope:
     def test_m_zero_model(self, skew_model):
         ms = multiplier_polytope(skew_model, (0, 0), (), (0, 0))
         assert ms.vertices == [()]
+
+
+class TestIntegerPointStaysExact:
+    """At an integer point, x1/x2 must come out as a Fraction (Python's
+    int / int gives a float), so the exact paths stay exact."""
+
+    MODEL = "dims n=2 d=0\nf = (x1/x2, x2)\nconstraint x1/x2 - 1/2 <= 0\n"
+
+    def test_every_exact_bundle_entry_is_a_fraction(self):
+        b = eval_bundle_exact(parse_model(self.MODEL), (1, 2), ())
+        rows = [b.f, b.phi, *b.jac_f, *b.grad_phi, *(r for h in b.hess_phi for r in h)]
+        assert all(type(c) is Fraction for row in rows for c in row)
+        assert b.f == [Fraction(1, 2), Fraction(2)]
+        assert b.grad_phi == [[Fraction(1, 2), Fraction(-1, 4)]]
+
+    def test_mfcq_reports_exact(self):
+        rep = check_mfcq(parse_model(self.MODEL), (1, 2), ())
+        assert rep.verdict == "holds"
+        assert rep.witness["exact"] is True
+
+    def test_multiplier_polytope_reports_exact(self):
+        # v = f + 4 grad phi = (1/2 + 2, 2 - 1)
+        ms = multiplier_polytope(parse_model(self.MODEL), (1, 2), (), (Fraction(5, 2), 1))
+        assert ms.exact is True
+        assert ms.vertices == [(Fraction(4),)]
 
 
 class TestStrictComplement:

@@ -176,6 +176,15 @@ class TestEvalBundle:
         b = eval_bundle_exact(ex64_model, [Fraction(0)] * 3, [Fraction(0)] * 2)
         assert b.f == [Fraction(1, 4), Fraction(0), Fraction(1)]
 
+    def test_lagrangian_jacobian_in_the_bundle_number_type(self):
+        m = parse_model("dims n=2 d=0\nf = (x1, x2)\nconstraint x1^2 + x2^2 - 1 <= 0\n")
+        exact = eval_bundle_exact(m, (1, 0), ()).lagrangian_jacobian([Fraction(1, 3)])
+        assert exact.tolist() == [[Fraction(5, 3), 0], [0, Fraction(5, 3)]]
+        assert all(type(c) is Fraction for row in exact for c in row)
+        approx = eval_bundle(m, (1, 0), ()).lagrangian_jacobian([Fraction(1, 3)])
+        assert approx.dtype == float
+        assert approx == pytest.approx(np.eye(2) * 5 / 3, abs=1e-15)
+
 
 class TestRoundTrip:
     def test_print_parse_pointwise_identical(self, ex64_model):

@@ -286,6 +286,16 @@ class TestSCOCProbe:
         assert out["zero"] is True
         assert abs(out["det_scaled"]) < 1e-9
 
+    def test_float_multiplier_runs_the_float_path(self, ex64_model):
+        exact = scoc_probe(
+            ex64_model, ex64_model.reference,
+            (Fraction(3, 8), Fraction(5, 8), Fraction(0), Fraction(0)), (0,),
+        )
+        out = scoc_probe(ex64_model, ex64_model.reference, (0.375, 0.625, 0, 0), (0,))
+        assert out["exact"] is False
+        assert out["det_exact"] is None
+        assert out["det"] == float(Fraction(exact["det_exact"]))
+
     def test_unconstrained_identity_det_one(self, identity_model):
         out = scoc_probe(identity_model, identity_model.reference, (), ())
         assert out["det"] == pytest.approx(1.0)
