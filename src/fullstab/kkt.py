@@ -35,7 +35,7 @@ from .errors import (
 )
 from .expr import is_rational
 from .modelspec import ParametricModel, eval_bundle, eval_bundle_exact
-from .polycone import active_set, rank
+from .polycone import active_indices, rank
 from .simplex import gauss_jordan, solve_inequality_lp
 
 __all__ = [
@@ -88,16 +88,20 @@ def _jsonify(obj):
 def check_mfcq(model: ParametricModel, x, p, tol_act: float = TOL_ACT, tol_cq: float = TOL_CQ) -> CQReport:
     """Partial MFCQ in x: exists d with <grad phi_i, d> < 0 on the active
     set.  Decided by maximizing the margin t over the sup-norm ball."""
-    I = active_set(model, x, p, tol_act)
+    exact = is_rational(x, p)
+    bundle = (eval_bundle_exact if exact else eval_bundle)(model, x, p)
+    return _mfcq(bundle, active_indices(bundle.phi, tol_act), exact, tol_cq)
+
+
+def _mfcq(bundle, I, exact: bool, tol_cq: float = TOL_CQ) -> CQReport:
+    """:func:`check_mfcq` on an evaluated bundle with active set I."""
     if not I:
         # +inf sentinel: the condition is vacuous with no active gradients
         return CQReport(
             "MFCQ", "holds", {"active_set": [], "t_star": float("inf"), "vacuous": True}
         )
-    exact = is_rational(x, p)
-    bundle = (eval_bundle_exact if exact else eval_bundle)(model, x, p)
     grads = [list(bundle.grad_phi[i]) for i in I]
-    n = model.n
+    n = len(bundle.f)
     one = Fraction(1) if exact else 1.0
     zero = Fraction(0) if exact else 0.0
     t_upper = max(sum(abs(g) for g in row) for row in grads) + one
@@ -127,10 +131,10 @@ def check_mfcq(model: ParametricModel, x, p, tol_act: float = TOL_ACT, tol_cq: f
 
 
 def check_licq(model: ParametricModel, x, p, tol_act: float = TOL_ACT) -> CQReport:
-    I = active_set(model, x, p, tol_act)
+    bundle = eval_bundle(model, x, p)
+    I = active_indices(bundle.phi, tol_act)
     if not I:
         return CQReport("LICQ", "holds", {"active_set": [], "rank": 0, "vacuous": True})
-    bundle = eval_bundle(model, x, p)
     Gact = bundle.grad_phi[list(I)]
     r = rank(Gact)
     witness = {
@@ -165,7 +169,8 @@ def probe_crcq(
     """
     if radius <= 0 or samples < 1:
         raise ValueError("probe needs radius > 0 and samples >= 1")
-    I = active_set(model, x, p, tol_act)
+    center = eval_bundle(model, x, p)
+    I = active_indices(center.phi, tol_act)
     if not I:
         return CQReport("CRCQ", "holds", {"active_set": [], "vacuous": True})
     if len(I) > MAX_ACTIVE_SUBSETS:
@@ -187,7 +192,7 @@ def probe_crcq(
         if norm > 0:
             shift = radius * rng.uniform() / norm
             points.append((x0 + shift * dx, p0 + shift * dp))
-    grads = [eval_bundle(model, xx, pp).grad_phi for xx, pp in points]
+    grads = [center.grad_phi] + [eval_bundle(model, xx, pp).grad_phi for xx, pp in points[1:]]
     subsets = []
     for r in range(1, len(I) + 1):
         subsets.extend(itertools.combinations(I, r))
@@ -266,7 +271,6 @@ def multiplier_polytope(
     v,
     tol_act: float = TOL_ACT,
     tol: float = TOL_CONE,
-    require_mfcq: bool = True,
 ) -> MultiplierSet:
     """Enumerate the vertices of Lambda(x, p, v).
 
@@ -275,13 +279,27 @@ def multiplier_polytope(
     :class:`UnboundedMultiplierError` with a recession direction when MFCQ
     fails and the set is unbounded.
     """
-    I = active_set(model, x, p, tol_act)
     exact = is_rational(x, p, v)
     bundle = (eval_bundle_exact if exact else eval_bundle)(model, x, p)
+    I = active_indices(bundle.phi, tol_act)
+    if I and not _mfcq(bundle, I, exact).ok:
+        cols = [list(bundle.grad_phi[i]) for i in I]
+        raise UnboundedMultiplierError(
+            "MFCQ fails: the multiplier set may be empty or unbounded; "
+            "second-order checks are refused",
+            recession=_recession_direction(cols, model.m, I, exact),
+        )
+    return _multipliers(bundle, I, v, exact, tol)
+
+
+def _multipliers(bundle, I, v, exact: bool, tol: float = TOL_CONE) -> MultiplierSet:
+    """:func:`multiplier_polytope` on an evaluated bundle with active set I,
+    without the MFCQ check."""
+    m, n = len(bundle.phi), len(bundle.f)
     cast = Fraction if exact else float
     cols = [list(bundle.grad_phi[i]) for i in I]
     rhs = [cast(vi) - fi for vi, fi in zip(v, bundle.f)]
-    grad_matrix = np.array(bundle.grad_phi, dtype=float).reshape(model.m, model.n)
+    grad_matrix = np.array(bundle.grad_phi, dtype=float).reshape(m, n)
     scale = 1.0 + max((abs(float(r)) for r in rhs), default=0.0)
 
     if not I:
@@ -290,28 +308,18 @@ def multiplier_polytope(
                 "no multiplier exists: v != f(x, p) at an interior point"
             )
         return MultiplierSet(
-            m=model.m,
+            m=m,
             active=(),
-            vertices=[tuple([cast(0)] * model.m)],
+            vertices=[tuple([cast(0)] * m)],
             dim=0,
             exact=exact,
             stationarity_rhs=rhs,
             grad_matrix=grad_matrix,
         )
 
-    if require_mfcq:
-        mfcq = check_mfcq(model, x, p, tol_act)
-        if not mfcq.ok:
-            ray = _recession_direction(cols, model.m, I, exact)
-            raise UnboundedMultiplierError(
-                "MFCQ fails: the multiplier set may be empty or unbounded; "
-                "second-order checks are refused",
-                recession=ray,
-            )
-
     # a nonempty {lam >= 0 : G lam = rhs} has a basic solution, so the
     # vertex enumeration also decides feasibility
-    vertices = _enumerate_vertices(cols, rhs, model.m, I, exact, tol * scale)
+    vertices = _enumerate_vertices(cols, rhs, m, I, exact, tol * scale)
     if not vertices:
         raise NoMultiplierError(
             "no multiplier exists: v is not in Psi(x, p); the reference "
@@ -320,7 +328,7 @@ def multiplier_polytope(
     V = np.array([[float(c) for c in vert] for vert in vertices])
     dim = rank(V - V[0]) if len(vertices) > 1 else 0
     return MultiplierSet(
-        m=model.m,
+        m=m,
         active=I,
         vertices=vertices,
         dim=dim,

@@ -58,20 +58,29 @@ class GraphSample:
 
     @classmethod
     def from_csv(cls, text: str, n: int) -> "GraphSample":
-        """Columns u1..un, v1..vn; header optional; '#' comments."""
+        """Columns u1..un, v1..vn; '#' comments.  Only the first
+        non-comment line may be a header; a later non-numeric row or a
+        non-finite entry is an input error naming its line."""
         rows = []
-        for line in text.splitlines():
-            line = line.split("#", 1)[0].strip()
+        header_seen = False
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = [s.strip() for s in line.split(",")]
             if any(not _is_number(s) for s in parts):
-                continue  # header
+                if rows or header_seen:
+                    raise InputError(f"CSV line {lineno} is not numeric: {line!r}")
+                header_seen = True
+                continue
             if len(parts) != 2 * n:
                 raise InputError(
-                    f"CSV row has {len(parts)} columns, expected {2 * n}"
+                    f"CSV line {lineno} has {len(parts)} columns, expected {2 * n}"
                 )
-            rows.append([float(s) for s in parts])
+            values = [float(s) for s in parts]
+            if not np.all(np.isfinite(values)):
+                raise InputError(f"CSV line {lineno} has a non-finite entry: {line!r}")
+            rows.append(values)
         if not rows:
             raise InputError("CSV contains no sample rows")
         data = np.array(rows)

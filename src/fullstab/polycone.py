@@ -27,12 +27,12 @@ from .modelspec import ParametricModel, eval_bundle
 __all__ = [
     "ConeDesc",
     "SubspaceBasis",
+    "active_indices",
     "active_set",
     "tangent_cone",
     "critical_cone",
     "polar_cone",
     "span_difference",
-    "project_polyhedron",
     "nnls",
     "rank",
     "null_space",
@@ -190,28 +190,29 @@ def _enumerate_generators(cone: ConeDesc):
 # model-level cone builders
 
 
-def active_set(model: ParametricModel, x, p, tol_act: float = TOL_ACT):
-    """Indices (0-based, sorted) of constraints active at (x, p).
-
-    The point must be feasible to ``tol_act``; reports use 1-based labels.
-    """
-    if model.m == 0:
-        return ()
-    bundle = eval_bundle(model, x, p)
-    worst = float(np.max(bundle.phi)) if model.m else 0.0
+def active_indices(phi, tol_act: float = TOL_ACT):
+    """Indices (0-based, sorted) i with |phi_i| <= tol_act, for values in
+    floats or Fractions: the only active-set rule.  The point must be
+    feasible to ``tol_act``; reports use 1-based labels."""
+    worst = max(phi, default=0.0)
     if worst > tol_act:
         raise InfeasiblePointError(
-            f"point is infeasible: max phi = {worst:.3e} > {tol_act}"
+            f"point is infeasible: max phi = {float(worst):.3e} > {tol_act}"
         )
-    return tuple(int(i) for i in np.flatnonzero(np.abs(bundle.phi) <= tol_act))
+    return tuple(i for i, value in enumerate(phi) if abs(value) <= tol_act)
+
+
+def active_set(model: ParametricModel, x, p, tol_act: float = TOL_ACT):
+    """Active indices at (x, p); see :func:`active_indices`."""
+    return active_indices(eval_bundle(model, x, p).phi, tol_act)
 
 
 def tangent_cone(model: ParametricModel, x, p, I=None) -> ConeDesc:
     """Linearization cone {w : grad_x phi_i . w <= 0, i active}; exact for
     affine constraints, exact under MFCQ otherwise."""
-    if I is None:
-        I = active_set(model, x, p)
     bundle = eval_bundle(model, x, p)
+    if I is None:
+        I = active_indices(bundle.phi)
     G = bundle.grad_phi[list(I)] if I else None
     return ConeDesc(model.n, E=None, G=G)
 
@@ -271,12 +272,6 @@ def polyhedron_rows(model: ParametricModel, p):
     A = bundle.grad_phi
     b = -bundle.phi
     return A, b
-
-
-def project_polyhedron(model: ParametricModel, p, z, tol: float = TOL_CONE):
-    """Euclidean projection of z onto C(p); see :func:`project_onto_rows`."""
-    A, b = polyhedron_rows(model, p)
-    return project_onto_rows(A, b, np.asarray(z, dtype=float), tol)
 
 
 def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray, tol: float = TOL_CONE):

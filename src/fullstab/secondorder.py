@@ -36,12 +36,17 @@ from .defaults import (
 from .errors import (
     DegenerateSampleError,
     DeskScaleError,
+    InfeasiblePointError,
+    InfeasibleSetError,
     InputError,
+    SolveFailureError,
 )
 from .expr import is_rational
 from .kkt import (
     MultiplierSet,
     _jsonify,
+    _mfcq,
+    _multipliers,
     check_mfcq,
     multiplier_polytope,
     strict_complement,
@@ -55,10 +60,11 @@ from .modelspec import (
 from .polycone import (
     ConeDesc,
     SubspaceBasis,
+    active_indices,
     active_set,
     critical_cone,
     null_space,
-    project_polyhedron,
+    project_onto_rows,
     rank,
     span_difference,
     tangent_cone,
@@ -267,19 +273,19 @@ def check_gusosc(
     tol_act: float = TOL_ACT,
 ) -> SecondOrderReport:
     """Uniform second-order test, corroborated by sampling graph points of
-    the Lagrangian representation near the reference: at each accepted
-    sample and each multiplier vertex there, the Lagrangian Jacobian form
-    is minimized over the cone mixing strongly active equalities with
-    weakly active inequalities; the reported lower bound is the minimum
-    over everything sampled."""
+    the Lagrangian representation near the reference.  Each draw is
+    projected onto the constraints linearized at the current point until
+    it is feasible; at each accepted sample and each multiplier vertex
+    there, the Lagrangian Jacobian form is minimized over the cone mixing
+    strongly active equalities with weakly active inequalities; the
+    reported lower bound is the minimum over everything sampled."""
     mfcq = check_mfcq(model, ref.x, ref.p, tol_act)
     if not mfcq.ok:
         raise InputError("GUSOSC sampling requires MFCQ at the reference")
     ms_ref = multiplier_polytope(model, ref.x, ref.p, ref.v, tol_act)
-    vertex_pool = ms_ref.vertices_float() if model.m else np.zeros((1, 0))
+    vertex_pool = ms_ref.vertices_float()
     x0, p0, v0 = ref.as_arrays()
     rng = np.random.default_rng(seed)
-    affine = all(model.affine_x) if model.m else False
 
     ell_hat = math.inf
     witness = {}
@@ -288,50 +294,40 @@ def check_gusosc(
     mfcq_failures = 0
     cones_evaluated = 0
     max_attempts = 80 * samples
+    max_steps = 8  # linearized projections per draw
     draw_radius = eta / 4.0
     noise_scale = eta / (8.0 * max(1, model.m))
 
     while accepted < samples and attempts < max_attempts:
         attempts += 1
         p_new = p0 + _ball(rng, model.d, draw_radius)
-        x_raw = x0 + _ball(rng, model.n, draw_radius)
-        if model.m:
-            if affine:
-                x_new = project_polyhedron(model, p_new, x_raw)
-            else:
-                bundle_raw = eval_bundle(model, x_raw, p_new)
-                if np.max(bundle_raw.phi) > tol_act:
-                    continue
-                x_new = x_raw
-        else:
-            x_new = x_raw
+        x_new = x0 + _ball(rng, model.n, draw_radius)
+        bundle = eval_bundle(model, x_new, p_new)
+        try:
+            for _ in range(max_steps):
+                if np.max(bundle.phi, initial=-math.inf) <= tol_act:
+                    break
+                G = bundle.grad_phi
+                x_new = project_onto_rows(G, G @ x_new - bundle.phi, x_new)
+                bundle = eval_bundle(model, x_new, p_new)
+            active = active_indices(bundle.phi, tol_act)
+        except (InfeasiblePointError, InfeasibleSetError, SolveFailureError):
+            continue
         if np.linalg.norm(x_new - x0) > eta:
             continue
-        bundle = eval_bundle(model, x_new, p_new)
-        active = tuple(int(i) for i in np.flatnonzero(np.abs(bundle.phi) <= tol_act))
         lam = np.zeros(model.m)
-        if model.m:
-            base = vertex_pool[rng.integers(len(vertex_pool))]
-            for i in active:
-                lam[i] = max(0.0, base[i] + noise_scale * rng.uniform(-1.0, 1.0))
-        v_new = bundle.f + bundle.grad_phi.T @ lam if model.m else bundle.f
+        base = vertex_pool[rng.integers(len(vertex_pool))]
+        for i in active:
+            lam[i] = max(0.0, base[i] + noise_scale * rng.uniform(-1.0, 1.0))
+        v_new = bundle.f + bundle.grad_phi.T @ lam
         if np.linalg.norm(v_new - v0) > eta:
             continue
-        if model.m:
-            sample_mfcq = check_mfcq(model, x_new, p_new, tol_act)
-            if not sample_mfcq.ok:
-                mfcq_failures += 1
-                continue
-            ms = multiplier_polytope(
-                model, tuple(x_new), tuple(p_new), tuple(v_new),
-                tol_act, require_mfcq=False,
-            )
-            verts = ms.vertices
-        else:
-            verts = [()]
+        if not _mfcq(bundle, active, exact=False).ok:
+            mfcq_failures += 1
+            continue
         accepted += 1
-        for vert in verts:
-            i_plus = strict_complement(vert, active) if model.m else ()
+        for vert in _multipliers(bundle, active, v_new, exact=False).vertices:
+            i_plus = strict_complement(vert, active)
             cone = mixed_sign_cone(bundle.grad_phi, active, i_plus, model.n)
             H = QuadForm(bundle.lagrangian_jacobian(vert))
             val, w = min_on_cone(H, cone)

@@ -349,6 +349,17 @@ class CertifyOptions:
     scan_random: int = LAMBDA_SCAN_RANDOM
     pair_cap: int = PAIR_CAP
 
+    def __post_init__(self):
+        # a grid axis needs two nodes to reach both sides of the reference
+        for name in ("eta", "rho_v", "rho_p"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise InputError(f"option {name} must be finite and positive, got {value}")
+        for name, low in (("samples", 1), ("grid_v", 2), ("grid_p", 2)):
+            value = getattr(self, name)
+            if value < low:
+                raise InputError(f"option {name} must be at least {low}, got {value}")
+
     def to_json_dict(self):
         return {k: getattr(self, k) for k in sorted(self.__dataclass_fields__)}
 

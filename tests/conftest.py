@@ -46,3 +46,8 @@ def skew_model(skew_text):
 @pytest.fixture(scope="session")
 def identity_model():
     return parse_model("dims n=1 d=0\nf = (x1)\nreference x=(0) p=() v=(0)\n")
+
+
+@pytest.fixture(scope="session")
+def circle_model():
+    return parse_model((MODELS_DIR / "circle.model").read_text())

@@ -49,6 +49,20 @@ class TestExitCodes:
         assert code == 1
         assert "unknown identifier" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--eta", "0"], "eta must be finite and positive"),
+        (["--eta", "nan"], "eta must be finite and positive"),
+        (["--rho-v", "0"], "rho_v must be finite and positive"),
+        (["--rho-p", "inf"], "rho_p must be finite and positive"),
+        (["--samples", "0"], "samples must be at least 1"),
+        (["--grid-v", "0"], "grid_v must be at least 2"),
+        (["--grid-p", "1"], "grid_p must be at least 2"),
+    ])
+    def test_out_of_range_option_exit_one(self, flags, message, capsys):
+        code = run(["certify", str(MODELS / "identity.model"), *flags])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_inconsistent_report_exit_two(self, monkeypatch, tmp_path, capsys):
         # force a verdict disagreement through the pipeline seam
         import fullstab.cli as cli_mod
@@ -145,6 +159,21 @@ class TestSubcommands:
         payload = json.loads(out.read_text())
         assert payload["kappa_hat"] == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,0,0\n1,0,1,0\n0.5,0.5,nan,0.5\n", "CSV line 3 has a non-finite entry"),
+        ("u1,u2,v1,v2\n0,0,0,0\n1,0,1,0\n0.5,0.5,0.5,O.5\n0,1,0,-1\n",
+         "CSV line 4 is not numeric"),
+    ])
+    def test_probe_monotone_bad_csv_row_exit_one(self, tmp_path, capsys, rows, message):
+        csv = tmp_path / "g.csv"
+        csv.write_text(rows)
+        code = run([
+            "probe-monotone", str(MODELS / "skew.model"),
+            "--from-csv", str(csv), "--json", str(tmp_path / "m.json"),
+        ])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_cones_payload(self, tmp_path):
         out = tmp_path / "c.json"
         csv = tmp_path / "c.csv"
@@ -192,13 +221,22 @@ class TestFlagsPerSubcommand:
 
 
 class TestModuleEntryPoint:
-    def test_python_m_cli_certify_prints_report(self):
+    @staticmethod
+    def certify_identity(module):
         src = str(MODELS.parent / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-m", "fullstab.cli", "certify", str(MODELS / "identity.model")],
+        return subprocess.run(
+            [sys.executable, "-m", module, "certify", str(MODELS / "identity.model")],
             capture_output=True, text=True, env=env, timeout=300,
         )
+
+    def test_python_m_cli_certify_prints_report(self):
+        out = self.certify_identity("fullstab.cli")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["verdict"] == "fully_stable"
+
+    def test_python_m_fullstab_certify_prints_report(self):
+        out = self.certify_identity("fullstab")
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["verdict"] == "fully_stable"

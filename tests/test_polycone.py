@@ -27,7 +27,6 @@ from fullstab.polycone import (
     polar_cone,
     polyhedron_rows,
     project_onto_rows,
-    project_polyhedron,
     span_difference,
     tangent_cone,
 )
@@ -243,11 +242,11 @@ class TestProjection:
         m = parse_model(
             "dims n=1 d=0\nf = (x1)\nconstraint -x1 <= 0\nconstraint x1 - 1 <= 0\n"
         )
-        assert project_polyhedron(m, [], np.array([2.0])) == pytest.approx([1.0])
+        assert project_onto_rows(*polyhedron_rows(m, []), np.array([2.0])) == pytest.approx([1.0])
 
     def test_feasible_point_fixed(self, ex64_model):
         z = np.array([0.0, 0.0, 0.5])
-        assert project_polyhedron(ex64_model, [0.0, 0.0], z) == pytest.approx(z)
+        assert project_onto_rows(*polyhedron_rows(ex64_model, [0.0, 0.0]), z) == pytest.approx(z)
 
     def test_random_polytopes_match_dykstra(self):
         rng = np.random.default_rng(6)
@@ -314,7 +313,7 @@ class TestProjection:
     def test_degenerate_apex_projection(self, ex64_model):
         # All four constraints active at the target: rank-deficient KKT.
         z = np.array([0.0, 0.0, -1.0])
-        x = project_polyhedron(ex64_model, [0.0, 0.0], z)
+        x = project_onto_rows(*polyhedron_rows(ex64_model, [0.0, 0.0]), z)
         assert x == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
 
     def test_empty_set_detected(self):
@@ -322,7 +321,7 @@ class TestProjection:
             "dims n=1 d=0\nf = (x1)\nconstraint x1 + 1 <= 0\nconstraint -x1 <= 0\n"
         )
         with pytest.raises(InfeasibleSetError):
-            project_polyhedron(m, [], np.array([0.0]))
+            project_onto_rows(*polyhedron_rows(m, []), np.array([0.0]))
 
 
 class TestNNLS:

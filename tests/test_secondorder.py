@@ -192,6 +192,32 @@ class TestGUSOSC:
         # interior samples see the full-space cone: min eig of sym jac
         assert rep.modulus == pytest.approx(2.0, abs=1e-6)
 
+    def test_each_sample_evaluated_once(self, ex64_model, monkeypatch):
+        # one evaluation per draw and one per linearized projection; the
+        # sample is then judged from that bundle, with no re-evaluation
+        import fullstab.kkt as kkt
+        import fullstab.polycone as polycone
+        import fullstab.secondorder as secondorder
+
+        calls = {"eval_bundle": 0, "project_onto_rows": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (kkt, polycone, secondorder):
+            counted(module, "eval_bundle")
+        counted(secondorder, "project_onto_rows")
+        rep = check_gusosc(ex64_model, ex64_model.reference, samples=100, seed=1)
+        assert rep.details["samples_accepted"] == 100
+        assert calls["project_onto_rows"] > 0
+        assert calls["eval_bundle"] <= rep.details["attempts"] + calls["project_onto_rows"]
+
     def test_gssosc_implies_gusosc_on_corpus(self):
         # Strict-complementarity test passing forces the sampled uniform
         # bound to at least half the pointwise modulus at small radius

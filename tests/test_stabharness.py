@@ -224,18 +224,27 @@ class TestCertify:
         assert rep.multipliers["recession"] is not None
 
     def test_short_gusosc_sample_flagged(self):
-        # circle boundary: at seed 3 one ambient draw of 40000 lands within
-        # tol_act of the circle, and the verdict rests on that one sample
-        m = parse_model(
-            "dims n=2 d=1\nf = (x1 + p1, x2)\nconstraint x1^2 + x2^2 - 1 <= 0\n"
-            "reference x=(1, 0) p=(0) v=(2, 0)\n"
-        )
+        # steep map: v = 1000 x leaves the v-window |v| <= eta for all but
+        # about 0.4% of the draws |x| <= eta/4, so the 40000 attempts fill
+        # only part of the 500 samples asked for
+        m = parse_model("dims n=1 d=0\nf = (1000*x1)\nreference x=(0) p=() v=(0)\n")
         rep = certify(m, CertifyOptions(seed=3))
         details = rep.gusosc["details"]
         assert details["samples_accepted"] < details["samples_requested"]
         assert any(
             f"accepted only {details['samples_accepted']} of 500" in note for note in rep.notes
         )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_circle_boundary_fully_stable(self, circle_model, seed):
+        # the reference sits on the curved boundary with multiplier 1/2; on
+        # the tangent line the Lagrangian Jacobian is (1 + 2 lambda) I = 2 I
+        rep = certify(circle_model, CertifyOptions(seed=seed))
+        details = rep.gusosc["details"]
+        assert rep.verdict == "fully_stable"
+        assert details["samples_accepted"] == details["samples_requested"] == 500
+        assert details["all_cones_trivial"] is False
+        assert rep.gusosc["modulus"] == pytest.approx(2.0, abs=1e-2)
 
     def test_missing_reference_rejected(self):
         m = parse_model("dims n=1 d=0\nf = (x1)\n")
