@@ -21,10 +21,10 @@ import numpy as np
 
 from . import defaults as dflt
 from .errors import FullstabError, InconsistencyError, InputError
-from .kkt import check_licq, check_mfcq, multiplier_polytope, probe_crcq
-from .modelspec import parse_model
+from .kkt import _crcq, _licq, check_mfcq, multiplier_polytope
+from .modelspec import eval_bundle, parse_model
 from .monotone import GraphSample, estimate_from_inverse, estimate_moduli
-from .polycone import active_set, critical_cone, span_difference, tangent_cone
+from .polycone import _tangent_cone, active_indices, critical_cone, span_difference
 from .stabharness import (
     CertifyOptions,
     StabilityReport,
@@ -200,13 +200,14 @@ def _cmd_cones(args) -> int:
     ref = model.reference
     if ref is None:
         raise InputError("model has no reference triple")
-    I = active_set(model, ref.x, ref.p, args.tol_act)
-    T = tangent_cone(model, ref.x, ref.p, I)
+    bundle = eval_bundle(model, ref.x, ref.p)
+    I = active_indices(bundle.phi, args.tol_act)
+    T = _tangent_cone(bundle, I)
     v_hat = [float(c) for c in model.v_hat(ref)]
     K = critical_cone(T, v_hat)
     mfcq = check_mfcq(model, ref.x, ref.p, args.tol_act)
-    licq = check_licq(model, ref.x, ref.p, args.tol_act)
-    crcq = probe_crcq(model, ref.x, ref.p, seed=args.seed, tol_act=args.tol_act)
+    licq = _licq(bundle, I)
+    crcq = _crcq(model, bundle, I, ref.x, ref.p, seed=args.seed)
     rays, lin = K.generators()
     payload = {
         "active_set": [i + 1 for i in I],

@@ -132,7 +132,11 @@ def _mfcq(bundle, I, exact: bool, tol_cq: float = TOL_CQ) -> CQReport:
 
 def check_licq(model: ParametricModel, x, p, tol_act: float = TOL_ACT) -> CQReport:
     bundle = eval_bundle(model, x, p)
-    I = active_indices(bundle.phi, tol_act)
+    return _licq(bundle, active_indices(bundle.phi, tol_act))
+
+
+def _licq(bundle, I) -> CQReport:
+    """:func:`check_licq` on an evaluated float bundle with active set I."""
     if not I:
         return CQReport("LICQ", "holds", {"active_set": [], "rank": 0, "vacuous": True})
     Gact = bundle.grad_phi[list(I)]
@@ -167,10 +171,24 @@ def probe_crcq(
     can only report 'corroborated' or 'fails' (with a witness subset and
     point).
     """
+    center = eval_bundle(model, x, p)
+    return _crcq(model, center, active_indices(center.phi, tol_act), x, p, radius, samples, seed)
+
+
+def _crcq(
+    model: ParametricModel,
+    center,
+    I,
+    x,
+    p,
+    radius: float = CRCQ_RADIUS,
+    samples: int = CRCQ_SAMPLES,
+    seed: int = 0,
+) -> CQReport:
+    """:func:`probe_crcq` around (x, p), whose float bundle ``center`` has
+    active set I."""
     if radius <= 0 or samples < 1:
         raise ValueError("probe needs radius > 0 and samples >= 1")
-    center = eval_bundle(model, x, p)
-    I = active_indices(center.phi, tol_act)
     if not I:
         return CQReport("CRCQ", "holds", {"active_set": [], "vacuous": True})
     if len(I) > MAX_ACTIVE_SUBSETS:

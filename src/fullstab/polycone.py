@@ -211,10 +211,13 @@ def tangent_cone(model: ParametricModel, x, p, I=None) -> ConeDesc:
     """Linearization cone {w : grad_x phi_i . w <= 0, i active}; exact for
     affine constraints, exact under MFCQ otherwise."""
     bundle = eval_bundle(model, x, p)
-    if I is None:
-        I = active_indices(bundle.phi)
-    G = bundle.grad_phi[list(I)] if I else None
-    return ConeDesc(model.n, E=None, G=G)
+    return _tangent_cone(bundle, active_indices(bundle.phi) if I is None else I)
+
+
+def _tangent_cone(bundle, I) -> ConeDesc:
+    """:func:`tangent_cone` from an evaluated float bundle with active set I."""
+    G = bundle.grad_phi
+    return ConeDesc(G.shape[1], G=G[list(I)] if I else None)
 
 
 def critical_cone(T: ConeDesc, v_hat, tol: float = TOL_CONE) -> ConeDesc:

@@ -6,11 +6,14 @@ faces (2^rows) and collects the feasible eigenvector candidates of each
 face-projected symmetric part, which contains every KKT point of the
 sphere-constrained problem and hence the global minimizer.
 
-The neighborhood conditions are sampled on the solution-map graph and so
-are reported as 'corroborated'/'fails', never 'proved'; the pointwise
-tests (strict complementarity subspaces, critical-cone spans, smooth
-positive definiteness, the bordered-determinant probe) are decided
-directly.
+The uniform neighborhood condition (GUSOSC) is decided exactly, as
+'holds'/'fails', when every constraint is affine in (x, p) and jac_f is
+constant: it is then a minimum over finitely many (reachable face,
+multiplier-vertex support) pairs, each face settled by one exact LP.  On
+every other model it is sampled on the solution-map graph and reported
+as 'corroborated'/'fails', never 'proved'.  The pointwise tests (strict
+complementarity subspaces, critical-cone spans, smooth positive
+definiteness, the bordered-determinant probe) are decided directly.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .defaults import (
     SEED,
     TOL_ACT,
     TOL_CONE,
+    TOL_CQ,
     TOL_PD,
 )
 from .errors import (
@@ -41,7 +45,7 @@ from .errors import (
     InputError,
     SolveFailureError,
 )
-from .expr import is_rational
+from .expr import differentiate, evaluate, expr_is_zero, is_rational
 from .kkt import (
     MultiplierSet,
     _jsonify,
@@ -60,16 +64,15 @@ from .modelspec import (
 from .polycone import (
     ConeDesc,
     SubspaceBasis,
+    _tangent_cone,
     active_indices,
-    active_set,
     critical_cone,
     null_space,
     project_onto_rows,
     rank,
     span_difference,
-    tangent_cone,
 )
-from .simplex import gauss_jordan
+from .simplex import gauss_jordan, solve_inequality_lp
 
 __all__ = [
     "QuadForm",
@@ -78,6 +81,7 @@ __all__ = [
     "min_on_cone",
     "check_gssosc",
     "check_gusosc",
+    "gusosc_by_sampling",
     "check_pvi_pointwise",
     "check_smooth_psd",
     "scoc_probe",
@@ -272,8 +276,155 @@ def check_gusosc(
     tol_pd: float = TOL_PD,
     tol_act: float = TOL_ACT,
 ) -> SecondOrderReport:
+    """Uniform second-order test: decided exactly by face enumeration when
+    every constraint is affine in (x, p) and jac_f is constant in (x, p),
+    otherwise corroborated by :func:`gusosc_by_sampling` (the only path
+    that reads ``eta``, ``samples`` and ``seed``)."""
+    if _polyhedral(model):
+        return _gusosc_by_faces(model, ref, tol_pd, tol_act)
+    return gusosc_by_sampling(model, ref, eta, samples, seed, tol_pd, tol_act)
+
+
+def _polyhedral(model: ParametricModel) -> bool:
+    """Every phi_i affine in (x, p) and jac_f constant in (x, p), decided on
+    the symbolic derivatives."""
+    n, d = model.n, model.d
+    if not (model.f_affine and all(model.affine_xp)):
+        return False
+    second_p = [
+        differentiate(differentiate(phi, "p", k), "p", l)
+        for phi in model.constraints for k in range(d) for l in range(d)
+    ]
+    jac_p = [differentiate(e, "p", l) for row in model.f_jac for e in row for l in range(d)]
+    return all(expr_is_zero(e, n, d) for e in second_p + jac_p)
+
+
+def _gusosc_by_faces(
+    model: ParametricModel,
+    ref: ReferenceTriple,
+    tol_pd: float = TOL_PD,
+    tol_act: float = TOL_ACT,
+) -> SecondOrderReport:
+    """Uniform second-order test decided exactly on polyhedral data (see
+    :func:`_polyhedral`).
+
+    With constraints phi = G x + B p + c and a constant jac_f, the
+    multipliers of graph points near the reference have supports that
+    contain the support J of some vertex of Lambda(x, p, v), and every
+    active set I near x is reachable from x by a small move in (x, p).
+    The uniform value is therefore the minimum of jac_f over
+    ``mixed_sign_cone(G, I, J)`` across the pairs of a reachable face
+    I of I(x) and a vertex support J inside it (the critical faces of
+    Dontchev & Rockafellar, SIAM J. Optim. 6, 1996).  Face I is reachable
+    iff the LP max t over (w, dp, t) in the unit box subject to G_I w +
+    B_I dp = 0 and G_r w + B_r dp + t <= 0 for r in I(x) outside I has
+    t* > 0; it is solved exactly on rational data.
+    """
+    if not check_mfcq(model, ref.x, ref.p, tol_act).ok:
+        raise InputError("GUSOSC requires MFCQ at the reference")
+    exact = is_rational(ref.x, ref.p, ref.v)
+    bundle = (eval_bundle_exact if exact else eval_bundle)(model, ref.x, ref.p)
+    active = active_indices(bundle.phi, tol_act)
+    if len(active) > MAX_CONE_ROWS:
+        raise DeskScaleError(
+            f"{len(active)} active constraints exceed the face-enumeration cap ({MAX_CONE_ROWS})"
+        )
+    ms = _multipliers(bundle, active, ref.v, exact)
+    cast = Fraction if exact else float
+    rows = {
+        i: list(bundle.grad_phi[i])
+        + [cast(evaluate(differentiate(model.constraints[i], "p", l), ref.x, ref.p))
+           for l in range(model.d)]
+        for i in active
+    }
+    supports = {}  # vertex support J -> first vertex with it
+    for vert in ms.vertices:
+        supports.setdefault(strict_complement(vert, active), vert)
+    H = QuadForm(np.array(bundle.jac_f, dtype=float).reshape(model.n, model.n))
+
+    ell = math.inf
+    witness = {}
+    pairs = []
+    lps = 0
+    for size in range(len(active) + 1):
+        for I in itertools.combinations(active, size):
+            inside = [J for J in supports if set(J) <= set(I)]
+            if not inside:
+                continue
+            if I != active:
+                lps += 1
+                rest = [r for r in active if r not in I]
+                if not _face_reachable([rows[i] for i in I], [rows[r] for r in rest], exact):
+                    continue
+            for J in inside:
+                cone = mixed_sign_cone(ms.grad_matrix, I, J, model.n)
+                val, w = min_on_cone(H, cone)
+                pair = {
+                    "active_set": [i + 1 for i in I],
+                    "strongly_active": [j + 1 for j in J],
+                    "value": None if not math.isfinite(val) else val,
+                }
+                pairs.append(pair)
+                if val < ell:
+                    ell = val
+                    witness = {
+                        **pair,
+                        "lambda": [float(c) for c in supports[J]],
+                        "direction": [float(c) for c in w],
+                    }
+    verdict = "holds" if ell > tol_pd else "fails"
+    details = {
+        "samples_accepted": 0,
+        "samples_requested": 0,
+        "attempts": 0,
+        "cones_evaluated": len(pairs),
+        "reachability_lps": lps,
+        "pairs": pairs,
+        "all_cones_trivial": not math.isfinite(ell),
+        "exact": exact,
+    }
+    return SecondOrderReport("GUSOSC", verdict, ell, witness, details)
+
+
+def _face_reachable(face_rows, rest_rows, exact: bool) -> bool:
+    """Whether some z in the unit box has face_rows . z = 0 and rest_rows . z
+    < 0, for rows [G_i | B_i] over z = (w, dp)."""
+    rows = face_rows + rest_rows
+    if len(rows) < len(rows[0]):
+        # the signs depend only on the part of z in the row space, so with
+        # fewer rows than unknowns search z = rows^T y: fewer LP columns
+        gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+        face_rows, rest_rows = gram[: len(face_rows)], gram[len(face_rows):]
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    k = len(rest_rows[0])
+    res = solve_inequality_lp(
+        [zero] * k + [one],
+        [row + [one] for row in rest_rows],
+        [zero] * len(rest_rows),
+        [-one] * k + [zero],
+        [one] * (k + 1),
+        maximize=True,
+        A_eq=[row + [zero] for row in face_rows],
+        b_eq=[zero] * len(face_rows),
+    )
+    if res.status != "optimal":  # pragma: no cover - always feasible (z=0, t=0)
+        raise RuntimeError(f"reachability LP unexpectedly {res.status}")
+    t_star = res.x[k]
+    return t_star > 0 if exact else float(t_star) > TOL_CQ
+
+
+def gusosc_by_sampling(
+    model: ParametricModel,
+    ref: ReferenceTriple,
+    eta: float = ETA,
+    samples: int = SAMPLES,
+    seed: int = SEED,
+    tol_pd: float = TOL_PD,
+    tol_act: float = TOL_ACT,
+) -> SecondOrderReport:
     """Uniform second-order test, corroborated by sampling graph points of
-    the Lagrangian representation near the reference.  Each draw is
+    the Lagrangian representation near the reference (any model; the path
+    :func:`check_gusosc` takes off the polyhedral scope).  Each draw is
     projected onto the constraints linearized at the current point until
     it is feasible; at each accepted sample and each multiplier vertex
     there, the Lagrangian Jacobian form is minimized over the cone mixing
@@ -322,7 +473,9 @@ def check_gusosc(
         v_new = bundle.f + bundle.grad_phi.T @ lam
         if np.linalg.norm(v_new - v0) > eta:
             continue
-        if not _mfcq(bundle, active, exact=False).ok:
+        # LICQ implies MFCQ, so the LP runs only on dependent gradients
+        dependent = rank(bundle.grad_phi[list(active)]) < len(active)
+        if dependent and not _mfcq(bundle, active, exact=False).ok:
             mfcq_failures += 1
             continue
         accepted += 1
@@ -384,13 +537,13 @@ def check_pvi_pointwise(
     xf = [float(c) for c in ref.x]
     pf = [float(c) for c in ref.p]
     v_hat = np.array([float(c) for c in model.v_hat(ref)])
-    I = active_set(model, xf, pf, tol_act)
-    T = tangent_cone(model, xf, pf, I)
+    bundle = eval_bundle(model, xf, pf)
+    T = _tangent_cone(bundle, active_indices(bundle.phi, tol_act))
     K = critical_cone(T, v_hat)
     span_T = span_difference(T)
     V_a = _intersect_with_orthogonal(span_T, v_hat)
     V_b = span_difference(K)
-    Q = QuadForm(eval_bundle(model, xf, pf).jac_f)
+    Q = QuadForm(bundle.jac_f)
     mod_a, w_a = min_on_subspace(Q, V_a)
     mod_b, w_b = min_on_subspace(Q, V_b)
     holds_b = mod_b > tol_pd

@@ -205,14 +205,16 @@ def solve_inequality_lp(
     lower: Sequence,
     upper: Sequence,
     maximize: bool = False,
+    A_eq: Sequence[Sequence] = (),
+    b_eq: Sequence = (),
 ) -> LPResult:
-    """Optimize c.x s.t. A_ub x <= b_ub, lower <= x <= upper.
+    """Optimize c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, lower <= x <= upper.
 
     Bounds must be finite (use large sentinels only if genuinely needed);
     shift-and-slack conversion to standard form.
     """
     nvar = len(c)
-    exact = is_rational(*A_ub, c, b_ub, lower, upper)
+    exact = is_rational(*A_ub, *A_eq, c, b_ub, b_eq, lower, upper)
     zero = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
     lo = [_cast(v, exact) for v in lower]
@@ -233,6 +235,10 @@ def solve_inequality_lp(
         )
         A.append(row)
         b.append(rhs)
+    for row, rhs in zip(A_eq, b_eq):
+        row = [_cast(v, exact) for v in row]
+        A.append(row + [zero] * (mrows + nvar))
+        b.append(_cast(rhs, exact) - sum(a * l for a, l in zip(row, lo)))
     for j in range(nvar):
         row = [zero] * ncols
         row[j] = one

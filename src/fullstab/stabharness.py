@@ -426,8 +426,8 @@ def _max_independent_subset(grad_matrix: np.ndarray, candidates):
 
 def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) -> StabilityReport:
     """Full pipeline; the headline verdict follows the characterization
-    'under MFCQ + CRCQ, fully stable iff the sampled uniform second-order
-    test passes', with the empirical harness as corroboration."""
+    'under MFCQ + CRCQ, fully stable iff the uniform second-order test
+    passes', with the empirical harness as corroboration."""
     opts = options or CertifyOptions()
     ref = model.reference
     if ref is None:

@@ -195,3 +195,62 @@ def random_polynomial_expr(rng, n, d, depth=3):
     if op < 0.9:
         return ex.Neg(left)
     return ex.Pow(left, int(rng.integers(2, 4)))
+
+
+def _null_basis(M, n, tol=1e-10):
+    """Orthonormal columns spanning {z in R^n : M z = 0}, by numpy SVD."""
+    M = np.asarray(M, dtype=float).reshape(-1, n)
+    if M.shape[0] == 0:
+        return np.eye(n)
+    _, s, vt = np.linalg.svd(M)
+    r = int(np.sum(s > tol * max(1.0, s[0])))
+    return vt[r:].T
+
+
+def uniform_value_oracle(H, G, B, supports, n_samples=20_000, reach_samples=2_000, seed=0):
+    """Uniform second-order value of polyhedral data at a reference, by
+    sampling alone (no LP, no face enumeration of cones).
+
+    ``G`` (k x n) and ``B`` (k x d) hold the x- and p-gradients of the k
+    active constraints, ``supports`` the supports of the reference
+    multiplier vertices (tuples of row positions).  A face I is reachable
+    when some (w, dp) drawn from the null space of [G_I | B_I] has
+    G_r w + B_r dp < 0 on every other active row r.  Each cone {u : G_J u =
+    0, G_i u >= 0 for i in I outside J} is searched with
+    :func:`min_quadratic_on_cone_sampling` inside the null space of G_J;
+    a cone whose inequality rows force a further equality has no interior
+    there and reads as {0}.  Returns the minimum over reachable faces I and
+    supports J inside I (+inf when every cone is {0})."""
+    G = np.asarray(G, dtype=float)
+    k, n = G.shape
+    GB = np.hstack([G, np.asarray(B, dtype=float).reshape(k, -1)])
+    Hs = 0.5 * (np.asarray(H, dtype=float) + np.asarray(H, dtype=float).T)
+    rng = np.random.default_rng(seed)
+    best = np.inf
+    for mask in range(1 << k):
+        I = [i for i in range(k) if mask >> i & 1]
+        inside = [J for J in supports if set(J) <= set(I)]
+        if not inside:
+            continue
+        rest = [r for r in range(k) if r not in I]
+        if rest:
+            N = _null_basis(GB[I], GB.shape[1])
+            if N.shape[1] == 0:
+                continue
+            Z = rng.normal(size=(reach_samples, N.shape[1])) @ N.T
+            if not np.any(np.all(Z @ GB[rest].T < -1e-9, axis=1)):
+                continue
+        for J in inside:
+            N = _null_basis(G[list(J)], n)
+            if N.shape[1] == 0:
+                continue
+            weak = G[[i for i in I if i not in J]] @ N
+
+            def contains(W, weak=weak):
+                return np.all(W @ weak.T >= -1e-9, axis=1)
+
+            value, _ = min_quadratic_on_cone_sampling(
+                N.T @ Hs @ N, contains, N.shape[1], n_samples=n_samples, seed=seed
+            )
+            best = min(best, value)
+    return best

@@ -67,9 +67,10 @@ def test_criterion_1_worked_example_end_to_end(tmp_path):
     probe = [s for s in rep["scoc_probe"] if s["J"] == [1, 2]]
     assert probe and probe[0]["det_exact"] == "0"
     assert abs(probe[0]["det_scaled"]) < 1e-9
-    # sampled uniform test corroborated with a positive lower bound
-    assert rep["gusosc"]["verdict"] == "corroborated"
-    assert rep["gusosc"]["details"]["samples_accepted"] == 500
+    # uniform test decided on the two pairs of the only reachable face
+    # (the 500-sample run at this seed is pinned in test_secondorder)
+    assert rep["gusosc"]["verdict"] == "holds"
+    assert rep["gusosc"]["details"]["cones_evaluated"] == 2
     assert rep["gusosc"]["vacuous"] or rep["gusosc"]["modulus"] > 0
     # harness: zero violations over the 5^3 x 5^2 grid, positive kappa
     assert rep["localization"]["grid_v"] == 5 and rep["localization"]["grid_p"] == 5
@@ -370,7 +371,7 @@ def test_criterion_7_consistency_chain_on_corpus(tmp_path):
         chain_checked += 1
         if rep["gssosc"] and rep["gssosc"]["verdict"] == "holds":
             gssosc_held += 1
-            assert rep["gusosc"]["verdict"] == "corroborated", f"corpus {idx}"
+            assert rep["gusosc"]["verdict"] == "holds", f"corpus {idx}"
             assert rep["violation_count"] == 0, f"corpus {idx}"
             assert rep["verdict"] == "fully_stable", f"corpus {idx}"
     assert chain_checked == 20

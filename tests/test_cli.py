@@ -189,6 +189,25 @@ class TestSubcommands:
         assert payload["mfcq"]["verdict"] == "holds"
         assert "ineq," in csv.read_text()
 
+    def test_cones_evaluates_reference_once(self, tmp_path, monkeypatch):
+        # active set, tangent cone, LICQ and the CRCQ center share one
+        # float bundle; the CRCQ probe still evaluates its own samples
+        import fullstab.cli as cli
+        import fullstab.kkt as kkt
+        import fullstab.polycone as polycone
+
+        points = []
+        for module in (cli, kkt, polycone):
+            inner = module.eval_bundle
+            monkeypatch.setattr(
+                module, "eval_bundle",
+                lambda model, x, p, inner=inner: points.append([float(c) for c in x])
+                or inner(model, x, p),
+            )
+        code = run(["cones", str(MODELS / "ex64.model"), "--json", str(tmp_path / "c.json")])
+        assert code == 0
+        assert points.count([0.0, 0.0, 0.0]) == 1
+
     def test_report_renders_text(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         run(["certify", str(MODELS / "identity.model"), "--samples", "20",

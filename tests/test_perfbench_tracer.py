@@ -1,9 +1,11 @@
 """The benchmark's per-layer tracer (``perfbench/tracer.py``) wraps
 package functions named by module and function; each of those names must
-still resolve, so a rename in the package shows up here first."""
+still resolve, so a rename in the package shows up here first.  The
+traced pass also reads counters from each report's ``gusosc`` details."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -18,3 +20,38 @@ def test_every_traced_name_is_a_package_callable():
         home = importlib.import_module(f"fullstab.{module}")
         for name in names:
             assert callable(getattr(home, name, None)), f"fullstab.{module}.{name}"
+
+
+def test_layer_metrics_read_gusosc_details_on_both_paths(tmp_path, monkeypatch):
+    # the traced pass sums attempts, samples_accepted and cones_evaluated
+    # from every report's gusosc details, whichever path decided it
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    worker = importlib.import_module("worker")
+    from fullstab.cli import run
+
+    models = {
+        "faces": "dims n=1 d=1\nf = (2*x1 + p1)\nconstraint x1 - 1 <= 0\n"
+                 "reference x=(0) p=(0) v=(0)\n",
+        "sampled": "dims n=1 d=1\nf = (x1^3 + x1 + p1)\nreference x=(0) p=(0) v=(0)\n",
+    }
+    reports = []
+    for name, text in models.items():
+        path = tmp_path / f"{name}.model"
+        path.write_text(text)
+        out = tmp_path / f"{name}.json"
+        argv = ["certify", str(path), "--samples", "20", "--grid-v", "3", "--grid-p", "3"]
+        assert run(argv + ["--json", str(out)]) == 0
+        reports.append(json.loads(out.read_text()))
+    details = [r["gusosc"]["details"] for r in reports]
+    for d in details:
+        assert {"attempts", "samples_accepted", "cones_evaluated"} <= d.keys()
+    assert details[0]["attempts"] == details[0]["samples_accepted"] == 0
+    assert details[1]["samples_accepted"] == 20
+    tracer = worker.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    metrics = worker.layer_metrics(tracer, reports)
+    assert metrics["secondorder.gusosc.accepted"] == (20, "count")
+    assert metrics["secondorder.gusosc.attempts"] == (details[1]["attempts"], "count")
+    assert metrics["secondorder.gusosc.cones_evaluated"] == (
+        details[0]["cones_evaluated"] + details[1]["cones_evaluated"], "count")

@@ -3,8 +3,9 @@
 min_on_cone is anchored to a 1e5-direction rejection-sampling oracle; the
 bordered determinants to exact cofactor expansion; the strict-
 complementarity and uniform tests to hand-derived worked-example values
-(GSSOSC failing direction e2, uniform test corroborated, skew map failing
-at -1).
+(GSSOSC failing direction e2, uniform test holding, skew map failing at
+-1); the exact uniform test also to the sampler and to a sampling-only
+oracle.
 """
 
 import math
@@ -13,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fullstab.errors import InputError
+from fullstab import expr as ex
+from fullstab.errors import DeskScaleError, InputError
 from fullstab.kkt import multiplier_polytope
 from fullstab.modelspec import parse_model
 from fullstab.polycone import ConeDesc, SubspaceBasis
@@ -23,15 +25,24 @@ from fullstab.secondorder import (
     check_gusosc,
     check_pvi_pointwise,
     check_smooth_psd,
+    gusosc_by_sampling,
     lagrangian_jacobian,
     min_on_cone,
     min_on_subspace,
     scoc_probe,
 )
 
-from oracles import cofactor_det, min_quadratic_on_cone_sampling
+from oracles import cofactor_det, min_quadratic_on_cone_sampling, uniform_value_oracle
+from test_acceptance import _corpus
 
 H64 = np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+
+# the symmetric part of jac_f has eigenvalues 4 and -2; on the orthant cone
+# of the apex the form is at least 1
+OFF_APEX = (
+    "dims n=2 d=0\nf = (x1 + 3*x2, 3*x1 + x2)\n"
+    "constraint -x1 <= 0\nconstraint -x2 <= 0\nreference x=(0, 0) p=() v=(0, 0)\n"
+)
 
 
 class TestMinOnSubspace:
@@ -171,10 +182,111 @@ class TestGSSOSC:
 
 class TestGUSOSC:
     def test_worked_example_corroborated(self, ex64_model):
-        rep = check_gusosc(ex64_model, ex64_model.reference, eta=1e-2, samples=500, seed=7)
+        rep = gusosc_by_sampling(ex64_model, ex64_model.reference, eta=1e-2, samples=500, seed=7)
         assert rep.verdict == "corroborated"
         assert rep.modulus > 0
         assert rep.details["samples_accepted"] == 500
+
+    def test_worked_example_decided_by_faces(self, ex64_model):
+        # only the apex face is reachable: its two vertex supports give
+        # trivial cones, while the unreachable face {1, 2} would give the
+        # value 0 on e2
+        rep = check_gusosc(ex64_model, ex64_model.reference)
+        assert rep.verdict == "holds"
+        assert rep.modulus == math.inf
+        assert rep.details["reachability_lps"] == 4
+        assert rep.details["cones_evaluated"] == 2
+        assert rep.details["pairs"] == [
+            {"active_set": [1, 2, 3, 4], "strongly_active": [2, 3, 4], "value": None},
+            {"active_set": [1, 2, 3, 4], "strongly_active": [1, 2], "value": None},
+        ]
+        assert rep.details["exact"] is True
+
+    def test_minimum_off_the_apex(self):
+        # the apex pair gives 1 on the negative orthant; the face {1} and
+        # the interior see the eigenvalue -2 of the symmetric part
+        m = parse_model(OFF_APEX)
+        rep = check_gusosc(m, m.reference)
+        assert rep.verdict == "fails"
+        assert rep.modulus == pytest.approx(-2.0, abs=1e-12)
+        assert rep.witness["active_set"] != [1, 2]
+        values = {tuple(p["active_set"]): p["value"] for p in rep.details["pairs"]}
+        assert values[(1, 2)] == pytest.approx(1.0, abs=1e-12)
+        assert values[(1,)] == pytest.approx(-2.0, abs=1e-12)
+        assert values[()] == pytest.approx(-2.0, abs=1e-12)
+        w = np.array(rep.witness["direction"])
+        assert QuadForm(np.array([[1.0, 3.0], [3.0, 1.0]])).value(w) == pytest.approx(-2.0)
+
+    def test_active_set_over_cap_rejected(self):
+        # 13 half-planes -x1 + (k/7) x2 <= 0 through the origin, all active
+        rows = "".join(f"constraint -x1 + ({k}/7)*x2 <= 0\n" for k in range(-6, 7))
+        m = parse_model(f"dims n=2 d=0\nf = (x1, x2)\n{rows}reference x=(0, 0) p=() v=(0, 0)\n")
+        with pytest.raises(DeskScaleError, match="face-enumeration cap"):
+            check_gusosc(m, m.reference)
+
+    def test_reachability_lp_sized_by_active_rows(self):
+        # n = d = 8: a box over (w, dp, t) would need 2 * 17 + 2 = 36 LP
+        # columns, over the 32-column cap; the row space of the two active
+        # rows needs 2 * 3 + 2
+        zeros = ", ".join(["0"] * 8)
+        xs = ", ".join(f"x{i}" for i in range(1, 9))
+        m = parse_model(
+            f"dims n=8 d=8\nf = ({xs})\nconstraint x1 - p1 <= 0\nconstraint x2 - p2 <= 0\n"
+            f"reference x=({zeros}) p=({zeros}) v=({zeros})\n"
+        )
+        rep = check_gusosc(m, m.reference)
+        assert rep.verdict == "holds" and rep.modulus == pytest.approx(1.0)
+        assert rep.details["reachability_lps"] == 3
+        assert [p["active_set"] for p in rep.details["pairs"]] == [[], [1], [2], [1, 2]]
+
+    def test_mfcq_failure_rejected_on_both_paths(self):
+        for f in ("x1", "x1 + x1^3"):
+            m = parse_model(
+                f"dims n=1 d=0\nf = ({f})\nconstraint x1 <= 0\nconstraint -x1 <= 0\n"
+                "reference x=(0) p=() v=(0)\n"
+            )
+            with pytest.raises(InputError, match="MFCQ"):
+                check_gusosc(m, m.reference)
+
+    def test_faces_agree_with_sampler_on_corpus(self, ex64_model, skew_model, identity_model):
+        # ex64, the 20 criterion-7 instances, identity and skew: the exact
+        # value equals the sampled one (both +inf or within 1e-9)
+        models = [ex64_model, *_corpus(), identity_model, skew_model]
+        assert len(models) == 23
+        for idx, m in enumerate(models):
+            exact = check_gusosc(m, m.reference)
+            sampled = gusosc_by_sampling(m, m.reference, samples=80, seed=5)
+            assert exact.details["samples_accepted"] == 0, idx
+            if math.isinf(exact.modulus):
+                assert math.isinf(sampled.modulus), idx
+            else:
+                assert exact.modulus == pytest.approx(sampled.modulus, abs=1e-9), idx
+            assert exact.ok == sampled.ok, idx
+
+    def test_faces_agree_with_sampling_oracle(self, ex64_model):
+        corpus = _corpus()
+        models = [
+            (ex64_model, math.inf),
+            (corpus[6], 1.0),
+            (corpus[13], 2.5),
+            (parse_model(OFF_APEX), -2.0),
+        ]
+        for m, expected in models:
+            rep = check_gusosc(m, m.reference)
+            ms = multiplier_polytope(m, m.reference.x, m.reference.p, m.reference.v)
+            act = list(ms.active)
+            G = ms.grad_matrix[act]
+            B = [[float(ex.evaluate(ex.differentiate(m.constraints[i], "p", l), m.reference.x,
+                                    m.reference.p)) for l in range(m.d)] for i in act]
+            supports = {tuple(act.index(i) for i in act if float(v[i]) > 1e-8) for v in ms.vertices}
+            H = np.array([[float(ex.evaluate(e, m.reference.x, m.reference.p)) for e in row]
+                          for row in m.f_jac])
+            oracle = uniform_value_oracle(H, G, B, sorted(supports))
+            if math.isinf(expected):
+                assert math.isinf(rep.modulus) and math.isinf(oracle)
+            else:
+                assert rep.modulus == pytest.approx(expected, abs=1e-12)
+                assert abs(oracle - expected) <= 1e-4, (expected, oracle)
 
     def test_skew_fails_at_minus_one(self, skew_model):
         rep = check_gusosc(skew_model, skew_model.reference, eta=1e-2, samples=50, seed=1)
@@ -188,7 +300,7 @@ class TestGUSOSC:
             "reference x=(0, 0) p=() v=(0, 0)\n"
         )
         rep = check_gusosc(m, m.reference, eta=1e-2, samples=50, seed=2)
-        assert rep.verdict == "corroborated"
+        assert rep.verdict == "holds"
         # interior samples see the full-space cone: min eig of sym jac
         assert rep.modulus == pytest.approx(2.0, abs=1e-6)
 
@@ -213,7 +325,7 @@ class TestGUSOSC:
         for module in (kkt, polycone, secondorder):
             counted(module, "eval_bundle")
         counted(secondorder, "project_onto_rows")
-        rep = check_gusosc(ex64_model, ex64_model.reference, samples=100, seed=1)
+        rep = gusosc_by_sampling(ex64_model, ex64_model.reference, samples=100, seed=1)
         assert rep.details["samples_accepted"] == 100
         assert calls["project_onto_rows"] > 0
         assert calls["eval_bundle"] <= rep.details["attempts"] + calls["project_onto_rows"]
@@ -235,7 +347,7 @@ class TestGUSOSC:
             gss = check_gssosc(m, m.reference)
             assert gss.verdict == "holds", text
             gus = check_gusosc(m, m.reference, eta=eta0, samples=120, seed=5)
-            assert gus.verdict == "corroborated", text
+            assert gus.verdict == "holds", text
             if math.isfinite(gss.modulus):
                 assert gus.modulus >= gss.modulus / 2 - 1e-9
 
@@ -272,6 +384,25 @@ class TestPVIPointwise:
         rep = check_pvi_pointwise(m, m.reference)
         assert rep.verdict == "vacuous"
         assert rep.details["critical_span_dim"] == 0
+
+    def test_reference_evaluated_once(self, monkeypatch):
+        # the active set, the tangent cone and jac_f come from one bundle
+        import fullstab.kkt as kkt
+        import fullstab.polycone as polycone
+        import fullstab.secondorder as secondorder
+
+        calls = []
+        for module in (kkt, polycone, secondorder):
+            inner = module.eval_bundle
+            monkeypatch.setattr(
+                module, "eval_bundle", lambda *a, inner=inner: calls.append(a) or inner(*a)
+            )
+        m = parse_model(
+            "dims n=2 d=0\nf = (x1, -x2)\nconstraint x2 <= 0\nconstraint -x2 <= 0\n"
+            "reference x=(0, 0) p=() v=(0, 0)\n"
+        )
+        assert check_pvi_pointwise(m, m.reference).verdict == "holds"
+        assert len(calls) == 1
 
     def test_parameter_dependent_constraints_rejected(self, ex64_model):
         with pytest.raises(InputError, match="parameter-independent"):

@@ -78,6 +78,24 @@ def test_inequality_wrapper_box():
     assert res.value == pytest.approx(1.0)
 
 
+def test_inequality_wrapper_equalities_exact():
+    # max x1 + x2 + x3 over [-1, 1]^3 with x1 = x2 and x1 + x3 <= 1/2:
+    # x3 = 1 forces x1 = x2 = -1/2 (value 0), x1 = x2 = 1 forces x3 = -1/2
+    # (value 3/2)
+    F = Fraction
+    res = solve_inequality_lp(
+        [F(1)] * 3, [[F(1), F(0), F(1)]], [F(1, 2)], [F(-1)] * 3, [F(1)] * 3,
+        maximize=True, A_eq=[[F(1), F(-1), F(0)]], b_eq=[F(0)],
+    )
+    assert res.status == "optimal"
+    assert res.value == F(3, 2)
+    assert res.x == [F(1), F(1), F(-1, 2)]
+    infeasible = solve_inequality_lp(
+        [1.0], [], [], [-1.0], [1.0], A_eq=[[1.0]], b_eq=[2.0]
+    )
+    assert infeasible.status == "infeasible"
+
+
 def test_redundant_equalities():
     # Duplicated row should not break phase 1 cleanup.
     res = solve_standard_lp(
