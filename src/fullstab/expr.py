@@ -6,14 +6,18 @@ integer powers and unary minus.  Everything stays exactly representable:
 literals are stored as :class:`fractions.Fraction`, so evaluation at
 rational points is exact and symbolic derivatives carry exact
 coefficients.  Division by zero raises :class:`EvaluationError` with the
-offending subtree, never a silent NaN.
+offending subtree, never a silent NaN.  The same evaluator runs at one
+point or at many: variables may be bound to numpy float columns, one row
+per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import EvaluationError, ModelSyntaxError, UnknownIdentifierError
 
@@ -33,7 +37,8 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Num:
-    value: Fraction
+    value: Fraction  # a float in trees made by fold_float
+    source: "Expr" = field(default=None, compare=False, repr=False)  # what fold replaced
 
 
 @dataclass(frozen=True)
@@ -108,6 +113,8 @@ def to_string(e: Expr, parent_prec: int = 0) -> str:
 def _render(e: Expr):
     # precedence: add/sub 1, mul/div 2, unary minus 3, power 4, atom 5
     if isinstance(e, Num):
+        if e.source is not None:
+            return _render(e.source)
         v = e.value
         if v < 0:
             return 3, "-" + _render_frac(-v)
@@ -141,7 +148,11 @@ def _render_frac(v: Fraction) -> str:
 
 def evaluate(e: Expr, x: Sequence[Number], p: Sequence[Number]):
     """Evaluate at a point.  Exact when inputs are Fractions/ints; float
-    otherwise."""
+    otherwise.  An entry of x or p may also be a numpy float column, one
+    row per point: each row then gets the bits of the float evaluation at
+    that row, and a zero denominator in any row raises.  Float inputs are
+    meant for a tree made by :func:`fold_float`, so that no Fraction
+    arithmetic is done."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Var):
@@ -154,19 +165,65 @@ def evaluate(e: Expr, x: Sequence[Number], p: Sequence[Number]):
         return evaluate(e.left, x, p) * evaluate(e.right, x, p)
     if isinstance(e, Div):
         denom = evaluate(e.right, x, p)
-        if denom == 0:
+        if _has_zero(denom):
             raise EvaluationError("division by zero", to_string(e))
         return evaluate(e.left, x, p) / denom
     if isinstance(e, Neg):
         return -evaluate(e.operand, x, p)
     if isinstance(e, Pow):
         base = evaluate(e.base, x, p)
-        if e.exponent < 0 and base == 0:
+        if e.exponent < 0 and _has_zero(base):
             raise EvaluationError("zero raised to a negative power", to_string(e))
+        if isinstance(base, np.ndarray):
+            # Python's float ** int (C pow) per row: numpy's power differs
+            # from it in the last bit
+            return np.array([b ** e.exponent for b in base.tolist()])
         if e.exponent < 0 and isinstance(base, Fraction):
             return _ONE / base ** (-e.exponent)
         return base ** e.exponent
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def _has_zero(value) -> bool:
+    if isinstance(value, np.ndarray):
+        return bool((value == 0).any())
+    return value == 0
+
+
+def fold_float(e: Expr) -> Expr:
+    """``e`` for evaluation at float points: every variable-free subtree
+    becomes one Num holding its exact value cast to float (it renders as
+    the subtree it replaced, so error messages name the model text).  The
+    tree then evaluates with no Fraction arithmetic and to the same bits,
+    since Python computes float op Fraction as float op float(Fraction).
+    A subtree whose value raises (a zero denominator, a float overflow) is
+    kept, so that evaluation raises there as before."""
+    if isinstance(e, Var):
+        return e
+    if not _has_var(e):
+        try:
+            return Num(float(evaluate(e, (), ())), source=e)
+        except (EvaluationError, OverflowError):
+            pass
+    if isinstance(e, Num):
+        return e
+    if isinstance(e, Neg):
+        return Neg(fold_float(e.operand))
+    if isinstance(e, Pow):
+        return Pow(fold_float(e.base), e.exponent)
+    return type(e)(fold_float(e.left), fold_float(e.right))
+
+
+def _has_var(e: Expr) -> bool:
+    if isinstance(e, Var):
+        return True
+    if isinstance(e, Num):
+        return False
+    if isinstance(e, Neg):
+        return _has_var(e.operand)
+    if isinstance(e, Pow):
+        return _has_var(e.base)
+    return _has_var(e.left) or _has_var(e.right)
 
 
 # ---------------------------------------------------------------------------

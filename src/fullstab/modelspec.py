@@ -5,7 +5,9 @@ x-gradient of a scalar potential) with m inequality constraints
 phi_i(x, p) <= 0 and, optionally, a reference triple on the solution-map
 graph.  All derivative data (Jacobian of f, constraint gradients and
 Hessians) is built symbolically once at construction and evaluated on
-demand, exactly at rational points.
+demand, exactly at rational points.  The float path evaluates a copy of
+the tables folded once per model (:func:`expr.fold_float`), at one point
+or at a batch of points through the same code.
 
 Model file format (UTF-8, '#' comments)::
 
@@ -45,6 +47,7 @@ __all__ = [
     "print_model",
     "eval_bundle",
     "eval_bundle_exact",
+    "eval_f",
 ]
 
 
@@ -81,10 +84,17 @@ class ParametricModel:
     affine_xp: tuple = field(default=(), compare=False)  # gradient constant in (x,p)
     param_free: tuple = field(default=(), compare=False)  # phi_i independent of p
     f_affine: bool = field(default=False, compare=False)  # f affine in x
+    # (f, jac_f, phi, grad_phi, hess_phi) by expr.fold_float
+    float_tables: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def m(self) -> int:
         return len(self.constraints)
+
+    @property
+    def tables(self) -> tuple:
+        """(f, jac_f, phi, grad_phi, hess_phi) as expressions."""
+        return (self.f_components, self.f_jac, self.constraints, self.grad_phi, self.hess_phi)
 
     def __post_init__(self):
         if len(self.f_components) != self.n:
@@ -140,6 +150,7 @@ class ParametricModel:
         object.__setattr__(self, "affine_xp", affine_xp)
         object.__setattr__(self, "param_free", param_free)
         object.__setattr__(self, "f_affine", f_affine)
+        object.__setattr__(self, "float_tables", _fold(self.tables))
         if self.reference is not None:
             self._check_reference()
 
@@ -194,48 +205,93 @@ class EvalBundle:
         return H
 
 
-def _eval_tables(model: ParametricModel, x, p, cast):
-    """f, jac_f, phi, grad_phi and hess_phi at (x, p) as nested lists, each
-    entry passed through ``cast`` as it is evaluated."""
+def _fold(table):
+    if isinstance(table, tuple):
+        return tuple(_fold(t) for t in table)
+    return ex.fold_float(table)
+
+
+def _evaluate(table, x, p, cast):
+    if isinstance(table, tuple):
+        return [_evaluate(t, x, p, cast) for t in table]
+    return cast(ex.evaluate(table, x, p))
+
+
+def _eval_tables(model: ParametricModel, tables, x, p, cast):
+    """``tables`` (f, jac_f, phi, grad_phi, hess_phi, or the first few of
+    them) at (x, p) as nested lists, each entry passed through ``cast`` as
+    it is evaluated."""
     if len(x) != model.n or len(p) != model.d:
         raise DimensionError(
             f"point has dims ({len(x)}, {len(p)}), model needs ({model.n}, {model.d})"
         )
-    ev = ex.evaluate
+    return _evaluate(tables, x, p, cast)
+
+
+def _float_points(x, p):
+    """(x, p) as lists of floats at one point, or as lists of float columns
+    when x and p are (K, n) and (K, d) arrays of K points; with the cast
+    that gives every table entry the batch shape, () or (K,)."""
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if x.ndim == 1:
+        return x.tolist(), p.tolist(), (), float
+    if p.ndim != 2 or len(p) != len(x):
+        raise DimensionError(f"{len(x)} x rows but p has shape {p.shape}")
+    batch = x.shape[:1]
     return (
-        [cast(ev(e, x, p)) for e in model.f_components],
-        [[cast(ev(e, x, p)) for e in row] for row in model.f_jac],
-        [cast(ev(e, x, p)) for e in model.constraints],
-        [[cast(ev(e, x, p)) for e in row] for row in model.grad_phi],
-        [[[cast(ev(e, x, p)) for e in row] for row in rows] for rows in model.hess_phi],
+        list(np.ascontiguousarray(x.T)),
+        list(np.ascontiguousarray(p.T)),
+        batch,
+        lambda value: value if isinstance(value, np.ndarray) else np.full(batch, value),
     )
+
+
+def _stack(table, shape, batch):
+    """A nested list of entries as an array of ``shape``, with the batch
+    axis first."""
+    a = np.array(table, dtype=float).reshape(shape + batch)
+    return np.moveaxis(a, -1, 0) if batch else a
 
 
 def eval_bundle(model: ParametricModel, x, p) -> EvalBundle:
     """Evaluate f, its x-Jacobian, all constraints with gradients and
-    Hessians at (x, p) in floats.  Raises EvaluationError on division by
-    zero or a non-finite value."""
-    f, jac, phi, grad, hess = _eval_tables(
-        model, [float(c) for c in x], [float(c) for c in p], float
-    )
+    Hessians in floats at (x, p), or at each row of (K, n) and (K, d)
+    arrays, every array of the bundle then with a leading K axis.  Raises
+    EvaluationError on division by zero or a non-finite value at any
+    point."""
+    x, p, batch, cast = _float_points(x, p)
+    with np.errstate(all="ignore"):
+        f, jac, phi, grad, hess = _eval_tables(model, model.float_tables, x, p, cast)
     n, m = model.n, model.m
     bundle = EvalBundle(
-        f=np.array(f),
-        jac_f=np.array(jac).reshape(n, n),
-        phi=np.array(phi),
-        grad_phi=np.array(grad).reshape(m, n),
-        hess_phi=np.array(hess).reshape(m, n, n),
+        f=_stack(f, (n,), batch),
+        jac_f=_stack(jac, (n, n), batch),
+        phi=_stack(phi, (m,), batch),
+        grad_phi=_stack(grad, (m, n), batch),
+        hess_phi=_stack(hess, (m, n, n), batch),
     )
     if not all(np.all(np.isfinite(a)) for a in (bundle.f, bundle.jac_f, bundle.phi)):
         raise EvaluationError("non-finite value in evaluation bundle")
     return bundle
 
 
+def eval_f(model: ParametricModel, x, p) -> np.ndarray:
+    """f alone in floats, at one point or at the rows of (K, n) and (K, d)
+    arrays, from the same folded tables as :func:`eval_bundle`."""
+    x, p, batch, cast = _float_points(x, p)
+    with np.errstate(all="ignore"):
+        (f,) = _eval_tables(model, model.float_tables[:1], x, p, cast)
+    return _stack(f, (model.n,), batch)
+
+
 def eval_bundle_exact(model: ParametricModel, x, p) -> EvalBundle:
     """The same data in Fractions at a rational point (see
     :func:`expr.is_rational`), as nested lists."""
     return EvalBundle(
-        *_eval_tables(model, [Fraction(c) for c in x], [Fraction(c) for c in p], Fraction)
+        *_eval_tables(
+            model, model.tables, [Fraction(c) for c in x], [Fraction(c) for c in p], Fraction
+        )
     )
 
 

@@ -110,10 +110,6 @@ class MonotonicityEstimate:
     def monotone(self) -> bool:
         return self.kappa_hat >= -TOL_INEQ
 
-    @property
-    def strongly_monotone(self) -> bool:
-        return self.kappa_hat > 0
-
     def to_json_dict(self):
         return {
             "kappa_hat": self.kappa_hat,

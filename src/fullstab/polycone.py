@@ -50,9 +50,6 @@ class ConeDesc:
         self.G.setflags(write=False)
         self._generators = None
 
-    def __repr__(self):
-        return f"ConeDesc(n={self.n}, eq={self.E.shape[0]}, ineq={self.G.shape[0]})"
-
     def contains(self, w, tol: float = TOL_CONE):
         """Membership test; accepts a single vector or a stack of rows."""
         w = np.asarray(w, dtype=float)

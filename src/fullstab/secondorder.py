@@ -299,6 +299,15 @@ def _polyhedral(model: ParametricModel) -> bool:
     return all(expr_is_zero(e, n, d) for e in second_p + jac_p)
 
 
+def _cap_active_set(active):
+    """Refuse a reference with more active constraints than the cone
+    minimization of the uniform test can enumerate."""
+    if len(active) > MAX_CONE_ROWS:
+        raise DeskScaleError(
+            f"{len(active)} active constraints exceed the face-enumeration cap ({MAX_CONE_ROWS})"
+        )
+
+
 def _gusosc_by_faces(
     model: ParametricModel,
     ref: ReferenceTriple,
@@ -325,10 +334,7 @@ def _gusosc_by_faces(
     exact = is_rational(ref.x, ref.p, ref.v)
     bundle = (eval_bundle_exact if exact else eval_bundle)(model, ref.x, ref.p)
     active = active_indices(bundle.phi, tol_act)
-    if len(active) > MAX_CONE_ROWS:
-        raise DeskScaleError(
-            f"{len(active)} active constraints exceed the face-enumeration cap ({MAX_CONE_ROWS})"
-        )
+    _cap_active_set(active)
     ms = _multipliers(bundle, active, ref.v, exact)
     cast = Fraction if exact else float
     rows = {
@@ -434,6 +440,7 @@ def gusosc_by_sampling(
     if not mfcq.ok:
         raise InputError("GUSOSC sampling requires MFCQ at the reference")
     ms_ref = multiplier_polytope(model, ref.x, ref.p, ref.v, tol_act)
+    _cap_active_set(ms_ref.active)  # before the first draw
     vertex_pool = ms_ref.vertices_float()
     x0, p0, v0 = ref.as_arrays()
     rng = np.random.default_rng(seed)

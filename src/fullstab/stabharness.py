@@ -56,7 +56,7 @@ from .kkt import (
     probe_crcq,
     strict_complement,
 )
-from .modelspec import ParametricModel, ReferenceTriple, print_model
+from .modelspec import ParametricModel, ReferenceTriple, eval_f, print_model
 from .monotone import GraphSample, _pair_ratios
 from .polycone import rank
 from .secondorder import (
@@ -310,7 +310,7 @@ def graph_sample_from_model(
     if model.m == 0:
         for _ in range(count):
             x = x0 + eta * rng.uniform(-1, 1, size=model.n)
-            v = np.array([float(c) for c in model.f_values(list(x), list(p0))])
+            v = eval_f(model, x, p0)
             if np.linalg.norm(v - v0) <= eta * 10:
                 us.append(x)
                 vs.append(v)

@@ -7,9 +7,12 @@ One uniqueness oracle and one cross-check, both at desk scale:
   solving the stationarity system with phi_J = 0 and filtering by sign,
   feasibility and a sup-norm box.  Data affine in x give a linear system,
   solved for many nodes at once by one batched least-squares call per
-  guess; curved data run a Newton multistart per node.  A fixed-point
-  solver cannot certify single-valuedness, enumeration over a box can.
-  ``solve_faces`` runs it on one node, ``build_localization`` on a grid.
+  guess.  Curved data run a Newton multistart (the same stencil of starts
+  at every node) as one stacked Newton iteration per guess over every
+  (node, start) pair of a chunk of nodes: one batched evaluation and one
+  batched linear solve per step.  A fixed-point solver cannot certify
+  single-valuedness, enumeration over a box can.  ``solve_faces`` runs it
+  on one node, ``build_localization`` on a grid.
 * ``solve_projected`` - the classical fixed-point reformulation
   x = Proj_{C(p)}(x - gamma (f(x, p) - v)), contraction for
   gamma < 2 kappa / L^2 under strong monotonicity (checked empirically,
@@ -44,9 +47,10 @@ from .defaults import (
 )
 from .errors import (
     DeskScaleError,
+    EvaluationError,
     LocalizationError,
 )
-from .modelspec import ParametricModel, ReferenceTriple, eval_bundle
+from .modelspec import ParametricModel, ReferenceTriple, eval_bundle, eval_f
 from .polycone import polyhedron_rows, project_onto_rows
 
 __all__ = [
@@ -116,8 +120,7 @@ def solve_projected(
         b = np.zeros(0)
 
     def step(xc):
-        f = np.array([float(c) for c in model.f_values(list(xc), list(p))])
-        target = xc - gamma * (f - v)
+        target = xc - gamma * (eval_f(model, xc, p) - v)
         return project_onto_rows(A, b, target) if model.m else target
 
     halvings = 0
@@ -160,51 +163,92 @@ def solve_projected(
 # face enumeration
 
 
-def _solve_face_newton(model, v, p, J, x_start, max_iter=60):
-    """Newton's method on the face phi_J = 0 from x_start; returns z =
-    (x, lam_J) with the bundle evaluated at (x, p), or None."""
-    n = model.n
-    k = len(J)
-    z = np.concatenate([x_start, np.ones(k)])
-    v = np.asarray(v, dtype=float)
-    for it in range(max_iter):
-        x = z[:n]
-        lam_j = z[n:]
-        bundle = eval_bundle(model, x, [float(c) for c in p])
-        F = np.zeros(n + k)
-        F[:n] = bundle.f - v
+def _newton_stack(model, V, P, J, Z, max_iter=60):
+    """Newton's method on the face phi_J = 0, one stacked iteration for
+    all rows: row r starts from z = Z[r] = (x, lam_J) at the node (V[r],
+    P[r]).  Each iteration evaluates the live rows by one eval_bundle
+    call and solves their Newton systems by :func:`_solve_stack`.  A row
+    stops where a single run would: converged (||F|| < 1e-12 (1 + ||v||)),
+    a singular Newton matrix, a non-finite or > 1e6 iterate, or max_iter
+    steps.  Returns the converged mask, the final rows z and f, phi and
+    grad phi evaluated at the converged rows."""
+    n, m, k = model.n, model.m, len(J)
+    Z = np.array(Z, dtype=float)
+    done = np.zeros(len(Z), dtype=bool)
+    f, phi, grad = np.zeros((len(Z), n)), np.zeros((len(Z), m)), np.zeros((len(Z), m, n))
+    tol = 1e-12 * (1 + _norms(V))
+    live = np.arange(len(Z))
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        z = Z[live]
+        bundle = eval_bundle(model, z[:, :n], P[live])
+        F = np.zeros((live.size, n + k))
+        F[:, :n] = bundle.f - V[live]
         JL = bundle.jac_f.copy()
         for idx, i in enumerate(J):
-            F[:n] += lam_j[idx] * bundle.grad_phi[i]
-            F[n + idx] = bundle.phi[i]
-            JL += lam_j[idx] * bundle.hess_phi[i]
-        if np.linalg.norm(F) < 1e-12 * (1 + np.linalg.norm(v)):
-            return z, bundle
-        Jmat = np.zeros((n + k, n + k))
-        Jmat[:n, :n] = JL
+            F[:, :n] += z[:, n + idx, None] * bundle.grad_phi[:, i]
+            F[:, n + idx] = bundle.phi[:, i]
+            JL += z[:, n + idx, None, None] * bundle.hess_phi[:, i]
+        conv = _norms(F) < tol[live]
+        rows = live[conv]
+        done[rows] = True
+        f[rows], phi[rows], grad[rows] = bundle.f[conv], bundle.phi[conv], bundle.grad_phi[conv]
+        go = ~conv
+        live, z, G = live[go], z[go], bundle.grad_phi[go]
+        M = np.zeros((live.size, n + k, n + k))
+        M[:, :n, :n] = JL[go]
         for idx, i in enumerate(J):
-            Jmat[:n, n + idx] = bundle.grad_phi[i]
-            Jmat[n + idx, :n] = bundle.grad_phi[i]
+            M[:, :n, n + idx] = G[:, i]
+            M[:, n + idx, :n] = G[:, i]
+        delta, solved = _solve_stack(M, -F[go])
+        live = live[solved]
+        z = z[solved] + delta[solved]
+        Z[live] = z
+        live = live[np.all(np.isfinite(z), axis=1) & (_norms(z) <= 1e6)]
+    return done, Z, f, phi, grad
+
+
+def _solve_stack(M, rhs):
+    """Solve the systems M[r] y = rhs[r] by one LAPACK call.  A singular
+    matrix makes that call raise; the stack is then split into the rows
+    whose LU has no zero pivot (a nonzero determinant), solved by one call
+    again, and the others, each solved alone and failing only if its own
+    matrix is singular.  Returns the solutions and the mask of the solved
+    rows."""
+    try:
+        return np.linalg.solve(M, rhs[..., None])[..., 0], np.ones(len(M), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    y = np.zeros_like(rhs)
+    ok = np.linalg.det(M) != 0
+    y[ok] = np.linalg.solve(M[ok], rhs[ok][..., None])[..., 0]
+    for r in np.flatnonzero(~ok):
         try:
-            delta = np.linalg.solve(Jmat, -F)
+            y[r] = np.linalg.solve(M[r], rhs[r])
+            ok[r] = True
         except np.linalg.LinAlgError:
-            return None
-        z = z + delta
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > 1e6:
-            return None
-    return None
+            pass
+    return y, ok
+
+
+def _norms(A):
+    """np.linalg.norm over the last axis, to the bit: a matmul of
+    contiguous vectors runs the same BLAS dot as norm does."""
+    A = np.ascontiguousarray(A)
+    return np.sqrt(np.matmul(A[..., None, :], A[..., :, None])[..., 0, 0])
 
 
 def _kkt_residual(f, phi, grad_phi, lam, v):
     """KKT residual of (x, lam) at the node v, from f, phi and grad phi
-    evaluated at (x, p)."""
+    evaluated at (x, p); row by row when the arguments are stacked."""
     stat = f - v
-    if not phi.size:
-        return float(np.linalg.norm(stat))
-    stat = stat + grad_phi.T @ lam
-    feas = float(np.max(np.clip(phi, 0.0, None)))
-    comp = float(np.max(np.abs(lam * phi)))
-    return float(np.linalg.norm(stat)) + feas + comp
+    if not phi.shape[-1]:
+        return _norms(stat)
+    stat = stat + np.matmul(lam[..., None, :], grad_phi)[..., 0, :]
+    feas = np.max(np.clip(phi, 0.0, None), axis=-1)
+    comp = np.max(np.abs(lam * phi), axis=-1)
+    return _norms(stat) + feas + comp
 
 
 def _face_sweep(model, V, P, center, box_radius, tol_act):
@@ -217,8 +261,11 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
     are affine in x the system is linear: the data are evaluated once per
     distinct parameter row, and each guess is one batched lstsq over the
     nodes that share (jac_f, grad_phi), filtered by the linear residual.
-    Otherwise a Newton multistart runs per node, filtered by the KKT
-    residual, and the least-residual copy of each duplicate is kept.
+    Otherwise every (node, start) pair of the Newton multistart runs in
+    :func:`_newton_sweep`, one stacked iteration per guess over chunks of
+    nodes; the runs are filtered by the KKT residual, and per node the
+    least-residual copy of each duplicate is kept, the runs taken guess by
+    guess and start by start.
     """
     n, m = model.n, model.m
     if m > MAX_CONE_ROWS:
@@ -226,30 +273,7 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
     subsets = (itertools.combinations(range(m), r) for r in range(m + 1))
     guesses = [list(J) for J in itertools.chain.from_iterable(subsets)]
     if not (model.f_affine and all(model.affine_x)):
-        starts = _newton_starts(center, box_radius, n)
-        for v, p in zip(V, P):
-            found = []
-            for J in guesses:
-                for start in starts:
-                    solved = _solve_face_newton(model, v, p, J, start)
-                    if solved is None:
-                        continue
-                    z, bundle = solved
-                    x, lam = z[:n], np.zeros(m)
-                    lam[J] = z[n:]
-                    if m and np.min(lam) < -1e-9:
-                        continue
-                    if m and np.max(bundle.phi) > tol_act:
-                        continue
-                    if np.max(np.abs(x - center)) > box_radius + 1e-12:
-                        continue
-                    lam = np.clip(lam, 0.0, None)
-                    resid = _kkt_residual(bundle.f, bundle.phi, bundle.grad_phi, lam, v)
-                    if resid <= 1e-8 * (1 + np.linalg.norm(v)):
-                        found.append((x, lam, resid))
-            # least KKT residual first, so _merge keeps that copy
-            found.sort(key=lambda s: s[2])
-            yield _merge(found)
+        yield from _newton_sweep(model, V, P, center, box_radius, tol_act, guesses)
         return
     N = V.shape[0]
     rows, which = np.unique(P, axis=0, return_inverse=True)
@@ -292,11 +316,64 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
         # f and phi are affine in x, so the bundle at (0, p) gives their
         # values at x
         yield [
-            (x, lam, _kkt_residual(
+            (x, lam, float(_kkt_residual(
                 b.f + b.jac_f @ x, b.phi + b.grad_phi @ x, b.grad_phi, lam, V[k]
-            ))
+            )))
             for x, lam in _merge(found[k])
         ]
+
+
+def _newton_sweep(model, V, P, center, box_radius, tol_act, guesses):
+    """The curved branch of :func:`_face_sweep`.  Nodes run in chunks of
+    1, 2, 4, ... nodes; within a chunk each guess J is one
+    :func:`_newton_stack` over every (node, start) pair.  A consumer that
+    stops at a node therefore wastes at most the rest of its chunk."""
+    n, m = model.n, model.m
+    starts = np.array(_newton_starts(center, box_radius, n))
+    S = len(starts)
+
+    def candidates(nodes):
+        """The kept solutions [(x, lam, residual), ...] of each node, guess
+        by guess and start by start."""
+        found = [[] for _ in nodes]
+        Vs, Ps = np.repeat(V[nodes], S, axis=0), np.repeat(P[nodes], S, axis=0)
+        tol = [1e-8 * (1 + np.linalg.norm(v)) for v in V[nodes]]
+        for J in guesses:
+            Z0 = np.tile(np.hstack([starts, np.ones((S, len(J)))]), (len(nodes), 1))
+            done, Z, f, phi, grad = _newton_stack(model, Vs, Ps, J, Z0)
+            rows = np.flatnonzero(done)
+            X, lam = Z[rows, :n], np.zeros((rows.size, m))
+            lam[:, J] = Z[rows, n:]
+            keep = np.max(np.abs(X - center), axis=1) <= box_radius + 1e-12
+            if m:
+                keep &= (np.min(lam, axis=1) >= -1e-9) & (np.max(phi[rows], axis=1) <= tol_act)
+            rows, X, lam = rows[keep], X[keep], np.clip(lam[keep], 0.0, None)
+            resid = _kkt_residual(f[rows], phi[rows], grad[rows], lam, Vs[rows])
+            for r, x, l, res in zip(rows, X, lam, resid):
+                if res <= tol[r // S]:
+                    found[r // S].append((x, l, float(res)))
+        return found
+
+    def sweep(nodes):
+        try:
+            found = candidates(nodes)
+        except (EvaluationError, ArithmeticError):
+            # narrow the failure down to its node, after the nodes before it
+            if len(nodes) == 1:
+                raise
+            h = len(nodes) // 2
+            yield from sweep(nodes[:h])
+            yield from sweep(nodes[h:])
+            return
+        for sols in found:
+            # least KKT residual first, so _merge keeps that copy
+            sols.sort(key=lambda s: s[2])
+            yield _merge(sols)
+
+    lo, size = 0, 1
+    while lo < len(V):
+        yield from sweep(range(lo, min(lo + size, len(V))))
+        lo, size = lo + size, 2 * size
 
 
 def _merge(solutions):

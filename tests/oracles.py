@@ -3,11 +3,13 @@
 Each oracle deliberately avoids the code path it checks: derivatives are
 verified by central finite differences, cone minimization by rejection
 sampling, projections by Dykstra's alternating method, determinants by
-cofactor expansion.
+cofactor expansion, the stacked Newton face sweep by one scalar Newton run
+per (node, guess, start) on the unfolded expression trees.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -254,3 +256,89 @@ def uniform_value_oracle(H, G, B, supports, n_samples=20_000, reach_samples=2_00
             )
             best = min(best, value)
     return best
+
+
+def newton_face_sweep(model, V, P, starts, box_radius, center, tol_act=1e-7):
+    """The curved face sweep one pair at a time: for each node (v, p) of
+    the rows of (V, P), each active-set guess J and each start, a scalar
+    Newton run on phi_J = 0 with every point evaluated by ``expr.evaluate``
+    on the model's unfolded trees.  A run stops on convergence
+    (||F|| < 1e-12 (1 + ||v||)), a singular matrix, a non-finite or > 1e6
+    iterate, or 60 steps.  Runs are kept when lam >= 0, phi <= tol_act, x
+    is in the box and the KKT residual is at most 1e-8 (1 + ||v||); the
+    kept runs of a node, least residual first, are merged on x to 1e-7.
+    Returns [(x, lam, residual), ...] per node, ordered by x."""
+    n, m = model.n, model.m
+    guesses = [list(J) for r in range(m + 1) for J in itertools.combinations(range(m), r)]
+    out = []
+    for v, p in zip(V, P):
+        found = []
+        for J in guesses:
+            for start in starts:
+                run = _newton_run(model, v, p, J, start)
+                if run is None:
+                    continue
+                x, lam_j, f, phi, grad = run
+                lam = np.zeros(m)
+                lam[J] = lam_j
+                if m and (np.min(lam) < -1e-9 or np.max(phi) > tol_act):
+                    continue
+                if np.max(np.abs(x - center)) > box_radius + 1e-12:
+                    continue
+                lam = np.clip(lam, 0.0, None)
+                stat = f - v
+                resid = float(np.linalg.norm(stat))
+                if m:
+                    stat = stat + grad.T @ lam
+                    resid = (
+                        float(np.linalg.norm(stat))
+                        + float(np.max(np.clip(phi, 0.0, None)))
+                        + float(np.max(np.abs(lam * phi)))
+                    )
+                if resid <= 1e-8 * (1 + np.linalg.norm(v)):
+                    found.append((x, lam, resid))
+        found.sort(key=lambda s: s[2])
+        merged = []
+        for sol in found:
+            if not any(np.max(np.abs(prev[0] - sol[0])) < 1e-7 for prev in merged):
+                merged.append(sol)
+        merged.sort(key=lambda s: tuple(np.round(s[0], 12)))
+        out.append(merged)
+    return out
+
+
+def _newton_run(model, v, p, J, start, max_iter=60):
+    n, k = model.n, len(J)
+    z = np.concatenate([start, np.ones(k)])
+    p = [float(c) for c in p]
+    for _ in range(max_iter):
+        x = [float(c) for c in z[:n]]
+
+        def ev(table):
+            return np.array([float(ex.evaluate(e, x, p)) for e in table])
+
+        f, phi = ev(model.f_components), ev(model.constraints)
+        jac = np.array([ev(row) for row in model.f_jac]).reshape(n, n)
+        grad = np.array([ev(row) for row in model.grad_phi]).reshape(-1, n)
+        hess = [np.array([ev(row) for row in rows]).reshape(n, n) for rows in model.hess_phi]
+        F = np.zeros(n + k)
+        F[:n] = f - v
+        JL = jac.copy()
+        for idx, i in enumerate(J):
+            F[:n] += z[n + idx] * grad[i]
+            F[n + idx] = phi[i]
+            JL += z[n + idx] * hess[i]
+        if np.linalg.norm(F) < 1e-12 * (1 + np.linalg.norm(v)):
+            return z[:n], z[n:], f, phi, grad
+        M = np.zeros((n + k, n + k))
+        M[:n, :n] = JL
+        for idx, i in enumerate(J):
+            M[:n, n + idx] = grad[i]
+            M[n + idx, :n] = grad[i]
+        try:
+            z = z + np.linalg.solve(M, -F)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > 1e6:
+            return None
+    return None

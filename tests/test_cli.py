@@ -49,6 +49,18 @@ class TestExitCodes:
         assert code == 1
         assert "unknown identifier" in capsys.readouterr().err
 
+    def test_pole_in_newton_box_exit_one(self, tmp_path, capsys):
+        # the start x = 1/5 of the face sweep lands on the pole: the run
+        # stops with the evaluation error that names the subexpression
+        model = tmp_path / "pole.model"
+        model.write_text("dims n=1 d=0\nf = (x1 + 1/(x1 - 1/5))\nreference x=(0) p=() v=(-5)\n")
+        code = run(["certify", str(model), "--samples", "30", "--json", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: division by zero in subexpression '1/(x1 - 1/5)'\n"
+        )
+        assert not (tmp_path / "rep.json").exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--eta", "0"], "eta must be finite and positive"),
         (["--eta", "nan"], "eta must be finite and positive"),

@@ -17,7 +17,13 @@ from fullstab.errors import (
     ModelSyntaxError,
     UnknownIdentifierError,
 )
-from fullstab.modelspec import eval_bundle, eval_bundle_exact, parse_model, print_model
+from fullstab.modelspec import (
+    eval_bundle,
+    eval_bundle_exact,
+    eval_f,
+    parse_model,
+    print_model,
+)
 
 from oracles import fd_partial, random_polynomial_expr
 
@@ -184,6 +190,81 @@ class TestEvalBundle:
         approx = eval_bundle(m, (1, 0), ()).lagrangian_jacobian([Fraction(1, 3)])
         assert approx.dtype == float
         assert approx == pytest.approx(np.eye(2) * 5 / 3, abs=1e-15)
+
+
+def _random_rational_expr(rng, n, d):
+    """A random polynomial over a positive denominator with a constant
+    subtree and a negative power, so that folding, division and powers all
+    show."""
+    num = random_polynomial_expr(rng, n, d)
+    den = ex.Add(ex.Div(ex.num(int(rng.integers(1, 9))), ex.num(3)), ex.Pow(ex.Var("x", 0), 2))
+    return ex.Add(ex.Div(num, den), ex.Mul(ex.Pow(den, -1), ex.Var("x", n - 1)))
+
+
+class TestColumnEvaluation:
+    def test_columns_match_scalar_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(25):
+            n, d = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+            e = _random_rational_expr(rng, n, d)
+            folded = ex.fold_float(e)
+            X, P = rng.uniform(-2, 2, size=(300, n)), rng.uniform(-2, 2, size=(300, d))
+            cols = ex.evaluate(folded, list(X.T), list(P.T))
+            for row in range(len(X)):
+                x, p = X[row].tolist(), P[row].tolist()
+                # the raw tree computes float op Fraction as the folded one
+                assert cols[row] == ex.evaluate(e, x, p) == ex.evaluate(folded, x, p)
+
+    def test_fold_leaves_no_fraction_and_renders_the_source(self):
+        e = parse_expr("(1/4 + p1)*x1 + (2 + 3)/7 - x1^2/(1 - 1)", 1, 1)
+        folded = ex.fold_float(e)
+
+        def nums(t):
+            if isinstance(t, ex.Num):
+                return [t.value]
+            children = [c for c in vars(t).values() if not isinstance(c, (int, str))]
+            return [v for c in children for v in nums(c)]
+
+        assert all(type(v) is float for v in nums(folded))
+        assert ex.to_string(folded) == ex.to_string(e)
+        # the zero denominator is kept, so evaluation raises where it did
+        with pytest.raises(EvaluationError, match=r"x1\^2/\(1 - 1\)"):
+            ex.evaluate(folded, [0.5], [0.25])
+
+    def test_zero_denominator_in_one_row_raises(self):
+        e = ex.fold_float(parse_expr("x1/(x2 - 1/2)", 2, 0))
+        X = np.array([[1.0, 0.0], [1.0, 0.5], [2.0, 3.0]])
+        with pytest.raises(EvaluationError, match=r"x1/\(x2 - 1/2\)"):
+            ex.evaluate(e, list(X.T), [])
+        assert ex.evaluate(e, list(X[[0, 2]].T), []).tolist() == [-2.0, 0.8]
+
+    def test_batched_bundle_matches_points(self, ex64_model):
+        curved = parse_model(
+            "dims n=2 d=1\nf = (x1 + x1^3/3 + p1, x2/(1 + x1^2))\n"
+            "constraint x1^2 + x2^2 - 1 <= 0\nconstraint x1 - p1^2 <= 0\n"
+        )
+        rng = np.random.default_rng(4)
+        for model in (ex64_model, curved):
+            X = rng.uniform(-1, 1, size=(40, model.n))
+            P = rng.uniform(-1, 1, size=(40, model.d))
+            batch = eval_bundle(model, X, P)
+            for row in range(len(X)):
+                point = eval_bundle(model, X[row], P[row])
+                for name in ("f", "jac_f", "phi", "grad_phi", "hess_phi"):
+                    assert np.array_equal(getattr(batch, name)[row], getattr(point, name))
+                assert np.array_equal(eval_f(model, X[row], P[row]), point.f)
+                # the values the unfolded trees give at the float point
+                fx = [float(c) for c in model.f_values(X[row].tolist(), P[row].tolist())]
+                assert point.f.tolist() == fx
+            assert np.array_equal(eval_f(model, X, P), batch.f)
+
+    def test_batched_bundle_raises_on_one_bad_row(self):
+        m = parse_model("dims n=1 d=1\nf = (1/(x1 - p1))\n")
+        with pytest.raises(EvaluationError, match="division by zero"):
+            eval_bundle(m, np.array([[0.5], [0.25], [1.0]]), np.array([[0.0], [0.25], [0.0]]))
+        m = parse_model("dims n=1 d=0\nf = (x1*x1*x1*x1)\n")
+        with pytest.raises(EvaluationError, match="non-finite"):
+            eval_bundle(m, np.array([[1.0], [1e100]]), np.zeros((2, 0)))
 
 
 class TestRoundTrip:

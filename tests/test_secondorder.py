@@ -224,6 +224,20 @@ class TestGUSOSC:
         with pytest.raises(DeskScaleError, match="face-enumeration cap"):
             check_gusosc(m, m.reference)
 
+    def test_sampler_caps_active_set_before_drawing(self, monkeypatch):
+        # the curved version of the model above stays on the sampled path;
+        # it used to draw for minutes before min_on_cone hit the cap
+        from fullstab import secondorder
+
+        rows = "".join(f"constraint -x1 + ({k}/7)*x2 + x2^2 <= 0\n" for k in range(-6, 7))
+        m = parse_model(f"dims n=2 d=0\nf = (x1, x2)\n{rows}reference x=(0, 0) p=() v=(0, 0)\n")
+        draws = []
+        ball = secondorder._ball
+        monkeypatch.setattr(secondorder, "_ball", lambda *a: draws.append(1) or ball(*a))
+        with pytest.raises(DeskScaleError, match="13 active constraints exceed the face-enumeration cap"):
+            check_gusosc(m, m.reference)
+        assert draws == []
+
     def test_reachability_lp_sized_by_active_rows(self):
         # n = d = 8: a box over (w, dp, t) would need 2 * 17 + 2 = 36 LP
         # columns, over the 32-column cap; the row space of the two active

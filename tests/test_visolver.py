@@ -5,14 +5,18 @@ affine problems, and every solution must pass the inner-product test of
 the underlying inequality against many feasible points.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from fullstab import visolver
-from fullstab.errors import LocalizationError, UnboundedMultiplierError
+from fullstab.errors import EvaluationError, LocalizationError, UnboundedMultiplierError
 from fullstab.modelspec import parse_model
 from fullstab.polycone import polyhedron_rows
 from fullstab.visolver import build_localization, solve_faces, solve_projected
+
+from oracles import newton_face_sweep
 
 
 def scalar_halfline_model():
@@ -219,22 +223,23 @@ class TestBuildLocalization:
 
     def test_newton_sweep_stops_at_first_bad_node(self, monkeypatch):
         # x^3 - x has three roots at the first node of every attempt; the
-        # sweep yields node by node, so each of the 1 + MAX_SHRINK attempts
-        # runs the Newton stencil (7 starts, one active-set guess) once
+        # sweep yields node by node and its first chunk is one node, so each
+        # of the 1 + MAX_SHRINK attempts gives the stacked Newton the
+        # stencil of that node once (7 starts, one active-set guess)
         m = parse_model(
             "dims n=1 d=0\nf = (x1^3 - x1)\nreference x=(0) p=() v=(0)\n"
         )
-        calls = []
-        newton = visolver._solve_face_newton
+        pairs = []
+        newton = visolver._newton_stack
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return newton(*args, **kwargs)
+        def counting(model, V, P, J, Z, **kwargs):
+            pairs.extend([1] * len(Z))
+            return newton(model, V, P, J, Z, **kwargs)
 
-        monkeypatch.setattr(visolver, "_solve_face_newton", counting)
+        monkeypatch.setattr(visolver, "_newton_stack", counting)
         with pytest.raises(LocalizationError):
             build_localization(m, m.reference, grid_v=3, n_random=0, box_radius=2.0)
-        assert len(calls) == (1 + visolver.MAX_SHRINK) * 7
+        assert len(pairs) == (1 + visolver.MAX_SHRINK) * 7
 
     @pytest.mark.parametrize("name", ["p-dependent-gradient", "ex64"])
     def test_table_rows_match_single_node_sweep(self, name, ex64_model):
@@ -289,3 +294,119 @@ class TestBuildLocalization:
         lines = csv.strip().splitlines()
         assert lines[0] == "v1,x1,residual,method"
         assert len(lines) == 1 + len(table)
+
+
+# the curved benchmark models: nonlinear f, curved constraints, n = 1..3
+CURVED_MODELS = {
+    "cubic": "dims n=1 d=1\nf = (x1^3 + x1 + p1)\nreference x=(0) p=(0) v=(0)\n",
+    "disk-inactive": (
+        "dims n=2 d=1\nf = (2*x1 + p1, x2 + x2^3 - x1/2)\n"
+        "constraint x1^2 + x2^2 - 1 <= 0\nreference x=(0, 0) p=(0) v=(0, 0)\n"
+    ),
+    "paraboloid-active": (
+        "dims n=2 d=1\nf = (x1 + x1^3 + p1, x2)\n"
+        "constraint x1^2 - x2 + p1 <= 0\nreference x=(0, 0) p=(0) v=(0, 0)\n"
+    ),
+    "sphere-3d": (
+        "dims n=3 d=1\nf = (x1 + x1^3 + p1, x2 + x2*x3/2, x3 + x3^3)\n"
+        "constraint x1^2 + x2^2 + x3^2 - 1 <= 0\n"
+        "reference x=(0, 0, 0) p=(0) v=(0, 0, 0)\n"
+    ),
+    "circle": (
+        "dims n=2 d=1\nf = (x1 + p1, x2)\nconstraint x1^2 + x2^2 - 1 <= 0\n"
+        "reference x=(1, 0) p=(0) v=(2, 0)\n"
+    ),
+}
+
+
+def _random_curved_model(rng):
+    """A strongly monotone f with cubic terms and rational constants over
+    convex quadratic constraints, each active or inactive at x = 0, with a
+    reference v built from nonnegative multipliers."""
+    n, d = int(rng.integers(1, 3)), int(rng.integers(0, 2))
+
+    def q(lo, hi):
+        return Fraction(int(rng.integers(lo, hi)), 4)
+
+    skew = q(-4, 5)
+    f, v = [], [Fraction(0)] * n
+    for i in range(n):
+        term = f"({q(4, 9)})*x{i + 1} + x{i + 1}^3/({q(2, 9)})"
+        if n == 2:
+            term += f" + ({skew if i == 0 else -skew})*x{2 - i}"
+        if d and i == 0:
+            term += " + p1/3"
+        f.append(term)
+    constraints = []
+    for _ in range(int(rng.integers(1, 3))):
+        g = [q(-4, 5) for _ in range(n)]
+        slack = Fraction(int(rng.integers(0, 2)), 2)
+        squares = " + ".join(f"x{j + 1}^2" for j in range(n))
+        linear = " + ".join(f"({g[j]})*x{j + 1}" for j in range(n))
+        shift = " - p1/5" if d else ""
+        constraints.append(f"constraint ({q(1, 5)})*({squares}) + {linear} - {slack}{shift} <= 0")
+        if slack == 0:
+            lam = Fraction(int(rng.integers(0, 3)), 2)
+            v = [vi + lam * gi for vi, gi in zip(v, g)]
+    zeros = ", ".join(["0"] * n)
+    text = (
+        f"dims n={n} d={d}\nf = ({', '.join(f)})\n" + "\n".join(constraints)
+        + f"\nreference x=({zeros}) p=({', '.join(['0'] * d)}) v=({', '.join(map(str, v))})\n"
+    )
+    return parse_model(text)
+
+
+class TestStackedNewtonSweep:
+    """The stacked Newton of the curved face sweep gives, bit for bit, the
+    tables of one scalar Newton run per (node, guess, start)."""
+
+    @staticmethod
+    def _assert_table_matches_oracle(model):
+        assert not (model.f_affine and all(model.affine_x))
+        table = build_localization(model, model.reference, grid_v=3, grid_p=3, n_random=4)
+        x0 = model.reference.as_arrays()[0]
+        starts = visolver._newton_starts(x0, table.meta["box_radius"], model.n)
+        expect = newton_face_sweep(
+            model, table.v_nodes, table.p_nodes, starts, table.meta["box_radius"], x0
+        )
+        for k, merged in enumerate(expect):
+            assert len(merged) == 1
+            x, _, resid = merged[0]
+            assert np.array_equal(table.x_values[k], x)
+            assert table.residuals[k] == resid
+
+    @pytest.mark.parametrize("name", sorted(CURVED_MODELS))
+    def test_curved_models(self, name):
+        self._assert_table_matches_oracle(parse_model(CURVED_MODELS[name]))
+
+    def test_seeded_random_curved_models(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(6):
+            self._assert_table_matches_oracle(_random_curved_model(rng))
+
+    def test_multiple_roots_match_oracle(self):
+        # every node of x^3 - x has three roots in the box: all of them,
+        # their multipliers and residuals come out as the scalar runs give
+        m = parse_model("dims n=1 d=0\nf = (x1^3 - x1)\nconstraint x1 - 1/2 <= 0\n")
+        V = np.array([[-0.01], [0.0], [0.02]])
+        P = np.zeros((3, 0))
+        center = np.zeros(1)
+        got = list(visolver._face_sweep(m, V, P, center, 2.0, 1e-7))
+        starts = visolver._newton_starts(center, 2.0, 1)
+        expect = newton_face_sweep(m, V, P, starts, 2.0, center)
+        assert [len(g) for g in got] == [len(e) for e in expect] == [3, 3, 3]
+        for g, e in zip(got, expect):
+            for (x, lam, r), (xe, lame, re) in zip(g, e):
+                assert np.array_equal(x, xe) and np.array_equal(lam, lame) and r == re
+
+    def test_pole_in_chunk_after_bad_node(self):
+        # nodes 1 and 2 share a chunk; node 1 has three roots in the box and
+        # the start x = 2 of node 2 sits on its pole.  A consumer stopping
+        # at node 1 gets it, as from a node-by-node sweep; the error comes
+        # only with node 2
+        m = parse_model("dims n=1 d=1\nf = (x1^3 - x1 + 1/(x1 - p1))\n")
+        V, P = np.zeros((3, 1)), np.array([[5.0], [5.0], [2.0]])
+        sweep = visolver._face_sweep(m, V, P, np.zeros(1), 2.0, 1e-7)
+        assert [len(next(sweep)), len(next(sweep))] == [3, 3]
+        with pytest.raises(EvaluationError, match="division by zero"):
+            next(sweep)
