@@ -24,7 +24,7 @@ from .errors import FullstabError, InconsistencyError, InputError
 from .kkt import _crcq, _licq, check_mfcq, multiplier_polytope
 from .modelspec import eval_bundle, parse_model
 from .monotone import GraphSample, estimate_from_inverse, estimate_moduli
-from .polycone import _tangent_cone, active_indices, critical_cone, span_difference
+from .polycone import active_indices, critical_cone, span_difference, tangent_cone
 from .stabharness import (
     CertifyOptions,
     StabilityReport,
@@ -202,7 +202,7 @@ def _cmd_cones(args) -> int:
         raise InputError("model has no reference triple")
     bundle = eval_bundle(model, ref.x, ref.p)
     I = active_indices(bundle.phi, args.tol_act)
-    T = _tangent_cone(bundle, I)
+    T = tangent_cone(bundle, I)
     v_hat = [float(c) for c in model.v_hat(ref)]
     K = critical_cone(T, v_hat)
     mfcq = check_mfcq(model, ref.x, ref.p, args.tol_act)

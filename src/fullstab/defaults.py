@@ -57,10 +57,6 @@ MAX_SHRINK = 6
 # beyond this count).
 PAIR_CAP = 200_000
 
-# Random points of the multiplier polytope scanned in addition to vertices
-# and edge midpoints.
-LAMBDA_SCAN_RANDOM = 64
-
 # Face-enumeration caps (desk scale).
 MAX_CONE_ROWS = 12
 MAX_ACTIVE_SUBSETS = 12

@@ -258,21 +258,6 @@ class MultiplierSet:
     def vertices_float(self) -> np.ndarray:
         return np.array([[float(c) for c in vert] for vert in self.vertices])
 
-    def edge_midpoints(self) -> list:
-        mids = []
-        for a, b in itertools.combinations(self.vertices, 2):
-            mids.append(tuple((ca + cb) / 2 for ca, cb in zip(a, b)))
-        return mids
-
-    def sample_points(self, count: int, seed: int = 0) -> list:
-        """Random convex combinations of the vertices (deterministic)."""
-        if len(self.vertices) == 1 or count <= 0:
-            return []
-        rng = np.random.default_rng(seed)
-        V = self.vertices_float()
-        weights = rng.dirichlet(np.ones(len(self.vertices)), size=count)
-        return [tuple(map(float, w @ V)) for w in weights]
-
     def to_json_dict(self):
         return {
             "active_set": [i + 1 for i in self.active],

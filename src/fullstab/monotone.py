@@ -2,10 +2,7 @@
 
 Estimators are corroborating, never certifying: the definitions quantify
 over all graph pairs in a neighborhood, a sample can only bound them.
-The strong-modulus estimate is the worst pairwise Rayleigh-type ratio;
-the localization inequality check tests
-``||(v1 - v2) - 2 kappa [theta(v1) - theta(v2)]|| <= ||v1 - v2|| + tol``
-pair by pair.
+The strong-modulus estimate is the worst pairwise Rayleigh-type ratio.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ __all__ = [
     "GraphSample",
     "MonotonicityEstimate",
     "estimate_moduli",
-    "check_localization_estimate",
     "estimate_from_inverse",
 ]
 
@@ -152,36 +148,6 @@ def estimate_moduli(sample: GraphSample) -> MonotonicityEstimate:
         witness=(int(ii[k]), int(jj[k])),
         pair_count=int(ratios.size),
     )
-
-
-def check_localization_estimate(
-    sample: GraphSample, kappa: float, tol: float = TOL_INEQ
-):
-    """Violations of the single-valued-localization inequality on an
-    inverse-graph sample (v_i, theta(v_i)); u holds v, v holds theta(v).
-
-    Empty result corroborates the inequality at level kappa.
-    """
-    if kappa <= 0:
-        raise InputError("kappa must be positive")
-    V = sample.u  # canonical parameters
-    X = sample.v  # localization values theta(v)
-    N = V.shape[0]
-    ii, jj = np.triu_indices(N, k=1)
-    dv = V[ii] - V[jj]
-    dx = X[ii] - X[jj]
-    lhs = np.linalg.norm(dv - 2.0 * kappa * dx, axis=1)
-    rhs = np.linalg.norm(dv, axis=1) + tol
-    bad = lhs > rhs
-    return [
-        {
-            "pair": (int(ii[k]), int(jj[k])),
-            "lhs": float(lhs[k]),
-            "rhs": float(rhs[k]),
-            "margin": float(lhs[k] - rhs[k]),
-        }
-        for k in np.flatnonzero(bad)
-    ]
 
 
 def estimate_from_inverse(sample: GraphSample, tol: float = TOL_INEQ) -> float:

@@ -28,10 +28,8 @@ __all__ = [
     "ConeDesc",
     "SubspaceBasis",
     "active_indices",
-    "active_set",
     "tangent_cone",
     "critical_cone",
-    "polar_cone",
     "span_difference",
     "nnls",
     "rank",
@@ -70,11 +68,6 @@ class ConeDesc:
         if self._generators is None:
             self._generators = _enumerate_generators(self)
         return self._generators
-
-    @property
-    def is_trivial(self) -> bool:
-        rays, lin = self.generators()
-        return rays.shape[0] == 0 and lin.shape[1] == 0
 
     def facets_csv(self) -> str:
         lines = []
@@ -184,7 +177,7 @@ def _enumerate_generators(cone: ConeDesc):
 
 
 # ---------------------------------------------------------------------------
-# model-level cone builders
+# active sets and cone builders at an evaluated point
 
 
 def active_indices(phi, tol_act: float = TOL_ACT):
@@ -199,20 +192,10 @@ def active_indices(phi, tol_act: float = TOL_ACT):
     return tuple(i for i, value in enumerate(phi) if abs(value) <= tol_act)
 
 
-def active_set(model: ParametricModel, x, p, tol_act: float = TOL_ACT):
-    """Active indices at (x, p); see :func:`active_indices`."""
-    return active_indices(eval_bundle(model, x, p).phi, tol_act)
-
-
-def tangent_cone(model: ParametricModel, x, p, I=None) -> ConeDesc:
-    """Linearization cone {w : grad_x phi_i . w <= 0, i active}; exact for
-    affine constraints, exact under MFCQ otherwise."""
-    bundle = eval_bundle(model, x, p)
-    return _tangent_cone(bundle, active_indices(bundle.phi) if I is None else I)
-
-
-def _tangent_cone(bundle, I) -> ConeDesc:
-    """:func:`tangent_cone` from an evaluated float bundle with active set I."""
+def tangent_cone(bundle, I) -> ConeDesc:
+    """Linearization cone {w : grad_x phi_i . w <= 0, i in I} from an
+    evaluated float bundle; exact for affine constraints, exact under MFCQ
+    otherwise."""
     G = bundle.grad_phi
     return ConeDesc(G.shape[1], G=G[list(I)] if I else None)
 
@@ -239,14 +222,6 @@ def critical_cone(T: ConeDesc, v_hat, tol: float = TOL_CONE) -> ConeDesc:
         )
     E = np.vstack([T.E, v[None, :]]) if T.E.shape[0] else v[None, :]
     return ConeDesc(T.n, E=E, G=T.G)
-
-
-def polar_cone(K: ConeDesc) -> ConeDesc:
-    """Polar {z : <z, w> <= 0 for all w in K} via generator/Farkas duality."""
-    rays, lin = K.generators()
-    E = lin.T if lin.shape[1] else None
-    G = rays if rays.shape[0] else None
-    return ConeDesc(K.n, E=E, G=G)
 
 
 def span_difference(K: ConeDesc) -> SubspaceBasis:

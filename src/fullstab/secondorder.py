@@ -28,7 +28,6 @@ import numpy as np
 
 from .defaults import (
     ETA,
-    LAMBDA_SCAN_RANDOM,
     MAX_CONE_ROWS,
     SAMPLES,
     SEED,
@@ -64,13 +63,13 @@ from .modelspec import (
 from .polycone import (
     ConeDesc,
     SubspaceBasis,
-    _tangent_cone,
     active_indices,
     critical_cone,
     null_space,
     project_onto_rows,
     rank,
     span_difference,
+    tangent_cone,
 )
 from .simplex import gauss_jordan, solve_inequality_lp
 
@@ -85,7 +84,6 @@ __all__ = [
     "check_pvi_pointwise",
     "check_smooth_psd",
     "scoc_probe",
-    "lagrangian_jacobian",
 ]
 
 
@@ -180,28 +178,8 @@ def min_on_cone(Q: QuadForm, K: ConeDesc, tol: float = TOL_CONE):
     return best, best_w
 
 
-def lagrangian_jacobian(model: ParametricModel, x, p, lam) -> np.ndarray:
-    """x-Jacobian of the Lagrangian map L(x, p, lam) = f + sum lam_i grad
-    phi_i, i.e. jac_f + sum lam_i hess phi_i (not necessarily symmetric)."""
-    return eval_bundle(model, x, p).lagrangian_jacobian(lam)
-
-
 # ---------------------------------------------------------------------------
 # pointwise strict-complementarity test over the whole multiplier set
-
-
-def _lambda_scan(ms: MultiplierSet, scan_random: int, seed: int):
-    """Vertices, edge midpoints and random convex combinations.
-
-    The Lagrangian Jacobian is affine in lam but the strongly active index
-    set is only piecewise constant on faces of Lambda, so vertex/midpoint
-    scanning is exhaustive for segments and a documented heuristic for
-    higher-dimensional multiplier sets (flagged in the report details).
-    """
-    lams = list(ms.vertices)
-    lams += ms.edge_midpoints()
-    lams += ms.sample_points(scan_random, seed=seed)
-    return lams
 
 
 def check_gssosc(
@@ -209,24 +187,28 @@ def check_gssosc(
     ref: ReferenceTriple,
     multipliers: Optional[MultiplierSet] = None,
     tol_pd: float = TOL_PD,
-    scan_random: int = LAMBDA_SCAN_RANDOM,
-    seed: int = SEED,
 ) -> SecondOrderReport:
     """Strong second-order sufficient test: for every multiplier, positive
     definiteness of the Lagrangian Jacobian on the null space of the
-    strongly active constraint gradients."""
+    strongly active constraint gradients.
+
+    Lambda is a polytope here (``multiplier_polytope`` refuses an unbounded
+    one), so the minimum over its vertices is exact: a multiplier in the
+    relative interior of a face is a positive combination of the face's
+    vertices, its strongly active set contains each of theirs (so its null
+    space lies in each of theirs), and the Lagrangian Jacobian is affine in
+    lam.
+    """
     ms = multipliers or multiplier_polytope(model, ref.x, ref.p, ref.v)
     bundle = eval_bundle(model, ref.x, ref.p)
     worst = math.inf
     witness = {}
-    per_lambda = []
-    for lam in _lambda_scan(ms, scan_random, seed):
+    for lam in ms.vertices:
         i_plus = strict_complement(lam, ms.active)
         rows = bundle.grad_phi[list(i_plus)] if i_plus else np.zeros((0, model.n))
         V = SubspaceBasis(V=null_space(rows, model.n))
         H = QuadForm(bundle.lagrangian_jacobian(lam))
         val, w = min_on_subspace(H, V)
-        per_lambda.append(val)
         if val < worst:
             worst = val
             witness = {
@@ -236,11 +218,7 @@ def check_gssosc(
                 "value": None if not math.isfinite(val) else val,
             }
     verdict = "holds" if worst > tol_pd else "fails"
-    details = {
-        "lambda_count": len(per_lambda),
-        "multiplier_dim": ms.dim,
-        "scan_exhaustive": ms.dim <= 1,
-    }
+    details = {"lambda_count": len(ms.vertices), "multiplier_dim": ms.dim}
     return SecondOrderReport("GSSOSC", verdict, worst, witness, details)
 
 
@@ -545,7 +523,7 @@ def check_pvi_pointwise(
     pf = [float(c) for c in ref.p]
     v_hat = np.array([float(c) for c in model.v_hat(ref)])
     bundle = eval_bundle(model, xf, pf)
-    T = _tangent_cone(bundle, active_indices(bundle.phi, tol_act))
+    T = tangent_cone(bundle, active_indices(bundle.phi, tol_act))
     K = critical_cone(T, v_hat)
     span_T = span_difference(T)
     V_a = _intersect_with_orthogonal(span_T, v_hat)

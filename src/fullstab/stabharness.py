@@ -9,11 +9,11 @@ over all (capped, deterministically subsampled) pairs of a localization
 table.  ``fit_moduli`` estimates kappa from parameter-frozen pairs, the
 Hoelder exponent from a log-log fit on canonically-frozen pairs, and the
 smallest workable ell by bisection.  ``certify`` runs the whole pipeline:
-constraint qualifications, multiplier enumeration, pointwise and sampled
-second-order tests, the bordered-determinant probe, the solver table and
-the inequality verification; the headline verdict is condition-driven,
-with the harness as corroboration, and any disagreement is reported as
-'inconsistent', never silently resolved.
+constraint qualifications, multiplier enumeration, the pointwise and
+uniform second-order tests, the bordered-determinant probe, the solver
+table and the inequality verification; the headline verdict is
+condition-driven, with the harness as corroboration, and any disagreement
+is reported as 'inconsistent', never silently resolved.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .defaults import (
     ETA,
     GRID_P,
     GRID_V,
-    LAMBDA_SCAN_RANDOM,
     PAIR_CAP,
     RANDOM_NODES,
     RHO_P,
@@ -37,7 +36,6 @@ from .defaults import (
     SAMPLES,
     SEED,
     TOL_ACT,
-    TOL_CQ,
     TOL_INEQ,
     TOL_PD,
 )
@@ -345,8 +343,6 @@ class CertifyOptions:
     seed: int = SEED
     tol_act: float = TOL_ACT
     tol_pd: float = TOL_PD
-    tol_cq: float = TOL_CQ
-    scan_random: int = LAMBDA_SCAN_RANDOM
     pair_cap: int = PAIR_CAP
 
     def __post_init__(self):
@@ -480,10 +476,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
 
     ms = multiplier_polytope(model, ref.x, ref.p, ref.v, opts.tol_act)
 
-    gssosc = check_gssosc(
-        model, ref, multipliers=ms, tol_pd=opts.tol_pd,
-        scan_random=opts.scan_random, seed=opts.seed,
-    )
+    gssosc = check_gssosc(model, ref, multipliers=ms, tol_pd=opts.tol_pd)
     gusosc = check_gusosc(
         model, ref, eta=opts.eta, samples=opts.samples,
         seed=opts.seed, tol_pd=opts.tol_pd, tol_act=opts.tol_act,
@@ -495,7 +488,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
 
     scoc = []
     for vert in ms.vertices:
-        i_plus = strict_complement(vert, ms.active, opts.tol_cq)
+        i_plus = strict_complement(vert, ms.active)
         J = _max_independent_subset(ms.grad_matrix, list(i_plus)) if i_plus else ()
         scoc.append(scoc_probe(model, ref, vert, J))
 
@@ -542,7 +535,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
         fully_stable = None
         notes.append(
             "implication chain broken: pointwise strict-complementarity test "
-            "holds but the sampled uniform test fails"
+            "holds but the uniform test fails"
         )
     elif not characterization_available:
         verdict = "undetermined"

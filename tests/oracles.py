@@ -4,7 +4,8 @@ Each oracle deliberately avoids the code path it checks: derivatives are
 verified by central finite differences, cone minimization by rejection
 sampling, projections by Dykstra's alternating method, determinants by
 cofactor expansion, the stacked Newton face sweep by one scalar Newton run
-per (node, guess, start) on the unfolded expression trees.
+per (node, guess, start) on the unfolded expression trees, the vertex
+minimum of GSSOSC by a scan of points inside the multiplier polytope.
 """
 
 from __future__ import annotations
@@ -342,3 +343,46 @@ def _newton_run(model, v, p, J, start, max_iter=60):
         if not np.all(np.isfinite(z)) or np.linalg.norm(z) > 1e6:
             return None
     return None
+
+
+def polar_from_generators(K):
+    """Polar {z : <z, w> <= 0 for all w in K} of a cone, built from its
+    generators (rays, lineality) by Farkas duality: z is in the polar iff
+    <z, r> <= 0 on every ray and <z, l> = 0 on every lineality vector."""
+    from fullstab.polycone import ConeDesc
+
+    rays, lin = K.generators()
+    return ConeDesc(
+        K.n,
+        E=lin.T if lin.shape[1] else None,
+        G=rays if rays.shape[0] else None,
+    )
+
+
+def gssosc_by_scan(bundle, vertices, scan_random=64, seed=0, tol_cq=1e-8):
+    """The strong second-order value over a finite scan of the multiplier
+    polytope with the given vertices: the vertices, every edge midpoint and
+    ``scan_random`` Dirichlet combinations of the vertices.
+
+    At each scanned lam the value is the smallest eigenvalue of the
+    symmetric part of jac_f + sum lam_i hess phi_i on the null space of the
+    gradients with lam_i > tol_cq (+inf when that space is {0}), assembled
+    from the float bundle with numpy alone.  Returns [(lam, value)]."""
+    V = np.array([[float(c) for c in vert] for vert in vertices])
+    lams = list(V) + [(a + b) / 2 for a, b in itertools.combinations(V, 2)]
+    if len(V) > 1:
+        rng = np.random.default_rng(seed)
+        lams += list(rng.dirichlet(np.ones(len(V)), size=scan_random) @ V)
+    grads = np.asarray(bundle.grad_phi, dtype=float)
+    jac = np.asarray(bundle.jac_f, dtype=float)
+    hess = np.asarray(bundle.hess_phi, dtype=float)
+    n = jac.shape[0]
+    scanned = []
+    for lam in lams:
+        H = jac + np.tensordot(lam, hess, axes=1)
+        N = _null_basis(grads[lam > tol_cq], n)
+        value = np.inf
+        if N.shape[1]:
+            value = float(np.linalg.eigvalsh(N.T @ (0.5 * (H + H.T)) @ N)[0])
+        scanned.append((lam, value))
+    return scanned

@@ -15,13 +15,14 @@ import pytest
 from fullstab import expr as ex
 from fullstab.cli import run
 from fullstab.modelspec import eval_bundle_exact, parse_model, print_model
-from fullstab.monotone import GraphSample, check_localization_estimate, estimate_moduli
+from fullstab.monotone import GraphSample, estimate_moduli
 from fullstab.polycone import ConeDesc, polyhedron_rows
 from fullstab.secondorder import QuadForm, min_on_cone
 from fullstab.stabharness import CertifyOptions, certify, verify_inequality
 from fullstab.visolver import solve_faces, solve_projected
 
 from oracles import fd_partial, min_quadratic_on_cone_sampling, random_polynomial_expr
+from test_monotone import localization_violations
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -251,9 +252,8 @@ def test_criterion_6_monotonicity_estimators():
         Amat = B @ B.T + np.eye(n) * rng.uniform(0.3, 1.0)
         V = rng.normal(size=(30, n))
         theta = np.linalg.solve(Amat, V.T).T
-        s = GraphSample(u=V, v=theta)
         kappa = 0.9 * float(np.linalg.eigvalsh(0.5 * (Amat + Amat.T))[0])
-        if kappa <= 0 or check_localization_estimate(s, kappa=kappa):
+        if kappa <= 0 or localization_violations(V, theta, kappa)[1]:
             continue
         est = estimate_moduli(GraphSample(u=theta, v=V))
         assert est.kappa_hat >= kappa - 1e-9

@@ -141,7 +141,6 @@ class TestDefaultsSingleSource:
         assert opts.box_radius == dflt.BOX_RADIUS
         assert opts.pair_cap == dflt.PAIR_CAP
         assert opts.tol_pd == dflt.TOL_PD
-        assert opts.tol_cq == dflt.TOL_CQ
 
 
 class TestSubcommands:

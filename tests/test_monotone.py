@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 
 from fullstab.errors import DegenerateSampleError, InputError
-from fullstab.monotone import (
-    GraphSample,
-    check_localization_estimate,
-    estimate_from_inverse,
-    estimate_moduli,
-)
+from fullstab.monotone import GraphSample, estimate_from_inverse, estimate_moduli
+from fullstab.stabharness import verify_inequality
+from fullstab.visolver import LocalizationTable
+
+
+def localization_violations(V, theta, kappa):
+    """Violating pairs of ||dv - 2 kappa dtheta|| <= ||dv|| + tol and their
+    count: the pair inequality at ell = 0 on a table of theta at the
+    canonical parameters V with no basic parameter (d = 0)."""
+    N = V.shape[0]
+    table = LocalizationTable(
+        v_nodes=V, p_nodes=np.zeros((N, 0)), x_values=theta,
+        residuals=np.zeros(N), methods=["given"] * N,
+    )
+    return verify_inequality(table, kappa, ell=0.0)
 
 
 def linear_graph(H, n_points=60, seed=0, include_eigvecs=True, scale=1.0):
@@ -97,15 +106,13 @@ class TestLocalizationEstimate:
     def test_exact_half_map_no_violations(self):
         rng = np.random.default_rng(6)
         V = rng.normal(size=(40, 2))
-        s = GraphSample(u=V, v=V / 2.0)
-        assert check_localization_estimate(s, kappa=0.5) == []
+        assert localization_violations(V, V / 2.0, kappa=0.5) == ([], 0)
 
     def test_identity_boundary_case_passes_at_tolerance(self):
         # theta(v) = v with kappa = 1: ||-dv|| = ||dv||, equality exactly.
         rng = np.random.default_rng(7)
         V = rng.normal(size=(30, 3))
-        s = GraphSample(u=V, v=V.copy())
-        assert check_localization_estimate(s, kappa=1.0) == []
+        assert localization_violations(V, V.copy(), kappa=1.0) == ([], 0)
 
     def test_skew_inverse_always_violates(self):
         # theta = inverse of (x1, -x2); along e2-differences the left side
@@ -113,10 +120,9 @@ class TestLocalizationEstimate:
         rng = np.random.default_rng(8)
         V = rng.normal(size=(25, 2))
         theta = np.column_stack([V[:, 0], -V[:, 1]])
-        s = GraphSample(u=V, v=theta)
         for kappa in (0.01, 0.1, 1.0, 10.0):
-            violations = check_localization_estimate(s, kappa=kappa)
-            assert violations, kappa
+            violations, count = localization_violations(V, theta, kappa=kappa)
+            assert violations and count, kappa
             worst = max(v["margin"] for v in violations)
             assert worst > 0
 
@@ -126,16 +132,14 @@ class TestLocalizationEstimate:
         A = np.array([[2.0, 0.3], [-0.3, 1.0]])
         V = rng.normal(size=(40, 2))
         theta = np.linalg.solve(A, V.T).T
-        s = GraphSample(u=V, v=theta)
         kappa = 0.9  # below the true modulus of A
-        assert check_localization_estimate(s, kappa=kappa) == []
+        assert localization_violations(V, theta, kappa=kappa) == ([], 0)
         est = estimate_moduli(GraphSample(u=theta, v=V))
         assert est.kappa_hat >= kappa - 1e-9
 
     def test_kappa_must_be_positive(self):
-        s = GraphSample(u=np.eye(2), v=np.eye(2))
         with pytest.raises(InputError):
-            check_localization_estimate(s, kappa=0.0)
+            localization_violations(np.eye(2), np.eye(2), kappa=0.0)
 
 
 class TestEstimateFromInverse:

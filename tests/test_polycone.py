@@ -17,21 +17,26 @@ from fullstab.errors import (
     InputError,
     SolveFailureError,
 )
-from fullstab.modelspec import parse_model
+from fullstab.modelspec import eval_bundle, parse_model
 from fullstab.polycone import (
     ConeDesc,
     SubspaceBasis,
-    active_set,
+    active_indices,
     critical_cone,
     nnls,
-    polar_cone,
     polyhedron_rows,
     project_onto_rows,
     span_difference,
     tangent_cone,
 )
 
-from oracles import dykstra_projection
+from oracles import dykstra_projection, polar_from_generators
+
+
+def tangent_at(model, x, p):
+    """Tangent cone at (x, p) over the active set there."""
+    bundle = eval_bundle(model, x, p)
+    return tangent_cone(bundle, active_indices(bundle.phi))
 
 
 @pytest.fixture(scope="module")
@@ -41,30 +46,30 @@ def ex64_vhat(ex64_model):
 
 class TestActiveSet:
     def test_reference_all_active(self, ex64_model):
-        assert active_set(ex64_model, [0, 0, 0], [0, 0]) == (0, 1, 2, 3)
+        assert active_indices(eval_bundle(ex64_model, [0, 0, 0], [0, 0]).phi) == (0, 1, 2, 3)
 
     def test_interior_point_empty(self, ex64_model):
         # phi = (-1, -1, -1, -1) at x = (0, 0, 1)
-        assert active_set(ex64_model, [0, 0, 1], [0, 0]) == ()
+        assert active_indices(eval_bundle(ex64_model, [0, 0, 1], [0, 0]).phi) == ()
 
     def test_unconstrained_model(self, skew_model):
-        assert active_set(skew_model, [0, 0], []) == ()
+        assert active_indices(eval_bundle(skew_model, [0, 0], []).phi) == ()
 
     def test_infeasible_point_rejected(self, ex64_model):
         with pytest.raises(InfeasiblePointError):
-            active_set(ex64_model, [1, 0, 0], [0, 0])
+            active_indices(eval_bundle(ex64_model, [1, 0, 0], [0, 0]).phi)
 
 
 class TestTangentCone:
     def test_worked_example_rows(self, ex64_model):
-        T = tangent_cone(ex64_model, [0, 0, 0], [0, 0])
+        T = tangent_at(ex64_model, [0, 0, 0], [0, 0])
         assert T.E.shape == (0, 3)
         assert T.G == pytest.approx(
             np.array([[1, 0, -1], [-1, 0, -1], [0, 1, -1], [0, -1, -1]])
         )
 
     def test_inactive_point_full_space(self, ex64_model):
-        T = tangent_cone(ex64_model, [0, 0, 1], [0, 0])
+        T = tangent_at(ex64_model, [0, 0, 1], [0, 0])
         assert T.E.shape[0] == 0 and T.G.shape[0] == 0
         rng = np.random.default_rng(0)
         assert T.contains(rng.normal(size=(50, 3))).all()
@@ -73,12 +78,12 @@ class TestTangentCone:
         m = parse_model(
             "dims n=1 d=0\nf = (x1)\nconstraint -x1 <= 0\nconstraint x1 - 1 <= 0\n"
         )
-        T = tangent_cone(m, [0.0], [])
+        T = tangent_at(m, [0.0], [])
         assert T.contains(np.array([1.0]))
         assert not T.contains(np.array([-1.0]))
 
     def test_apex_cone_extreme_rays(self, ex64_model):
-        T = tangent_cone(ex64_model, [0, 0, 0], [0, 0])
+        T = tangent_at(ex64_model, [0, 0, 0], [0, 0])
         rays, lin = T.generators()
         assert lin.shape[1] == 0
         expected = {
@@ -93,16 +98,17 @@ class TestCriticalCone:
         # v_hat = (-1/4, 0, -1) lies in the interior of the normal cone at
         # the apex, so the critical cone is {0}: for w in T we have
         # <v_hat, w> = -w1/4 - w3 <= -3 w3/4, with equality only at w = 0.
-        T = tangent_cone(ex64_model, [0, 0, 0], [0, 0])
+        T = tangent_at(ex64_model, [0, 0, 0], [0, 0])
         K = critical_cone(T, ex64_vhat)
-        assert K.is_trivial
+        rays, lin = K.generators()
+        assert rays.shape[0] == 0 and lin.shape[1] == 0
         rng = np.random.default_rng(1)
         W = rng.normal(size=(500, 3))
         members = W[K.contains(W)]
         assert np.all(np.linalg.norm(members, axis=1) < 1e-6) if members.size else True
 
     def test_zero_vhat_returns_tangent(self, ex64_model):
-        T = tangent_cone(ex64_model, [0, 0, 0], [0, 0])
+        T = tangent_at(ex64_model, [0, 0, 0], [0, 0])
         K = critical_cone(T, np.zeros(3))
         assert K.G == pytest.approx(T.G)
         assert K.E.shape[0] == 0
@@ -113,7 +119,7 @@ class TestCriticalCone:
         assert K.contains(np.array([1.0, -2.0, 0.5]))
 
     def test_bad_normal_vector_rejected(self, ex64_model):
-        T = tangent_cone(ex64_model, [0, 0, 0], [0, 0])
+        T = tangent_at(ex64_model, [0, 0, 0], [0, 0])
         with pytest.raises(InputError, match="not a normal vector"):
             critical_cone(T, np.array([0.0, 0.0, 1.0]))  # points into the cone
 
@@ -151,7 +157,7 @@ class TestSpanDifference:
     def test_worked_example_critical_span_dim(self, ex64_model, ex64_vhat):
         # Oracle: brute-force ray enumeration of K = T cap {v_hat}^perp
         # finds no nonzero members, so span(K - K) is 0-dimensional.
-        T = tangent_cone(ex64_model, [0, 0, 0], [0, 0])
+        T = tangent_at(ex64_model, [0, 0, 0], [0, 0])
         K = critical_cone(T, ex64_vhat)
         rays, lin = K.generators()
         assert rays.shape[0] == 0 and lin.shape[1] == 0
@@ -161,7 +167,7 @@ class TestSpanDifference:
 class TestPolarCone:
     def test_full_space_polar_origin(self):
         K = ConeDesc(3)
-        P = polar_cone(K)
+        P = polar_from_generators(K)
         rng = np.random.default_rng(3)
         W = rng.normal(size=(200, 3))
         members = W[P.contains(W)]
@@ -169,7 +175,7 @@ class TestPolarCone:
 
     def test_halfline_polar(self):
         K = ConeDesc(1, G=np.array([[-1.0]]))  # w >= 0
-        P = polar_cone(K)
+        P = polar_from_generators(K)
         assert P.contains(np.array([-2.0]))
         assert not P.contains(np.array([0.5]))
 
@@ -179,7 +185,7 @@ class TestPolarCone:
             n = 3
             G = rng.normal(size=(int(rng.integers(1, 4)), n))
             K = ConeDesc(n, G=G)
-            KK = polar_cone(polar_cone(K))
+            KK = polar_from_generators(polar_from_generators(K))
             W = rng.normal(size=(1000, n))
             W /= np.linalg.norm(W, axis=1)[:, None]
             a = K.contains(W, tol=1e-9)
@@ -195,7 +201,7 @@ class TestPolarCone:
             n = int(rng.integers(2, 5))
             G = rng.normal(size=(int(rng.integers(1, 4)), n))
             K = ConeDesc(n, G=G)
-            P = polar_cone(K)
+            P = polar_from_generators(K)
             rays, lin = P.generators()
             W = rng.normal(size=(1000, n))
             margin_k = np.max(W @ K.G.T, axis=1)
@@ -221,7 +227,7 @@ class TestSupEstimateRecipe:
             "constraint -x1 <= 0\nconstraint -x2 <= 0\nconstraint -x3 <= 0\n"
         )
         x = [0.0, 0.0, 0.0]
-        T = tangent_cone(m, x, [])
+        T = tangent_at(m, x, [])
         v_hat = np.array([-1.0, 0.0, 0.0])
         K = critical_cone(T, v_hat)
         rays, lin = K.generators()

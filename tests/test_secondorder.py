@@ -5,7 +5,8 @@ bordered determinants to exact cofactor expansion; the strict-
 complementarity and uniform tests to hand-derived worked-example values
 (GSSOSC failing direction e2, uniform test holding, skew map failing at
 -1); the exact uniform test also to the sampler and to a sampling-only
-oracle.
+oracle; the vertex minimum of GSSOSC to a scan of the whole multiplier
+polytope on random curved models.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from fullstab import expr as ex
 from fullstab.errors import DeskScaleError, InputError
 from fullstab.kkt import multiplier_polytope
-from fullstab.modelspec import parse_model
+from fullstab.modelspec import eval_bundle, parse_model
 from fullstab.polycone import ConeDesc, SubspaceBasis
 from fullstab.secondorder import (
     QuadForm,
@@ -26,13 +27,17 @@ from fullstab.secondorder import (
     check_pvi_pointwise,
     check_smooth_psd,
     gusosc_by_sampling,
-    lagrangian_jacobian,
     min_on_cone,
     min_on_subspace,
     scoc_probe,
 )
 
-from oracles import cofactor_det, min_quadratic_on_cone_sampling, uniform_value_oracle
+from oracles import (
+    cofactor_det,
+    gssosc_by_scan,
+    min_quadratic_on_cone_sampling,
+    uniform_value_oracle,
+)
 from test_acceptance import _corpus
 
 H64 = np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
@@ -174,7 +179,7 @@ class TestGSSOSC:
         rep = check_gssosc(ex64_model, ex64_model.reference)
         lam = rep.witness["lambda"]
         w = np.array(rep.witness["direction"])
-        H = lagrangian_jacobian(ex64_model, [0, 0, 0], [0, 0], lam)
+        H = eval_bundle(ex64_model, [0, 0, 0], [0, 0]).lagrangian_jacobian(lam)
         assert QuadForm(H).value(w) <= 1e-9
         grads = np.array([[1, 0, -1], [-1, 0, -1]], dtype=float)
         assert np.max(np.abs(grads @ w)) <= 1e-9
@@ -509,12 +514,66 @@ class TestSCOCProbe:
             scoc_probe(m, m.reference, (Fraction(1), Fraction(0)), (0, 1))
 
 
+def _linear_form(coeffs):
+    return " + ".join(f"{c}*x{j + 1}" for j, c in enumerate(coeffs))
+
+
+def _curved_multiplier_model(rng):
+    """Random model with k curved constraints active at x = 0 whose
+    gradients span only r < n directions, k - r >= 2, and a reference
+    multiplier with full support: dim Lambda = k - r >= 2 and the
+    Lagrangian Jacobian depends on lam through the constraint Hessians.
+    Every gradient has first entry >= 1, so MFCQ holds along -e1 and Lambda
+    is bounded.  About half the models make the first gradient equal to v,
+    which gives a vertex with support {1}, smaller than the others' when
+    r >= 2."""
+    n = int(rng.integers(3, 5))
+    r = int(rng.integers(1, n))
+    k = r + 2 + int(rng.integers(0, 2))
+    grads = np.zeros((k, n), dtype=int)
+    grads[:, 0] = rng.integers(1, 4, size=k)
+    grads[:, 1:r] = rng.integers(-3, 4, size=(k, r - 1))
+    weights = rng.integers(1, 4, size=k)
+    if rng.integers(2):
+        grads[0] = grads[1:].T @ weights[1:]
+        weights[0] = 0
+    v = grads.T @ weights  # f(0) = 0
+    jac = rng.integers(-2, 3, size=(n, n)) + 2 * np.eye(n, dtype=int)
+    lines = [f"dims n={n} d=0", "f = (" + ", ".join(_linear_form(row) for row in jac) + ")"]
+    for g in grads:
+        curvature = " + ".join(
+            f"{int(rng.integers(-3, 4))}*x{a + 1}*x{b + 1}"
+            for a in range(n) for b in range(a, n)
+        )
+        lines.append(f"constraint {_linear_form(g)} + {curvature} <= 0")
+    lines.append(
+        "reference x=(" + ", ".join(["0"] * n) + ") p=() v=("
+        + ", ".join(str(int(c)) for c in v) + ")"
+    )
+    return parse_model("\n".join(lines) + "\n")
+
+
 class TestLambdaScanAcrossPolytope:
     def test_all_vertices_visited(self, ex64_model):
         ms = multiplier_polytope(
             ex64_model, ex64_model.reference.x, ex64_model.reference.p, ex64_model.reference.v
         )
         rep = check_gssosc(ex64_model, ex64_model.reference, multipliers=ms)
-        # vertices (2) + midpoint (1) + random points
-        assert rep.details["lambda_count"] >= 3
-        assert rep.details["scan_exhaustive"] is True
+        assert rep.details["lambda_count"] == len(ms.vertices) == 2
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_vertex_minimum_equals_the_scan(self, seed):
+        # Lambda is a polytope, so no multiplier beats the vertices: a
+        # point inside a face has a larger strongly active set than each of
+        # the face's vertices, and the form is affine in lam
+        model = _curved_multiplier_model(np.random.default_rng(seed))
+        ref = model.reference
+        ms = multiplier_polytope(model, ref.x, ref.p, ref.v)
+        assert ms.dim >= 2
+        rep = check_gssosc(model, ref, multipliers=ms)
+        assert rep.details["lambda_count"] == len(ms.vertices)
+        scanned = gssosc_by_scan(eval_bundle(model, ref.x, ref.p), ms.vertices)
+        values = [value for _, value in scanned]
+        assert math.isfinite(rep.modulus)
+        assert abs(min(values) - rep.modulus) <= 1e-12
+        assert min(values[len(ms.vertices):]) >= rep.modulus - 1e-12
