@@ -21,16 +21,16 @@ import numpy as np
 
 from . import defaults as dflt
 from .errors import FullstabError, InconsistencyError, InputError
-from .kkt import _crcq, _licq, check_mfcq, multiplier_polytope
-from .modelspec import eval_bundle, parse_model
-from .monotone import GraphSample, estimate_from_inverse, estimate_moduli
-from .polycone import active_indices, critical_cone, span_difference, tangent_cone
-from .stabharness import (
-    CertifyOptions,
-    StabilityReport,
-    certify,
+from .kkt import check_licq, check_mfcq, multiplier_polytope, probe_crcq
+from .modelspec import eval_reference, parse_model
+from .monotone import (
+    GraphSample,
+    estimate_from_inverse,
+    estimate_moduli,
     graph_sample_from_model,
 )
+from .polycone import active_indices, critical_cone, span_difference, tangent_cone
+from .stabharness import CertifyOptions, StabilityReport, certify
 from .visolver import solve_faces, solve_projected
 
 __all__ = ["main", "run"]
@@ -200,14 +200,15 @@ def _cmd_cones(args) -> int:
     ref = model.reference
     if ref is None:
         raise InputError("model has no reference triple")
-    bundle = eval_bundle(model, ref.x, ref.p)
-    I = active_indices(bundle.phi, args.tol_act)
-    T = tangent_cone(bundle, I)
+    exact, floats = eval_reference(model, ref)
+    I = active_indices(floats.phi, args.tol_act)
+    T = tangent_cone(floats, I)
     v_hat = [float(c) for c in model.v_hat(ref)]
     K = critical_cone(T, v_hat)
-    mfcq = check_mfcq(model, ref.x, ref.p, args.tol_act)
-    licq = _licq(bundle, I)
-    crcq = _crcq(model, bundle, I, ref.x, ref.p, seed=args.seed)
+    I_exact = active_indices(exact.phi, args.tol_act)
+    mfcq = check_mfcq(exact, I_exact)
+    licq = check_licq(floats, I)
+    crcq = probe_crcq(model, floats, I, ref.x, ref.p, seed=args.seed)
     rays, lin = K.generators()
     payload = {
         "active_set": [i + 1 for i in I],
@@ -223,7 +224,7 @@ def _cmd_cones(args) -> int:
         "crcq": crcq.to_json_dict(),
     }
     try:
-        ms = multiplier_polytope(model, ref.x, ref.p, ref.v, args.tol_act)
+        ms = multiplier_polytope(exact, I_exact, ref.v)
         payload["multipliers"] = ms.to_json_dict()
     except FullstabError as err:
         payload["multipliers"] = {"error": str(err)}

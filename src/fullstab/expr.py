@@ -342,12 +342,17 @@ def _diff(e: Expr, kind: str, index: int) -> Expr:
 # ---------------------------------------------------------------------------
 # identically-zero test
 
-def expr_is_zero(e: Expr, n: int, d: int, trials: int = 12) -> bool:
+# rational points at which expr_is_zero must find a zero value
+_ZERO_TRIALS = 12
+
+
+def expr_is_zero(e: Expr, n: int, d: int) -> bool:
     """Decide whether ``e`` is identically zero.
 
     Simplification handles the common case; otherwise evaluate exactly at
-    deterministic rational points (Schwartz-Zippel with exact arithmetic).
-    Points hitting division-by-zero singularities are skipped.
+    _ZERO_TRIALS deterministic rational points (Schwartz-Zippel with exact
+    arithmetic).  Points hitting division-by-zero singularities are
+    skipped.
     """
     s = simplify(e)
     if is_zero(s):
@@ -355,7 +360,7 @@ def expr_is_zero(e: Expr, n: int, d: int, trials: int = 12) -> bool:
     hits = 0
     k = 0
     attempt = 0
-    while hits < trials and attempt < 8 * trials:
+    while hits < _ZERO_TRIALS and attempt < 8 * _ZERO_TRIALS:
         attempt += 1
         x = [_probe_value(k + 2 * j) for j in range(n)]
         p = [_probe_value(k + 2 * n + 3 * j + 1) for j in range(d)]

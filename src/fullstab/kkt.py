@@ -24,7 +24,6 @@ from .defaults import (
     CRCQ_RADIUS,
     CRCQ_SAMPLES,
     MAX_ACTIVE_SUBSETS,
-    TOL_ACT,
     TOL_CONE,
     TOL_CQ,
 )
@@ -33,9 +32,8 @@ from .errors import (
     NoMultiplierError,
     UnboundedMultiplierError,
 )
-from .expr import is_rational
-from .modelspec import ParametricModel, eval_bundle, eval_bundle_exact
-from .polycone import active_indices, rank
+from .modelspec import EvalBundle, ParametricModel, eval_bundle
+from .polycone import rank
 from .simplex import gauss_jordan, solve_inequality_lp
 
 __all__ = [
@@ -85,25 +83,19 @@ def _jsonify(obj):
 # MFCQ
 
 
-def check_mfcq(model: ParametricModel, x, p, tol_act: float = TOL_ACT, tol_cq: float = TOL_CQ) -> CQReport:
-    """Partial MFCQ in x: exists d with <grad phi_i, d> < 0 on the active
-    set.  Decided by maximizing the margin t over the sup-norm ball."""
-    exact = is_rational(x, p)
-    bundle = (eval_bundle_exact if exact else eval_bundle)(model, x, p)
-    return _mfcq(bundle, active_indices(bundle.phi, tol_act), exact, tol_cq)
-
-
-def _mfcq(bundle, I, exact: bool, tol_cq: float = TOL_CQ) -> CQReport:
-    """:func:`check_mfcq` on an evaluated bundle with active set I."""
+def check_mfcq(bundle: EvalBundle, I) -> CQReport:
+    """Partial MFCQ in x at the point of ``bundle``, whose active set is I:
+    exists d with <grad phi_i, d> < 0 for i in I.  Decided by maximizing
+    the margin t over the sup-norm ball, exactly on a Fraction bundle."""
     if not I:
         # +inf sentinel: the condition is vacuous with no active gradients
         return CQReport(
             "MFCQ", "holds", {"active_set": [], "t_star": float("inf"), "vacuous": True}
         )
+    exact = bundle.exact
     grads = [list(bundle.grad_phi[i]) for i in I]
     n = len(bundle.f)
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     t_upper = max(sum(abs(g) for g in row) for row in grads) + one
     # variables (d, t): maximize t s.t. g_i . d + t <= 0, |d| <= 1, 0 <= t
     A_ub = [list(row) + [one] for row in grads]
@@ -116,7 +108,7 @@ def _mfcq(bundle, I, exact: bool, tol_cq: float = TOL_CQ) -> CQReport:
         raise RuntimeError(f"MFCQ LP unexpectedly {res.status}")
     t_star = res.x[n]
     d = res.x[:n]
-    holds = (t_star > 0) if exact else (float(t_star) > tol_cq)
+    holds = (t_star > 0) if exact else (float(t_star) > TOL_CQ)
     witness = {
         "active_set": [i + 1 for i in I],
         "t_star": float(t_star),
@@ -130,13 +122,9 @@ def _mfcq(bundle, I, exact: bool, tol_cq: float = TOL_CQ) -> CQReport:
 # LICQ
 
 
-def check_licq(model: ParametricModel, x, p, tol_act: float = TOL_ACT) -> CQReport:
-    bundle = eval_bundle(model, x, p)
-    return _licq(bundle, active_indices(bundle.phi, tol_act))
-
-
-def _licq(bundle, I) -> CQReport:
-    """:func:`check_licq` on an evaluated float bundle with active set I."""
+def check_licq(bundle: EvalBundle, I) -> CQReport:
+    """LICQ at the point of the float ``bundle``, whose active set is I: the
+    active gradients have full row rank."""
     if not I:
         return CQReport("LICQ", "holds", {"active_set": [], "rank": 0, "vacuous": True})
     Gact = bundle.grad_phi[list(I)]
@@ -156,39 +144,24 @@ def _licq(bundle, I) -> CQReport:
 
 def probe_crcq(
     model: ParametricModel,
-    x,
-    p,
-    radius: float = CRCQ_RADIUS,
-    samples: int = CRCQ_SAMPLES,
-    seed: int = 0,
-    tol_act: float = TOL_ACT,
-) -> CQReport:
-    """Partial CRCQ in x: every active-gradient subfamily keeps constant
-    rank on a neighborhood of (x, p).
-
-    Jointly affine constraints have constant gradients, so the verdict is
-    upgraded to 'holds'; otherwise the probe samples the neighborhood and
-    can only report 'corroborated' or 'fails' (with a witness subset and
-    point).
-    """
-    center = eval_bundle(model, x, p)
-    return _crcq(model, center, active_indices(center.phi, tol_act), x, p, radius, samples, seed)
-
-
-def _crcq(
-    model: ParametricModel,
-    center,
+    bundle: EvalBundle,
     I,
     x,
     p,
-    radius: float = CRCQ_RADIUS,
     samples: int = CRCQ_SAMPLES,
     seed: int = 0,
 ) -> CQReport:
-    """:func:`probe_crcq` around (x, p), whose float bundle ``center`` has
-    active set I."""
-    if radius <= 0 or samples < 1:
-        raise ValueError("probe needs radius > 0 and samples >= 1")
+    """Partial CRCQ in x: every active-gradient subfamily keeps constant
+    rank on a neighborhood of (x, p), whose float bundle is ``bundle`` with
+    active set I.
+
+    Jointly affine constraints have constant gradients, so the verdict is
+    upgraded to 'holds'; otherwise the probe samples the neighborhood, all
+    points in one batched evaluation, and can only report 'corroborated' or
+    'fails' (with a witness subset and point).
+    """
+    if samples < 1:
+        raise ValueError("probe needs samples >= 1")
     if not I:
         return CQReport("CRCQ", "holds", {"active_set": [], "vacuous": True})
     if len(I) > MAX_ACTIVE_SUBSETS:
@@ -202,24 +175,23 @@ def _crcq(
     x0 = np.array([float(c) for c in x])
     p0 = np.array([float(c) for c in p])
     rng = np.random.default_rng(seed)
-    points = [(x0, p0)]
+    xs, ps = [], []
     for _ in range(samples):
         dx = rng.normal(size=model.n)
         dp = rng.normal(size=model.d) if model.d else np.zeros(0)
         norm = np.linalg.norm(np.concatenate([dx, dp]))
         if norm > 0:
-            shift = radius * rng.uniform() / norm
-            points.append((x0 + shift * dx, p0 + shift * dp))
-    grads = [center.grad_phi] + [eval_bundle(model, xx, pp).grad_phi for xx, pp in points[1:]]
-    subsets = []
-    for r in range(1, len(I) + 1):
-        subsets.extend(itertools.combinations(I, r))
+            shift = CRCQ_RADIUS * rng.uniform() / norm
+            xs.append(x0 + shift * dx)
+            ps.append(p0 + shift * dp)
+    xs, ps = np.array(xs), np.array(ps).reshape(len(xs), model.d)
+    grads = [bundle.grad_phi, *eval_bundle(model, xs, ps).grad_phi]
+    subsets = (s for r in range(1, len(I) + 1) for s in itertools.combinations(I, r))
     for subset in subsets:
         base_rank = rank(grads[0][list(subset)])
-        for k in range(1, len(points)):
+        for k in range(1, len(grads)):
             rank_k = rank(grads[k][list(subset)])
             if rank_k != base_rank:
-                xx, pp = points[k]
                 return CQReport(
                     "CRCQ",
                     "fails",
@@ -228,14 +200,14 @@ def _crcq(
                         "subset": [i + 1 for i in subset],
                         "rank_at_center": base_rank,
                         "rank_at_witness": rank_k,
-                        "witness_x": [float(v) for v in xx],
-                        "witness_p": [float(v) for v in pp],
+                        "witness_x": [float(v) for v in xs[k - 1]],
+                        "witness_p": [float(v) for v in ps[k - 1]],
                     },
                 )
     return CQReport(
         "CRCQ",
         "corroborated",
-        {"active_set": [i + 1 for i in I], "samples": samples, "radius": radius},
+        {"active_set": [i + 1 for i in I], "samples": samples, "radius": CRCQ_RADIUS},
     )
 
 
@@ -245,15 +217,19 @@ def _crcq(
 
 @dataclass
 class MultiplierSet:
-    """Lambda(x, p, v) with enumerated vertices (full-length m vectors)."""
+    """Lambda(x, p, v) with enumerated vertices (full-length m vectors), and
+    the bundle at (x, p) it was enumerated from."""
 
-    m: int
     active: tuple
     vertices: list  # list of tuples (Fraction or float entries)
     dim: int
-    exact: bool
     stationarity_rhs: list  # v - f(x, p)
     grad_matrix: np.ndarray  # (m, n) float gradients for re-verification
+    bundle: EvalBundle
+
+    @property
+    def exact(self) -> bool:
+        return self.bundle.exact
 
     def vertices_float(self) -> np.ndarray:
         return np.array([[float(c) for c in vert] for vert in self.vertices])
@@ -267,77 +243,60 @@ class MultiplierSet:
         }
 
 
-def multiplier_polytope(
-    model: ParametricModel,
-    x,
-    p,
-    v,
-    tol_act: float = TOL_ACT,
-    tol: float = TOL_CONE,
-) -> MultiplierSet:
-    """Enumerate the vertices of Lambda(x, p, v).
+def multiplier_polytope(bundle: EvalBundle, I, v) -> MultiplierSet:
+    """Enumerate the vertices of Lambda(x, p, v) at the point of ``bundle``,
+    whose active set is I.
 
     Raises :class:`NoMultiplierError` when no multiplier exists (the triple
     is not on the solution-map graph) and
     :class:`UnboundedMultiplierError` with a recession direction when MFCQ
-    fails and the set is unbounded.
+    fails and the set is unbounded, so a returned set certifies MFCQ.
     """
-    exact = is_rational(x, p, v)
-    bundle = (eval_bundle_exact if exact else eval_bundle)(model, x, p)
-    I = active_indices(bundle.phi, tol_act)
-    if I and not _mfcq(bundle, I, exact).ok:
+    if not check_mfcq(bundle, I).ok:
         cols = [list(bundle.grad_phi[i]) for i in I]
         raise UnboundedMultiplierError(
             "MFCQ fails: the multiplier set may be empty or unbounded; "
             "second-order checks are refused",
-            recession=_recession_direction(cols, model.m, I, exact),
+            recession=_recession_direction(cols, len(bundle.phi), I, bundle.exact),
         )
-    return _multipliers(bundle, I, v, exact, tol)
+    return _multipliers(bundle, I, v)
 
 
-def _multipliers(bundle, I, v, exact: bool, tol: float = TOL_CONE) -> MultiplierSet:
-    """:func:`multiplier_polytope` on an evaluated bundle with active set I,
-    without the MFCQ check."""
+def _multipliers(bundle: EvalBundle, I, v) -> MultiplierSet:
+    """:func:`multiplier_polytope` without the MFCQ check."""
     m, n = len(bundle.phi), len(bundle.f)
+    exact = bundle.exact
     cast = Fraction if exact else float
     cols = [list(bundle.grad_phi[i]) for i in I]
     rhs = [cast(vi) - fi for vi, fi in zip(v, bundle.f)]
     grad_matrix = np.array(bundle.grad_phi, dtype=float).reshape(m, n)
-    scale = 1.0 + max((abs(float(r)) for r in rhs), default=0.0)
+    residual = max((abs(float(r)) for r in rhs), default=0.0)
+    scale = 1.0 + residual
 
     if not I:
-        if max((abs(float(r)) for r in rhs), default=0.0) > tol * scale:
+        if residual > TOL_CONE * scale:
             raise NoMultiplierError(
                 "no multiplier exists: v != f(x, p) at an interior point"
             )
-        return MultiplierSet(
-            m=m,
-            active=(),
-            vertices=[tuple([cast(0)] * m)],
-            dim=0,
-            exact=exact,
-            stationarity_rhs=rhs,
-            grad_matrix=grad_matrix,
-        )
-
-    # a nonempty {lam >= 0 : G lam = rhs} has a basic solution, so the
-    # vertex enumeration also decides feasibility
-    vertices = _enumerate_vertices(cols, rhs, m, I, exact, tol * scale)
-    if not vertices:
-        raise NoMultiplierError(
-            "no multiplier exists: v is not in Psi(x, p); the reference "
-            "triple is not on the solution-map graph"
-        )
+        vertices = [tuple([cast(0)] * m)]
+    else:
+        # a nonempty {lam >= 0 : G lam = rhs} has a basic solution, so the
+        # vertex enumeration also decides feasibility
+        vertices = _enumerate_vertices(cols, rhs, m, I, exact, TOL_CONE * scale)
+        if not vertices:
+            raise NoMultiplierError(
+                "no multiplier exists: v is not in Psi(x, p); the reference "
+                "triple is not on the solution-map graph"
+            )
     V = np.array([[float(c) for c in vert] for vert in vertices])
     dim = rank(V - V[0]) if len(vertices) > 1 else 0
     return MultiplierSet(
-        m=m,
         active=I,
         vertices=vertices,
         dim=dim,
-        exact=exact,
         stationarity_rhs=rhs,
         grad_matrix=grad_matrix,
+        bundle=bundle,
     )
 
 
@@ -346,8 +305,7 @@ def _recession_direction(cols, m, I, exact):
     k = len(cols)
     if k == 0:
         return None
-    one = Fraction(1) if exact else 1.0
-    zero = Fraction(0) if exact else 0.0
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     nrows = len(cols[0])
     A_ub = [[cols[j][i] for j in range(k)] for i in range(nrows)]
     A_ub += [[-cols[j][i] for j in range(k)] for i in range(nrows)]
@@ -428,6 +386,6 @@ def _exact_solve(A, b):
     return [R[k][-1] for k in range(ncols)]
 
 
-def strict_complement(lam: Sequence, I: Sequence[int], tol_cq: float = TOL_CQ):
-    """Strongly active indices I_+ = {i in I : lam_i > tol} (0-based)."""
-    return tuple(i for i in I if float(lam[i]) > tol_cq)
+def strict_complement(lam: Sequence, I: Sequence[int]):
+    """Strongly active indices I_+ = {i in I : lam_i > TOL_CQ} (0-based)."""
+    return tuple(i for i in I if float(lam[i]) > TOL_CQ)

@@ -48,6 +48,7 @@ __all__ = [
     "eval_bundle",
     "eval_bundle_exact",
     "eval_f",
+    "eval_reference",
 ]
 
 
@@ -193,11 +194,17 @@ class EvalBundle:
     grad_phi: object  # (m, n)
     hess_phi: object  # (m, n, n)
 
+    @property
+    def exact(self) -> bool:
+        """Whether the entries are Fractions (nested lists) rather than
+        float arrays."""
+        return isinstance(self.jac_f, list)
+
     def lagrangian_jacobian(self, lam):
         """x-Jacobian of the Lagrangian map f + sum lam_i grad phi_i, i.e.
         jac_f + sum lam_i hess_phi_i (not necessarily symmetric), with lam
         cast to the bundle's number type."""
-        exact = isinstance(self.jac_f, list)
+        exact = self.exact
         H = np.array(self.jac_f, dtype=object if exact else float)
         for li, hess in zip(map(Fraction if exact else float, lam), self.hess_phi):
             if li != 0:
@@ -293,6 +300,15 @@ def eval_bundle_exact(model: ParametricModel, x, p) -> EvalBundle:
             model, model.tables, [Fraction(c) for c in x], [Fraction(c) for c in p], Fraction
         )
     )
+
+
+def eval_reference(model: ParametricModel, ref: ReferenceTriple):
+    """The reference evaluated once per number type, as (exact, floats):
+    ``exact`` is the Fraction bundle when x, p and v are all rational, else
+    the float bundle.  The pointwise checks take these bundles instead."""
+    floats = eval_bundle(model, ref.x, ref.p)
+    rational = ex.is_rational(ref.x, ref.p, ref.v)
+    return (eval_bundle_exact(model, ref.x, ref.p) if rational else floats), floats
 
 
 # ---------------------------------------------------------------------------

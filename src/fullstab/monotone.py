@@ -7,17 +7,20 @@ The strong-modulus estimate is the worst pairwise Rayleigh-type ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .defaults import TOL_INEQ
+from .defaults import ETA, SEED, TOL_INEQ
 from .errors import DegenerateSampleError, InconsistencyError, InputError
+from .modelspec import ParametricModel, ReferenceTriple, eval_f
+from .visolver import solve_faces
 
 __all__ = [
     "GraphSample",
     "MonotonicityEstimate",
+    "graph_sample_from_model",
     "estimate_moduli",
     "estimate_from_inverse",
 ]
@@ -86,6 +89,39 @@ class GraphSample:
         return GraphSample(u=self.v.copy(), v=self.u.copy())
 
 
+def graph_sample_from_model(
+    model: ParametricModel,
+    ref: ReferenceTriple,
+    eta: float = ETA,
+    count: int = 100,
+    seed: int = SEED,
+) -> GraphSample:
+    """Pairs (x, v) on the graph of T = f(., p) + N_{C(p)}(.) with the
+    basic parameter frozen at the reference."""
+    x0, p0, v0 = ref.as_arrays()
+    rng = np.random.default_rng(seed)
+    us, vs = [], []
+    if model.m == 0:
+        for _ in range(count):
+            x = x0 + eta * rng.uniform(-1, 1, size=model.n)
+            v = eval_f(model, x, p0)
+            if np.linalg.norm(v - v0) <= eta * 10:
+                us.append(x)
+                vs.append(v)
+    else:
+        attempts = 0
+        while len(us) < count and attempts < 40 * count:
+            attempts += 1
+            v = v0 + eta * rng.uniform(-1, 1, size=model.n)
+            outs = solve_faces(model, v, p0, box_center=x0)
+            if len(outs) == 1:
+                us.append(outs[0].x)
+                vs.append(v)
+    if len(us) < 2:
+        raise DegenerateSampleError("could not sample the operator graph")
+    return GraphSample(u=np.array(us), v=np.array(vs))
+
+
 def _is_number(s: str) -> bool:
     try:
         float(s)
@@ -100,11 +136,6 @@ class MonotonicityEstimate:
     r_hat: float  # hypomonotonicity constant max(0, -kappa_hat)
     witness: tuple  # (i, j) indices of the extremal pair
     pair_count: int
-    details: dict = field(default_factory=dict)
-
-    @property
-    def monotone(self) -> bool:
-        return self.kappa_hat >= -TOL_INEQ
 
     def to_json_dict(self):
         return {
@@ -150,7 +181,7 @@ def estimate_moduli(sample: GraphSample) -> MonotonicityEstimate:
     )
 
 
-def estimate_from_inverse(sample: GraphSample, tol: float = TOL_INEQ) -> float:
+def estimate_from_inverse(sample: GraphSample) -> float:
     """Largest pairwise Lipschitz ratio of the localization and the
     consistency bound L_hat <= 1/kappa_hat (an identity at sample level
     when kappa_hat > 0; a violation is an internal bug, not data)."""
@@ -167,7 +198,7 @@ def estimate_from_inverse(sample: GraphSample, tol: float = TOL_INEQ) -> float:
         raise DegenerateSampleError("all pairs degenerate (coincident v's)")
     L_hat = float(np.max(dx[keep] / dv[keep]))
     inv = estimate_moduli(GraphSample(u=X.copy(), v=V.copy()))
-    if inv.kappa_hat > 0 and L_hat > 1.0 / inv.kappa_hat + tol:
+    if inv.kappa_hat > 0 and L_hat > 1.0 / inv.kappa_hat + TOL_INEQ:
         raise InconsistencyError(
             f"L_hat = {L_hat} exceeds 1/kappa_hat = {1.0 / inv.kappa_hat}"
         )

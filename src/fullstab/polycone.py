@@ -200,22 +200,22 @@ def tangent_cone(bundle, I) -> ConeDesc:
     return ConeDesc(G.shape[1], G=G[list(I)] if I else None)
 
 
-def critical_cone(T: ConeDesc, v_hat, tol: float = TOL_CONE) -> ConeDesc:
+def critical_cone(T: ConeDesc, v_hat) -> ConeDesc:
     """Tangent cone intersected with the hyperplane orthogonal to the normal
     vector v_hat; validates v_hat against the polar of T."""
     v = np.asarray([float(c) for c in v_hat], dtype=float)
     if v.shape != (T.n,):
         raise InputError("v_hat has wrong dimension")
-    if np.linalg.norm(v) <= tol:
+    if np.linalg.norm(v) <= TOL_CONE:
         return ConeDesc(T.n, E=T.E, G=T.G)
     rays, lin = T.generators()
     scale = 1.0 + float(np.linalg.norm(v))
-    if rays.shape[0] and np.max(rays @ v) > tol * scale:
+    if rays.shape[0] and np.max(rays @ v) > TOL_CONE * scale:
         raise InputError(
             "v_hat is not a normal vector at the reference point "
             "(inconsistent reference triple)"
         )
-    if lin.shape[1] and np.max(np.abs(lin.T @ v)) > tol * scale:
+    if lin.shape[1] and np.max(np.abs(lin.T @ v)) > TOL_CONE * scale:
         raise InputError(
             "v_hat is not a normal vector at the reference point "
             "(inconsistent reference triple)"
@@ -249,7 +249,7 @@ def polyhedron_rows(model: ParametricModel, p):
     return A, b
 
 
-def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray, tol: float = TOL_CONE):
+def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray):
     """Euclidean projection of z onto {x : A x <= b}.
 
     With y = x - z this is the least-distance problem min ||y|| subject to
@@ -260,11 +260,11 @@ def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray, tol: float = 
     multipliers are mu = u / (-r[n]).  A zero residual is a Farkas
     certificate that the set is empty (:class:`InfeasibleSetError`).  The
     point is returned only after primal feasibility and complementarity
-    check out to ``tol`` (relative); otherwise :class:`SolveFailureError`.
+    check out to ``TOL_CONE`` (relative); otherwise :class:`SolveFailureError`.
     """
     m, n = A.shape
     scale = 1.0 + float(np.linalg.norm(z)) + (float(np.max(np.abs(b))) if m else 0.0)
-    feas_tol = tol * scale
+    feas_tol = TOL_CONE * scale
     if m == 0 or np.all(A @ z <= b + feas_tol):
         return z.copy()
     E = np.vstack([-A.T, (A @ z - b)[None, :]])
@@ -272,7 +272,7 @@ def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray, tol: float = 
     f[n] = 1.0
     u, _ = nnls(E, f)
     r = E @ u - f
-    if np.linalg.norm(r) <= tol:
+    if np.linalg.norm(r) <= TOL_CONE:
         raise InfeasibleSetError("constraint set is empty (no projection exists)")
     x = z - r[:n] / r[n]
     mu = u / -r[n]

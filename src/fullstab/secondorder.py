@@ -44,22 +44,15 @@ from .errors import (
     InputError,
     SolveFailureError,
 )
-from .expr import differentiate, evaluate, expr_is_zero, is_rational
+from .expr import differentiate, evaluate, expr_is_zero
 from .kkt import (
     MultiplierSet,
     _jsonify,
-    _mfcq,
     _multipliers,
     check_mfcq,
-    multiplier_polytope,
     strict_complement,
 )
-from .modelspec import (
-    ParametricModel,
-    ReferenceTriple,
-    eval_bundle,
-    eval_bundle_exact,
-)
+from .modelspec import EvalBundle, ParametricModel, ReferenceTriple, eval_bundle
 from .polycone import (
     ConeDesc,
     SubspaceBasis,
@@ -142,7 +135,7 @@ def min_on_subspace(Q: QuadForm, V: SubspaceBasis):
     return float(vals[0]), w / np.linalg.norm(w)
 
 
-def min_on_cone(Q: QuadForm, K: ConeDesc, tol: float = TOL_CONE):
+def min_on_cone(Q: QuadForm, K: ConeDesc):
     """Exact minimum of <H w, w> over K intersected with the unit sphere,
     by face enumeration; +inf if K = {0}.  Returns (value, argmin)."""
     kg = K.G.shape[0]
@@ -170,7 +163,7 @@ def min_on_cone(Q: QuadForm, K: ConeDesc, tol: float = TOL_CONE):
                     continue
                 w = w / norm
                 for cand in (w, -w):
-                    if K.contains(cand, tol):
+                    if K.contains(cand, TOL_CONE):
                         if vals[idx] < best:
                             best = float(vals[idx])
                             best_w = cand
@@ -183,14 +176,12 @@ def min_on_cone(Q: QuadForm, K: ConeDesc, tol: float = TOL_CONE):
 
 
 def check_gssosc(
-    model: ParametricModel,
-    ref: ReferenceTriple,
-    multipliers: Optional[MultiplierSet] = None,
-    tol_pd: float = TOL_PD,
+    bundle: EvalBundle, ms: MultiplierSet, tol_pd: float = TOL_PD
 ) -> SecondOrderReport:
-    """Strong second-order sufficient test: for every multiplier, positive
-    definiteness of the Lagrangian Jacobian on the null space of the
-    strongly active constraint gradients.
+    """Strong second-order sufficient test at the point of the float
+    ``bundle``: for every multiplier in ``ms``, positive definiteness of
+    the Lagrangian Jacobian on the null space of the strongly active
+    constraint gradients.
 
     Lambda is a polytope here (``multiplier_polytope`` refuses an unbounded
     one), so the minimum over its vertices is exact: a multiplier in the
@@ -199,14 +190,13 @@ def check_gssosc(
     space lies in each of theirs), and the Lagrangian Jacobian is affine in
     lam.
     """
-    ms = multipliers or multiplier_polytope(model, ref.x, ref.p, ref.v)
-    bundle = eval_bundle(model, ref.x, ref.p)
+    n = len(bundle.f)
     worst = math.inf
     witness = {}
     for lam in ms.vertices:
         i_plus = strict_complement(lam, ms.active)
-        rows = bundle.grad_phi[list(i_plus)] if i_plus else np.zeros((0, model.n))
-        V = SubspaceBasis(V=null_space(rows, model.n))
+        rows = bundle.grad_phi[list(i_plus)] if i_plus else np.zeros((0, n))
+        V = SubspaceBasis(V=null_space(rows, n))
         H = QuadForm(bundle.lagrangian_jacobian(lam))
         val, w = min_on_subspace(H, V)
         if val < worst:
@@ -248,19 +238,22 @@ def mixed_sign_cone(grad_rows: np.ndarray, active, strongly_active, n: int) -> C
 def check_gusosc(
     model: ParametricModel,
     ref: ReferenceTriple,
+    ms: MultiplierSet,
     eta: float = ETA,
     samples: int = SAMPLES,
     seed: int = SEED,
     tol_pd: float = TOL_PD,
     tol_act: float = TOL_ACT,
 ) -> SecondOrderReport:
-    """Uniform second-order test: decided exactly by face enumeration when
-    every constraint is affine in (x, p) and jac_f is constant in (x, p),
-    otherwise corroborated by :func:`gusosc_by_sampling` (the only path
-    that reads ``eta``, ``samples`` and ``seed``)."""
+    """Uniform second-order test around ``ref`` with multiplier set ``ms``
+    (from :func:`kkt.multiplier_polytope`, so MFCQ holds): decided exactly
+    by face enumeration when every constraint is affine in (x, p) and jac_f
+    is constant in (x, p), otherwise corroborated by
+    :func:`gusosc_by_sampling` (the only path that reads ``eta``,
+    ``samples``, ``seed`` and ``tol_act``)."""
     if _polyhedral(model):
-        return _gusosc_by_faces(model, ref, tol_pd, tol_act)
-    return gusosc_by_sampling(model, ref, eta, samples, seed, tol_pd, tol_act)
+        return _gusosc_by_faces(model, ref, ms, tol_pd)
+    return gusosc_by_sampling(model, ref, ms, eta, samples, seed, tol_pd, tol_act)
 
 
 def _polyhedral(model: ParametricModel) -> bool:
@@ -289,8 +282,8 @@ def _cap_active_set(active):
 def _gusosc_by_faces(
     model: ParametricModel,
     ref: ReferenceTriple,
+    ms: MultiplierSet,
     tol_pd: float = TOL_PD,
-    tol_act: float = TOL_ACT,
 ) -> SecondOrderReport:
     """Uniform second-order test decided exactly on polyhedral data (see
     :func:`_polyhedral`).
@@ -307,13 +300,8 @@ def _gusosc_by_faces(
     B_I dp = 0 and G_r w + B_r dp + t <= 0 for r in I(x) outside I has
     t* > 0; it is solved exactly on rational data.
     """
-    if not check_mfcq(model, ref.x, ref.p, tol_act).ok:
-        raise InputError("GUSOSC requires MFCQ at the reference")
-    exact = is_rational(ref.x, ref.p, ref.v)
-    bundle = (eval_bundle_exact if exact else eval_bundle)(model, ref.x, ref.p)
-    active = active_indices(bundle.phi, tol_act)
+    bundle, active, exact = ms.bundle, ms.active, ms.exact
     _cap_active_set(active)
-    ms = _multipliers(bundle, active, ref.v, exact)
     cast = Fraction if exact else float
     rows = {
         i: list(bundle.grad_phi[i])
@@ -400,6 +388,7 @@ def _face_reachable(face_rows, rest_rows, exact: bool) -> bool:
 def gusosc_by_sampling(
     model: ParametricModel,
     ref: ReferenceTriple,
+    ms: MultiplierSet,
     eta: float = ETA,
     samples: int = SAMPLES,
     seed: int = SEED,
@@ -413,13 +402,10 @@ def gusosc_by_sampling(
     it is feasible; at each accepted sample and each multiplier vertex
     there, the Lagrangian Jacobian form is minimized over the cone mixing
     strongly active equalities with weakly active inequalities; the
-    reported lower bound is the minimum over everything sampled."""
-    mfcq = check_mfcq(model, ref.x, ref.p, tol_act)
-    if not mfcq.ok:
-        raise InputError("GUSOSC sampling requires MFCQ at the reference")
-    ms_ref = multiplier_polytope(model, ref.x, ref.p, ref.v, tol_act)
-    _cap_active_set(ms_ref.active)  # before the first draw
-    vertex_pool = ms_ref.vertices_float()
+    reported lower bound is the minimum over everything sampled.  Draws
+    take their base multiplier from the vertices of ``ms`` (at ``ref``)."""
+    _cap_active_set(ms.active)  # before the first draw
+    vertex_pool = ms.vertices_float()
     x0, p0, v0 = ref.as_arrays()
     rng = np.random.default_rng(seed)
 
@@ -460,11 +446,11 @@ def gusosc_by_sampling(
             continue
         # LICQ implies MFCQ, so the LP runs only on dependent gradients
         dependent = rank(bundle.grad_phi[list(active)]) < len(active)
-        if dependent and not _mfcq(bundle, active, exact=False).ok:
+        if dependent and not check_mfcq(bundle, active).ok:
             mfcq_failures += 1
             continue
         accepted += 1
-        for vert in _multipliers(bundle, active, v_new, exact=False).vertices:
+        for vert in _multipliers(bundle, active, v_new).vertices:
             i_plus = strict_complement(vert, active)
             cone = mixed_sign_cone(bundle.grad_phi, active, i_plus, model.n)
             H = QuadForm(bundle.lagrangian_jacobian(vert))
@@ -505,10 +491,12 @@ def gusosc_by_sampling(
 def check_pvi_pointwise(
     model: ParametricModel,
     ref: ReferenceTriple,
+    bundle: EvalBundle,
     tol_pd: float = TOL_PD,
     tol_act: float = TOL_ACT,
 ) -> SecondOrderReport:
-    """Pointwise spans test for parameter-independent affine constraints:
+    """Pointwise spans test for parameter-independent affine constraints,
+    at the reference ``ref`` whose float bundle is ``bundle``:
     minimizes the base-map Jacobian form on (a) the span of the tangent
     cone intersected with the normal complement and (b) the span of the
     critical cone.  The combined verdict is (b), the polyhedral
@@ -519,10 +507,7 @@ def check_pvi_pointwise(
             "pointwise spans test needs parameter-independent affine "
             "constraints; use the sampled uniform test instead"
         )
-    xf = [float(c) for c in ref.x]
-    pf = [float(c) for c in ref.p]
     v_hat = np.array([float(c) for c in model.v_hat(ref)])
-    bundle = eval_bundle(model, xf, pf)
     T = tangent_cone(bundle, active_indices(bundle.phi, tol_act))
     K = critical_cone(T, v_hat)
     span_T = span_difference(T)
@@ -565,19 +550,18 @@ def _intersect_with_orthogonal(span: SubspaceBasis, v: np.ndarray) -> SubspaceBa
 def check_smooth_psd(
     model: ParametricModel,
     ref: ReferenceTriple,
+    bundle: EvalBundle,
     tol_pd: float = TOL_PD,
 ) -> SecondOrderReport:
     """Unconstrained case: local strong monotonicity of f around the
-    reference is decided by positive definiteness of the symmetric part of
-    the Jacobian."""
+    reference ``ref``, whose float bundle is ``bundle``, is decided by
+    positive definiteness of the symmetric part of the Jacobian."""
     if model.m != 0:
         raise InputError("smooth positive-definiteness test needs m = 0")
     v_hat = np.array([float(c) for c in model.v_hat(ref)])
     if np.linalg.norm(v_hat) > TOL_CONE * (1 + np.linalg.norm(v_hat)):
         raise InputError("reference not on the graph: v != f(x, p) with m = 0")
-    xf = [float(c) for c in ref.x]
-    pf = [float(c) for c in ref.p]
-    Q = QuadForm(eval_bundle(model, xf, pf).jac_f)
+    Q = QuadForm(bundle.jac_f)
     vals, vecs = np.linalg.eigh(Q.sym)
     modulus = float(vals[0])
     verdict = "holds" if modulus > tol_pd else "fails"
@@ -590,27 +574,24 @@ def check_smooth_psd(
 # ---------------------------------------------------------------------------
 # bordered-determinant probe
 
+# |det| of the row-scaled bordered matrix below which it counts as zero
+_DET_ZERO = 1e-9
 
-def scoc_probe(
-    model: ParametricModel,
-    ref: ReferenceTriple,
-    lam: Sequence,
-    J: Sequence[int],
-    zero_tol: float = 1e-9,
-):
-    """Determinant of the bordered matrix [[jac_L, G_J^T], [-G_J, 0]] for a
-    basis subset J of independent active gradients at an extreme
-    multiplier.  A zero determinant (|det| < tol after row-norm scaling)
-    flags a coherent-orientation violation.
 
-    Returns a dict with the raw determinant (exact when the data is
-    rational), the row-scaled determinant and the zero flag.
+def scoc_probe(bundle: EvalBundle, lam: Sequence, J: Sequence[int]):
+    """Determinant of the bordered matrix [[jac_L, G_J^T], [-G_J, 0]] at
+    the point of ``bundle``, for a basis subset J of independent active
+    gradients at an extreme multiplier.  A zero determinant (|det| <
+    _DET_ZERO after row-norm scaling) flags a coherent-orientation
+    violation.
+
+    Returns a dict with the raw determinant (exact on a Fraction bundle),
+    the row-scaled determinant and the zero flag.
     """
     J = tuple(J)
-    exact = is_rational(ref.x, ref.p, lam)
-    bundle = (eval_bundle_exact if exact else eval_bundle)(model, ref.x, ref.p)
+    exact = bundle.exact
     cast = Fraction if exact else float
-    n = model.n
+    n = len(bundle.f)
     jacL = bundle.lagrangian_jacobian(lam)
     G = [bundle.grad_phi[i] for i in J]
     if J and (len(gauss_jordan(G)[1]) if exact else rank(np.array(G))) < len(J):
@@ -622,7 +603,7 @@ def scoc_probe(
     norms = np.linalg.norm(M_float, axis=1)
     norms[norms == 0] = 1.0
     scaled_det = float(np.linalg.det(M_float / norms[:, None]))
-    is_zero = (exact and det == 0) or abs(scaled_det) < zero_tol
+    is_zero = (exact and det == 0) or abs(scaled_det) < _DET_ZERO
     return {
         "J": [i + 1 for i in J],
         "lambda": [float(c) for c in lam],

@@ -40,7 +40,6 @@ from .defaults import (
     TOL_PD,
 )
 from .errors import (
-    DegenerateSampleError,
     InputError,
     LocalizationError,
     NoMultiplierError,
@@ -54,9 +53,9 @@ from .kkt import (
     probe_crcq,
     strict_complement,
 )
-from .modelspec import ParametricModel, ReferenceTriple, eval_f, print_model
-from .monotone import GraphSample, _pair_ratios
-from .polycone import rank
+from .modelspec import ParametricModel, eval_reference, print_model
+from .monotone import _pair_ratios
+from .polycone import active_indices, rank
 from .secondorder import (
     check_gssosc,
     check_gusosc,
@@ -64,7 +63,7 @@ from .secondorder import (
     check_smooth_psd,
     scoc_probe,
 )
-from .visolver import LocalizationTable, build_localization, solve_faces
+from .visolver import LocalizationTable, build_localization
 
 __all__ = [
     "StabilityModuli",
@@ -73,12 +72,14 @@ __all__ = [
     "verify_inequality",
     "fit_moduli",
     "certify",
-    "graph_sample_from_model",
 ]
 
 
 # ---------------------------------------------------------------------------
 # pair inequality
+
+# violating pairs listed by verify_inequality, worst first
+_MAX_REPORTED = 20
 
 
 def _pair_indices(count: int, cap: int = PAIR_CAP):
@@ -114,18 +115,17 @@ def verify_inequality(
     kappa: float,
     ell: float,
     exponent: float = 1.0,
-    tol: float = TOL_INEQ,
     pair_cap: int = PAIR_CAP,
-    max_reported: int = 20,
 ):
     """Violating pairs of the full-stability inequality at (kappa, ell,
-    exponent); empty result corroborates the moduli on this table."""
+    exponent), the worst _MAX_REPORTED of them, and their count; an empty
+    result corroborates the moduli on this table."""
     if len(table) == 0:
         raise InputError("empty localization table")
     if kappa <= 0 or ell < 0:
         raise InputError("need kappa > 0 and ell >= 0")
     ii, jj, lhs, base, dp = _pair_terms(table, kappa, pair_cap)
-    rhs = base + ell * dp**exponent + tol
+    rhs = base + ell * dp**exponent + TOL_INEQ
     bad = np.flatnonzero(lhs > rhs)
     order = np.argsort(lhs[bad] - rhs[bad])[::-1]
     bad = bad[order]
@@ -137,7 +137,7 @@ def verify_inequality(
             "margin": float(lhs[k] - rhs[k]),
             "d_p": float(dp[k]),
         }
-        for k in bad[:max_reported]
+        for k in bad[:_MAX_REPORTED]
     ], int(bad.size)
 
 
@@ -169,11 +169,7 @@ class StabilityModuli:
         }
 
 
-def fit_moduli(
-    table: LocalizationTable,
-    tol: float = TOL_INEQ,
-    pair_cap: int = PAIR_CAP,
-) -> StabilityModuli:
+def fit_moduli(table: LocalizationTable, pair_cap: int = PAIR_CAP) -> StabilityModuli:
     """Fit (kappa, ell, exponent) from the table.
 
     kappa is the worst parameter-frozen Rayleigh ratio
@@ -206,7 +202,7 @@ def fit_moduli(
             kappa_hat = float(ratios[k_min])
             witness["kappa_pair"] = (int(idx[ii[k_min]]), int(idx[jj[k_min]]))
     kappa_vacuous = kappa_hat is None
-    kappa_flagged = (kappa_hat is not None) and kappa_hat <= tol
+    kappa_flagged = (kappa_hat is not None) and kappa_hat <= TOL_INEQ
     kappa_used = 1.0 if kappa_vacuous or kappa_flagged else kappa_hat
 
     # --- exponent from v-frozen pairs at the canonical center
@@ -237,7 +233,7 @@ def fit_moduli(
         exponent_used = 0.5 if abs(exponent_hat - 0.5) < abs(exponent_hat - 1.0) else 1.0
 
     # --- ell by bisection at (kappa_used, exponent_used)
-    ell_hat, ell_witness = _fit_ell(table, kappa_used, exponent_used, tol, pair_cap)
+    ell_hat, ell_witness = _fit_ell(table, kappa_used, exponent_used, pair_cap)
     if ell_witness:
         witness["ell_blocking_pair"] = ell_witness
     return StabilityModuli(
@@ -254,10 +250,10 @@ def fit_moduli(
     )
 
 
-def _fit_ell(table, kappa, exponent, tol, pair_cap):
+def _fit_ell(table, kappa, exponent, pair_cap):
     ii, jj, lhs, base, dp = _pair_terms(table, kappa, pair_cap)
     frozen = dp <= 1e-15
-    gap = lhs - base - tol
+    gap = lhs - base - TOL_INEQ
     if np.any(frozen & (gap > 0)):
         k = int(np.argmax(np.where(frozen, gap, -np.inf)))
         return None, {
@@ -267,13 +263,13 @@ def _fit_ell(table, kappa, exponent, tol, pair_cap):
         }
 
     def n_violations(ell):
-        rhs = base + ell * dp**exponent + tol
+        rhs = base + ell * dp**exponent + TOL_INEQ
         return int(np.sum(lhs > rhs))
 
     moving = ~frozen
     if not np.any(moving):
         return 0.0, None
-    hi_exact = float(np.max((lhs[moving] - base[moving] - tol) / dp[moving] ** exponent))
+    hi_exact = float(np.max((lhs[moving] - base[moving] - TOL_INEQ) / dp[moving] ** exponent))
     hi = max(0.0, hi_exact) + 1.0
     lo = 0.0
     if n_violations(lo) == 0:
@@ -287,43 +283,6 @@ def _fit_ell(table, kappa, exponent, tol, pair_cap):
         if hi - lo <= 1e-9 * (1.0 + hi):
             break
     return hi, None
-
-
-# ---------------------------------------------------------------------------
-# operator graph sampling for the monotonicity front end
-
-
-def graph_sample_from_model(
-    model: ParametricModel,
-    ref: ReferenceTriple,
-    eta: float = ETA,
-    count: int = 100,
-    seed: int = SEED,
-) -> GraphSample:
-    """Pairs (x, v) on the graph of T = f(., p) + N_{C(p)}(.) with the
-    basic parameter frozen at the reference."""
-    x0, p0, v0 = ref.as_arrays()
-    rng = np.random.default_rng(seed)
-    us, vs = [], []
-    if model.m == 0:
-        for _ in range(count):
-            x = x0 + eta * rng.uniform(-1, 1, size=model.n)
-            v = eval_f(model, x, p0)
-            if np.linalg.norm(v - v0) <= eta * 10:
-                us.append(x)
-                vs.append(v)
-    else:
-        attempts = 0
-        while len(us) < count and attempts < 40 * count:
-            attempts += 1
-            v = v0 + eta * rng.uniform(-1, 1, size=model.n)
-            outs = solve_faces(model, v, p0, box_center=x0)
-            if len(outs) == 1:
-                us.append(outs[0].x)
-                vs.append(v)
-    if len(us) < 2:
-        raise DegenerateSampleError("could not sample the operator graph")
-    return GraphSample(u=np.array(us), v=np.array(vs))
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +388,16 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
     if ref is None:
         raise InputError("model file has no reference triple")
     notes = []
-    mfcq = check_mfcq(model, ref.x, ref.p, opts.tol_act)
-    licq = check_licq(model, ref.x, ref.p, opts.tol_act)
+    # one evaluation of the reference per number type: MFCQ, Lambda, the
+    # uniform test and the determinant probe read the exact bundle, the rest the floats
+    exact, floats = eval_reference(model, ref)
+    I_exact = active_indices(exact.phi, opts.tol_act)
+    I_floats = active_indices(floats.phi, opts.tol_act)
+    mfcq = check_mfcq(exact, I_exact)
+    licq = check_licq(floats, I_floats)
     crcq = probe_crcq(
-        model, ref.x, ref.p, samples=max(10, opts.samples // 10), seed=opts.seed,
-        tol_act=opts.tol_act,
+        model, floats, I_floats, ref.x, ref.p,
+        samples=max(10, opts.samples // 10), seed=opts.seed,
     )
     cq = {
         "mfcq": mfcq.to_json_dict(),
@@ -451,7 +415,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
             "second-order checks refused"
         )
         try:
-            multiplier_polytope(model, ref.x, ref.p, ref.v, opts.tol_act)
+            multiplier_polytope(exact, I_exact, ref.v)
             multipliers = None
         except UnboundedMultiplierError as err:
             multipliers = {"unbounded": True, "recession": _jsonify(err.recession)}
@@ -474,23 +438,23 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
             **base,
         )
 
-    ms = multiplier_polytope(model, ref.x, ref.p, ref.v, opts.tol_act)
+    ms = multiplier_polytope(exact, I_exact, ref.v)
 
-    gssosc = check_gssosc(model, ref, multipliers=ms, tol_pd=opts.tol_pd)
+    gssosc = check_gssosc(floats, ms, tol_pd=opts.tol_pd)
     gusosc = check_gusosc(
-        model, ref, eta=opts.eta, samples=opts.samples,
+        model, ref, ms, eta=opts.eta, samples=opts.samples,
         seed=opts.seed, tol_pd=opts.tol_pd, tol_act=opts.tol_act,
     )
     pvi = None
     if model.m == 0 or (all(model.affine_x) and all(model.param_free)):
-        pvi = check_pvi_pointwise(model, ref, opts.tol_pd, opts.tol_act)
-    smooth = check_smooth_psd(model, ref, opts.tol_pd) if model.m == 0 else None
+        pvi = check_pvi_pointwise(model, ref, floats, opts.tol_pd, opts.tol_act)
+    smooth = check_smooth_psd(model, ref, floats, opts.tol_pd) if model.m == 0 else None
 
     scoc = []
     for vert in ms.vertices:
         i_plus = strict_complement(vert, ms.active)
         J = _max_independent_subset(ms.grad_matrix, list(i_plus)) if i_plus else ()
-        scoc.append(scoc_probe(model, ref, vert, J))
+        scoc.append(scoc_probe(exact, vert, J))
 
     # ----- empirical harness
     localization = None

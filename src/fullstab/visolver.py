@@ -87,32 +87,30 @@ class SolveOutcome:
 # ---------------------------------------------------------------------------
 # projected fixed-point iteration
 
+# relative step norm at which the projected iteration has converged
+_PROJECTED_TOL = 1e-11
+
 
 def solve_projected(
     model: ParametricModel,
     v,
     p,
     x0,
-    gamma: Optional[float] = None,
     moduli: Optional[tuple] = None,
     max_iter: int = 5000,
-    tol: float = 1e-11,
 ) -> SolveOutcome:
     """Fixed-point iteration x <- Proj_{C(p)}(x - gamma (f(x, p) - v)).
 
-    gamma defaults to 0.9 kappa / L^2 when (kappa, L) estimates are given,
-    else 1e-2; it halves (at most 6 times) when the residual diverges.
+    gamma starts at 0.9 kappa / L^2 when (kappa, L) estimates are given,
+    else at 1e-2; it halves (at most 6 times) when the residual diverges.
     The iteration step norm *is* the fixed-point residual at the current
     iterate, which the returned outcome reports.
     """
     v = np.asarray(v, dtype=float)
     p = np.asarray(p, dtype=float)
     x = np.asarray(x0, dtype=float).copy()
-    if gamma is None:
-        if moduli is not None and moduli[0] > 0 and moduli[1] > 0:
-            gamma = 0.9 * moduli[0] / moduli[1] ** 2
-        else:
-            gamma = 1e-2
+    estimated = moduli is not None and moduli[0] > 0 and moduli[1] > 0
+    gamma = 0.9 * moduli[0] / moduli[1] ** 2 if estimated else 1e-2
     if model.m:
         A, b = polyhedron_rows(model, p)
     else:
@@ -132,7 +130,7 @@ def solve_projected(
         x_next = step(x)
         resid = float(np.linalg.norm(x_next - x))
         x = x_next
-        if resid < tol * (1.0 + float(np.linalg.norm(x))):
+        if resid < _PROJECTED_TOL * (1.0 + float(np.linalg.norm(x))):
             return SolveOutcome(
                 x=x, lam=np.zeros(model.m), residual=resid,
                 iterations=it, method="projected-iteration", converged=True,
@@ -163,14 +161,18 @@ def solve_projected(
 # face enumeration
 
 
-def _newton_stack(model, V, P, J, Z, max_iter=60):
+# Newton steps per row before _newton_stack gives the row up
+_NEWTON_STEPS = 60
+
+
+def _newton_stack(model, V, P, J, Z):
     """Newton's method on the face phi_J = 0, one stacked iteration for
     all rows: row r starts from z = Z[r] = (x, lam_J) at the node (V[r],
     P[r]).  Each iteration evaluates the live rows by one eval_bundle
     call and solves their Newton systems by :func:`_solve_stack`.  A row
     stops where a single run would: converged (||F|| < 1e-12 (1 + ||v||)),
-    a singular Newton matrix, a non-finite or > 1e6 iterate, or max_iter
-    steps.  Returns the converged mask, the final rows z and f, phi and
+    a singular Newton matrix, a non-finite or > 1e6 iterate, or
+    _NEWTON_STEPS steps.  Returns the converged mask, the final rows z and f, phi and
     grad phi evaluated at the converged rows."""
     n, m, k = model.n, model.m, len(J)
     Z = np.array(Z, dtype=float)
@@ -178,7 +180,7 @@ def _newton_stack(model, V, P, J, Z, max_iter=60):
     f, phi, grad = np.zeros((len(Z), n)), np.zeros((len(Z), m)), np.zeros((len(Z), m, n))
     tol = 1e-12 * (1 + _norms(V))
     live = np.arange(len(Z))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         if not live.size:
             break
         z = Z[live]
@@ -393,7 +395,6 @@ def solve_faces(
     p,
     box_center=None,
     box_radius: float = BOX_RADIUS,
-    tol_act: float = TOL_ACT,
 ) -> list:
     """All solutions of v in f(x, p) + N_{C(p)}(x) inside the sup-norm box,
     by the face sweep of ``build_localization`` on the single node (v, p).
@@ -405,7 +406,7 @@ def solve_faces(
     )
     V = np.asarray(v, dtype=float).reshape(1, model.n)
     P = np.asarray(p, dtype=float).reshape(1, model.d)
-    merged = next(_face_sweep(model, V, P, center, box_radius, tol_act))
+    merged = next(_face_sweep(model, V, P, center, box_radius, TOL_ACT))
     multiplicity = "unique-in-box" if len(merged) == 1 else (
         "multiple-found" if merged else "unknown"
     )
@@ -499,6 +500,10 @@ def _grid_nodes(ref_v, ref_p, rho_v, rho_p, grid_v, grid_p, n, d, n_random, seed
     return V, P
 
 
+# solve_projected cross-checks of a table affine in x, spread over its nodes
+_CROSS_CHECKS = 10
+
+
 def build_localization(
     model: ParametricModel,
     ref: ReferenceTriple,
@@ -510,7 +515,6 @@ def build_localization(
     box_radius: float = BOX_RADIUS,
     seed: int = SEED,
     tol_act: float = TOL_ACT,
-    cross_checks: int = 10,
 ) -> LocalizationTable:
     """Tabulate the single-valued localization on a tensor grid plus random
     interior nodes; radii halve (at most 6 times) when single-valuedness
@@ -550,7 +554,7 @@ def build_localization(
                     float(np.linalg.eigvalsh(0.5 * (Jf + Jf.T))[0]),
                     float(np.linalg.norm(Jf, 2)),
                 )
-                stride = max(1, N // max(1, cross_checks))
+                stride = max(1, N // _CROSS_CHECKS)
                 for k in range(0, N, stride):
                     proj = solve_projected(model, V[k], P[k], x0, moduli=moduli)
                     if proj.converged:

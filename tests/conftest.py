@@ -6,9 +6,32 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fullstab.modelspec import parse_model
+from fullstab.kkt import multiplier_polytope
+from fullstab.modelspec import ReferenceTriple, eval_bundle, eval_reference, parse_model
+from fullstab.polycone import active_indices
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+
+
+def exact_at(model, x, p, v=()):
+    """The bundle that MFCQ, Lambda, the uniform test and the determinant
+    probe read at (x, p), in Fractions when x, p and v are rational, and its
+    active set: what ``certify`` builds at a reference (x, p, v)."""
+    exact, _ = eval_reference(model, ReferenceTriple(tuple(x), tuple(p), tuple(v)))
+    return exact, active_indices(exact.phi)
+
+
+def floats_at(model, x, p):
+    """The float bundle at (x, p), which the other pointwise checks read,
+    and its active set."""
+    floats = eval_bundle(model, x, p)
+    return floats, active_indices(floats.phi)
+
+
+def reference_multipliers(model):
+    """Lambda at the model's reference, as ``certify`` enumerates it."""
+    ref = model.reference
+    return multiplier_polytope(*exact_at(model, ref.x, ref.p, ref.v), ref.v)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -202,22 +202,30 @@ class TestSubcommands:
 
     def test_cones_evaluates_reference_once(self, tmp_path, monkeypatch):
         # active set, tangent cone, LICQ and the CRCQ center share one
-        # float bundle; the CRCQ probe still evaluates its own samples
-        import fullstab.cli as cli
+        # float bundle, MFCQ and Lambda one exact bundle; the CRCQ probe
+        # still evaluates its own samples
         import fullstab.kkt as kkt
+        import fullstab.modelspec as modelspec
         import fullstab.polycone as polycone
 
         points = []
-        for module in (cli, kkt, polycone):
+        exact = []
+        for module in (modelspec, kkt, polycone):
             inner = module.eval_bundle
             monkeypatch.setattr(
                 module, "eval_bundle",
                 lambda model, x, p, inner=inner: points.append([float(c) for c in x])
                 or inner(model, x, p),
             )
+        inner_exact = modelspec.eval_bundle_exact
+        monkeypatch.setattr(
+            modelspec, "eval_bundle_exact",
+            lambda model, x, p: exact.append(list(x)) or inner_exact(model, x, p),
+        )
         code = run(["cones", str(MODELS / "ex64.model"), "--json", str(tmp_path / "c.json")])
         assert code == 0
         assert points.count([0.0, 0.0, 0.0]) == 1
+        assert exact == [[0, 0, 0]]
 
     def test_report_renders_text(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -27,13 +27,32 @@ from fullstab.secondorder import scoc_probe
 from fullstab.simplex import solve_standard_lp
 from fullstab.stabharness import _max_independent_subset
 
+from conftest import exact_at, floats_at
+
 ZERO3 = (Fraction(0), Fraction(0), Fraction(0))
 ZERO2 = (Fraction(0), Fraction(0))
 
 
+# each check at (x, p) on the bundle certify would hand it there
+def mfcq_at(model, x, p):
+    return check_mfcq(*exact_at(model, x, p))
+
+
+def licq_at(model, x, p):
+    return check_licq(*floats_at(model, x, p))
+
+
+def crcq_at(model, x, p, **kwargs):
+    return probe_crcq(model, *floats_at(model, x, p), x, p, **kwargs)
+
+
+def polytope_at(model, x, p, v):
+    return multiplier_polytope(*exact_at(model, x, p, v), v)
+
+
 class TestMFCQ:
     def test_worked_example_holds_with_unique_witness(self, ex64_model):
-        rep = check_mfcq(ex64_model, ZERO3, ZERO2)
+        rep = mfcq_at(ex64_model, ZERO3, ZERO2)
         assert rep.verdict == "holds"
         assert rep.witness["t_star"] == pytest.approx(1.0, abs=1e-12)
         assert rep.witness["direction"] == pytest.approx([0.0, 0.0, 1.0], abs=1e-12)
@@ -43,7 +62,7 @@ class TestMFCQ:
         assert np.all(G @ d <= -rep.witness["t_star"] + 1e-10)
 
     def test_vacuous_when_inactive(self, ex64_model):
-        rep = check_mfcq(ex64_model, (0, 0, 1), ZERO2)
+        rep = mfcq_at(ex64_model, (0, 0, 1), ZERO2)
         assert rep.verdict == "holds"
         assert rep.witness["vacuous"] is True
 
@@ -51,7 +70,7 @@ class TestMFCQ:
         m = parse_model(
             "dims n=1 d=0\nf = (x1)\nconstraint x1 <= 0\nconstraint -x1 <= 0\n"
         )
-        rep = check_mfcq(m, (Fraction(0),), ())
+        rep = mfcq_at(m, (Fraction(0),), ())
         assert rep.verdict == "fails"
         assert rep.witness["t_star"] == 0.0
         assert rep.witness["exact"] is True
@@ -59,22 +78,22 @@ class TestMFCQ:
 
 class TestLICQ:
     def test_worked_example_fails(self, ex64_model):
-        rep = check_licq(ex64_model, ZERO3, ZERO2)
+        rep = licq_at(ex64_model, ZERO3, ZERO2)
         assert rep.verdict == "fails"
         assert rep.witness["rank"] == 3 and rep.witness["count"] == 4
 
     def test_single_constraint_holds(self):
         m = parse_model("dims n=2 d=0\nf = (x1, x2)\nconstraint x1 <= 0\n")
-        rep = check_licq(m, (0, 0), ())
+        rep = licq_at(m, (0, 0), ())
         assert rep.verdict == "holds"
 
     def test_empty_active_set_holds(self, skew_model):
-        assert check_licq(skew_model, (0, 0), ()).verdict == "holds"
+        assert licq_at(skew_model, (0, 0), ()).verdict == "holds"
 
 
 class TestCRCQ:
     def test_affine_model_holds(self, ex64_model):
-        rep = probe_crcq(ex64_model, ZERO3, ZERO2)
+        rep = crcq_at(ex64_model, ZERO3, ZERO2)
         assert rep.verdict == "holds"
         assert rep.witness.get("affine") is True
 
@@ -84,7 +103,7 @@ class TestCRCQ:
         m = parse_model(
             "dims n=1 d=0\nf = (x1)\nconstraint x1^2 <= 0\nconstraint x1 <= 0\n"
         )
-        rep = probe_crcq(m, (0,), (), radius=1e-2, samples=20, seed=3)
+        rep = crcq_at(m, (0,), (), samples=20, seed=3)
         assert rep.verdict == "fails"
         assert rep.witness["subset"] == [1]
         assert rep.witness["rank_at_center"] == 0
@@ -92,13 +111,13 @@ class TestCRCQ:
 
     def test_nonvanishing_gradient_corroborated(self):
         m = parse_model("dims n=1 d=0\nf = (x1)\nconstraint x1^3 + x1 <= 0\n")
-        rep = probe_crcq(m, (0,), (), samples=10)
+        rep = crcq_at(m, (0,), (), samples=10)
         assert rep.verdict == "corroborated"
 
 
 class TestMultiplierPolytope:
     def test_worked_example_segment_exact(self, ex64_model):
-        ms = multiplier_polytope(ex64_model, ZERO3, ZERO2, ZERO3)
+        ms = polytope_at(ex64_model, ZERO3, ZERO2, ZERO3)
         assert ms.exact is True
         assert ms.dim == 1
         verts = sorted(ms.vertices)
@@ -108,7 +127,7 @@ class TestMultiplierPolytope:
         ]
 
     def test_vertices_satisfy_description(self, ex64_model):
-        ms = multiplier_polytope(ex64_model, ZERO3, ZERO2, ZERO3)
+        ms = polytope_at(ex64_model, ZERO3, ZERO2, ZERO3)
         G = ms.grad_matrix
         rhs = np.array([float(c) for c in ms.stationarity_rhs])
         for vert in ms.vertices_float():
@@ -119,12 +138,12 @@ class TestMultiplierPolytope:
         # v = f(x, p) at an interior point: Lambda = {0}
         x = (0, 0, 1)
         f = [float(v) for v in ex64_model.f_values([0, 0, 1], [0, 0])]
-        ms = multiplier_polytope(ex64_model, x, (0, 0), tuple(f))
+        ms = polytope_at(ex64_model, x, (0, 0), tuple(f))
         assert ms.vertices_float() == pytest.approx(np.zeros((1, 4)))
 
     def test_no_multiplier_raises(self, ex64_model):
         with pytest.raises(NoMultiplierError):
-            multiplier_polytope(ex64_model, (0, 0, 1), ZERO2, (5.0, 5.0, 5.0))
+            polytope_at(ex64_model, (0, 0, 1), ZERO2, (5.0, 5.0, 5.0))
 
     @pytest.mark.parametrize("five", [Fraction(5), 5.0], ids=["exact", "float"])
     def test_no_multiplier_at_active_point_raises(self, ex64_model, five):
@@ -132,14 +151,14 @@ class TestMultiplierPolytope:
         # (19/4, 5, 4) is outside the cone of the gradients: each gradient
         # has third entry -1, so no nonnegative combination reaches +4
         with pytest.raises(NoMultiplierError, match="not in Psi"):
-            multiplier_polytope(ex64_model, ZERO3, ZERO2, (five,) * 3)
+            polytope_at(ex64_model, ZERO3, ZERO2, (five,) * 3)
 
     def test_unbounded_reports_recession(self):
         m = parse_model(
             "dims n=1 d=0\nf = (x1)\nconstraint x1 <= 0\nconstraint -x1 <= 0\n"
         )
         with pytest.raises(UnboundedMultiplierError) as err:
-            multiplier_polytope(m, (Fraction(0),), (), (Fraction(0),))
+            polytope_at(m, (Fraction(0),), (), (Fraction(0),))
         ray = err.value.recession
         assert ray is not None
         assert min(ray) >= 0 and max(ray) > 0
@@ -149,7 +168,7 @@ class TestMultiplierPolytope:
     def test_hull_support_function_matches_description(self, ex64_model):
         # sup over the affine description equals max over enumerated
         # vertices for random objectives (bounded polytope under MFCQ).
-        ms = multiplier_polytope(ex64_model, ZERO3, ZERO2, ZERO3)
+        ms = polytope_at(ex64_model, ZERO3, ZERO2, ZERO3)
         cols = [
             [float(g) for g in ms.grad_matrix[i]] for i in ms.active
         ]
@@ -166,7 +185,7 @@ class TestMultiplierPolytope:
             assert lp_max == pytest.approx(vert_max, abs=1e-8)
 
     def test_m_zero_model(self, skew_model):
-        ms = multiplier_polytope(skew_model, (0, 0), (), (0, 0))
+        ms = polytope_at(skew_model, (0, 0), (), (0, 0))
         assert ms.vertices == [()]
 
 
@@ -184,13 +203,13 @@ class TestIntegerPointStaysExact:
         assert b.grad_phi == [[Fraction(1, 2), Fraction(-1, 4)]]
 
     def test_mfcq_reports_exact(self):
-        rep = check_mfcq(parse_model(self.MODEL), (1, 2), ())
+        rep = mfcq_at(parse_model(self.MODEL), (1, 2), ())
         assert rep.verdict == "holds"
         assert rep.witness["exact"] is True
 
     def test_multiplier_polytope_reports_exact(self):
         # v = f + 4 grad phi = (1/2 + 2, 2 - 1)
-        ms = multiplier_polytope(parse_model(self.MODEL), (1, 2), (), (Fraction(5, 2), 1))
+        ms = polytope_at(parse_model(self.MODEL), (1, 2), (), (Fraction(5, 2), 1))
         assert ms.exact is True
         assert ms.vertices == [(Fraction(4),)]
 
@@ -233,11 +252,12 @@ class TestSharedRankCutoff:
         s = np.linalg.svd(G, compute_uv=False)
         above = s[1] > 2 * RANK_TOL * s[0]
         assert 0.5 < s[1] / (2 * RANK_TOL * s[0]) < 2.0  # near the cutoff
-        licq = check_licq(m, (0, 0), ())
+        licq = licq_at(m, (0, 0), ())
         assert (licq.verdict == "holds") == above
         assert (_max_independent_subset(G, [0, 1]) == (0, 1)) == above
+        floats, _ = floats_at(m, (0, 0), ())
         if above:
-            scoc_probe(m, m.reference, (1.0, 0.0), (0, 1))
+            scoc_probe(floats, (1.0, 0.0), (0, 1))
         else:
             with pytest.raises(InputError, match="dependent"):
-                scoc_probe(m, m.reference, (1.0, 0.0), (0, 1))
+                scoc_probe(floats, (1.0, 0.0), (0, 1))

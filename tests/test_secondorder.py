@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from fullstab import expr as ex
-from fullstab.errors import DeskScaleError, InputError
-from fullstab.kkt import multiplier_polytope
+from fullstab.errors import DeskScaleError, InputError, UnboundedMultiplierError
 from fullstab.modelspec import eval_bundle, parse_model
 from fullstab.polycone import ConeDesc, SubspaceBasis
 from fullstab.secondorder import (
@@ -32,6 +31,7 @@ from fullstab.secondorder import (
     scoc_probe,
 )
 
+from conftest import exact_at, floats_at, reference_multipliers
 from oracles import (
     cofactor_det,
     gssosc_by_scan,
@@ -48,6 +48,16 @@ OFF_APEX = (
     "dims n=2 d=0\nf = (x1 + 3*x2, 3*x1 + x2)\n"
     "constraint -x1 <= 0\nconstraint -x2 <= 0\nreference x=(0, 0) p=() v=(0, 0)\n"
 )
+
+
+def _floats(model):
+    ref = model.reference
+    return floats_at(model, ref.x, ref.p)[0]
+
+
+def _exact(model):
+    ref = model.reference
+    return exact_at(model, ref.x, ref.p, ref.v)[0]
 
 
 class TestMinOnSubspace:
@@ -154,7 +164,7 @@ def _null(M):
 
 class TestGSSOSC:
     def test_worked_example_fails_with_e2_witness(self, ex64_model):
-        rep = check_gssosc(ex64_model, ex64_model.reference)
+        rep = check_gssosc(_floats(ex64_model), reference_multipliers(ex64_model))
         assert rep.verdict == "fails"
         assert rep.modulus == pytest.approx(0.0, abs=1e-12)
         lam = rep.witness["lambda"]
@@ -164,19 +174,19 @@ class TestGSSOSC:
         assert abs(d[0]) < 1e-10 and abs(d[2]) < 1e-10
 
     def test_identity_unconstrained_holds(self, identity_model):
-        rep = check_gssosc(identity_model, identity_model.reference)
+        rep = check_gssosc(_floats(identity_model), reference_multipliers(identity_model))
         assert rep.verdict == "holds"
         assert rep.modulus == pytest.approx(1.0)
 
     def test_skew_unconstrained_fails(self, skew_model):
-        rep = check_gssosc(skew_model, skew_model.reference)
+        rep = check_gssosc(_floats(skew_model), reference_multipliers(skew_model))
         assert rep.verdict == "fails"
         assert rep.modulus == pytest.approx(-1.0)
         d = np.array(rep.witness["direction"])
         assert abs(d[1]) == pytest.approx(1.0, abs=1e-10)
 
     def test_witness_reverifies(self, ex64_model):
-        rep = check_gssosc(ex64_model, ex64_model.reference)
+        rep = check_gssosc(_floats(ex64_model), reference_multipliers(ex64_model))
         lam = rep.witness["lambda"]
         w = np.array(rep.witness["direction"])
         H = eval_bundle(ex64_model, [0, 0, 0], [0, 0]).lagrangian_jacobian(lam)
@@ -187,7 +197,10 @@ class TestGSSOSC:
 
 class TestGUSOSC:
     def test_worked_example_corroborated(self, ex64_model):
-        rep = gusosc_by_sampling(ex64_model, ex64_model.reference, eta=1e-2, samples=500, seed=7)
+        rep = gusosc_by_sampling(
+            ex64_model, ex64_model.reference, reference_multipliers(ex64_model),
+            eta=1e-2, samples=500, seed=7,
+        )
         assert rep.verdict == "corroborated"
         assert rep.modulus > 0
         assert rep.details["samples_accepted"] == 500
@@ -196,7 +209,7 @@ class TestGUSOSC:
         # only the apex face is reachable: its two vertex supports give
         # trivial cones, while the unreachable face {1, 2} would give the
         # value 0 on e2
-        rep = check_gusosc(ex64_model, ex64_model.reference)
+        rep = check_gusosc(ex64_model, ex64_model.reference, reference_multipliers(ex64_model))
         assert rep.verdict == "holds"
         assert rep.modulus == math.inf
         assert rep.details["reachability_lps"] == 4
@@ -211,7 +224,7 @@ class TestGUSOSC:
         # the apex pair gives 1 on the negative orthant; the face {1} and
         # the interior see the eigenvalue -2 of the symmetric part
         m = parse_model(OFF_APEX)
-        rep = check_gusosc(m, m.reference)
+        rep = check_gusosc(m, m.reference, reference_multipliers(m))
         assert rep.verdict == "fails"
         assert rep.modulus == pytest.approx(-2.0, abs=1e-12)
         assert rep.witness["active_set"] != [1, 2]
@@ -227,7 +240,7 @@ class TestGUSOSC:
         rows = "".join(f"constraint -x1 + ({k}/7)*x2 <= 0\n" for k in range(-6, 7))
         m = parse_model(f"dims n=2 d=0\nf = (x1, x2)\n{rows}reference x=(0, 0) p=() v=(0, 0)\n")
         with pytest.raises(DeskScaleError, match="face-enumeration cap"):
-            check_gusosc(m, m.reference)
+            check_gusosc(m, m.reference, reference_multipliers(m))
 
     def test_sampler_caps_active_set_before_drawing(self, monkeypatch):
         # the curved version of the model above stays on the sampled path;
@@ -240,7 +253,7 @@ class TestGUSOSC:
         ball = secondorder._ball
         monkeypatch.setattr(secondorder, "_ball", lambda *a: draws.append(1) or ball(*a))
         with pytest.raises(DeskScaleError, match="13 active constraints exceed the face-enumeration cap"):
-            check_gusosc(m, m.reference)
+            check_gusosc(m, m.reference, reference_multipliers(m))
         assert draws == []
 
     def test_reachability_lp_sized_by_active_rows(self):
@@ -253,19 +266,21 @@ class TestGUSOSC:
             f"dims n=8 d=8\nf = ({xs})\nconstraint x1 - p1 <= 0\nconstraint x2 - p2 <= 0\n"
             f"reference x=({zeros}) p=({zeros}) v=({zeros})\n"
         )
-        rep = check_gusosc(m, m.reference)
+        rep = check_gusosc(m, m.reference, reference_multipliers(m))
         assert rep.verdict == "holds" and rep.modulus == pytest.approx(1.0)
         assert rep.details["reachability_lps"] == 3
         assert [p["active_set"] for p in rep.details["pairs"]] == [[], [1], [2], [1, 2]]
 
     def test_mfcq_failure_rejected_on_both_paths(self):
+        # the uniform test takes Lambda, which is refused without MFCQ, so
+        # neither the exact (x1) nor the sampled (x1 + x1^3) path is reached
         for f in ("x1", "x1 + x1^3"):
             m = parse_model(
                 f"dims n=1 d=0\nf = ({f})\nconstraint x1 <= 0\nconstraint -x1 <= 0\n"
                 "reference x=(0) p=() v=(0)\n"
             )
-            with pytest.raises(InputError, match="MFCQ"):
-                check_gusosc(m, m.reference)
+            with pytest.raises(UnboundedMultiplierError, match="MFCQ"):
+                reference_multipliers(m)
 
     def test_faces_agree_with_sampler_on_corpus(self, ex64_model, skew_model, identity_model):
         # ex64, the 20 criterion-7 instances, identity and skew: the exact
@@ -273,8 +288,10 @@ class TestGUSOSC:
         models = [ex64_model, *_corpus(), identity_model, skew_model]
         assert len(models) == 23
         for idx, m in enumerate(models):
-            exact = check_gusosc(m, m.reference)
-            sampled = gusosc_by_sampling(m, m.reference, samples=80, seed=5)
+            exact = check_gusosc(m, m.reference, reference_multipliers(m))
+            sampled = gusosc_by_sampling(
+                m, m.reference, reference_multipliers(m), samples=80, seed=5
+            )
             assert exact.details["samples_accepted"] == 0, idx
             if math.isinf(exact.modulus):
                 assert math.isinf(sampled.modulus), idx
@@ -291,8 +308,8 @@ class TestGUSOSC:
             (parse_model(OFF_APEX), -2.0),
         ]
         for m, expected in models:
-            rep = check_gusosc(m, m.reference)
-            ms = multiplier_polytope(m, m.reference.x, m.reference.p, m.reference.v)
+            ms = reference_multipliers(m)
+            rep = check_gusosc(m, m.reference, ms)
             act = list(ms.active)
             G = ms.grad_matrix[act]
             B = [[float(ex.evaluate(ex.differentiate(m.constraints[i], "p", l), m.reference.x,
@@ -308,7 +325,10 @@ class TestGUSOSC:
                 assert abs(oracle - expected) <= 1e-4, (expected, oracle)
 
     def test_skew_fails_at_minus_one(self, skew_model):
-        rep = check_gusosc(skew_model, skew_model.reference, eta=1e-2, samples=50, seed=1)
+        rep = check_gusosc(
+            skew_model, skew_model.reference, reference_multipliers(skew_model),
+            eta=1e-2, samples=50, seed=1,
+        )
         assert rep.verdict == "fails"
         assert rep.modulus <= -1 + 1e-6
         assert rep.modulus == pytest.approx(-1.0, abs=1e-9)
@@ -318,7 +338,7 @@ class TestGUSOSC:
             "dims n=2 d=0\nf = (2*x1, 3*x2)\nconstraint x1 - 1 <= 0\n"
             "reference x=(0, 0) p=() v=(0, 0)\n"
         )
-        rep = check_gusosc(m, m.reference, eta=1e-2, samples=50, seed=2)
+        rep = check_gusosc(m, m.reference, reference_multipliers(m), eta=1e-2, samples=50, seed=2)
         assert rep.verdict == "holds"
         # interior samples see the full-space cone: min eig of sym jac
         assert rep.modulus == pytest.approx(2.0, abs=1e-6)
@@ -341,10 +361,11 @@ class TestGUSOSC:
 
             monkeypatch.setattr(module, name, wrapper)
 
+        ms = reference_multipliers(ex64_model)  # before the counters go in
         for module in (kkt, polycone, secondorder):
             counted(module, "eval_bundle")
         counted(secondorder, "project_onto_rows")
-        rep = gusosc_by_sampling(ex64_model, ex64_model.reference, samples=100, seed=1)
+        rep = gusosc_by_sampling(ex64_model, ex64_model.reference, ms, samples=100, seed=1)
         assert rep.details["samples_accepted"] == 100
         assert calls["project_onto_rows"] > 0
         assert calls["eval_bundle"] <= rep.details["attempts"] + calls["project_onto_rows"]
@@ -363,9 +384,11 @@ class TestGUSOSC:
         ]
         for text, eta0 in corpus:
             m = parse_model(text)
-            gss = check_gssosc(m, m.reference)
+            gss = check_gssosc(_floats(m), reference_multipliers(m))
             assert gss.verdict == "holds", text
-            gus = check_gusosc(m, m.reference, eta=eta0, samples=120, seed=5)
+            gus = check_gusosc(
+                m, m.reference, reference_multipliers(m), eta=eta0, samples=120, seed=5
+            )
             assert gus.verdict == "holds", text
             if math.isfinite(gss.modulus):
                 assert gus.modulus >= gss.modulus / 2 - 1e-9
@@ -373,7 +396,7 @@ class TestGUSOSC:
 
 class TestPVIPointwise:
     def test_skew_full_space_fails(self, skew_model):
-        rep = check_pvi_pointwise(skew_model, skew_model.reference)
+        rep = check_pvi_pointwise(skew_model, skew_model.reference, _floats(skew_model))
         assert rep.verdict == "fails"
         assert rep.details["closure_holds"] is False
         d = np.array(rep.witness["direction"])
@@ -385,7 +408,7 @@ class TestPVIPointwise:
             "dims n=2 d=0\nf = (x1, -x2)\nconstraint x2 <= 0\nconstraint -x2 <= 0\n"
             "reference x=(0, 0) p=() v=(0, 0)\n"
         )
-        rep = check_pvi_pointwise(m, m.reference)
+        rep = check_pvi_pointwise(m, m.reference, _floats(m))
         assert rep.verdict == "holds"
         assert rep.modulus == pytest.approx(1.0)
         assert rep.details["critical_span_dim"] == 1
@@ -400,41 +423,43 @@ class TestPVIPointwise:
             "reference x=(1, 1) p=() v=(3, 1)\n"
         )
         # v_hat = v - f = (2, 2): positive support on both active normals
-        rep = check_pvi_pointwise(m, m.reference)
+        rep = check_pvi_pointwise(m, m.reference, _floats(m))
         assert rep.verdict == "vacuous"
         assert rep.details["critical_span_dim"] == 0
 
     def test_reference_evaluated_once(self, monkeypatch):
-        # the active set, the tangent cone and jac_f come from one bundle
+        # the active set, the tangent cone and jac_f come from the bundle
+        # the caller evaluated, with no evaluation of its own
         import fullstab.kkt as kkt
         import fullstab.polycone as polycone
         import fullstab.secondorder as secondorder
 
+        m = parse_model(
+            "dims n=2 d=0\nf = (x1, -x2)\nconstraint x2 <= 0\nconstraint -x2 <= 0\n"
+            "reference x=(0, 0) p=() v=(0, 0)\n"
+        )
+        bundle = _floats(m)
         calls = []
         for module in (kkt, polycone, secondorder):
             inner = module.eval_bundle
             monkeypatch.setattr(
                 module, "eval_bundle", lambda *a, inner=inner: calls.append(a) or inner(*a)
             )
-        m = parse_model(
-            "dims n=2 d=0\nf = (x1, -x2)\nconstraint x2 <= 0\nconstraint -x2 <= 0\n"
-            "reference x=(0, 0) p=() v=(0, 0)\n"
-        )
-        assert check_pvi_pointwise(m, m.reference).verdict == "holds"
-        assert len(calls) == 1
+        assert check_pvi_pointwise(m, m.reference, bundle).verdict == "holds"
+        assert calls == []
 
     def test_parameter_dependent_constraints_rejected(self, ex64_model):
         with pytest.raises(InputError, match="parameter-independent"):
-            check_pvi_pointwise(ex64_model, ex64_model.reference)
+            check_pvi_pointwise(ex64_model, ex64_model.reference, _floats(ex64_model))
 
 
 class TestSmoothPSD:
     def test_identity_holds(self, identity_model):
-        rep = check_smooth_psd(identity_model, identity_model.reference)
+        rep = check_smooth_psd(identity_model, identity_model.reference, _floats(identity_model))
         assert rep.verdict == "holds" and rep.modulus == pytest.approx(1.0)
 
     def test_skew_fails_minus_one(self, skew_model):
-        rep = check_smooth_psd(skew_model, skew_model.reference)
+        rep = check_smooth_psd(skew_model, skew_model.reference, _floats(skew_model))
         assert rep.verdict == "fails"
         assert rep.modulus == pytest.approx(-1.0, abs=1e-12)
 
@@ -444,42 +469,44 @@ class TestSmoothPSD:
             "dims n=3 d=2\npotential = x3 + (1/4 + p2)*x1 + p1*x2 + x3^2 - x1*x2\n"
             "reference x=(0, 0, 0) p=(0, 0) v=(1/4, 0, 1)\n"
         )
-        rep = check_smooth_psd(m, m.reference)
+        rep = check_smooth_psd(m, m.reference, _floats(m))
         assert rep.verdict == "fails"
         assert rep.modulus == pytest.approx(-1.0, abs=1e-12)
 
     def test_requires_unconstrained(self, ex64_model):
         with pytest.raises(InputError):
-            check_smooth_psd(ex64_model, ex64_model.reference)
+            check_smooth_psd(ex64_model, ex64_model.reference, _floats(ex64_model))
 
 
 class TestSCOCProbe:
     def test_worked_example_det_zero_exact(self, ex64_model):
         lam = (Fraction(3, 8), Fraction(5, 8), Fraction(0), Fraction(0))
-        out = scoc_probe(ex64_model, ex64_model.reference, lam, (0, 1))
+        out = scoc_probe(_exact(ex64_model), lam, (0, 1))
         assert out["exact"] is True
         assert out["det_exact"] == "0"
         assert out["zero"] is True
         assert abs(out["det_scaled"]) < 1e-9
 
     def test_float_multiplier_runs_the_float_path(self, ex64_model):
+        # the number type is the bundle's: a float multiplier comes with the
+        # float bundle, as it does at a reference that is not rational
         exact = scoc_probe(
-            ex64_model, ex64_model.reference,
+            _exact(ex64_model),
             (Fraction(3, 8), Fraction(5, 8), Fraction(0), Fraction(0)), (0,),
         )
-        out = scoc_probe(ex64_model, ex64_model.reference, (0.375, 0.625, 0, 0), (0,))
+        out = scoc_probe(_floats(ex64_model), (0.375, 0.625, 0, 0), (0,))
         assert out["exact"] is False
         assert out["det_exact"] is None
         assert out["det"] == float(Fraction(exact["det_exact"]))
 
     def test_unconstrained_identity_det_one(self, identity_model):
-        out = scoc_probe(identity_model, identity_model.reference, (), ())
+        out = scoc_probe(_exact(identity_model), (), ())
         assert out["det"] == pytest.approx(1.0)
         assert out["zero"] is False
 
     def test_single_row_matches_cofactor_oracle(self, ex64_model):
         lam = (Fraction(3, 8), Fraction(5, 8), Fraction(0), Fraction(0))
-        out = scoc_probe(ex64_model, ex64_model.reference, lam, (0,))
+        out = scoc_probe(_exact(ex64_model), lam, (0,))
         # oracle: cofactor expansion of the 4x4 bordered matrix
         M = [
             [Fraction(0), Fraction(-1), Fraction(0), Fraction(1)],
@@ -494,7 +521,7 @@ class TestSCOCProbe:
 
     def test_five_by_five_matches_cofactor_oracle(self, ex64_model):
         lam = (Fraction(3, 8), Fraction(5, 8), Fraction(0), Fraction(0))
-        out = scoc_probe(ex64_model, ex64_model.reference, lam, (0, 1))
+        out = scoc_probe(_exact(ex64_model), lam, (0, 1))
         M = [
             [Fraction(0), Fraction(-1), Fraction(0), Fraction(1), Fraction(-1)],
             [Fraction(-1), Fraction(0), Fraction(0), Fraction(0), Fraction(0)],
@@ -511,7 +538,7 @@ class TestSCOCProbe:
             "reference x=(0) p=() v=(-1)\n"
         )
         with pytest.raises(InputError, match="dependent"):
-            scoc_probe(m, m.reference, (Fraction(1), Fraction(0)), (0, 1))
+            scoc_probe(_exact(m), (Fraction(1), Fraction(0)), (0, 1))
 
 
 def _linear_form(coeffs):
@@ -555,10 +582,8 @@ def _curved_multiplier_model(rng):
 
 class TestLambdaScanAcrossPolytope:
     def test_all_vertices_visited(self, ex64_model):
-        ms = multiplier_polytope(
-            ex64_model, ex64_model.reference.x, ex64_model.reference.p, ex64_model.reference.v
-        )
-        rep = check_gssosc(ex64_model, ex64_model.reference, multipliers=ms)
+        ms = reference_multipliers(ex64_model)
+        rep = check_gssosc(_floats(ex64_model), ms)
         assert rep.details["lambda_count"] == len(ms.vertices) == 2
 
     @pytest.mark.parametrize("seed", range(12))
@@ -568,9 +593,9 @@ class TestLambdaScanAcrossPolytope:
         # the face's vertices, and the form is affine in lam
         model = _curved_multiplier_model(np.random.default_rng(seed))
         ref = model.reference
-        ms = multiplier_polytope(model, ref.x, ref.p, ref.v)
+        ms = reference_multipliers(model)
         assert ms.dim >= 2
-        rep = check_gssosc(model, ref, multipliers=ms)
+        rep = check_gssosc(_floats(model), ms)
         assert rep.details["lambda_count"] == len(ms.vertices)
         scanned = gssosc_by_scan(eval_bundle(model, ref.x, ref.p), ms.vertices)
         values = [value for _, value in scanned]

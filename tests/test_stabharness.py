@@ -8,11 +8,11 @@ import pytest
 
 from fullstab.errors import InputError
 from fullstab.modelspec import parse_model
+from fullstab.monotone import graph_sample_from_model
 from fullstab.stabharness import (
     CertifyOptions,
     certify,
     fit_moduli,
-    graph_sample_from_model,
     verify_inequality,
 )
 from fullstab.visolver import LocalizationTable
@@ -212,6 +212,44 @@ class TestCertify:
         assert rep.verdict == "fully_stable"
         assert rep.moduli["kappa_hat"] == pytest.approx(1.0, abs=1e-10)
         assert rep.moduli["ell"] == 0.0
+
+    @pytest.mark.parametrize("name", ["ex64", "circle"])
+    def test_reference_evaluated_once(self, name, ex64_model, circle_model, monkeypatch):
+        # every pointwise check reads the two bundles certify evaluates:
+        # one exact evaluation, one enumeration of Lambda at the reference
+        # (the circle's sampled path enumerates again only at its samples)
+        # and two MFCQ LPs, certify's own and the refusal inside
+        # multiplier_polytope (every LP that kkt solves is an MFCQ LP here:
+        # MFCQ holds, so no recession direction is sought)
+        import sys
+
+        import fullstab.kkt as kkt
+        import fullstab.modelspec as modelspec
+
+        modules = [mod for key, mod in sys.modules.items() if key.startswith("fullstab.")]
+        exact_bundles, enumerated, lps = [], [], []
+
+        def patch(home, name, record, modules=modules):
+            original = getattr(home, name)
+
+            def wrapper(*args, **kwargs):
+                out = original(*args, **kwargs)
+                record(args, out)
+                return out
+
+            for mod in modules:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, wrapper)
+
+        patch(modelspec, "eval_bundle_exact", lambda args, out: exact_bundles.append(out))
+        patch(kkt, "_multipliers", lambda args, out: enumerated.append(args[0]))
+        patch(kkt, "solve_inequality_lp", lambda args, out: lps.append(1), [kkt])
+        model = {"ex64": ex64_model, "circle": circle_model}[name]
+        rep = certify(model, CertifyOptions(samples=50, grid_v=3, grid_p=3, n_random=2))
+        assert rep.verdict == "fully_stable"
+        assert len(exact_bundles) == 1
+        assert sum(bundle is exact_bundles[0] for bundle in enumerated) == 1
+        assert len(lps) == 2
 
     def test_mfcq_failure_refuses_second_order(self):
         m = parse_model(

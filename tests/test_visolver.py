@@ -206,10 +206,10 @@ class TestBuildLocalization:
             "dims n=1 d=0\nf = (0*x1)\nconstraint x1 <= 0\nconstraint -x1 <= 0\n"
             "reference x=(0) p=() v=(0)\n"
         )
-        from fullstab.kkt import multiplier_polytope
+        from conftest import reference_multipliers
 
         with pytest.raises(UnboundedMultiplierError):
-            multiplier_polytope(m, (0,), (), (0,))
+            reference_multipliers(m)
 
     def test_multiple_solutions_raise_localization_error(self):
         # f(x) = x^3 - x has three zeros in the box; no single-valued
