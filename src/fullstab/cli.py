@@ -203,7 +203,7 @@ def _cmd_cones(args) -> int:
     exact, floats = eval_reference(model, ref)
     I = active_indices(floats.phi, args.tol_act)
     T = tangent_cone(floats, I)
-    v_hat = [float(c) for c in model.v_hat(ref)]
+    v_hat = ref.v_hat(exact).tolist()
     K = critical_cone(T, v_hat)
     I_exact = active_indices(exact.phi, args.tol_act)
     mfcq = check_mfcq(exact, I_exact)

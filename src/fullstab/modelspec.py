@@ -55,11 +55,18 @@ __all__ = [
 @dataclass(frozen=True)
 class ReferenceTriple:
     """A point (x, p, v) on the solution-map graph; ``v_hat = v - f(x, p)``
-    is always recomputed from the model, never stored independently."""
+    is always computed from an evaluation at (x, p), never stored
+    independently."""
 
     x: tuple
     p: tuple
     v: tuple
+
+    def v_hat(self, exact: "EvalBundle") -> np.ndarray:
+        """v - f(x, p) in floats, from the bundle ``exact`` evaluated at
+        (x, p) (the first bundle of :func:`eval_reference`): the difference
+        is exact before the cast at a rational reference."""
+        return np.array([float(v - f) for v, f in zip(self.v, exact.f)])
 
     def as_arrays(self):
         return (
@@ -174,12 +181,6 @@ class ParametricModel:
 
     def phi_values(self, x, p):
         return [ex.evaluate(phi, x, p) for phi in self.constraints]
-
-    def v_hat(self, ref: Optional[ReferenceTriple] = None):
-        """v - f(x, p), exact at rational references."""
-        ref = ref or self.reference
-        fx = self.f_values(ref.x, ref.p)
-        return [v - fv for v, fv in zip(ref.v, fx)]
 
 
 @dataclass(frozen=True)

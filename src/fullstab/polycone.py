@@ -27,12 +27,14 @@ from .modelspec import ParametricModel, eval_bundle
 __all__ = [
     "ConeDesc",
     "SubspaceBasis",
+    "active_mask",
     "active_indices",
     "tangent_cone",
     "critical_cone",
     "span_difference",
     "nnls",
     "rank",
+    "row_norms",
     "null_space",
 ]
 
@@ -130,6 +132,13 @@ def rank(M) -> int:
     return _rank_of(M.shape, np.linalg.svd(M, compute_uv=False))
 
 
+def row_norms(A):
+    """np.linalg.norm over the last axis, to the bit: a matmul of
+    contiguous vectors runs the same BLAS dot as norm does."""
+    A = np.ascontiguousarray(A)
+    return np.sqrt(np.matmul(A[..., None, :], A[..., :, None])[..., 0, 0])
+
+
 def null_space(M: np.ndarray, n: int) -> np.ndarray:
     """Orthonormal basis of {w in R^n : M w = 0} as columns, with the rank
     decided by the shared cutoff."""
@@ -180,16 +189,26 @@ def _enumerate_generators(cone: ConeDesc):
 # active sets and cone builders at an evaluated point
 
 
+def active_mask(phi, tol_act: float = TOL_ACT):
+    """The only active-set rule, for constraint values in floats or
+    Fractions, one point or a (k, m) stack of points (one per row): returns
+    (feasible, active), where feasible is max_i phi_i <= tol_act per point
+    and active marks the i with |phi_i| <= tol_act."""
+    phi = np.asarray(phi)
+    feasible = np.max(phi, axis=-1, initial=-np.inf) <= tol_act
+    return feasible, np.abs(phi) <= tol_act
+
+
 def active_indices(phi, tol_act: float = TOL_ACT):
-    """Indices (0-based, sorted) i with |phi_i| <= tol_act, for values in
-    floats or Fractions: the only active-set rule.  The point must be
-    feasible to ``tol_act``; reports use 1-based labels."""
-    worst = max(phi, default=0.0)
-    if worst > tol_act:
+    """Indices (0-based, sorted) of the active constraints of one point, by
+    :func:`active_mask`.  The point must be feasible to ``tol_act``; reports
+    use 1-based labels."""
+    feasible, active = active_mask(phi, tol_act)
+    if not feasible:
         raise InfeasiblePointError(
-            f"point is infeasible: max phi = {float(worst):.3e} > {tol_act}"
+            f"point is infeasible: max phi = {float(max(phi)):.3e} > {tol_act}"
         )
-    return tuple(i for i, value in enumerate(phi) if abs(value) <= tol_act)
+    return tuple(int(i) for i in np.flatnonzero(active))
 
 
 def tangent_cone(bundle, I) -> ConeDesc:

@@ -39,7 +39,7 @@ from .defaults import (
 from .errors import (
     DegenerateSampleError,
     DeskScaleError,
-    InfeasiblePointError,
+    EvaluationError,
     InfeasibleSetError,
     InputError,
     SolveFailureError,
@@ -57,10 +57,12 @@ from .polycone import (
     ConeDesc,
     SubspaceBasis,
     active_indices,
+    active_mask,
     critical_cone,
     null_space,
     project_onto_rows,
     rank,
+    row_norms,
     span_difference,
     tangent_cone,
 )
@@ -83,13 +85,14 @@ __all__ = [
 @dataclass(frozen=True)
 class QuadForm:
     """Quadratic form w -> <H w, w>; values always go through the symmetric
-    part, which represents the same form."""
+    part, which represents the same form.  H may also be a (k, n, n) stack
+    of forms (see :func:`min_on_cone`)."""
 
     H: np.ndarray
 
     @property
     def sym(self) -> np.ndarray:
-        return 0.5 * (self.H + self.H.T)
+        return 0.5 * (self.H + np.swapaxes(self.H, -1, -2))
 
     def value(self, w) -> float:
         w = np.asarray(w, dtype=float)
@@ -137,38 +140,46 @@ def min_on_subspace(Q: QuadForm, V: SubspaceBasis):
 
 def min_on_cone(Q: QuadForm, K: ConeDesc):
     """Exact minimum of <H w, w> over K intersected with the unit sphere,
-    by face enumeration; +inf if K = {0}.  Returns (value, argmin)."""
+    by face enumeration; +inf if K = {0}.  Returns (value, argmin).
+
+    For a (k, n, n) stack of forms over the one cone K the faces are
+    enumerated once, with one stacked eigensolve per face, and (values,
+    argmins) come back as a (k,) array and a list: entry j is what the call
+    on the j-th form alone returns, to the bit."""
     kg = K.G.shape[0]
     if kg > MAX_CONE_ROWS:
         raise DeskScaleError(
             f"{kg} inequality rows exceed the face-enumeration cap ({MAX_CONE_ROWS})"
         )
     Hs = Q.sym
-    best = math.inf
-    best_w = None
+    forms = Hs.reshape(-1, K.n, K.n)
+    best = [math.inf] * len(forms)
+    best_w = [None] * len(forms)
     for r in range(kg + 1):
         for subset in itertools.combinations(range(kg), r):
             rows = np.vstack([K.E, K.G[list(subset)]])
             V = null_space(rows, K.n)
             if V.shape[1] == 0:
                 continue
-            M = V.T @ Hs @ V
-            vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-            for idx in range(vals.size):
-                if vals[idx] >= best:
-                    break
-                w = V @ vecs[:, idx]
-                norm = np.linalg.norm(w)
-                if norm < 1e-12:
-                    continue
-                w = w / norm
-                for cand in (w, -w):
-                    if K.contains(cand, TOL_CONE):
-                        if vals[idx] < best:
-                            best = float(vals[idx])
-                            best_w = cand
+            M = V.T @ forms @ V
+            vals, vecs = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
+            for j in range(len(forms)):
+                for idx in range(vals.shape[1]):
+                    if vals[j, idx] >= best[j]:
                         break
-    return best, best_w
+                    w = V @ vecs[j, :, idx]
+                    norm = np.linalg.norm(w)
+                    if norm < 1e-12:
+                        continue
+                    w = w / norm
+                    for cand in (w, -w):
+                        if K.contains(cand, TOL_CONE):
+                            best[j] = float(vals[j, idx])
+                            best_w[j] = cand
+                            break
+    if Hs.ndim == 2:
+        return best[0], best_w[0]
+    return np.array(best), best_w
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +396,13 @@ def _face_reachable(face_rows, rest_rows, exact: bool) -> bool:
     return t_star > 0 if exact else float(t_star) > TOL_CQ
 
 
+# at most this many attempts are judged as one chunk by gusosc_by_sampling,
+# which bounds the memory a chunk holds
+_CHUNK_ROWS = 256
+# linearized projections per draw in gusosc_by_sampling
+_MAX_STEPS = 8
+
+
 def gusosc_by_sampling(
     model: ParametricModel,
     ref: ReferenceTriple,
@@ -397,75 +415,135 @@ def gusosc_by_sampling(
 ) -> SecondOrderReport:
     """Uniform second-order test, corroborated by sampling graph points of
     the Lagrangian representation near the reference (any model; the path
-    :func:`check_gusosc` takes off the polyhedral scope).  Each draw is
-    projected onto the constraints linearized at the current point until
-    it is feasible; at each accepted sample and each multiplier vertex
-    there, the Lagrangian Jacobian form is minimized over the cone mixing
-    strongly active equalities with weakly active inequalities; the
-    reported lower bound is the minimum over everything sampled.  Draws
-    take their base multiplier from the vertices of ``ms`` (at ``ref``)."""
+    :func:`check_gusosc` takes off the polyhedral scope).
+
+    Every attempt draws the same variates in the same order, whatever
+    becomes of it: a p and an x offset in the eta/4 ball (``_ball``), the
+    index of a base multiplier among the vertices of ``ms`` (at ``ref``)
+    and m uniforms in [-1, 1] for the multiplier noise.  The draw is
+    projected onto the constraints linearized at the current point until it
+    is feasible (at most _MAX_STEPS times), and kept when x and v = f +
+    grad phi^T lam lie within eta of the reference and MFCQ holds; at each
+    kept sample and each multiplier vertex there, the Lagrangian Jacobian
+    form is minimized over the cone mixing strongly active equalities with
+    weakly active inequalities, and the reported lower bound is the minimum
+    over everything sampled.
+
+    Attempts are drawn and judged in chunks of arrays, sized from the
+    acceptance rate so far: one eval_bundle call per projection step per
+    chunk, and one stacked :func:`min_on_cone` call for the chunk's samples
+    with no active constraint.  Attempts are judged in order up to the one
+    at which ``samples`` are accepted, so the report does not depend on the
+    chunk sizes, and an evaluation error is raised only at an attempt the
+    one-at-a-time loop would have reached."""
     _cap_active_set(ms.active)  # before the first draw
     vertex_pool = ms.vertices_float()
     x0, p0, v0 = ref.as_arrays()
+    n, d, m = model.n, model.d, model.m
     rng = np.random.default_rng(seed)
-
-    ell_hat = math.inf
-    witness = {}
-    accepted = 0
-    attempts = 0
-    mfcq_failures = 0
-    cones_evaluated = 0
     max_attempts = 80 * samples
-    max_steps = 8  # linearized projections per draw
     draw_radius = eta / 4.0
-    noise_scale = eta / (8.0 * max(1, model.m))
+    noise_scale = eta / (8.0 * max(1, m))
 
-    while accepted < samples and attempts < max_attempts:
-        attempts += 1
-        p_new = p0 + _ball(rng, model.d, draw_radius)
-        x_new = x0 + _ball(rng, model.n, draw_radius)
-        bundle = eval_bundle(model, x_new, p_new)
+    def draw(count):
+        X, P, U = np.empty((count, n)), np.empty((count, d)), np.empty((count, m))
+        pick = np.empty(count, dtype=int)
+        for i in range(count):
+            P[i] = p0 + _ball(rng, d, draw_radius)
+            X[i] = x0 + _ball(rng, n, draw_radius)
+            pick[i] = rng.integers(len(vertex_pool))
+            U[i] = rng.uniform(-1.0, 1.0, size=m)
+        return X, P, pick, U
+
+    def judge(X, P, pick, U, need):
+        """The attempts (X, P, pick, U) of a chunk judged in order up to the
+        one at which ``need`` are accepted.  Returns (attempts used, MFCQ
+        failures, active sets of the accepted attempts, cones evaluated,
+        least cone value, its witness), the witness being the first
+        attempt and vertex with that value."""
+        X, (f, jac, phi, grad, hess) = _retract(model, X, P, tol_act)
+        feasible, act = active_mask(phi, tol_act)
+        lam = np.where(act, np.maximum(0.0, vertex_pool[pick] + noise_scale * U), 0.0)
+        V = f + np.matmul(lam[:, None, :], grad)[:, 0, :]
+        near = feasible & (row_norms(X - x0) <= eta) & (row_norms(V - v0) <= eta)
+
+        def bundle(k):
+            return EvalBundle(f[k], jac[k], phi[k], grad[k], hess[k])
+
+        used, failures, kept = len(X), 0, []
+        for k in np.flatnonzero(near):
+            active = tuple(int(i) for i in np.flatnonzero(act[k]))
+            # LICQ implies MFCQ, so the LP runs only on dependent gradients
+            dependent = rank(grad[k][list(active)]) < len(active)
+            if dependent and not check_mfcq(bundle(k), active).ok:
+                failures += 1
+                continue
+            kept.append((k, active))
+            if len(kept) == need:
+                used = k + 1
+                break
+        # a sample with no active constraint has the cone R^n and the one
+        # multiplier vertex 0, where the Lagrangian Jacobian is jac_f
+        inner = [k for k, active in kept if not active]
+        if inner:
+            values, argmins = min_on_cone(QuadForm(jac[inner]), ConeDesc(n))
+            interior = dict(zip(inner, zip(values.tolist(), argmins)))
+        cones, best, witness = 0, math.inf, {}
+        for k, active in kept:
+            minima = [(*interior[k], np.zeros(m))] if not active else []
+            if active:
+                at = bundle(k)
+                for vert in _multipliers(at, active, V[k]).vertices:
+                    cone = mixed_sign_cone(grad[k], active, strict_complement(vert, active), n)
+                    H = QuadForm(at.lagrangian_jacobian(vert))
+                    minima.append((*min_on_cone(H, cone), vert))
+            for val, w, vert in minima:
+                cones += 1
+                if val < best:
+                    best = val
+                    witness = {
+                        "x": [float(c) for c in X[k]],
+                        "p": [float(c) for c in P[k]],
+                        "v": [float(c) for c in V[k]],
+                        "lambda": [float(c) for c in vert],
+                        "direction": None if w is None else [float(c) for c in w],
+                        "value": None if not math.isfinite(val) else val,
+                    }
+        return used, failures, [active for _, active in kept], cones, best, witness
+
+    def settle(X, P, pick, U, need):
+        """The :func:`judge` results that cover a chunk: one, or on an
+        evaluation error those of its halves in order, the second only
+        while fewer than ``need`` are accepted, so that the error surfaces
+        only at an attempt the one-at-a-time loop reaches."""
         try:
-            for _ in range(max_steps):
-                if np.max(bundle.phi, initial=-math.inf) <= tol_act:
-                    break
-                G = bundle.grad_phi
-                x_new = project_onto_rows(G, G @ x_new - bundle.phi, x_new)
-                bundle = eval_bundle(model, x_new, p_new)
-            active = active_indices(bundle.phi, tol_act)
-        except (InfeasiblePointError, InfeasibleSetError, SolveFailureError):
-            continue
-        if np.linalg.norm(x_new - x0) > eta:
-            continue
-        lam = np.zeros(model.m)
-        base = vertex_pool[rng.integers(len(vertex_pool))]
-        for i in active:
-            lam[i] = max(0.0, base[i] + noise_scale * rng.uniform(-1.0, 1.0))
-        v_new = bundle.f + bundle.grad_phi.T @ lam
-        if np.linalg.norm(v_new - v0) > eta:
-            continue
-        # LICQ implies MFCQ, so the LP runs only on dependent gradients
-        dependent = rank(bundle.grad_phi[list(active)]) < len(active)
-        if dependent and not check_mfcq(bundle, active).ok:
-            mfcq_failures += 1
-            continue
-        accepted += 1
-        for vert in _multipliers(bundle, active, v_new).vertices:
-            i_plus = strict_complement(vert, active)
-            cone = mixed_sign_cone(bundle.grad_phi, active, i_plus, model.n)
-            H = QuadForm(bundle.lagrangian_jacobian(vert))
-            val, w = min_on_cone(H, cone)
-            cones_evaluated += 1
-            if val < ell_hat:
-                ell_hat = val
-                witness = {
-                    "x": [float(c) for c in x_new],
-                    "p": [float(c) for c in p_new],
-                    "v": [float(c) for c in v_new],
-                    "lambda": [float(c) for c in vert],
-                    "direction": None if w is None else [float(c) for c in w],
-                    "value": None if not math.isfinite(val) else val,
-                }
+            return [judge(X, P, pick, U, need)]
+        except (EvaluationError, ArithmeticError):
+            if len(X) == 1:
+                raise
+            h = len(X) // 2
+            judged = settle(X[:h], P[:h], pick[:h], U[:h], need)
+            got = sum(len(actives) for _, _, actives, *_ in judged)
+            if got < need:
+                judged += settle(X[h:], P[h:], pick[h:], U[h:], need - got)
+            return judged
+
+    attempts = accepted = mfcq_failures = cones_evaluated = 0
+    ell_hat, witness = math.inf, {}
+    faces = {}  # active set -> accepted samples, in the order first seen
+    while accepted < samples and attempts < max_attempts:
+        rate = (accepted + 1) / (attempts + 1)
+        need = samples - accepted
+        size = min(_CHUNK_ROWS, max_attempts - attempts, math.ceil(1.1 * need / rate))
+        for used, failures, actives, cones, best, at_best in settle(*draw(size), need):
+            attempts += used
+            accepted += len(actives)
+            mfcq_failures += failures
+            cones_evaluated += cones
+            for active in actives:
+                faces[active] = faces.get(active, 0) + 1
+            if best < ell_hat:
+                ell_hat, witness = best, at_best
     if accepted == 0:
         raise DegenerateSampleError(
             "no feasible graph samples found near the reference "
@@ -480,8 +558,47 @@ def gusosc_by_sampling(
         "mfcq_failures": mfcq_failures,
         "cones_evaluated": cones_evaluated,
         "all_cones_trivial": not math.isfinite(ell_hat),
+        "faces": [
+            {"active_set": [i + 1 for i in active], "samples": count}
+            for active, count in faces.items()
+        ],
     }
     return SecondOrderReport("GUSOSC", verdict, ell_hat, witness, details)
+
+
+def _retract(model, X, P, tol_act):
+    """Evaluate the draws (X, P) by one eval_bundle call, then project
+    every infeasible row onto the constraints linearized there, {y : phi +
+    grad phi (y - x) <= 0}, and re-evaluate the moved rows by one call,
+    at most _MAX_STEPS times.  Returns the moved X and f, jac_f, phi,
+    grad_phi and hess_phi as C-contiguous stacks (each row laid out as a
+    one-point evaluation lays it out); a row whose projection failed reads
+    phi = +inf."""
+    X = X.copy()
+    tables = [np.ascontiguousarray(a) for a in _fields(eval_bundle(model, X, P))]
+    phi, grad = tables[2], tables[3]
+    failed = np.zeros(len(X), dtype=bool)
+    for _ in range(_MAX_STEPS):
+        feasible = active_mask(phi, tol_act)[0]
+        moving = np.flatnonzero(~feasible & ~failed)
+        if not moving.size:
+            break
+        for k in moving:
+            try:
+                X[k] = project_onto_rows(grad[k], grad[k] @ X[k] - phi[k], X[k])
+            except (InfeasibleSetError, SolveFailureError):
+                failed[k] = True
+        moved = moving[~failed[moving]]
+        if moved.size:
+            for table, rows in zip(tables, _fields(eval_bundle(model, X[moved], P[moved]))):
+                table[moved] = rows
+    phi[failed] = math.inf
+    return X, tables
+
+
+def _fields(b: EvalBundle):
+    """The arrays of a bundle, uncopied, in the order _retract keeps them."""
+    return b.f, b.jac_f, b.phi, b.grad_phi, b.hess_phi
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +607,14 @@ def gusosc_by_sampling(
 
 def check_pvi_pointwise(
     model: ParametricModel,
-    ref: ReferenceTriple,
+    v_hat: np.ndarray,
     bundle: EvalBundle,
     tol_pd: float = TOL_PD,
     tol_act: float = TOL_ACT,
 ) -> SecondOrderReport:
     """Pointwise spans test for parameter-independent affine constraints,
-    at the reference ``ref`` whose float bundle is ``bundle``:
+    at the reference whose float bundle is ``bundle`` and whose v - f is
+    ``v_hat`` (:meth:`ReferenceTriple.v_hat`):
     minimizes the base-map Jacobian form on (a) the span of the tangent
     cone intersected with the normal complement and (b) the span of the
     critical cone.  The combined verdict is (b), the polyhedral
@@ -507,7 +625,6 @@ def check_pvi_pointwise(
             "pointwise spans test needs parameter-independent affine "
             "constraints; use the sampled uniform test instead"
         )
-    v_hat = np.array([float(c) for c in model.v_hat(ref)])
     T = tangent_cone(bundle, active_indices(bundle.phi, tol_act))
     K = critical_cone(T, v_hat)
     span_T = span_difference(T)
@@ -549,16 +666,16 @@ def _intersect_with_orthogonal(span: SubspaceBasis, v: np.ndarray) -> SubspaceBa
 
 def check_smooth_psd(
     model: ParametricModel,
-    ref: ReferenceTriple,
+    v_hat: np.ndarray,
     bundle: EvalBundle,
     tol_pd: float = TOL_PD,
 ) -> SecondOrderReport:
     """Unconstrained case: local strong monotonicity of f around the
-    reference ``ref``, whose float bundle is ``bundle``, is decided by
-    positive definiteness of the symmetric part of the Jacobian."""
+    reference, whose float bundle is ``bundle`` and whose v - f is
+    ``v_hat``, is decided by positive definiteness of the symmetric part of
+    the Jacobian."""
     if model.m != 0:
         raise InputError("smooth positive-definiteness test needs m = 0")
-    v_hat = np.array([float(c) for c in model.v_hat(ref)])
     if np.linalg.norm(v_hat) > TOL_CONE * (1 + np.linalg.norm(v_hat)):
         raise InputError("reference not on the graph: v != f(x, p) with m = 0")
     Q = QuadForm(bundle.jac_f)

@@ -446,9 +446,10 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
         seed=opts.seed, tol_pd=opts.tol_pd, tol_act=opts.tol_act,
     )
     pvi = None
+    v_hat = ref.v_hat(exact)
     if model.m == 0 or (all(model.affine_x) and all(model.param_free)):
-        pvi = check_pvi_pointwise(model, ref, floats, opts.tol_pd, opts.tol_act)
-    smooth = check_smooth_psd(model, ref, floats, opts.tol_pd) if model.m == 0 else None
+        pvi = check_pvi_pointwise(model, v_hat, floats, opts.tol_pd, opts.tol_act)
+    smooth = check_smooth_psd(model, v_hat, floats, opts.tol_pd) if model.m == 0 else None
 
     scoc = []
     for vert in ms.vertices:
@@ -465,7 +466,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
     table = None
     try:
         table = build_localization(
-            model, ref,
+            model, ref, floats.jac_f,
             rho_v=opts.rho_v, rho_p=opts.rho_p,
             grid_v=opts.grid_v, grid_p=opts.grid_p,
             n_random=opts.n_random, box_radius=opts.box_radius,

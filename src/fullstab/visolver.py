@@ -51,7 +51,7 @@ from .errors import (
     LocalizationError,
 )
 from .modelspec import ParametricModel, ReferenceTriple, eval_bundle, eval_f
-from .polycone import polyhedron_rows, project_onto_rows
+from .polycone import polyhedron_rows, project_onto_rows, row_norms
 
 __all__ = [
     "SolveOutcome",
@@ -178,7 +178,7 @@ def _newton_stack(model, V, P, J, Z):
     Z = np.array(Z, dtype=float)
     done = np.zeros(len(Z), dtype=bool)
     f, phi, grad = np.zeros((len(Z), n)), np.zeros((len(Z), m)), np.zeros((len(Z), m, n))
-    tol = 1e-12 * (1 + _norms(V))
+    tol = 1e-12 * (1 + row_norms(V))
     live = np.arange(len(Z))
     for _ in range(_NEWTON_STEPS):
         if not live.size:
@@ -192,7 +192,7 @@ def _newton_stack(model, V, P, J, Z):
             F[:, :n] += z[:, n + idx, None] * bundle.grad_phi[:, i]
             F[:, n + idx] = bundle.phi[:, i]
             JL += z[:, n + idx, None, None] * bundle.hess_phi[:, i]
-        conv = _norms(F) < tol[live]
+        conv = row_norms(F) < tol[live]
         rows = live[conv]
         done[rows] = True
         f[rows], phi[rows], grad[rows] = bundle.f[conv], bundle.phi[conv], bundle.grad_phi[conv]
@@ -207,7 +207,7 @@ def _newton_stack(model, V, P, J, Z):
         live = live[solved]
         z = z[solved] + delta[solved]
         Z[live] = z
-        live = live[np.all(np.isfinite(z), axis=1) & (_norms(z) <= 1e6)]
+        live = live[np.all(np.isfinite(z), axis=1) & (row_norms(z) <= 1e6)]
     return done, Z, f, phi, grad
 
 
@@ -234,23 +234,16 @@ def _solve_stack(M, rhs):
     return y, ok
 
 
-def _norms(A):
-    """np.linalg.norm over the last axis, to the bit: a matmul of
-    contiguous vectors runs the same BLAS dot as norm does."""
-    A = np.ascontiguousarray(A)
-    return np.sqrt(np.matmul(A[..., None, :], A[..., :, None])[..., 0, 0])
-
-
 def _kkt_residual(f, phi, grad_phi, lam, v):
     """KKT residual of (x, lam) at the node v, from f, phi and grad phi
     evaluated at (x, p); row by row when the arguments are stacked."""
     stat = f - v
     if not phi.shape[-1]:
-        return _norms(stat)
+        return row_norms(stat)
     stat = stat + np.matmul(lam[..., None, :], grad_phi)[..., 0, :]
     feas = np.max(np.clip(phi, 0.0, None), axis=-1)
     comp = np.max(np.abs(lam * phi), axis=-1)
-    return _norms(stat) + feas + comp
+    return row_norms(stat) + feas + comp
 
 
 def _face_sweep(model, V, P, center, box_radius, tol_act):
@@ -507,6 +500,7 @@ _CROSS_CHECKS = 10
 def build_localization(
     model: ParametricModel,
     ref: ReferenceTriple,
+    jac_ref: np.ndarray,
     rho_v: float = RHO_V,
     rho_p: float = RHO_P,
     grid_v: int = GRID_V,
@@ -519,7 +513,9 @@ def build_localization(
     """Tabulate the single-valued localization on a tensor grid plus random
     interior nodes; radii halve (at most 6 times) when single-valuedness
     fails, and a LocalizationError with the witness node is raised when it
-    keeps failing."""
+    keeps failing.  ``jac_ref`` is the float x-Jacobian of f at the
+    reference (the ``jac_f`` of its float bundle), for the step of the
+    ``solve_projected`` cross-check."""
     x0, p0, v0 = ref.as_arrays()
     n, d = model.n, model.d
     if grid_v**n * max(1, grid_p**d) > 100_000:
@@ -549,10 +545,9 @@ def build_localization(
                 # step from the reference Jacobian: (kappa, L) =
                 # (lambda_min(sym J_f), ||J_f||_2); solve_projected falls
                 # back to its default step when kappa <= 0
-                Jf = eval_bundle(model, x0, p0).jac_f
                 moduli = (
-                    float(np.linalg.eigvalsh(0.5 * (Jf + Jf.T))[0]),
-                    float(np.linalg.norm(Jf, 2)),
+                    float(np.linalg.eigvalsh(0.5 * (jac_ref + jac_ref.T))[0]),
+                    float(np.linalg.norm(jac_ref, 2)),
                 )
                 stride = max(1, N // _CROSS_CHECKS)
                 for k in range(0, N, stride):

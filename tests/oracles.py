@@ -5,7 +5,8 @@ verified by central finite differences, cone minimization by rejection
 sampling, projections by Dykstra's alternating method, determinants by
 cofactor expansion, the stacked Newton face sweep by one scalar Newton run
 per (node, guess, start) on the unfolded expression trees, the vertex
-minimum of GSSOSC by a scan of points inside the multiplier polytope.
+minimum of GSSOSC by a scan of points inside the multiplier polytope, the
+chunked GUSOSC sampler by the plain per-attempt loop over its draws.
 """
 
 from __future__ import annotations
@@ -386,3 +387,99 @@ def gssosc_by_scan(bundle, vertices, scan_random=64, seed=0, tol_cq=1e-8):
             value = float(np.linalg.eigvalsh(N.T @ (0.5 * (H + H.T)) @ N)[0])
         scanned.append((lam, value))
     return scanned
+
+
+def gusosc_draws(model, ref, ms, eta, seed):
+    """The fixed-width draw stream of the sampled uniform test, one attempt
+    at a time: (p, x, base vertex index, m uniforms in [-1, 1]), the same
+    variates whatever becomes of the attempt."""
+    from fullstab.secondorder import _ball
+
+    x0, p0, _ = ref.as_arrays()
+    rng = np.random.default_rng(seed)
+    while True:
+        p = p0 + _ball(rng, model.d, eta / 4.0)
+        x = x0 + _ball(rng, model.n, eta / 4.0)
+        yield p, x, rng.integers(len(ms.vertices)), rng.uniform(-1.0, 1.0, size=model.m)
+
+
+def gusosc_sequential(model, ref, ms, eta, samples, seed, tol_pd=1e-8, tol_act=1e-7):
+    """The sampled uniform test as the plain per-attempt loop over
+    :func:`gusosc_draws`: each attempt is evaluated at its own point,
+    projected onto the linearized constraints at most 8 times, judged from
+    its last evaluation, and every multiplier vertex of an accepted sample
+    gets its own cone minimization with a single form.  Returns the
+    SecondOrderReport the sampler must reproduce to the bit."""
+    from fullstab.errors import (
+        DegenerateSampleError,
+        InfeasiblePointError,
+        InfeasibleSetError,
+        SolveFailureError,
+    )
+    from fullstab.kkt import _multipliers, check_mfcq, strict_complement
+    from fullstab.modelspec import eval_bundle
+    from fullstab.polycone import active_indices, project_onto_rows, rank
+    from fullstab.secondorder import QuadForm, SecondOrderReport, min_on_cone, mixed_sign_cone
+
+    pool = ms.vertices_float()
+    x0, _, v0 = ref.as_arrays()
+    noise = eta / (8.0 * max(1, model.m))
+    ell, witness, faces = np.inf, {}, {}
+    accepted = attempts = failures = cones = 0
+    draws = gusosc_draws(model, ref, ms, eta, seed)
+    while accepted < samples and attempts < 80 * samples:
+        attempts += 1
+        p, x, pick, u = next(draws)
+        bundle = eval_bundle(model, x, p)
+        try:
+            for _ in range(8):
+                if np.max(bundle.phi, initial=-np.inf) <= tol_act:
+                    break
+                G = bundle.grad_phi
+                x = project_onto_rows(G, G @ x - bundle.phi, x)
+                bundle = eval_bundle(model, x, p)
+            active = active_indices(bundle.phi, tol_act)
+        except (InfeasiblePointError, InfeasibleSetError, SolveFailureError):
+            continue
+        if np.linalg.norm(x - x0) > eta:
+            continue
+        lam = np.zeros(model.m)
+        for i in active:
+            lam[i] = max(0.0, pool[pick][i] + noise * u[i])
+        v = bundle.f + bundle.grad_phi.T @ lam
+        if np.linalg.norm(v - v0) > eta:
+            continue
+        if rank(bundle.grad_phi[list(active)]) < len(active) and not check_mfcq(bundle, active).ok:
+            failures += 1
+            continue
+        accepted += 1
+        faces[active] = faces.get(active, 0) + 1
+        for vert in _multipliers(bundle, active, v).vertices:
+            strong = strict_complement(vert, active)
+            cone = mixed_sign_cone(bundle.grad_phi, active, strong, model.n)
+            val, w = min_on_cone(QuadForm(bundle.lagrangian_jacobian(vert)), cone)
+            cones += 1
+            if val < ell:
+                ell = val
+                witness = {
+                    "x": [float(c) for c in x],
+                    "p": [float(c) for c in p],
+                    "v": [float(c) for c in v],
+                    "lambda": [float(c) for c in vert],
+                    "direction": None if w is None else [float(c) for c in w],
+                    "value": None if not np.isfinite(val) else val,
+                }
+    if accepted == 0:
+        raise DegenerateSampleError(f"no samples accepted in {attempts} attempts")
+    details = {
+        "eta": eta,
+        "samples_accepted": accepted,
+        "samples_requested": samples,
+        "attempts": attempts,
+        "mfcq_failures": failures,
+        "cones_evaluated": cones,
+        "all_cones_trivial": not np.isfinite(ell),
+        "faces": [{"active_set": [i + 1 for i in I], "samples": c} for I, c in faces.items()],
+    }
+    verdict = "corroborated" if ell > tol_pd else "fails"
+    return SecondOrderReport("GUSOSC", verdict, ell, witness, details)

@@ -17,7 +17,7 @@ from fullstab.errors import (
     InputError,
     SolveFailureError,
 )
-from fullstab.modelspec import eval_bundle, parse_model
+from fullstab.modelspec import eval_bundle, eval_bundle_exact, parse_model
 from fullstab.polycone import (
     ConeDesc,
     SubspaceBasis,
@@ -41,7 +41,8 @@ def tangent_at(model, x, p):
 
 @pytest.fixture(scope="module")
 def ex64_vhat(ex64_model):
-    return np.array([float(c) for c in ex64_model.v_hat()])
+    ref = ex64_model.reference
+    return ref.v_hat(eval_bundle_exact(ex64_model, ref.x, ref.p))
 
 
 class TestActiveSet:

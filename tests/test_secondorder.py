@@ -5,18 +5,29 @@ bordered determinants to exact cofactor expansion; the strict-
 complementarity and uniform tests to hand-derived worked-example values
 (GSSOSC failing direction e2, uniform test holding, skew map failing at
 -1); the exact uniform test also to the sampler and to a sampling-only
-oracle; the vertex minimum of GSSOSC to a scan of the whole multiplier
-polytope on random curved models.
+oracle; the chunked sampler to a one-attempt-at-a-time loop over the same
+draws, to the bit; the vertex minimum of GSSOSC to a scan of the whole
+multiplier polytope on random curved models.
 """
 
+import importlib.util
+import json
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fullstab import expr as ex
-from fullstab.errors import DeskScaleError, InputError, UnboundedMultiplierError
+from fullstab.errors import (
+    DegenerateSampleError,
+    DeskScaleError,
+    EvaluationError,
+    InputError,
+    UnboundedMultiplierError,
+)
 from fullstab.modelspec import eval_bundle, parse_model
 from fullstab.polycone import ConeDesc, SubspaceBasis
 from fullstab.secondorder import (
@@ -31,10 +42,12 @@ from fullstab.secondorder import (
     scoc_probe,
 )
 
-from conftest import exact_at, floats_at, reference_multipliers
+from conftest import MODELS_DIR, exact_at, floats_at, reference_multipliers
 from oracles import (
     cofactor_det,
     gssosc_by_scan,
+    gusosc_draws,
+    gusosc_sequential,
     min_quadratic_on_cone_sampling,
     uniform_value_oracle,
 )
@@ -58,6 +71,10 @@ def _floats(model):
 def _exact(model):
     ref = model.reference
     return exact_at(model, ref.x, ref.p, ref.v)[0]
+
+
+def _v_hat(model):
+    return model.reference.v_hat(_exact(model))
 
 
 class TestMinOnSubspace:
@@ -344,31 +361,42 @@ class TestGUSOSC:
         assert rep.modulus == pytest.approx(2.0, abs=1e-6)
 
     def test_each_sample_evaluated_once(self, ex64_model, monkeypatch):
-        # one evaluation per draw and one per linearized projection; the
-        # sample is then judged from that bundle, with no re-evaluation
+        # attempts are evaluated in chunks: one eval_bundle call for the
+        # chunk's draws and one per projection step for the rows it moved,
+        # so every row is evaluated once per draw and once per projection;
+        # the sample is then judged from that bundle, with no re-evaluation
         import fullstab.kkt as kkt
         import fullstab.polycone as polycone
         import fullstab.secondorder as secondorder
 
-        calls = {"eval_bundle": 0, "project_onto_rows": 0}
+        events = []  # "draw", ("eval", rows), "project"
 
-        def counted(module, name):
+        def counted(module, name, event):
             inner = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
+                out = inner(*args, **kwargs)
+                events.append(event(*args))
+                return out
 
             monkeypatch.setattr(module, name, wrapper)
 
         ms = reference_multipliers(ex64_model)  # before the counters go in
         for module in (kkt, polycone, secondorder):
-            counted(module, "eval_bundle")
-        counted(secondorder, "project_onto_rows")
+            counted(module, "eval_bundle", lambda model, x, p: ("eval", len(x)))
+        counted(secondorder, "project_onto_rows", lambda *a: "project")
+        counted(secondorder, "_ball", lambda *a: "draw")
         rep = gusosc_by_sampling(ex64_model, ex64_model.reference, ms, samples=100, seed=1)
         assert rep.details["samples_accepted"] == 100
-        assert calls["project_onto_rows"] > 0
-        assert calls["eval_bundle"] <= rep.details["attempts"] + calls["project_onto_rows"]
+        evals = [e[1] for e in events if e[0] == "eval"]
+        draws = events.count("draw") // 2  # a p and an x offset per attempt
+        projections = events.count("project")
+        assert projections > 0
+        assert draws >= rep.details["attempts"]
+        # a projection that raises is not counted, nor re-evaluated
+        assert sum(evals) == draws + projections
+        chunks = sum(1 for a, b in zip(events, events[1:]) if a == "draw" and b != "draw")
+        assert len(evals) <= chunks * (1 + secondorder._MAX_STEPS)
 
     def test_gssosc_implies_gusosc_on_corpus(self):
         # Strict-complementarity test passing forces the sampled uniform
@@ -394,9 +422,147 @@ class TestGUSOSC:
                 assert gus.modulus >= gss.modulus / 2 - 1e-9
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def curved_benchmark_models():
+    """The five models of the benchmark's curved workload, with their
+    references, as the benchmark writes them."""
+    path = PERFBENCH / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve the module by name
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return {bm.name: parse_model(bm.text(MODELS_DIR)) for bm in workloads._curved()}
+
+
+def _random_curved_model(rng):
+    """Random model off the polyhedral scope (f has a cubic term) with one
+    to three constraints, curved in x and moving with p, each active at the
+    reference x = 0, p = 0 or not; the active gradients are independent,
+    and the reference multiplier is random on them."""
+    n, d = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    m = int(rng.integers(1, 4))
+    jac = rng.integers(-2, 3, size=(n, n)) + 2 * np.eye(n, dtype=int)
+    rows = [_linear_form(row) + f" + x{j + 1}^3" for j, row in enumerate(jac)]
+    if d:
+        rows[0] += " + p1"
+    active = rng.permutation(m)[: int(rng.integers(0, min(m, n) + 1))]
+    G = np.linalg.qr(rng.normal(size=(n, n)))[0][: len(active)]
+    v = np.zeros(n, dtype=object)
+    lines = [f"dims n={n} d={d}", "f = (" + ", ".join(rows) + ")"]
+    grads = iter(G)
+    for i in range(m):
+        if i in active:
+            g = [Fraction(c).limit_denominator(8) for c in next(grads)]
+            lam = Fraction(int(rng.integers(0, 3)), 2)
+            v = v + np.array([lam * c for c in g], dtype=object)
+            shift = ""
+        else:
+            g = [Fraction(int(c)) for c in rng.integers(-2, 3, size=n)]
+            shift = " - 1"
+        curve = " + ".join(
+            f"{int(rng.integers(-2, 3))}*x{a + 1}*x{b + 1}" for a in range(n) for b in range(a, n)
+        )
+        moving = f" + {int(rng.integers(-1, 2))}*p{d}" if d else ""
+        linear = _linear_form([f"({c})" for c in g])
+        lines.append(f"constraint {linear} + {curve}{moving}{shift} <= 0")
+    x, p = ", ".join(["0"] * n), ", ".join(["0"] * d)
+    lines.append(f"reference x=({x}) p=({p}) v=(" + ", ".join(str(c) for c in v) + ")")
+    return parse_model("\n".join(lines) + "\n")
+
+
+def _same_report(a, b):
+    # modulus first: to_json_dict maps +inf to None
+    assert a.modulus == b.modulus
+    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+
+
+class TestSampledGUSOSC:
+    """The chunked sampler against the one-attempt-at-a-time oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_curved_benchmark_models_match_sequential_oracle(self, curved_benchmark_models, seed):
+        for name, m in curved_benchmark_models.items():
+            ms = reference_multipliers(m)
+            rep = gusosc_by_sampling(m, m.reference, ms, samples=200, seed=seed)
+            _same_report(rep, gusosc_sequential(m, m.reference, ms, 1e-2, 200, seed))
+            faces = rep.details["faces"]
+            assert sum(f["samples"] for f in faces) == rep.details["samples_accepted"] == 200, name
+        # the circle's samples all land on the circle, the paraboloid's on
+        # both sides of its boundary
+        circle = gusosc_by_sampling(*self._args(curved_benchmark_models["circle"]), samples=50)
+        assert circle.details["faces"] == [{"active_set": [1], "samples": 50}]
+        para = gusosc_by_sampling(*self._args(curved_benchmark_models["paraboloid-active"]))
+        assert sorted(f["active_set"] for f in para.details["faces"]) == [[], [1]]
+
+    @staticmethod
+    def _args(m):
+        return m, m.reference, reference_multipliers(m)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_curved_models_match_sequential_oracle(self, seed):
+        # the second model has dependent active gradients (the MFCQ LP
+        # runs) and accepts few attempts, so it runs into the attempt cap
+        # or accepts nothing at some seeds
+        rng = np.random.default_rng(seed)
+        cases = [(_random_curved_model(rng), 60)]
+        if seed < 4:
+            cases.append((_curved_multiplier_model(rng), 20))
+        for m, samples in cases:
+            ms = reference_multipliers(m)
+            try:
+                expected = gusosc_sequential(m, m.reference, ms, 1e-2, samples, seed)
+            except DegenerateSampleError:
+                with pytest.raises(DegenerateSampleError):
+                    gusosc_by_sampling(m, m.reference, ms, samples=samples, seed=seed)
+                continue
+            rep = gusosc_by_sampling(m, m.reference, ms, samples=samples, seed=seed)
+            _same_report(rep, expected)
+
+    def test_report_independent_of_chunk_schedule(self, curved_benchmark_models, monkeypatch):
+        from fullstab import secondorder
+
+        for name in ("circle", "paraboloid-active"):
+            args = self._args(curved_benchmark_models[name])
+            default = gusosc_by_sampling(*args, samples=100, seed=3)
+            for cap in (1, 7):
+                monkeypatch.setattr(secondorder, "_CHUNK_ROWS", cap)
+                _same_report(gusosc_by_sampling(*args, samples=100, seed=3), default)
+            monkeypatch.undo()
+
+    def test_pole_raises_only_before_the_stopping_attempt(self):
+        # the cubic map with a constraint that is finite near the reference
+        # except at the x drawn by one attempt; every attempt is accepted,
+        # so the sampler stops at attempt 20, while its first chunk holds
+        # more attempts than that
+        ref_text = "reference x=(0) p=(0) v=(0)\n"
+        plain = parse_model("dims n=1 d=1\nf = (x1^3 + x1 + p1)\nconstraint x1 - 1 <= 0\n" + ref_text)
+        draws = gusosc_draws(plain, plain.reference, reference_multipliers(plain), 1e-2, 4)
+        xs = [next(draws)[1][0] for _ in range(22)]
+        for attempt, raises in ((21, False), (22, False), (20, True), (3, True)):
+            pole = Fraction(xs[attempt - 1])
+            m = parse_model(
+                f"dims n=1 d=1\nf = (x1^3 + x1 + p1)\nconstraint x1 - 1 + 0/(x1 - {pole}) <= 0\n"
+                + ref_text
+            )
+            ms = reference_multipliers(m)
+            if raises:
+                with pytest.raises(EvaluationError, match="division by zero"):
+                    gusosc_by_sampling(m, m.reference, ms, samples=20, seed=4)
+            else:
+                rep = gusosc_by_sampling(m, m.reference, ms, samples=20, seed=4)
+                assert rep.details["attempts"] == 20
+                _same_report(rep, gusosc_sequential(m, m.reference, ms, 1e-2, 20, 4))
+
+
 class TestPVIPointwise:
     def test_skew_full_space_fails(self, skew_model):
-        rep = check_pvi_pointwise(skew_model, skew_model.reference, _floats(skew_model))
+        rep = check_pvi_pointwise(skew_model, _v_hat(skew_model), _floats(skew_model))
         assert rep.verdict == "fails"
         assert rep.details["closure_holds"] is False
         d = np.array(rep.witness["direction"])
@@ -408,7 +574,7 @@ class TestPVIPointwise:
             "dims n=2 d=0\nf = (x1, -x2)\nconstraint x2 <= 0\nconstraint -x2 <= 0\n"
             "reference x=(0, 0) p=() v=(0, 0)\n"
         )
-        rep = check_pvi_pointwise(m, m.reference, _floats(m))
+        rep = check_pvi_pointwise(m, _v_hat(m), _floats(m))
         assert rep.verdict == "holds"
         assert rep.modulus == pytest.approx(1.0)
         assert rep.details["critical_span_dim"] == 1
@@ -423,7 +589,7 @@ class TestPVIPointwise:
             "reference x=(1, 1) p=() v=(3, 1)\n"
         )
         # v_hat = v - f = (2, 2): positive support on both active normals
-        rep = check_pvi_pointwise(m, m.reference, _floats(m))
+        rep = check_pvi_pointwise(m, _v_hat(m), _floats(m))
         assert rep.verdict == "vacuous"
         assert rep.details["critical_span_dim"] == 0
 
@@ -438,28 +604,28 @@ class TestPVIPointwise:
             "dims n=2 d=0\nf = (x1, -x2)\nconstraint x2 <= 0\nconstraint -x2 <= 0\n"
             "reference x=(0, 0) p=() v=(0, 0)\n"
         )
-        bundle = _floats(m)
+        bundle, v_hat = _floats(m), _v_hat(m)
         calls = []
         for module in (kkt, polycone, secondorder):
             inner = module.eval_bundle
             monkeypatch.setattr(
                 module, "eval_bundle", lambda *a, inner=inner: calls.append(a) or inner(*a)
             )
-        assert check_pvi_pointwise(m, m.reference, bundle).verdict == "holds"
+        assert check_pvi_pointwise(m, v_hat, bundle).verdict == "holds"
         assert calls == []
 
     def test_parameter_dependent_constraints_rejected(self, ex64_model):
         with pytest.raises(InputError, match="parameter-independent"):
-            check_pvi_pointwise(ex64_model, ex64_model.reference, _floats(ex64_model))
+            check_pvi_pointwise(ex64_model, _v_hat(ex64_model), _floats(ex64_model))
 
 
 class TestSmoothPSD:
     def test_identity_holds(self, identity_model):
-        rep = check_smooth_psd(identity_model, identity_model.reference, _floats(identity_model))
+        rep = check_smooth_psd(identity_model, _v_hat(identity_model), _floats(identity_model))
         assert rep.verdict == "holds" and rep.modulus == pytest.approx(1.0)
 
     def test_skew_fails_minus_one(self, skew_model):
-        rep = check_smooth_psd(skew_model, skew_model.reference, _floats(skew_model))
+        rep = check_smooth_psd(skew_model, _v_hat(skew_model), _floats(skew_model))
         assert rep.verdict == "fails"
         assert rep.modulus == pytest.approx(-1.0, abs=1e-12)
 
@@ -469,13 +635,13 @@ class TestSmoothPSD:
             "dims n=3 d=2\npotential = x3 + (1/4 + p2)*x1 + p1*x2 + x3^2 - x1*x2\n"
             "reference x=(0, 0, 0) p=(0, 0) v=(1/4, 0, 1)\n"
         )
-        rep = check_smooth_psd(m, m.reference, _floats(m))
+        rep = check_smooth_psd(m, _v_hat(m), _floats(m))
         assert rep.verdict == "fails"
         assert rep.modulus == pytest.approx(-1.0, abs=1e-12)
 
     def test_requires_unconstrained(self, ex64_model):
         with pytest.raises(InputError):
-            check_smooth_psd(ex64_model, ex64_model.reference, _floats(ex64_model))
+            check_smooth_psd(ex64_model, _v_hat(ex64_model), _floats(ex64_model))
 
 
 class TestSCOCProbe:

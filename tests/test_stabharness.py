@@ -216,11 +216,14 @@ class TestCertify:
     @pytest.mark.parametrize("name", ["ex64", "circle"])
     def test_reference_evaluated_once(self, name, ex64_model, circle_model, monkeypatch):
         # every pointwise check reads the two bundles certify evaluates:
-        # one exact evaluation, one enumeration of Lambda at the reference
-        # (the circle's sampled path enumerates again only at its samples)
-        # and two MFCQ LPs, certify's own and the refusal inside
-        # multiplier_polytope (every LP that kkt solves is an MFCQ LP here:
-        # MFCQ holds, so no recession direction is sought)
+        # one exact evaluation, one float evaluation at the reference (the
+        # localization's solve_projected step takes its jac_f), one
+        # enumeration of Lambda at the reference (the circle's sampled path
+        # enumerates again only at its samples) and two MFCQ LPs, certify's
+        # own and the refusal inside multiplier_polytope (every LP that kkt
+        # solves is an MFCQ LP here: MFCQ holds, so no recession direction
+        # is sought).  The face sweep and the projection rows evaluate their
+        # own table points (0, p), which on ex64 include the reference's.
         import sys
 
         import fullstab.kkt as kkt
@@ -241,13 +244,29 @@ class TestCertify:
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, wrapper)
 
+        model = {"ex64": ex64_model, "circle": circle_model}[name]
+        ref = model.reference
+        float_callers = []
+
+        def at_reference(args, out):
+            _, x, p = args
+            if np.ndim(x) == 1 and [float(c) for c in (*x, *p)] == [
+                float(c) for c in (*ref.x, *ref.p)
+            ]:
+                caller = sys._getframe(2)
+                while caller.f_code.co_name.startswith("<"):  # a comprehension
+                    caller = caller.f_back
+                float_callers.append(caller.f_code.co_name)
+
         patch(modelspec, "eval_bundle_exact", lambda args, out: exact_bundles.append(out))
+        patch(modelspec, "eval_bundle", at_reference)
         patch(kkt, "_multipliers", lambda args, out: enumerated.append(args[0]))
         patch(kkt, "solve_inequality_lp", lambda args, out: lps.append(1), [kkt])
-        model = {"ex64": ex64_model, "circle": circle_model}[name]
         rep = certify(model, CertifyOptions(samples=50, grid_v=3, grid_p=3, n_random=2))
         assert rep.verdict == "fully_stable"
         assert len(exact_bundles) == 1
+        assert float_callers.count("eval_reference") == 1
+        assert set(float_callers) <= {"eval_reference", "_face_sweep", "polyhedron_rows"}
         assert sum(bundle is exact_bundles[0] for bundle in enumerated) == 1
         assert len(lps) == 2
 

@@ -16,6 +16,7 @@ from fullstab.modelspec import parse_model
 from fullstab.polycone import polyhedron_rows
 from fullstab.visolver import build_localization, solve_faces, solve_projected
 
+from conftest import reference_jacobian
 from oracles import newton_face_sweep
 
 
@@ -174,13 +175,15 @@ def _check_vi_inner_product(model, x_star, v, rng, count=1000):
 class TestBuildLocalization:
     def test_identity_table_exact(self, identity_model):
         table = build_localization(
-            identity_model, identity_model.reference, grid_v=5, n_random=5
+            identity_model, identity_model.reference, reference_jacobian(identity_model),
+            grid_v=5, n_random=5,
         )
         assert np.max(np.abs(table.x_values - table.v_nodes)) < 1e-10
 
     def test_worked_example_grid_unique(self, ex64_model):
         table = build_localization(
-            ex64_model, ex64_model.reference, grid_v=3, grid_p=3, n_random=5
+            ex64_model, ex64_model.reference, reference_jacobian(ex64_model),
+            grid_v=3, grid_p=3, n_random=5,
         )
         assert len(table) == 27 * 9 + 5
         # theta(v, p) = (p1, p2, 0) on this neighborhood
@@ -196,7 +199,7 @@ class TestBuildLocalization:
         m = parse_model(
             "dims n=2 d=0\nf = (2*x1 + x2, x1 + 3*x2)\nreference x=(0, 0) p=() v=(0, 0)\n"
         )
-        table = build_localization(m, m.reference, grid_v=3, n_random=0)
+        table = build_localization(m, m.reference, reference_jacobian(m), grid_v=3, n_random=0)
         Jf = np.array([[2.0, 1.0], [1.0, 3.0]])
         expect = np.linalg.solve(Jf, table.v_nodes.T).T
         assert np.max(np.abs(table.x_values - expect)) < 1e-10
@@ -218,7 +221,9 @@ class TestBuildLocalization:
             "dims n=1 d=0\nf = (x1^3 - x1)\nreference x=(0) p=() v=(0)\n"
         )
         with pytest.raises(LocalizationError) as err:
-            build_localization(m, m.reference, grid_v=3, n_random=0, box_radius=2.0)
+            build_localization(
+                m, m.reference, reference_jacobian(m), grid_v=3, n_random=0, box_radius=2.0
+            )
         assert err.value.witness is not None
 
     def test_newton_sweep_stops_at_first_bad_node(self, monkeypatch):
@@ -238,7 +243,9 @@ class TestBuildLocalization:
 
         monkeypatch.setattr(visolver, "_newton_stack", counting)
         with pytest.raises(LocalizationError):
-            build_localization(m, m.reference, grid_v=3, n_random=0, box_radius=2.0)
+            build_localization(
+                m, m.reference, reference_jacobian(m), grid_v=3, n_random=0, box_radius=2.0
+            )
         assert len(pairs) == (1 + visolver.MAX_SHRINK) * 7
 
     @pytest.mark.parametrize("name", ["p-dependent-gradient", "ex64"])
@@ -253,7 +260,8 @@ class TestBuildLocalization:
         )
         assert model.f_affine and all(model.affine_x)
         table = build_localization(
-            model, model.reference, grid_v=3, grid_p=3, n_random=6, seed=3
+            model, model.reference, reference_jacobian(model),
+            grid_v=3, grid_p=3, n_random=6, seed=3,
         )
         assert table.meta["shrinks"] == 0
         x0 = model.reference.as_arrays()[0]
@@ -282,13 +290,16 @@ class TestBuildLocalization:
             return out
 
         monkeypatch.setattr(visolver, "solve_projected", recording)
-        table = build_localization(model, model.reference, grid_v=3, grid_p=3, seed=5)
+        table = build_localization(
+            model, model.reference, reference_jacobian(model), grid_v=3, grid_p=3, seed=5
+        )
         assert table.meta["cross_checks"] == len(iterations) == 11
         assert max(iterations) < 400
 
     def test_csv_export_shape(self, identity_model):
         table = build_localization(
-            identity_model, identity_model.reference, grid_v=3, n_random=2
+            identity_model, identity_model.reference, reference_jacobian(identity_model),
+            grid_v=3, n_random=2,
         )
         csv = table.to_csv()
         lines = csv.strip().splitlines()
@@ -363,7 +374,9 @@ class TestStackedNewtonSweep:
     @staticmethod
     def _assert_table_matches_oracle(model):
         assert not (model.f_affine and all(model.affine_x))
-        table = build_localization(model, model.reference, grid_v=3, grid_p=3, n_random=4)
+        table = build_localization(
+            model, model.reference, reference_jacobian(model), grid_v=3, grid_p=3, n_random=4
+        )
         x0 = model.reference.as_arrays()[0]
         starts = visolver._newton_starts(x0, table.meta["box_radius"], model.n)
         expect = newton_face_sweep(
