@@ -165,7 +165,7 @@ def _cmd_solve(args) -> int:
         "p": list(map(float, p)),
         "face_solutions": [o.to_json_dict() for o in faces],
     }
-    if model.m == 0 or all(model.affine_x):
+    if all(model.affine_x):
         proj = solve_projected(model, v, p, x_start)
         payload["projected"] = proj.to_json_dict()
         if faces and proj.converged:
@@ -201,12 +201,11 @@ def _cmd_cones(args) -> int:
     if ref is None:
         raise InputError("model has no reference triple")
     exact, floats = eval_reference(model, ref)
-    I = active_indices(floats.phi, args.tol_act)
+    I = active_indices(exact.phi, args.tol_act)
     T = tangent_cone(floats, I)
     v_hat = ref.v_hat(exact).tolist()
     K = critical_cone(T, v_hat)
-    I_exact = active_indices(exact.phi, args.tol_act)
-    mfcq = check_mfcq(exact, I_exact)
+    mfcq = check_mfcq(exact, I)
     licq = check_licq(floats, I)
     crcq = probe_crcq(model, floats, I, ref.x, ref.p, seed=args.seed)
     rays, lin = K.generators()
@@ -224,7 +223,7 @@ def _cmd_cones(args) -> int:
         "crcq": crcq.to_json_dict(),
     }
     try:
-        ms = multiplier_polytope(exact, I_exact, ref.v)
+        ms = multiplier_polytope(exact, I, ref.v)
         payload["multipliers"] = ms.to_json_dict()
     except FullstabError as err:
         payload["multipliers"] = {"error": str(err)}
@@ -241,13 +240,11 @@ def _cmd_report(args) -> int:
     if not path.exists():
         raise InputError(f"report file not found: {args.path}")
     data = json.loads(path.read_text())
-    fields = {f.name: data.get(f.name) for f in dataclasses.fields(StabilityReport)}
-    fields["schema"] = data.get("schema", 1)
-    fields["scoc_probe"] = fields["scoc_probe"] or []
-    fields["violations"] = fields["violations"] or []
-    fields["notes"] = fields["notes"] or []
-    fields["violation_count"] = fields["violation_count"] or 0
-    report = StabilityReport(**fields)
+    names = {f.name for f in dataclasses.fields(StabilityReport)}
+    try:
+        report = StabilityReport(**{k: v for k, v in data.items() if k in names})
+    except TypeError as err:
+        raise InputError(f"not a certify report: {err}")
     sys.stdout.write(report.to_text())
     return 0
 

@@ -93,7 +93,7 @@ def check_mfcq(bundle: EvalBundle, I) -> CQReport:
             "MFCQ", "holds", {"active_set": [], "t_star": float("inf"), "vacuous": True}
         )
     exact = bundle.exact
-    grads = [list(bundle.grad_phi[i]) for i in I]
+    grads = bundle.grad_phi[list(I)]
     n = len(bundle.f)
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
     t_upper = max(sum(abs(g) for g in row) for row in grads) + one
@@ -223,13 +223,16 @@ class MultiplierSet:
     active: tuple
     vertices: list  # list of tuples (Fraction or float entries)
     dim: int
-    stationarity_rhs: list  # v - f(x, p)
-    grad_matrix: np.ndarray  # (m, n) float gradients for re-verification
     bundle: EvalBundle
 
     @property
     def exact(self) -> bool:
         return self.bundle.exact
+
+    @property
+    def grad_matrix(self) -> np.ndarray:
+        """The (m, n) constraint gradients in floats."""
+        return self.bundle.grad_phi.astype(float)
 
     def vertices_float(self) -> np.ndarray:
         return np.array([[float(c) for c in vert] for vert in self.vertices])
@@ -253,23 +256,19 @@ def multiplier_polytope(bundle: EvalBundle, I, v) -> MultiplierSet:
     fails and the set is unbounded, so a returned set certifies MFCQ.
     """
     if not check_mfcq(bundle, I).ok:
-        cols = [list(bundle.grad_phi[i]) for i in I]
         raise UnboundedMultiplierError(
             "MFCQ fails: the multiplier set may be empty or unbounded; "
             "second-order checks are refused",
-            recession=_recession_direction(cols, len(bundle.phi), I, bundle.exact),
+            recession=_recession_direction(bundle, I),
         )
     return _multipliers(bundle, I, v)
 
 
 def _multipliers(bundle: EvalBundle, I, v) -> MultiplierSet:
     """:func:`multiplier_polytope` without the MFCQ check."""
-    m, n = len(bundle.phi), len(bundle.f)
-    exact = bundle.exact
-    cast = Fraction if exact else float
-    cols = [list(bundle.grad_phi[i]) for i in I]
-    rhs = [cast(vi) - fi for vi, fi in zip(v, bundle.f)]
-    grad_matrix = np.array(bundle.grad_phi, dtype=float).reshape(m, n)
+    m = len(bundle.phi)
+    cast = Fraction if bundle.exact else float
+    rhs = np.array([cast(vi) for vi in v], dtype=bundle.f.dtype) - bundle.f
     residual = max((abs(float(r)) for r in rhs), default=0.0)
     scale = 1.0 + residual
 
@@ -282,7 +281,7 @@ def _multipliers(bundle: EvalBundle, I, v) -> MultiplierSet:
     else:
         # a nonempty {lam >= 0 : G lam = rhs} has a basic solution, so the
         # vertex enumeration also decides feasibility
-        vertices = _enumerate_vertices(cols, rhs, m, I, exact, TOL_CONE * scale)
+        vertices = _enumerate_vertices(bundle, I, rhs, TOL_CONE * scale)
         if not vertices:
             raise NoMultiplierError(
                 "no multiplier exists: v is not in Psi(x, p); the reference "
@@ -290,48 +289,37 @@ def _multipliers(bundle: EvalBundle, I, v) -> MultiplierSet:
             )
     V = np.array([[float(c) for c in vert] for vert in vertices])
     dim = rank(V - V[0]) if len(vertices) > 1 else 0
-    return MultiplierSet(
-        active=I,
-        vertices=vertices,
-        dim=dim,
-        stationarity_rhs=rhs,
-        grad_matrix=grad_matrix,
-        bundle=bundle,
-    )
+    return MultiplierSet(active=I, vertices=vertices, dim=dim, bundle=bundle)
 
 
-def _recession_direction(cols, m, I, exact):
-    """Nonzero lam >= 0 with sum lam_i g_i = 0, or None."""
-    k = len(cols)
-    if k == 0:
+def _recession_direction(bundle: EvalBundle, I):
+    """Nonzero lam >= 0 with sum_{i in I} lam_i grad phi_i = 0, or None."""
+    if not I:
         return None
-    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    nrows = len(cols[0])
-    A_ub = [[cols[j][i] for j in range(k)] for i in range(nrows)]
-    A_ub += [[-cols[j][i] for j in range(k)] for i in range(nrows)]
-    b_ub = [zero] * (2 * nrows)
+    G = bundle.grad_phi[list(I)].T
+    zero, one = (Fraction(0), Fraction(1)) if bundle.exact else (0.0, 1.0)
     res = solve_inequality_lp(
-        [one] * k, A_ub, b_ub, [zero] * k, [one] * k, maximize=True
+        [one] * len(I), np.vstack([G, -G]), [zero] * (2 * len(G)),
+        [zero] * len(I), [one] * len(I), maximize=True,
     )
     if res.status != "optimal" or float(res.value) <= 1e-9:
         return None
-    lam = [0.0] * m
+    lam = [0.0] * len(bundle.phi)
     for idx, i in enumerate(I):
         lam[i] = float(res.x[idx])
     return lam
 
 
-def _enumerate_vertices(cols, rhs, m, I, exact, tol):
-    k = len(cols)
-    n = len(rhs)
+def _enumerate_vertices(bundle: EvalBundle, I, rhs, tol):
+    exact = bundle.exact
+    cols = bundle.grad_phi[list(I)]
     found = []
-    max_support = min(k, n)
-    for r in range(0, max_support + 1):
-        for subset in itertools.combinations(range(k), r):
-            sol = _solve_subset(cols, rhs, subset, exact, tol)
+    for r in range(0, min(len(I), len(rhs)) + 1):
+        for subset in itertools.combinations(range(len(I)), r):
+            sol = _solve_subset(cols[list(subset)], rhs, exact, tol)
             if sol is None:
                 continue
-            lam = [Fraction(0) if exact else 0.0] * m
+            lam = [Fraction(0) if exact else 0.0] * len(bundle.phi)
             ok = True
             for pos, j in enumerate(subset):
                 value = sol[pos]
@@ -358,20 +346,18 @@ def _enumerate_vertices(cols, rhs, m, I, exact, tol):
     return unique
 
 
-def _solve_subset(cols, rhs, subset, exact, tol):
-    """Solve sum_{j in subset} lam_j col_j = rhs for independent columns;
-    None when dependent or inconsistent."""
-    if not subset:
-        if exact:
-            return [] if all(r == 0 for r in rhs) else None
-        return [] if max((abs(r) for r in rhs), default=0.0) <= tol else None
+def _solve_subset(rows, rhs, exact, tol):
+    """Solve rows^T lam = rhs for independent gradient rows; None when the
+    rows are dependent or the system inconsistent."""
+    k = len(rows)
     if exact:
-        return _exact_solve([[cols[j][i] for j in subset] for i in range(len(rhs))], list(rhs))
-    A = np.array([cols[j] for j in subset], dtype=float).T
-    if rank(A.T) < len(subset):
+        return _exact_solve(rows.T, rhs)
+    if not k:
+        return [] if max((abs(r) for r in rhs), default=0.0) <= tol else None
+    if rank(rows) < k:
         return None
-    sol, *_ = np.linalg.lstsq(A, np.array(rhs, dtype=float), rcond=None)
-    if np.linalg.norm(A @ sol - np.array(rhs, dtype=float)) > tol:
+    sol, *_ = np.linalg.lstsq(rows.T, rhs, rcond=None)
+    if np.linalg.norm(rows.T @ sol - rhs) > tol:
         return None
     return list(sol)
 
@@ -379,11 +365,11 @@ def _solve_subset(cols, rhs, subset, exact, tol):
 def _exact_solve(A, b):
     """Solve A lam = b over Fractions; None if the columns are dependent or
     the system inconsistent."""
-    ncols = len(A[0]) if A else 0
-    R, pivots, _ = gauss_jordan([list(row) + [bi] for row, bi in zip(A, b)])
-    if pivots != list(range(ncols)):
+    k = np.shape(A)[1]
+    R, pivots, _ = gauss_jordan(np.column_stack([A, b]))
+    if pivots != list(range(k)):
         return None  # a column without a pivot, or a pivot in the rhs column
-    return [R[k][-1] for k in range(ncols)]
+    return [R[j][-1] for j in range(k)]
 
 
 def strict_complement(lam: Sequence, I: Sequence[int]):

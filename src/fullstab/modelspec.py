@@ -7,7 +7,8 @@ graph.  All derivative data (Jacobian of f, constraint gradients and
 Hessians) is built symbolically once at construction and evaluated on
 demand, exactly at rational points.  The float path evaluates a copy of
 the tables folded once per model (:func:`expr.fold_float`), at one point
-or at a batch of points through the same code.
+or at a batch of points through the same code.  Both paths give arrays of
+one layout, Fractions in ``dtype=object`` on the exact one.
 
 Model file format (UTF-8, '#' comments)::
 
@@ -176,40 +177,49 @@ class ParametricModel:
 
     # -- point evaluation ---------------------------------------------------
 
-    def f_values(self, x, p):
-        return [ex.evaluate(fi, x, p) for fi in self.f_components]
-
     def phi_values(self, x, p):
         return [ex.evaluate(phi, x, p) for phi in self.constraints]
 
 
 @dataclass(frozen=True)
 class EvalBundle:
-    """All first- and second-order data at one point: float arrays from
-    :func:`eval_bundle`, nested lists of Fractions from
-    :func:`eval_bundle_exact`."""
+    """All first- and second-order data at one point, as numpy arrays of
+    one layout: floats from :func:`eval_bundle`, Fractions in
+    ``dtype=object`` from :func:`eval_bundle_exact`."""
 
-    f: object  # (n,)
-    jac_f: object  # (n, n), entry [i, j] = d f_i / d x_j
-    phi: object  # (m,)
-    grad_phi: object  # (m, n)
-    hess_phi: object  # (m, n, n)
+    f: np.ndarray  # (n,)
+    jac_f: np.ndarray  # (n, n), entry [i, j] = d f_i / d x_j
+    phi: np.ndarray  # (m,)
+    grad_phi: np.ndarray  # (m, n)
+    hess_phi: np.ndarray  # (m, n, n)
 
     @property
     def exact(self) -> bool:
-        """Whether the entries are Fractions (nested lists) rather than
-        float arrays."""
-        return isinstance(self.jac_f, list)
+        """Whether the entries are Fractions rather than floats."""
+        return self.jac_f.dtype == object
+
+    def floats(self) -> "EvalBundle":
+        """The bundle in floats, each Fraction entry rounded once (itself
+        when it is a float bundle)."""
+        if not self.exact:
+            return self
+        try:
+            return EvalBundle(*(a.astype(float) for a in self.arrays()))
+        except OverflowError:
+            raise EvaluationError("non-finite value in evaluation bundle")
+
+    def arrays(self) -> tuple:
+        """(f, jac_f, phi, grad_phi, hess_phi), uncopied."""
+        return self.f, self.jac_f, self.phi, self.grad_phi, self.hess_phi
 
     def lagrangian_jacobian(self, lam):
         """x-Jacobian of the Lagrangian map f + sum lam_i grad phi_i, i.e.
         jac_f + sum lam_i hess_phi_i (not necessarily symmetric), with lam
         cast to the bundle's number type."""
-        exact = self.exact
-        H = np.array(self.jac_f, dtype=object if exact else float)
-        for li, hess in zip(map(Fraction if exact else float, lam), self.hess_phi):
+        H = self.jac_f.copy()
+        for li, hess in zip(map(Fraction if self.exact else float, lam), self.hess_phi):
             if li != 0:
-                H += li * np.asarray(hess, dtype=H.dtype)
+                H += li * hess
         return H
 
 
@@ -255,11 +265,17 @@ def _float_points(x, p):
     )
 
 
-def _stack(table, shape, batch):
+def _stack(table, shape, batch, dtype=float):
     """A nested list of entries as an array of ``shape``, with the batch
     axis first."""
-    a = np.array(table, dtype=float).reshape(shape + batch)
+    a = np.array(table, dtype=dtype).reshape(shape + batch)
     return np.moveaxis(a, -1, 0) if batch else a
+
+
+def _bundle(model: ParametricModel, tables, batch, dtype) -> EvalBundle:
+    n, m = model.n, model.m
+    shapes = ((n,), (n, n), (m,), (m, n), (m, n, n))
+    return EvalBundle(*(_stack(t, shape, batch, dtype) for t, shape in zip(tables, shapes)))
 
 
 def eval_bundle(model: ParametricModel, x, p) -> EvalBundle:
@@ -270,15 +286,8 @@ def eval_bundle(model: ParametricModel, x, p) -> EvalBundle:
     point."""
     x, p, batch, cast = _float_points(x, p)
     with np.errstate(all="ignore"):
-        f, jac, phi, grad, hess = _eval_tables(model, model.float_tables, x, p, cast)
-    n, m = model.n, model.m
-    bundle = EvalBundle(
-        f=_stack(f, (n,), batch),
-        jac_f=_stack(jac, (n, n), batch),
-        phi=_stack(phi, (m,), batch),
-        grad_phi=_stack(grad, (m, n), batch),
-        hess_phi=_stack(hess, (m, n, n), batch),
-    )
+        tables = _eval_tables(model, model.float_tables, x, p, cast)
+    bundle = _bundle(model, tables, batch, float)
     if not all(np.all(np.isfinite(a)) for a in (bundle.f, bundle.jac_f, bundle.phi)):
         raise EvaluationError("non-finite value in evaluation bundle")
     return bundle
@@ -295,21 +304,22 @@ def eval_f(model: ParametricModel, x, p) -> np.ndarray:
 
 def eval_bundle_exact(model: ParametricModel, x, p) -> EvalBundle:
     """The same data in Fractions at a rational point (see
-    :func:`expr.is_rational`), as nested lists."""
-    return EvalBundle(
-        *_eval_tables(
-            model, model.tables, [Fraction(c) for c in x], [Fraction(c) for c in p], Fraction
-        )
-    )
+    :func:`expr.is_rational`), in the layout of a one-point
+    :func:`eval_bundle` with ``dtype=object``."""
+    x, p = [Fraction(c) for c in x], [Fraction(c) for c in p]
+    return _bundle(model, _eval_tables(model, model.tables, x, p, Fraction), (), object)
 
 
 def eval_reference(model: ParametricModel, ref: ReferenceTriple):
-    """The reference evaluated once per number type, as (exact, floats):
-    ``exact`` is the Fraction bundle when x, p and v are all rational, else
-    the float bundle.  The pointwise checks take these bundles instead."""
-    floats = eval_bundle(model, ref.x, ref.p)
-    rational = ex.is_rational(ref.x, ref.p, ref.v)
-    return (eval_bundle_exact(model, ref.x, ref.p) if rational else floats), floats
+    """The reference evaluated once, as (exact, floats): ``exact`` is the
+    Fraction bundle when x, p and v are all rational, and ``floats`` its
+    cast (:meth:`EvalBundle.floats`); otherwise both are the float bundle.
+    The pointwise checks take these bundles instead."""
+    if ex.is_rational(ref.x, ref.p, ref.v):
+        exact = eval_bundle_exact(model, ref.x, ref.p)
+    else:
+        exact = eval_bundle(model, ref.x, ref.p)
+    return exact, exact.floats()
 
 
 # ---------------------------------------------------------------------------

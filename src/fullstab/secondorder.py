@@ -56,7 +56,6 @@ from .modelspec import EvalBundle, ParametricModel, ReferenceTriple, eval_bundle
 from .polycone import (
     ConeDesc,
     SubspaceBasis,
-    active_indices,
     active_mask,
     critical_cone,
     null_space,
@@ -93,10 +92,6 @@ class QuadForm:
     @property
     def sym(self) -> np.ndarray:
         return 0.5 * (self.H + np.swapaxes(self.H, -1, -2))
-
-    def value(self, w) -> float:
-        w = np.asarray(w, dtype=float)
-        return float(w @ self.sym @ w)
 
 
 @dataclass
@@ -314,16 +309,16 @@ def _gusosc_by_faces(
     bundle, active, exact = ms.bundle, ms.active, ms.exact
     _cap_active_set(active)
     cast = Fraction if exact else float
-    rows = {
-        i: list(bundle.grad_phi[i])
-        + [cast(evaluate(differentiate(model.constraints[i], "p", l), ref.x, ref.p))
-           for l in range(model.d)]
-        for i in active
-    }
+    B = np.array(
+        [[cast(evaluate(differentiate(model.constraints[i], "p", l), ref.x, ref.p))
+          for l in range(model.d)] for i in active],
+        dtype=bundle.phi.dtype,
+    ).reshape(len(active), model.d)
+    rows = np.hstack([bundle.grad_phi[list(active)], B])  # [G_i | B_i], i in active
     supports = {}  # vertex support J -> first vertex with it
     for vert in ms.vertices:
         supports.setdefault(strict_complement(vert, active), vert)
-    H = QuadForm(np.array(bundle.jac_f, dtype=float).reshape(model.n, model.n))
+    H = QuadForm(bundle.jac_f.astype(float))
 
     ell = math.inf
     witness = {}
@@ -336,8 +331,9 @@ def _gusosc_by_faces(
                 continue
             if I != active:
                 lps += 1
-                rest = [r for r in active if r not in I]
-                if not _face_reachable([rows[i] for i in I], [rows[r] for r in rest], exact):
+                face = [k for k, i in enumerate(active) if i in I]
+                rest = [k for k, i in enumerate(active) if i not in I]
+                if not _face_reachable(rows[face], rows[rest], exact):
                     continue
             for J in inside:
                 cone = mixed_sign_cone(ms.grad_matrix, I, J, model.n)
@@ -372,22 +368,22 @@ def _gusosc_by_faces(
 def _face_reachable(face_rows, rest_rows, exact: bool) -> bool:
     """Whether some z in the unit box has face_rows . z = 0 and rest_rows . z
     < 0, for rows [G_i | B_i] over z = (w, dp)."""
-    rows = face_rows + rest_rows
-    if len(rows) < len(rows[0]):
+    rows = np.vstack([face_rows, rest_rows])
+    if len(rows) < rows.shape[1]:
         # the signs depend only on the part of z in the row space, so with
         # fewer rows than unknowns search z = rows^T y: fewer LP columns
-        gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+        gram = rows @ rows.T
         face_rows, rest_rows = gram[: len(face_rows)], gram[len(face_rows):]
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    k = len(rest_rows[0])
+    k = rest_rows.shape[1]
     res = solve_inequality_lp(
         [zero] * k + [one],
-        [row + [one] for row in rest_rows],
+        np.column_stack([rest_rows, [one] * len(rest_rows)]),
         [zero] * len(rest_rows),
         [-one] * k + [zero],
         [one] * (k + 1),
         maximize=True,
-        A_eq=[row + [zero] for row in face_rows],
+        A_eq=np.column_stack([face_rows, [zero] * len(face_rows)]),
         b_eq=[zero] * len(face_rows),
     )
     if res.status != "optimal":  # pragma: no cover - always feasible (z=0, t=0)
@@ -575,7 +571,7 @@ def _retract(model, X, P, tol_act):
     one-point evaluation lays it out); a row whose projection failed reads
     phi = +inf."""
     X = X.copy()
-    tables = [np.ascontiguousarray(a) for a in _fields(eval_bundle(model, X, P))]
+    tables = [np.ascontiguousarray(a) for a in eval_bundle(model, X, P).arrays()]
     phi, grad = tables[2], tables[3]
     failed = np.zeros(len(X), dtype=bool)
     for _ in range(_MAX_STEPS):
@@ -590,15 +586,10 @@ def _retract(model, X, P, tol_act):
                 failed[k] = True
         moved = moving[~failed[moving]]
         if moved.size:
-            for table, rows in zip(tables, _fields(eval_bundle(model, X[moved], P[moved]))):
+            for table, rows in zip(tables, eval_bundle(model, X[moved], P[moved]).arrays()):
                 table[moved] = rows
     phi[failed] = math.inf
     return X, tables
-
-
-def _fields(b: EvalBundle):
-    """The arrays of a bundle, uncopied, in the order _retract keeps them."""
-    return b.f, b.jac_f, b.phi, b.grad_phi, b.hess_phi
 
 
 # ---------------------------------------------------------------------------
@@ -609,23 +600,23 @@ def check_pvi_pointwise(
     model: ParametricModel,
     v_hat: np.ndarray,
     bundle: EvalBundle,
+    I,
     tol_pd: float = TOL_PD,
-    tol_act: float = TOL_ACT,
 ) -> SecondOrderReport:
     """Pointwise spans test for parameter-independent affine constraints,
-    at the reference whose float bundle is ``bundle`` and whose v - f is
-    ``v_hat`` (:meth:`ReferenceTriple.v_hat`):
+    at the reference whose float bundle is ``bundle``, with active set I,
+    and whose v - f is ``v_hat`` (:meth:`ReferenceTriple.v_hat`):
     minimizes the base-map Jacobian form on (a) the span of the tangent
     cone intersected with the normal complement and (b) the span of the
     critical cone.  The combined verdict is (b), the polyhedral
     characterization; (a) is the closure-type sufficient condition and is
     reported alongside."""
-    if model.m and not (all(model.affine_x) and all(model.param_free)):
+    if not (all(model.affine_x) and all(model.param_free)):
         raise InputError(
             "pointwise spans test needs parameter-independent affine "
             "constraints; use the sampled uniform test instead"
         )
-    T = tangent_cone(bundle, active_indices(bundle.phi, tol_act))
+    T = tangent_cone(bundle, I)
     K = critical_cone(T, v_hat)
     span_T = span_difference(T)
     V_a = _intersect_with_orthogonal(span_T, v_hat)
@@ -707,15 +698,12 @@ def scoc_probe(bundle: EvalBundle, lam: Sequence, J: Sequence[int]):
     """
     J = tuple(J)
     exact = bundle.exact
-    cast = Fraction if exact else float
-    n = len(bundle.f)
-    jacL = bundle.lagrangian_jacobian(lam)
-    G = [bundle.grad_phi[i] for i in J]
-    if J and (len(gauss_jordan(G)[1]) if exact else rank(np.array(G))) < len(J):
+    G = bundle.grad_phi[list(J)]
+    if J and (len(gauss_jordan(G)[1]) if exact else rank(G)) < len(J):
         raise InputError("dependent basis rows in the bordered matrix")
-    M = [[cast(jacL[i][j]) for j in range(n)] + [cast(g[i]) for g in G] for i in range(n)]
-    M += [[-cast(g[j]) for j in range(n)] + [cast(0)] * len(J) for g in G]
-    M_float = np.array(M, dtype=float).reshape(n + len(J), n + len(J))
+    zeros = np.zeros((len(J), len(J)), dtype=G.dtype)
+    M = np.block([[bundle.lagrangian_jacobian(lam), G.T], [-G, zeros]])
+    M_float = M.astype(float)
     det = gauss_jordan(M)[2] if exact else float(np.linalg.det(M_float))
     norms = np.linalg.norm(M_float, axis=1)
     norms[norms == 0] = 1.0

@@ -25,7 +25,6 @@ class LPResult:
     status: str  # 'optimal' | 'infeasible' | 'unbounded'
     x: Optional[list] = None
     value: Optional[object] = None
-    ray: Optional[list] = None  # recession direction when unbounded
 
 
 def solve_standard_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResult:
@@ -79,8 +78,7 @@ def solve_standard_lp(c: Sequence, A: Sequence[Sequence], b: Sequence) -> LPResu
     cost2 = [_cast(v, exact) for v in c]
     status = _simplex_core(keep_rows, keep_basis, cost2, n, tol)
     if status == "unbounded":
-        ray = _extract_ray(keep_rows, keep_basis, cost2, n, tol)
-        return LPResult(status="unbounded", ray=ray)
+        return LPResult(status="unbounded")
     x = [zero] * n
     for i, bi in enumerate(keep_basis):
         x[bi] = keep_rows[i][-1]
@@ -178,20 +176,6 @@ def gauss_jordan(rows):
     if r < nrows or nrows != ncols:
         det = Fraction(0)
     return M, pivots[:r], det
-
-
-def _extract_ray(rows, basis, cost, ncols, tol):
-    """Recession direction certifying unboundedness."""
-    red = _reduced_costs(rows, basis, cost, ncols)
-    enter = next((j for j in range(ncols) if red[j] < -tol), None)
-    if enter is None:  # pragma: no cover
-        return None
-    zero = rows[0][0] * 0 if rows else 0.0
-    ray = [zero] * ncols
-    ray[enter] = zero + 1
-    for i, bi in enumerate(basis):
-        ray[bi] = -rows[i][enter]
-    return ray
 
 
 # ---------------------------------------------------------------------------

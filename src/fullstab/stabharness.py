@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .defaults import (
-    BOX_RADIUS,
     ETA,
     GRID_P,
     GRID_V,
@@ -82,23 +81,23 @@ __all__ = [
 _MAX_REPORTED = 20
 
 
-def _pair_indices(count: int, cap: int = PAIR_CAP):
+def _pair_indices(count: int):
     total = count * (count - 1) // 2
-    if total <= cap:
+    if total <= PAIR_CAP:
         return np.triu_indices(count, k=1)
     rng = np.random.default_rng(0)  # deterministic subsampling
-    ii = rng.integers(0, count, size=cap)
-    jj = rng.integers(0, count, size=cap)
+    ii = rng.integers(0, count, size=PAIR_CAP)
+    jj = rng.integers(0, count, size=PAIR_CAP)
     keep = ii != jj
     lo = np.minimum(ii[keep], jj[keep])
     hi = np.maximum(ii[keep], jj[keep])
     return lo, hi
 
 
-def _pair_terms(table: LocalizationTable, kappa: float, pair_cap: int):
+def _pair_terms(table: LocalizationTable, kappa: float):
     """Over the (capped) pairs of the table: the pair indices, lhs =
     ||dv - 2 kappa dx||, ||dv|| and d_p."""
-    ii, jj = _pair_indices(len(table), pair_cap)
+    ii, jj = _pair_indices(len(table))
     dv = table.v_nodes[ii] - table.v_nodes[jj]
     dx = table.x_values[ii] - table.x_values[jj]
     dp = (
@@ -115,7 +114,6 @@ def verify_inequality(
     kappa: float,
     ell: float,
     exponent: float = 1.0,
-    pair_cap: int = PAIR_CAP,
 ):
     """Violating pairs of the full-stability inequality at (kappa, ell,
     exponent), the worst _MAX_REPORTED of them, and their count; an empty
@@ -124,7 +122,7 @@ def verify_inequality(
         raise InputError("empty localization table")
     if kappa <= 0 or ell < 0:
         raise InputError("need kappa > 0 and ell >= 0")
-    ii, jj, lhs, base, dp = _pair_terms(table, kappa, pair_cap)
+    ii, jj, lhs, base, dp = _pair_terms(table, kappa)
     rhs = base + ell * dp**exponent + TOL_INEQ
     bad = np.flatnonzero(lhs > rhs)
     order = np.argsort(lhs[bad] - rhs[bad])[::-1]
@@ -169,7 +167,7 @@ class StabilityModuli:
         }
 
 
-def fit_moduli(table: LocalizationTable, pair_cap: int = PAIR_CAP) -> StabilityModuli:
+def fit_moduli(table: LocalizationTable) -> StabilityModuli:
     """Fit (kappa, ell, exponent) from the table.
 
     kappa is the worst parameter-frozen Rayleigh ratio
@@ -233,7 +231,7 @@ def fit_moduli(table: LocalizationTable, pair_cap: int = PAIR_CAP) -> StabilityM
         exponent_used = 0.5 if abs(exponent_hat - 0.5) < abs(exponent_hat - 1.0) else 1.0
 
     # --- ell by bisection at (kappa_used, exponent_used)
-    ell_hat, ell_witness = _fit_ell(table, kappa_used, exponent_used, pair_cap)
+    ell_hat, ell_witness = _fit_ell(table, kappa_used, exponent_used)
     if ell_witness:
         witness["ell_blocking_pair"] = ell_witness
     return StabilityModuli(
@@ -250,8 +248,8 @@ def fit_moduli(table: LocalizationTable, pair_cap: int = PAIR_CAP) -> StabilityM
     )
 
 
-def _fit_ell(table, kappa, exponent, pair_cap):
-    ii, jj, lhs, base, dp = _pair_terms(table, kappa, pair_cap)
+def _fit_ell(table, kappa, exponent):
+    ii, jj, lhs, base, dp = _pair_terms(table, kappa)
     frozen = dp <= 1e-15
     gap = lhs - base - TOL_INEQ
     if np.any(frozen & (gap > 0)):
@@ -298,11 +296,9 @@ class CertifyOptions:
     grid_v: int = GRID_V
     grid_p: int = GRID_P
     n_random: int = RANDOM_NODES
-    box_radius: float = BOX_RADIUS
     seed: int = SEED
     tol_act: float = TOL_ACT
     tol_pd: float = TOL_PD
-    pair_cap: int = PAIR_CAP
 
     def __post_init__(self):
         # a grid axis needs two nodes to reach both sides of the reference
@@ -319,22 +315,23 @@ class CertifyOptions:
         return {k: getattr(self, k) for k in sorted(self.__dataclass_fields__)}
 
 
-@dataclass
+@dataclass(kw_only=True)
 class StabilityReport:
+    # the fields with defaults are the ones an MFCQ refusal leaves empty
     verdict: str  # fully_stable | not_fully_stable | inconsistent | undetermined
     fully_stable: Optional[bool]
     model_hash: str
     cq: dict
     multipliers: Optional[dict]
-    gssosc: Optional[dict]
-    gusosc: Optional[dict]
-    pvi_pointwise: Optional[dict]
-    smooth_psd: Optional[dict]
-    scoc_probe: list
-    moduli: Optional[dict]
-    violations: list
-    violation_count: int
-    localization: Optional[dict]
+    gssosc: Optional[dict] = None
+    gusosc: Optional[dict] = None
+    pvi_pointwise: Optional[dict] = None
+    smooth_psd: Optional[dict] = None
+    scoc_probe: list = field(default_factory=list)
+    moduli: Optional[dict] = None
+    violations: list = field(default_factory=list)
+    violation_count: int = 0
+    localization: Optional[dict] = None
     notes: list
     options: dict
     schema: int = 1
@@ -388,15 +385,15 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
     if ref is None:
         raise InputError("model file has no reference triple")
     notes = []
-    # one evaluation of the reference per number type: MFCQ, Lambda, the
-    # uniform test and the determinant probe read the exact bundle, the rest the floats
+    # one evaluation of the reference and one active set: MFCQ, Lambda, the
+    # uniform test and the determinant probe read the exact bundle, the rest
+    # its float cast
     exact, floats = eval_reference(model, ref)
-    I_exact = active_indices(exact.phi, opts.tol_act)
-    I_floats = active_indices(floats.phi, opts.tol_act)
-    mfcq = check_mfcq(exact, I_exact)
-    licq = check_licq(floats, I_floats)
+    I = active_indices(exact.phi, opts.tol_act)
+    mfcq = check_mfcq(exact, I)
+    licq = check_licq(floats, I)
     crcq = probe_crcq(
-        model, floats, I_floats, ref.x, ref.p,
+        model, floats, I, ref.x, ref.p,
         samples=max(10, opts.samples // 10), seed=opts.seed,
     )
     cq = {
@@ -415,30 +412,18 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
             "second-order checks refused"
         )
         try:
-            multiplier_polytope(exact, I_exact, ref.v)
+            multiplier_polytope(exact, I, ref.v)
             multipliers = None
         except UnboundedMultiplierError as err:
             multipliers = {"unbounded": True, "recession": _jsonify(err.recession)}
         except NoMultiplierError:
             multipliers = {"empty": True}
         return StabilityReport(
-            verdict="undetermined",
-            fully_stable=None,
-            multipliers=multipliers,
-            gssosc=None,
-            gusosc=None,
-            pvi_pointwise=None,
-            smooth_psd=None,
-            scoc_probe=[],
-            moduli=None,
-            violations=[],
-            violation_count=0,
-            localization=None,
-            notes=notes,
-            **base,
+            verdict="undetermined", fully_stable=None, multipliers=multipliers,
+            notes=notes, **base,
         )
 
-    ms = multiplier_polytope(exact, I_exact, ref.v)
+    ms = multiplier_polytope(exact, I, ref.v)
 
     gssosc = check_gssosc(floats, ms, tol_pd=opts.tol_pd)
     gusosc = check_gusosc(
@@ -447,8 +432,8 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
     )
     pvi = None
     v_hat = ref.v_hat(exact)
-    if model.m == 0 or (all(model.affine_x) and all(model.param_free)):
-        pvi = check_pvi_pointwise(model, v_hat, floats, opts.tol_pd, opts.tol_act)
+    if all(model.affine_x) and all(model.param_free):
+        pvi = check_pvi_pointwise(model, v_hat, floats, I, opts.tol_pd)
     smooth = check_smooth_psd(model, v_hat, floats, opts.tol_pd) if model.m == 0 else None
 
     scoc = []
@@ -469,18 +454,16 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
             model, ref, floats.jac_f,
             rho_v=opts.rho_v, rho_p=opts.rho_p,
             grid_v=opts.grid_v, grid_p=opts.grid_p,
-            n_random=opts.n_random, box_radius=opts.box_radius,
-            seed=opts.seed, tol_act=opts.tol_act,
+            n_random=opts.n_random, seed=opts.seed, tol_act=opts.tol_act,
         )
         localization = dict(table.meta)
         localization["nodes"] = len(table)
         localization["single_valued"] = True
-        fitted = fit_moduli(table, pair_cap=opts.pair_cap)
+        fitted = fit_moduli(table)
         moduli = fitted.to_json_dict()
         ell = fitted.ell_hat if fitted.ell_hat is not None else 0.0
         violations, violation_count = verify_inequality(
-            table, fitted.kappa_used, ell, fitted.exponent_used,
-            pair_cap=opts.pair_cap,
+            table, fitted.kappa_used, ell, fitted.exponent_used
         )
         harness_clean = (
             not fitted.kappa_flagged

@@ -541,7 +541,7 @@ def build_localization(
             table_x[k], _, resids[k] = merged[0]
         else:
             agreements = []
-            if model.m == 0 or all(model.affine_x):
+            if all(model.affine_x):
                 # step from the reference Jacobian: (kappa, L) =
                 # (lambda_min(sym J_f), ||J_f||_2); solve_projected falls
                 # back to its default step when kappa <= 0

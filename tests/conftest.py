@@ -12,6 +12,14 @@ from fullstab.polycone import active_indices
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
+# phi_1 = -1/10^7 at the reference: |phi_1| is just above the double
+# TOL_ACT in Fractions and equal to it in floats
+BOUNDARY_TOL_ACT = (
+    "dims n=1 d=1\nf = (x1 + p1 - 1/10)\n"
+    "constraint x1 - 1/10 - 1/10000000 <= 0\n"
+    "reference x=(1/10) p=(0) v=(0)\n"
+)
+
 
 def exact_at(model, x, p, v=()):
     """The bundle that MFCQ, Lambda, the uniform test and the determinant

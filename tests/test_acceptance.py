@@ -215,7 +215,7 @@ def _affine_model(Jf, A, b):
 def _vi_inner_product_test(model, x_star, v, rng, count=1000):
     A, b = polyhedron_rows(model, [])
     n = model.n
-    f_star = np.array([float(c) for c in model.f_values(list(x_star), [])])
+    f_star = np.array([float(c) for c in eval_bundle_exact(model, x_star, []).f])
     g = v - f_star
     dirs = rng.normal(size=(count, n))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]

@@ -11,6 +11,8 @@ import pytest
 from fullstab import defaults as dflt
 from fullstab.cli import _build_parser, run
 
+from conftest import BOUNDARY_TOL_ACT
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
@@ -138,8 +140,6 @@ class TestDefaultsSingleSource:
         assert opts.samples == dflt.SAMPLES
         assert opts.rho_v == dflt.RHO_V
         assert opts.rho_p == dflt.RHO_P
-        assert opts.box_radius == dflt.BOX_RADIUS
-        assert opts.pair_cap == dflt.PAIR_CAP
         assert opts.tol_pd == dflt.TOL_PD
 
 
@@ -201,9 +201,10 @@ class TestSubcommands:
         assert "ineq," in csv.read_text()
 
     def test_cones_evaluates_reference_once(self, tmp_path, monkeypatch):
-        # active set, tangent cone, LICQ and the CRCQ center share one
-        # float bundle, MFCQ and Lambda one exact bundle; the CRCQ probe
-        # still evaluates its own samples
+        # the rational reference is evaluated once, in Fractions: MFCQ and
+        # Lambda read that bundle, and the active set, tangent cone, LICQ
+        # and the CRCQ center its float cast; the CRCQ probe still
+        # evaluates its own samples
         import fullstab.kkt as kkt
         import fullstab.modelspec as modelspec
         import fullstab.polycone as polycone
@@ -224,8 +225,21 @@ class TestSubcommands:
         )
         code = run(["cones", str(MODELS / "ex64.model"), "--json", str(tmp_path / "c.json")])
         assert code == 0
-        assert points.count([0.0, 0.0, 0.0]) == 1
+        assert points.count([0.0, 0.0, 0.0]) == 0
         assert exact == [[0, 0, 0]]
+
+    def test_cones_takes_one_active_set(self, tmp_path):
+        # the active set of the exact reference bundle, for the cones and
+        # for every check (see BOUNDARY_TOL_ACT)
+        model = tmp_path / "m.model"
+        model.write_text(BOUNDARY_TOL_ACT)
+        out = tmp_path / "c.json"
+        assert run(["cones", str(model), "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["active_set"] == []
+        for cq in ("mfcq", "licq", "crcq"):
+            assert payload[cq]["witness"]["active_set"] == []
+        assert payload["multipliers"]["active_set"] == []
 
     def test_report_renders_text(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -25,6 +25,7 @@ from fullstab.modelspec import (
     print_model,
 )
 
+from conftest import MODELS_DIR
 from oracles import fd_partial, random_polynomial_expr
 
 
@@ -180,7 +181,36 @@ class TestEvalBundle:
 
     def test_exact_bundle_is_rational(self, ex64_model):
         b = eval_bundle_exact(ex64_model, [Fraction(0)] * 3, [Fraction(0)] * 2)
-        assert b.f == [Fraction(1, 4), Fraction(0), Fraction(1)]
+        assert b.f.tolist() == [Fraction(1, 4), Fraction(0), Fraction(1)]
+
+    @pytest.mark.parametrize("name", ["ex64", "skew", "circle", "identity"])
+    def test_exact_bundle_has_the_float_layout(self, name):
+        # the same shapes as a one-point float bundle (m = 0 included),
+        # Fraction entries in object arrays, and a float view whose every
+        # entry is float() of the exact one
+        model = parse_model((MODELS_DIR / f"{name}.model").read_text())
+        x = [Fraction(k + 1, 3) for k in range(model.n)]
+        p = [Fraction(-k - 1, 7) for k in range(model.d)]
+        exact = eval_bundle_exact(model, x, p)
+        floats = exact.floats()
+        assert exact.exact and not floats.exact
+        for a, b, c in zip(exact.arrays(), eval_bundle(model, x, p).arrays(), floats.arrays()):
+            assert a.shape == b.shape == c.shape
+            assert a.dtype == object and c.dtype == float
+            assert all(type(e) is Fraction for e in a.flat)
+            assert c.tolist() == np.array([float(e) for e in a.flat]).reshape(a.shape).tolist()
+        assert floats.floats() is floats
+        assert [a.shape for a in exact.arrays()][2:] == [
+            (model.m,), (model.m, model.n), (model.m, model.n, model.n)
+        ]
+
+    def test_float_view_of_an_overflowing_exact_bundle_raises(self):
+        # f = 10^400 exactly, which no float holds
+        m = parse_model("dims n=1 d=0\nf = (x1 + 10^400)\nreference x=(0) p=() v=(0)\n")
+        exact = eval_bundle_exact(m, [0], [])
+        assert exact.f[0] == 10**400
+        with pytest.raises(EvaluationError, match="non-finite"):
+            exact.floats()
 
     def test_lagrangian_jacobian_in_the_bundle_number_type(self):
         m = parse_model("dims n=2 d=0\nf = (x1, x2)\nconstraint x1^2 + x2^2 - 1 <= 0\n")
@@ -254,7 +284,10 @@ class TestColumnEvaluation:
                     assert np.array_equal(getattr(batch, name)[row], getattr(point, name))
                 assert np.array_equal(eval_f(model, X[row], P[row]), point.f)
                 # the values the unfolded trees give at the float point
-                fx = [float(c) for c in model.f_values(X[row].tolist(), P[row].tolist())]
+                fx = [
+                    float(ex.evaluate(fi, X[row].tolist(), P[row].tolist()))
+                    for fi in model.f_components
+                ]
                 assert point.f.tolist() == fx
             assert np.array_equal(eval_f(model, X, P), batch.f)
 

@@ -77,6 +77,13 @@ def _v_hat(model):
     return model.reference.v_hat(_exact(model))
 
 
+def _pointwise(model):
+    """(v_hat, float bundle, active set) at the model's reference, the
+    arguments of check_pvi_pointwise after the model."""
+    ref = model.reference
+    return (_v_hat(model), *floats_at(model, ref.x, ref.p))
+
+
 class TestMinOnSubspace:
     def test_worked_example_e2_gives_zero(self):
         V = SubspaceBasis(V=np.array([[0.0], [1.0], [0.0]]))
@@ -107,7 +114,7 @@ class TestMinOnSubspace:
         q = QuadForm(H)
         for _ in range(20):
             w = rng.normal(size=3)
-            assert q.value(w) == pytest.approx(float(w @ H @ w), abs=1e-10)
+            assert float(w @ q.sym @ w) == pytest.approx(float(w @ H @ w), abs=1e-10)
 
 
 class TestMinOnCone:
@@ -149,7 +156,7 @@ class TestMinOnCone:
             assert val <= oracle + 5e-9 * (1 + abs(val)), trial
             assert val >= oracle - 1e-4, trial
             assert K.contains(w, tol=1e-9)
-            assert QuadForm(H).value(w) == pytest.approx(val, abs=1e-10)
+            assert float(w @ H @ w) == pytest.approx(val, abs=1e-10)
         assert checked >= 20
 
     def test_span_as_cone_matches_subspace(self):
@@ -207,7 +214,7 @@ class TestGSSOSC:
         lam = rep.witness["lambda"]
         w = np.array(rep.witness["direction"])
         H = eval_bundle(ex64_model, [0, 0, 0], [0, 0]).lagrangian_jacobian(lam)
-        assert QuadForm(H).value(w) <= 1e-9
+        assert float(w @ H @ w) <= 1e-9
         grads = np.array([[1, 0, -1], [-1, 0, -1]], dtype=float)
         assert np.max(np.abs(grads @ w)) <= 1e-9
 
@@ -250,7 +257,7 @@ class TestGUSOSC:
         assert values[(1,)] == pytest.approx(-2.0, abs=1e-12)
         assert values[()] == pytest.approx(-2.0, abs=1e-12)
         w = np.array(rep.witness["direction"])
-        assert QuadForm(np.array([[1.0, 3.0], [3.0, 1.0]])).value(w) == pytest.approx(-2.0)
+        assert float(w @ np.array([[1.0, 3.0], [3.0, 1.0]]) @ w) == pytest.approx(-2.0)
 
     def test_active_set_over_cap_rejected(self):
         # 13 half-planes -x1 + (k/7) x2 <= 0 through the origin, all active
@@ -562,7 +569,7 @@ class TestSampledGUSOSC:
 
 class TestPVIPointwise:
     def test_skew_full_space_fails(self, skew_model):
-        rep = check_pvi_pointwise(skew_model, _v_hat(skew_model), _floats(skew_model))
+        rep = check_pvi_pointwise(skew_model, *_pointwise(skew_model))
         assert rep.verdict == "fails"
         assert rep.details["closure_holds"] is False
         d = np.array(rep.witness["direction"])
@@ -574,7 +581,7 @@ class TestPVIPointwise:
             "dims n=2 d=0\nf = (x1, -x2)\nconstraint x2 <= 0\nconstraint -x2 <= 0\n"
             "reference x=(0, 0) p=() v=(0, 0)\n"
         )
-        rep = check_pvi_pointwise(m, _v_hat(m), _floats(m))
+        rep = check_pvi_pointwise(m, *_pointwise(m))
         assert rep.verdict == "holds"
         assert rep.modulus == pytest.approx(1.0)
         assert rep.details["critical_span_dim"] == 1
@@ -589,13 +596,14 @@ class TestPVIPointwise:
             "reference x=(1, 1) p=() v=(3, 1)\n"
         )
         # v_hat = v - f = (2, 2): positive support on both active normals
-        rep = check_pvi_pointwise(m, _v_hat(m), _floats(m))
+        rep = check_pvi_pointwise(m, *_pointwise(m))
         assert rep.verdict == "vacuous"
         assert rep.details["critical_span_dim"] == 0
 
     def test_reference_evaluated_once(self, monkeypatch):
-        # the active set, the tangent cone and jac_f come from the bundle
-        # the caller evaluated, with no evaluation of its own
+        # the tangent cone and jac_f come from the bundle the caller
+        # evaluated and the active set it passes, with no evaluation of
+        # its own
         import fullstab.kkt as kkt
         import fullstab.polycone as polycone
         import fullstab.secondorder as secondorder
@@ -604,19 +612,19 @@ class TestPVIPointwise:
             "dims n=2 d=0\nf = (x1, -x2)\nconstraint x2 <= 0\nconstraint -x2 <= 0\n"
             "reference x=(0, 0) p=() v=(0, 0)\n"
         )
-        bundle, v_hat = _floats(m), _v_hat(m)
+        args = _pointwise(m)
         calls = []
         for module in (kkt, polycone, secondorder):
             inner = module.eval_bundle
             monkeypatch.setattr(
                 module, "eval_bundle", lambda *a, inner=inner: calls.append(a) or inner(*a)
             )
-        assert check_pvi_pointwise(m, v_hat, bundle).verdict == "holds"
+        assert check_pvi_pointwise(m, *args).verdict == "holds"
         assert calls == []
 
     def test_parameter_dependent_constraints_rejected(self, ex64_model):
         with pytest.raises(InputError, match="parameter-independent"):
-            check_pvi_pointwise(ex64_model, _v_hat(ex64_model), _floats(ex64_model))
+            check_pvi_pointwise(ex64_model, *_pointwise(ex64_model))
 
 
 class TestSmoothPSD:

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from fullstab.defaults import TOL_ACT
 from fullstab.errors import InputError
-from fullstab.modelspec import parse_model
+from fullstab.modelspec import eval_bundle_exact, parse_model
 from fullstab.monotone import graph_sample_from_model
 from fullstab.stabharness import (
     CertifyOptions,
@@ -16,6 +17,8 @@ from fullstab.stabharness import (
     verify_inequality,
 )
 from fullstab.visolver import LocalizationTable
+
+from conftest import BOUNDARY_TOL_ACT
 
 
 def make_table(v, p, x):
@@ -215,9 +218,10 @@ class TestCertify:
 
     @pytest.mark.parametrize("name", ["ex64", "circle"])
     def test_reference_evaluated_once(self, name, ex64_model, circle_model, monkeypatch):
-        # every pointwise check reads the two bundles certify evaluates:
-        # one exact evaluation, one float evaluation at the reference (the
-        # localization's solve_projected step takes its jac_f), one
+        # every pointwise check reads the one bundle certify evaluates at
+        # the rational reference, in Fractions, or its float cast (the
+        # localization's solve_projected step takes the cast's jac_f): one
+        # exact evaluation and no float one at the reference, one
         # enumeration of Lambda at the reference (the circle's sampled path
         # enumerates again only at its samples) and two MFCQ LPs, certify's
         # own and the refusal inside multiplier_polytope (every LP that kkt
@@ -265,10 +269,34 @@ class TestCertify:
         rep = certify(model, CertifyOptions(samples=50, grid_v=3, grid_p=3, n_random=2))
         assert rep.verdict == "fully_stable"
         assert len(exact_bundles) == 1
-        assert float_callers.count("eval_reference") == 1
-        assert set(float_callers) <= {"eval_reference", "_face_sweep", "polyhedron_rows"}
+        assert set(float_callers) <= {"_face_sweep", "polyhedron_rows"}
         assert sum(bundle is exact_bundles[0] for bundle in enumerated) == 1
         assert len(lps) == 2
+
+    def test_one_active_set_at_the_reference(self, monkeypatch):
+        # phi_1 = -1/10^7 at the reference: in Fractions just outside the
+        # double TOL_ACT, in floats equal to it, so active sets taken from
+        # the two number types disagree; certify takes one, from the exact
+        # bundle, and hands it to every pointwise check
+        import fullstab.stabharness as stabharness
+
+        m = parse_model(BOUNDARY_TOL_ACT)
+        ref = m.reference
+        phi = eval_bundle_exact(m, ref.x, ref.p).phi[0]
+        assert abs(phi) > TOL_ACT == abs(float(phi))
+        seen = []
+        inner = stabharness.check_pvi_pointwise
+
+        def spy(model, v_hat, bundle, I, *args):
+            seen.append(I)
+            return inner(model, v_hat, bundle, I, *args)
+
+        monkeypatch.setattr(stabharness, "check_pvi_pointwise", spy)
+        rep = certify(m, CertifyOptions(samples=20, grid_v=3, grid_p=3, n_random=2))
+        assert [block["witness"]["active_set"] for block in rep.cq.values()] == [[], [], []]
+        assert rep.multipliers["active_set"] == []
+        assert seen == [()]
+        assert rep.pvi_pointwise["verdict"] == "holds"
 
     def test_mfcq_failure_refuses_second_order(self):
         m = parse_model(

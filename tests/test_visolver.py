@@ -12,7 +12,7 @@ import pytest
 
 from fullstab import visolver
 from fullstab.errors import EvaluationError, LocalizationError, UnboundedMultiplierError
-from fullstab.modelspec import parse_model
+from fullstab.modelspec import eval_bundle_exact, parse_model
 from fullstab.polycone import polyhedron_rows
 from fullstab.visolver import build_localization, solve_faces, solve_projected
 
@@ -103,7 +103,7 @@ class TestSolveFaces:
         assert outs
         A, b = polyhedron_rows(ex64_model, p)
         for out in outs:
-            f = np.array([float(c) for c in ex64_model.f_values(list(out.x), list(p))])
+            f = np.array([float(c) for c in eval_bundle_exact(ex64_model, out.x, p).f])
             for gamma in (1e-2, 0.1):
                 proj = project_onto_rows(A, b, out.x - gamma * (f - v))
                 assert np.linalg.norm(out.x - proj) < 1e-9
@@ -159,7 +159,7 @@ def _check_vi_inner_product(model, x_star, v, rng, count=1000):
     """<v - f(x*), u - x*> <= 1e-8 for feasible u sampled in C."""
     A, b = polyhedron_rows(model, [])
     n = model.n
-    f_star = np.array([float(c) for c in model.f_values(list(x_star), [])])
+    f_star = np.array([float(c) for c in eval_bundle_exact(model, x_star, []).f])
     g = v - f_star
     slack_dirs = rng.normal(size=(count, n))
     for k in range(count):
