@@ -13,6 +13,7 @@ per point.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -33,6 +34,8 @@ def is_rational(*vectors) -> bool:
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# the largest float, exactly
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -152,35 +155,40 @@ def evaluate(e: Expr, x: Sequence[Number], p: Sequence[Number]):
     row per point: each row then gets the bits of the float evaluation at
     that row, and a zero denominator in any row raises.  Float inputs are
     meant for a tree made by :func:`fold_float`, so that no Fraction
-    arithmetic is done."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return x[e.index] if e.kind == "x" else p[e.index]
-    if isinstance(e, Add):
-        return evaluate(e.left, x, p) + evaluate(e.right, x, p)
-    if isinstance(e, Sub):
-        return evaluate(e.left, x, p) - evaluate(e.right, x, p)
-    if isinstance(e, Mul):
-        return evaluate(e.left, x, p) * evaluate(e.right, x, p)
-    if isinstance(e, Div):
-        denom = evaluate(e.right, x, p)
-        if _has_zero(denom):
-            raise EvaluationError("division by zero", to_string(e))
-        return evaluate(e.left, x, p) / denom
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, x, p)
-    if isinstance(e, Pow):
-        base = evaluate(e.base, x, p)
-        if e.exponent < 0 and _has_zero(base):
-            raise EvaluationError("zero raised to a negative power", to_string(e))
-        if isinstance(base, np.ndarray):
-            # Python's float ** int (C pow) per row: numpy's power differs
-            # from it in the last bit
-            return np.array([b ** e.exponent for b in base.tolist()])
-        if e.exponent < 0 and isinstance(base, Fraction):
-            return _ONE / base ** (-e.exponent)
-        return base ** e.exponent
+    arithmetic is done.  A float overflow raises EvaluationError naming
+    the innermost subtree that overflowed."""
+    try:
+        if isinstance(e, Num):
+            return e.value
+        if isinstance(e, Var):
+            return x[e.index] if e.kind == "x" else p[e.index]
+        if isinstance(e, Add):
+            return evaluate(e.left, x, p) + evaluate(e.right, x, p)
+        if isinstance(e, Sub):
+            return evaluate(e.left, x, p) - evaluate(e.right, x, p)
+        if isinstance(e, Mul):
+            return evaluate(e.left, x, p) * evaluate(e.right, x, p)
+        if isinstance(e, Div):
+            denom = evaluate(e.right, x, p)
+            if _has_zero(denom):
+                raise EvaluationError("division by zero", to_string(e))
+            return evaluate(e.left, x, p) / denom
+        if isinstance(e, Neg):
+            return -evaluate(e.operand, x, p)
+        if isinstance(e, Pow):
+            base = evaluate(e.base, x, p)
+            if e.exponent < 0 and _has_zero(base):
+                raise EvaluationError("zero raised to a negative power", to_string(e))
+            if isinstance(base, np.ndarray):
+                # Python's float ** int (C pow) per row: numpy's power differs
+                # from it in the last bit
+                return np.array([b ** e.exponent for b in base.tolist()])
+            if e.exponent < 0 and isinstance(base, Fraction):
+                return _ONE / base ** (-e.exponent)
+            return base ** e.exponent
+    except OverflowError:
+        # Python's float ** int, or a float meeting a Fraction no float holds
+        raise EvaluationError("float overflow", to_string(e)) from None
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -196,14 +204,16 @@ def fold_float(e: Expr) -> Expr:
     the subtree it replaced, so error messages name the model text).  The
     tree then evaluates with no Fraction arithmetic and to the same bits,
     since Python computes float op Fraction as float op float(Fraction).
-    A subtree whose value raises (a zero denominator, a float overflow) is
-    kept, so that evaluation raises there as before."""
+    A subtree whose value raises (a zero denominator) or lies beyond every
+    float is kept, so that evaluation raises there as before."""
     if isinstance(e, Var):
         return e
     if not _has_var(e):
         try:
-            return Num(float(evaluate(e, (), ())), source=e)
-        except (EvaluationError, OverflowError):
+            value = evaluate(e, (), ())
+            if abs(value) <= _FLOAT_MAX:
+                return Num(float(value), source=e)
+        except EvaluationError:
             pass
     if isinstance(e, Num):
         return e

@@ -96,7 +96,11 @@ def _pair_indices(count: int):
 
 def _pair_terms(table: LocalizationTable, kappa: float):
     """Over the (capped) pairs of the table: the pair indices, lhs =
-    ||dv - 2 kappa dx||, ||dv|| and d_p."""
+    ||dv - 2 kappa dx||, ||dv|| and d_p.  The terms of the last kappa are
+    kept on the table, so that ``certify``'s fit_moduli and
+    verify_inequality, both at the fitted kappa, compute them once."""
+    if table.pair_terms is not None and table.pair_terms[0] == kappa:
+        return table.pair_terms[1]
     ii, jj = _pair_indices(len(table))
     dv = table.v_nodes[ii] - table.v_nodes[jj]
     dx = table.x_values[ii] - table.x_values[jj]
@@ -106,7 +110,9 @@ def _pair_terms(table: LocalizationTable, kappa: float):
         else np.zeros(ii.size)
     )
     lhs = np.linalg.norm(dv - 2.0 * kappa * dx, axis=1)
-    return ii, jj, lhs, np.linalg.norm(dv, axis=1), dp
+    terms = ii, jj, lhs, np.linalg.norm(dv, axis=1), dp
+    table.pair_terms = (kappa, terms)
+    return terms
 
 
 def verify_inequality(
@@ -260,14 +266,16 @@ def _fit_ell(table, kappa, exponent):
             "reason": "parameter-frozen pair violates at every ell",
         }
 
+    dpe = dp**exponent
+
     def n_violations(ell):
-        rhs = base + ell * dp**exponent + TOL_INEQ
+        rhs = base + ell * dpe + TOL_INEQ
         return int(np.sum(lhs > rhs))
 
     moving = ~frozen
     if not np.any(moving):
         return 0.0, None
-    hi_exact = float(np.max((lhs[moving] - base[moving] - TOL_INEQ) / dp[moving] ** exponent))
+    hi_exact = float(np.max((lhs[moving] - base[moving] - TOL_INEQ) / dpe[moving]))
     hi = max(0.0, hi_exact) + 1.0
     lo = 0.0
     if n_violations(lo) == 0:

@@ -256,7 +256,12 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
     are affine in x the system is linear: the data are evaluated once per
     distinct parameter row, and each guess is one batched lstsq over the
     nodes that share (jac_f, grad_phi), filtered by the linear residual.
-    Otherwise every (node, start) pair of the Newton multistart runs in
+    The tail then runs in array passes: the kept rows of every guess are
+    stably sorted by node (each node keeps its discovery order), a node
+    whose candidates all lie within 1e-7 of its first keeps that one (as
+    :func:`_merge` would) and only the others go through ``_merge``, and
+    one stacked KKT residual scores every kept copy.  Otherwise every
+    (node, start) pair of the Newton multistart runs in
     :func:`_newton_sweep`, one stacked iteration per guess over chunks of
     nodes; the runs are filtered by the KKT residual, and per node the
     least-residual copy of each duplicate is kept, the runs taken guess by
@@ -272,17 +277,17 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
         return
     N = V.shape[0]
     rows, which = np.unique(P, axis=0, return_inverse=True)
+    which = which.reshape(-1)
     bundles = [eval_bundle(model, [0.0] * n, row) for row in rows]
-    node_bundles = [bundles[b] for b in which.reshape(-1)]
+    # f, jac_f, phi and grad_phi at (0, p), one entry per distinct p row
+    F0, JF, C, GP = (np.array([b.arrays()[i] for b in bundles]) for i in range(4))
     groups = {}
-    for k, bundle in enumerate(node_bundles):
-        key = (bundle.jac_f.tobytes(), bundle.grad_phi.tobytes())
-        groups.setdefault(key, []).append(k)
-    found = [[] for _ in range(N)]
-    for nodes in groups.values():
-        Jf, G = node_bundles[nodes[0]].jac_f, node_bundles[nodes[0]].grad_phi
-        f0 = np.array([node_bundles[k].f for k in nodes])
-        c = np.array([node_bundles[k].phi for k in nodes]).reshape(len(nodes), m)
+    for k, b in enumerate(which):
+        groups.setdefault((JF[b].tobytes(), GP[b].tobytes()), []).append(k)
+    found = []  # (nodes, x, lam) of the kept rows, guess by guess
+    for nodes in map(np.array, groups.values()):
+        Jf, G = JF[which[nodes[0]]], GP[which[nodes[0]]]
+        f0, c = F0[which[nodes]], C[which[nodes]]
         for J in guesses:
             size = n + len(J)
             M = np.zeros((size, size))
@@ -303,19 +308,31 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
             if m:
                 ok &= np.max(X @ G.T + c, axis=1) <= tol_act
             ok &= np.max(np.abs(X - center), axis=1) <= box_radius + 1e-12
-            for i in np.flatnonzero(ok):
-                lam = np.zeros(m)
-                lam[J] = np.clip(lam_j[i], 0.0, None)
-                found[nodes[i]].append((X[i], lam))
-    for k, b in enumerate(node_bundles):
-        # f and phi are affine in x, so the bundle at (0, p) gives their
-        # values at x
-        yield [
-            (x, lam, float(_kkt_residual(
-                b.f + b.jac_f @ x, b.phi + b.grad_phi @ x, b.grad_phi, lam, V[k]
-            )))
-            for x, lam in _merge(found[k])
-        ]
+            lam = np.zeros((np.count_nonzero(ok), m))
+            lam[:, J] = np.clip(lam_j[ok], 0.0, None)
+            found.append((nodes[ok], X[ok], lam))
+    # every node's candidates together, in discovery order (guess by guess)
+    node, X, L = (np.concatenate(a) for a in zip(*found))
+    order = np.argsort(node, kind="stable")
+    node, X, L = node[order], X[order], L[order]
+    start = np.searchsorted(node, np.arange(N + 1))
+    # _merge keeps just the first candidate of a node whose candidates all
+    # lie within 1e-7 of it; the other nodes go through _merge itself
+    near = np.max(np.abs(X - X[start[node]]), axis=1) < 1e-7
+    kept = [[start[k]] if start[k] < start[k + 1] else [] for k in range(N)]
+    for k in np.unique(node[~near]):
+        kept[k] = [s[2] for s in _merge([(X[i], L[i], i) for i in range(start[k], start[k + 1])])]
+    # one stacked KKT residual over the kept candidates: f and phi are
+    # affine in x, so the bundle at (0, p) gives their values at x
+    idx = np.array([i for ks in kept for i in ks], dtype=int)
+    at, x = which[node[idx]], X[idx, :, None]
+    resid = np.zeros(len(node))
+    resid[idx] = _kkt_residual(
+        F0[at] + np.matmul(JF[at], x)[..., 0], C[at] + np.matmul(GP[at], x)[..., 0],
+        GP[at], L[idx], V[node[idx]],
+    )
+    for ks in kept:
+        yield [(X[i], L[i], float(resid[i])) for i in ks]
 
 
 def _newton_sweep(model, V, P, center, box_radius, tol_act, guesses):
@@ -439,6 +456,9 @@ class LocalizationTable:
     residuals: np.ndarray  # (N,)
     methods: list
     meta: dict = field(default_factory=dict)
+    # (kappa, terms) of stabharness._pair_terms at the last kappa asked
+    # for; a table is not changed once built
+    pair_terms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return self.v_nodes.shape[0]
@@ -452,15 +472,13 @@ class LocalizationTable:
             + [f"x{i + 1}" for i in range(n)]
             + ["residual", "method"]
         )
-        lines = [",".join(header)]
-        for k in range(len(self)):
-            row = (
-                [repr(float(c)) for c in self.v_nodes[k]]
-                + [repr(float(c)) for c in self.p_nodes[k]]
-                + [repr(float(c)) for c in self.x_values[k]]
-                + [repr(float(self.residuals[k])), self.methods[k]]
-            )
-            lines.append(",".join(row))
+        # tolist gives Python floats, whose repr is that of each float(c)
+        values = np.hstack(
+            [self.v_nodes, self.p_nodes, self.x_values, self.residuals[:, None]]
+        ).tolist()
+        lines = [",".join(header)] + [
+            ",".join(map(repr, row)) + "," + method for row, method in zip(values, self.methods)
+        ]
         return "\n".join(lines) + "\n"
 
 

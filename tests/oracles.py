@@ -4,9 +4,11 @@ Each oracle deliberately avoids the code path it checks: derivatives are
 verified by central finite differences, cone minimization by rejection
 sampling, projections by Dykstra's alternating method, determinants by
 cofactor expansion, the stacked Newton face sweep by one scalar Newton run
-per (node, guess, start) on the unfolded expression trees, the vertex
-minimum of GSSOSC by a scan of points inside the multiplier polytope, the
-chunked GUSOSC sampler by the plain per-attempt loop over its draws.
+per (node, guess, start) on the unfolded expression trees, the array
+tail of the affine face sweep by its per-node append, merge and score
+loop, the vertex minimum of GSSOSC by a scan of points inside the
+multiplier polytope, the chunked GUSOSC sampler by the plain per-attempt
+loop over its draws.
 """
 
 from __future__ import annotations
@@ -306,6 +308,66 @@ def newton_face_sweep(model, V, P, starts, box_radius, center, tol_act=1e-7):
                 merged.append(sol)
         merged.sort(key=lambda s: tuple(np.round(s[0], 12)))
         out.append(merged)
+    return out
+
+
+def face_sweep_per_node(model, V, P, center, box_radius, tol_act=1e-7):
+    """The affine face sweep with its tail node by node: the same batched
+    lstsq per (group, guess), then every accepted row appended to its
+    node's list one at a time, each node's list merged by
+    ``visolver._merge`` and each kept copy scored by its own
+    ``_kkt_residual`` call, with f + J_f x and phi + grad phi x formed
+    from that node's bundle at (0, p).  Returns [(x, lam, residual), ...]
+    per node."""
+    from fullstab.modelspec import eval_bundle
+    from fullstab.visolver import _kkt_residual, _merge
+
+    n, m = model.n, model.m
+    guesses = [list(J) for r in range(m + 1) for J in itertools.combinations(range(m), r)]
+    rows, which = np.unique(P, axis=0, return_inverse=True)
+    bundles = [eval_bundle(model, [0.0] * n, row) for row in rows]
+    node_bundles = [bundles[b] for b in which.reshape(-1)]
+    groups = {}
+    for k, bundle in enumerate(node_bundles):
+        key = (bundle.jac_f.tobytes(), bundle.grad_phi.tobytes())
+        groups.setdefault(key, []).append(k)
+    found = [[] for _ in range(len(V))]
+    for nodes in groups.values():
+        Jf, G = node_bundles[nodes[0]].jac_f, node_bundles[nodes[0]].grad_phi
+        f0 = np.array([node_bundles[k].f for k in nodes])
+        c = np.array([node_bundles[k].phi for k in nodes]).reshape(len(nodes), m)
+        for J in guesses:
+            size = n + len(J)
+            M = np.zeros((size, size))
+            M[:n, :n] = Jf
+            M[:n, n:] = G[J].T
+            M[n:, :n] = G[J]
+            rhs = np.zeros((len(nodes), size))
+            rhs[:, :n] = V[nodes] - f0
+            rhs[:, n:] = -c[:, J]
+            sol = np.linalg.lstsq(M, rhs.T, rcond=None)[0].T
+            X, lam_j = sol[:, :n], sol[:, n:]
+            ok = (
+                np.linalg.norm(rhs - sol @ M.T, axis=1)
+                <= 1e-9 * (1 + np.linalg.norm(rhs, axis=1))
+            )
+            if J:
+                ok &= np.min(lam_j, axis=1) >= -1e-9
+            if m:
+                ok &= np.max(X @ G.T + c, axis=1) <= tol_act
+            ok &= np.max(np.abs(X - center), axis=1) <= box_radius + 1e-12
+            for i in np.flatnonzero(ok):
+                lam = np.zeros(m)
+                lam[J] = np.clip(lam_j[i], 0.0, None)
+                found[nodes[i]].append((X[i], lam))
+    out = []
+    for k, b in enumerate(node_bundles):
+        out.append([
+            (x, lam, float(_kkt_residual(
+                b.f + b.jac_f @ x, b.phi + b.grad_phi @ x, b.grad_phi, lam, V[k]
+            )))
+            for x, lam in _merge(found[k])
+        ])
     return out
 
 

@@ -63,6 +63,21 @@ class TestExitCodes:
         )
         assert not (tmp_path / "rep.json").exists()
 
+    def test_float_overflow_in_the_sweep_exit_one(self, tmp_path, capsys):
+        # (1 + x1)^4000 overflows a float at the Newton starts away from the
+        # reference: the run ends with the typed error naming the power
+        model = tmp_path / "overflow.model"
+        model.write_text("dims n=1 d=0\nf = (x1 + (1 + x1)^4000)\nreference x=(0) p=() v=(1)\n")
+        code = run([
+            "certify", str(model), "--samples", "10", "--grid-v", "3", "--grid-p", "3",
+            "--json", str(tmp_path / "rep.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: float overflow in subexpression '(1 + x1)^4000'\n"
+        )
+        assert not (tmp_path / "rep.json").exists()
+
     @pytest.mark.parametrize("flags, message", [
         (["--eta", "0"], "eta must be finite and positive"),
         (["--eta", "nan"], "eta must be finite and positive"),

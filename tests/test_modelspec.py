@@ -268,6 +268,26 @@ class TestColumnEvaluation:
             ex.evaluate(e, list(X.T), [])
         assert ex.evaluate(e, list(X[[0, 2]].T), []).tolist() == [-2.0, 0.8]
 
+    def test_float_overflow_names_its_subtree(self):
+        # Python's float ** int raises OverflowError where numpy would give
+        # inf; it surfaces as the typed error, at one point and per row
+        e = ex.fold_float(parse_expr("x1 + (1 + x1)^4000", 1, 0))
+        with pytest.raises(EvaluationError, match=r"float overflow in subexpression '\(1 \+ x1\)\^4000'"):
+            ex.evaluate(e, [1.0], [])
+        with pytest.raises(EvaluationError, match=r"'\(1 \+ x1\)\^4000'"):
+            ex.evaluate(e, [np.array([-1.0, 1.0])], [])
+        assert ex.evaluate(e, [np.array([-1.0, -2.0])], []).tolist() == [-1.0, -1.0]
+
+    def test_constant_beyond_every_float_is_kept_and_raises_typed(self):
+        # 10^400 stays a subtree when folding; evaluation in floats then
+        # raises the typed error there, and the exact value is untouched
+        e = parse_expr("x1 + 10^400*x1 - 10^400*x1", 1, 0)
+        folded = ex.fold_float(e)
+        assert ex.to_string(folded) == ex.to_string(e)
+        with pytest.raises(EvaluationError, match="float overflow in subexpression '10\\^400'"):
+            ex.evaluate(folded, [0.5], [])
+        assert ex.evaluate(e, [Fraction(1, 2)], []) == Fraction(1, 2)
+
     def test_batched_bundle_matches_points(self, ex64_model):
         curved = parse_model(
             "dims n=2 d=1\nf = (x1 + x1^3/3 + p1, x2/(1 + x1^2))\n"

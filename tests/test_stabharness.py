@@ -216,6 +216,35 @@ class TestCertify:
         assert rep.moduli["kappa_hat"] == pytest.approx(1.0, abs=1e-10)
         assert rep.moduli["ell"] == 0.0
 
+    def test_pair_terms_computed_once(self, ex64_model, monkeypatch):
+        # fit_moduli and verify_inequality read the table's pairs at the
+        # same fitted kappa: one computation of the pair terms, and the same
+        # moduli and violations as on fresh copies of the table
+        from fullstab import stabharness
+
+        calls = []
+        pair_indices = stabharness._pair_indices
+
+        def counting(count):
+            calls.append(count)
+            return pair_indices(count)
+
+        monkeypatch.setattr(stabharness, "_pair_indices", counting)
+        opts = CertifyOptions(samples=60, grid_v=3, grid_p=3, n_random=5, seed=7)
+        rep = certify(ex64_model, opts)
+        assert len(calls) == 1
+        table = rep._table
+
+        def fresh():
+            return make_table(table.v_nodes, table.p_nodes, table.x_values)
+
+        fitted = fit_moduli(fresh())
+        assert rep.moduli == fitted.to_json_dict()
+        args = (fitted.kappa_used, fitted.ell_hat, fitted.exponent_used)
+        assert verify_inequality(table, *args) == verify_inequality(fresh(), *args)
+        # another kappa is computed afresh
+        assert verify_inequality(table, 0.25, 0.0) == verify_inequality(fresh(), 0.25, 0.0)
+
     @pytest.mark.parametrize("name", ["ex64", "circle"])
     def test_reference_evaluated_once(self, name, ex64_model, circle_model, monkeypatch):
         # every pointwise check reads the one bundle certify evaluates at

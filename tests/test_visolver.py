@@ -17,7 +17,7 @@ from fullstab.polycone import polyhedron_rows
 from fullstab.visolver import build_localization, solve_faces, solve_projected
 
 from conftest import reference_jacobian
-from oracles import newton_face_sweep
+from oracles import face_sweep_per_node, newton_face_sweep
 
 
 def scalar_halfline_model():
@@ -305,6 +305,84 @@ class TestBuildLocalization:
         lines = csv.strip().splitlines()
         assert lines[0] == "v1,x1,residual,method"
         assert len(lines) == 1 + len(table)
+
+    def test_csv_matches_per_value_repr(self):
+        # -0.0, a subnormal, 0.1 + 0.2 and 1e16 print as repr(float(c)) does
+        special = np.array([-0.0, 5e-324, 0.1 + 0.2, 1e16])
+        table = visolver.LocalizationTable(
+            v_nodes=special.reshape(2, 2), p_nodes=special[::-1].reshape(2, 2),
+            x_values=special[[1, 3, 0, 2]].reshape(2, 2), residuals=special[2:],
+            methods=["face-enumeration", "face-enumeration"],
+        )
+        rows = [
+            ",".join(
+                [repr(float(c)) for c in table.v_nodes[k]]
+                + [repr(float(c)) for c in table.p_nodes[k]]
+                + [repr(float(c)) for c in table.x_values[k]]
+                + [repr(float(table.residuals[k])), table.methods[k]]
+            )
+            for k in range(len(table))
+        ]
+        assert table.to_csv().splitlines()[1:] == rows
+        assert "-0.0" in rows[0] and "5e-324" in rows[0] and "1e+16" in rows[0]
+
+
+class TestArrayFaceSweep:
+    """The affine face sweep collects, merges and scores every node's
+    candidates in array passes; node by node it yields, bit for bit, the
+    lists of the per-node append, merge and score loop."""
+
+    @staticmethod
+    def _assert_sweep_matches_oracle(model, V, P):
+        assert model.f_affine and all(model.affine_x)
+        center, box_radius = model.reference.as_arrays()[0], visolver.BOX_RADIUS
+        got = list(visolver._face_sweep(model, V, P, center, box_radius, visolver.TOL_ACT))
+        expect = face_sweep_per_node(model, V, P, center, box_radius, visolver.TOL_ACT)
+        assert [len(g) for g in got] == [len(e) for e in expect]
+        for g, e in zip(got, expect):
+            for (x, lam, r), (xe, lame, re) in zip(g, e):
+                assert np.array_equal(x, xe) and np.array_equal(lam, lame)
+                assert type(r) is float and r == re
+        return [len(g) for g in got]
+
+    @staticmethod
+    def _grid(model, grid_v, grid_p, n_random, seed):
+        x0, p0, v0 = model.reference.as_arrays()
+        return visolver._grid_nodes(
+            v0, p0, visolver.RHO_V, visolver.RHO_P, grid_v, grid_p,
+            model.n, model.d, n_random, seed,
+        )
+
+    def test_worked_example_default_grid(self, ex64_model):
+        V, P = self._grid(ex64_model, visolver.GRID_V, visolver.GRID_P, visolver.RANDOM_NODES, 7)
+        assert self._assert_sweep_matches_oracle(ex64_model, V, P) == [1] * 3145
+
+    def test_criterion_7_corpus(self):
+        from test_acceptance import _corpus
+
+        for model in _corpus():
+            V, P = self._grid(model, 3, 3, 4, 5)
+            assert set(self._assert_sweep_matches_oracle(model, V, P)) == {1}
+
+    def test_several_solutions_take_the_merge_path(self):
+        # f = p1 x1 on [-1/1000, 1/1000] with the upper bound listed twice:
+        # at v = 0 and p1 <= 0 the three points 0 and +-1/1000 solve, the
+        # upper one found on three faces; elsewhere the solution is unique
+        model = parse_model(
+            "dims n=1 d=1\nf = (p1*x1)\nconstraint x1 - 1/1000 <= 0\n"
+            "constraint -x1 - 1/1000 <= 0\nconstraint x1 - 1/1000 <= 0\n"
+            "reference x=(0) p=(0) v=(0)\n"
+        )
+        V, P = self._grid(model, 5, 5, 4, 5)
+        counts = self._assert_sweep_matches_oracle(model, V, P)
+        several = [k for k, c in enumerate(counts) if c > 1]
+        assert several and all(V[k, 0] == 0 and P[k, 0] <= 0 for k in several)
+        assert set(counts) == {1, 3}
+        with pytest.raises(LocalizationError) as err:
+            build_localization(
+                model, model.reference, reference_jacobian(model), grid_v=5, grid_p=5
+            )
+        assert err.value.witness["solutions"] == 3
 
 
 # the curved benchmark models: nonlinear f, curved constraints, n = 1..3
