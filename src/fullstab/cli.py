@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import defaults as dflt
-from .errors import FullstabError, InconsistencyError, InputError
+from .errors import DimensionError, FullstabError, InconsistencyError, InputError
 from .kkt import check_licq, check_mfcq, multiplier_polytope, probe_crcq
 from .modelspec import eval_reference, parse_model
 from .monotone import (
@@ -40,7 +40,10 @@ def _vector(text: str):
     text = text.strip()
     if not text:
         return ()
-    return tuple(float(s) for s in text.split(","))
+    values = tuple(float(s) for s in text.split(","))
+    if not np.all(np.isfinite(values)):
+        raise InputError(f"vector entries must be finite, got {text!r}")
+    return values
 
 
 # every model flag; each subcommand registers only the ones it reads
@@ -121,17 +124,13 @@ def _load_model(path: str):
 
 
 def _options(args) -> CertifyOptions:
-    return CertifyOptions(
-        eta=args.eta,
-        samples=args.samples,
-        rho_v=args.rho_v,
-        rho_p=args.rho_p,
-        grid_v=args.grid_v,
-        grid_p=args.grid_p,
-        seed=args.seed,
-        tol_act=args.tol_act,
-        tol_pd=args.tol_pd,
-    )
+    """The options of the flags a subcommand registered, the rest at their
+    defaults: every subcommand checks a flag by the one rule of
+    :class:`CertifyOptions`."""
+    return CertifyOptions(**{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(CertifyOptions) if hasattr(args, f.name)
+    })
 
 
 def _cmd_certify(args) -> int:
@@ -150,6 +149,10 @@ def _cmd_certify(args) -> int:
 
 def _cmd_solve(args) -> int:
     model = _load_model(args.model)
+    for flag, value, size in (("--v", args.v, model.n), ("--p", args.p, model.d),
+                              ("--x0", args.x0, model.n)):
+        if value is not None and len(value) != size:
+            raise DimensionError(f"{flag} has {len(value)} entries, the model needs {size}")
     ref = model.reference
     if ref is None and (args.v is None or args.p is None):
         raise InputError("model has no reference; pass --v and --p")
@@ -177,6 +180,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_probe_monotone(args) -> int:
+    opts = _options(args)
     model = _load_model(args.model)
     if args.from_csv:
         sample = GraphSample.from_csv(Path(args.from_csv).read_text(), model.n)
@@ -184,8 +188,8 @@ def _cmd_probe_monotone(args) -> int:
         if model.reference is None:
             raise InputError("model has no reference; monotonicity probe needs one")
         sample = graph_sample_from_model(
-            model, model.reference, eta=args.eta,
-            count=max(10, args.samples // 5), seed=args.seed,
+            model, model.reference, eta=opts.eta,
+            count=max(10, opts.samples // 5), seed=opts.seed,
         )
     est = estimate_moduli(sample)
     payload = est.to_json_dict()
@@ -196,18 +200,19 @@ def _cmd_probe_monotone(args) -> int:
 
 
 def _cmd_cones(args) -> int:
+    opts = _options(args)
     model = _load_model(args.model)
     ref = model.reference
     if ref is None:
         raise InputError("model has no reference triple")
     exact, floats = eval_reference(model, ref)
-    I = active_indices(exact.phi, args.tol_act)
+    I = active_indices(exact.phi, opts.tol_act)
     T = tangent_cone(floats, I)
     v_hat = ref.v_hat(exact).tolist()
     K = critical_cone(T, v_hat)
     mfcq = check_mfcq(exact, I)
     licq = check_licq(floats, I)
-    crcq = probe_crcq(model, floats, I, ref.x, ref.p, seed=args.seed)
+    crcq = probe_crcq(model, floats, I, ref.x, ref.p, seed=opts.seed)
     rays, lin = K.generators()
     payload = {
         "active_set": [i + 1 for i in I],
@@ -259,13 +264,12 @@ _COMMANDS = {
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return 1 if err.code not in (0, None) else 0
-    try:
+        # a flag's type may raise InputError while the arguments are parsed
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as err:  # argparse's usage errors and --help
+        return 1 if err.code not in (0, None) else 0
     except InconsistencyError as err:
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return 2

@@ -57,9 +57,11 @@ MAX_SHRINK = 6
 # beyond this count).
 PAIR_CAP = 200_000
 
-# Face-enumeration caps (desk scale).
+# Desk-scale caps.  MAX_CONE_ROWS bounds every 2^k subset walk, all of
+# which go through polycone.subsets: active-set guesses of the face sweep,
+# cone faces, the (I, J) pairs of the exact uniform test, multiplier
+# vertices and CRCQ subfamilies.  MAX_LP_DIM bounds the columns of one LP.
 MAX_CONE_ROWS = 12
-MAX_ACTIVE_SUBSETS = 12
 MAX_LP_DIM = 32
 
 # Default RNG seed.

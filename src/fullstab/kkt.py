@@ -13,27 +13,16 @@ over independent column subsets.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .defaults import (
-    CRCQ_RADIUS,
-    CRCQ_SAMPLES,
-    MAX_ACTIVE_SUBSETS,
-    TOL_CONE,
-    TOL_CQ,
-)
-from .errors import (
-    DeskScaleError,
-    NoMultiplierError,
-    UnboundedMultiplierError,
-)
+from .defaults import CRCQ_RADIUS, CRCQ_SAMPLES, TOL_CONE, TOL_CQ
+from .errors import NoMultiplierError, UnboundedMultiplierError
 from .modelspec import EvalBundle, ParametricModel, eval_bundle
-from .polycone import rank
+from .polycone import rank, subsets
 from .simplex import gauss_jordan, solve_inequality_lp
 
 __all__ = [
@@ -164,14 +153,12 @@ def probe_crcq(
         raise ValueError("probe needs samples >= 1")
     if not I:
         return CQReport("CRCQ", "holds", {"active_set": [], "vacuous": True})
-    if len(I) > MAX_ACTIVE_SUBSETS:
-        raise DeskScaleError(
-            f"active set of size {len(I)} exceeds the subset-enumeration cap"
-        )
     if all(model.affine_xp[i] for i in I):
         return CQReport(
             "CRCQ", "holds", {"active_set": [i + 1 for i in I], "affine": True}
         )
+    families = subsets(I, "active constraints")
+    next(families)  # the empty family has rank 0 everywhere
     x0 = np.array([float(c) for c in x])
     p0 = np.array([float(c) for c in p])
     rng = np.random.default_rng(seed)
@@ -186,8 +173,7 @@ def probe_crcq(
             ps.append(p0 + shift * dp)
     xs, ps = np.array(xs), np.array(ps).reshape(len(xs), model.d)
     grads = [bundle.grad_phi, *eval_bundle(model, xs, ps).grad_phi]
-    subsets = (s for r in range(1, len(I) + 1) for s in itertools.combinations(I, r))
-    for subset in subsets:
+    for subset in families:
         base_rank = rank(grads[0][list(subset)])
         for k in range(1, len(grads)):
             rank_k = rank(grads[k][list(subset)])
@@ -314,27 +300,28 @@ def _enumerate_vertices(bundle: EvalBundle, I, rhs, tol):
     exact = bundle.exact
     cols = bundle.grad_phi[list(I)]
     found = []
-    for r in range(0, min(len(I), len(rhs)) + 1):
-        for subset in itertools.combinations(range(len(I)), r):
-            sol = _solve_subset(cols[list(subset)], rhs, exact, tol)
-            if sol is None:
-                continue
-            lam = [Fraction(0) if exact else 0.0] * len(bundle.phi)
-            ok = True
-            for pos, j in enumerate(subset):
-                value = sol[pos]
-                if exact:
-                    if value < 0:
-                        ok = False
-                        break
-                else:
-                    if value < -1e-12:
-                        ok = False
-                        break
-                    value = max(value, 0.0)
-                lam[I[j]] = value
-            if ok:
-                found.append(tuple(lam))
+    for subset in subsets(range(len(I)), "active constraints"):
+        if len(subset) > len(rhs):  # more columns than rows are dependent
+            break
+        sol = _solve_subset(cols[list(subset)], rhs, exact, tol)
+        if sol is None:
+            continue
+        lam = [Fraction(0) if exact else 0.0] * len(bundle.phi)
+        ok = True
+        for pos, j in enumerate(subset):
+            value = sol[pos]
+            if exact:
+                if value < 0:
+                    ok = False
+                    break
+            else:
+                if value < -1e-12:
+                    ok = False
+                    break
+                value = max(value, 0.0)
+            lam[I[j]] = value
+        if ok:
+            found.append(tuple(lam))
     # dedupe, deterministic order
     unique = []
     for lam in sorted(found, key=lambda t: [float(c) for c in t]):

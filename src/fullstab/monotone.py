@@ -8,7 +8,6 @@ The strong-modulus estimate is the worst pairwise Rayleigh-type ratio.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,27 +29,16 @@ _DEGENERATE = 1e-12
 
 @dataclass
 class GraphSample:
-    """Pairs (u_i, v_i) with v_i in T(u_i), inside a declared ball."""
+    """Pairs (u_i, v_i) with v_i in T(u_i)."""
 
     u: np.ndarray  # (N, n)
     v: np.ndarray  # (N, n)
-    center_u: Optional[np.ndarray] = None
-    center_v: Optional[np.ndarray] = None
-    radius: Optional[float] = None
 
     def __post_init__(self):
         self.u = np.atleast_2d(np.asarray(self.u, dtype=float))
         self.v = np.atleast_2d(np.asarray(self.v, dtype=float))
         if self.u.shape != self.v.shape or self.u.shape[0] == 0:
             raise InputError("graph sample needs matching nonempty u, v stacks")
-        if self.radius is not None:
-            cu = np.asarray(self.center_u, dtype=float)
-            cv = np.asarray(self.center_v, dtype=float)
-            du = np.linalg.norm(self.u - cu, axis=1)
-            dv = np.linalg.norm(self.v - cv, axis=1)
-            slack = 1e-12 * (1.0 + self.radius)
-            if np.max(du) > self.radius + slack or np.max(dv) > self.radius + slack:
-                raise InputError("sample pair outside the declared ball")
 
     def __len__(self):
         return self.u.shape[0]

@@ -2,9 +2,10 @@
 
 Cones live in facet (H-) representation ``{w : E w = 0, G w <= 0}``; ray
 generators are computed on demand by a double-description-style active-set
-enumeration (n <= 8, <= 16 rows is the intended regime).  Tangent cones of
-inequality systems are linearization cones: exact for constraints affine
-in x, and exact under MFCQ otherwise (callers label them accordingly).
+enumeration (n <= 8, <= 12 rows: the cap of :func:`subsets`).  Tangent
+cones of inequality systems are linearization cones: exact for constraints
+affine in x, and exact under MFCQ otherwise (callers label them
+accordingly).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "rank",
     "row_norms",
     "null_space",
+    "subsets",
 ]
 
 
@@ -148,35 +150,46 @@ def null_space(M: np.ndarray, n: int) -> np.ndarray:
     return vt[_rank_of(M.shape, s):].T
 
 
+def subsets(items, what: str):
+    """Every subset of ``items`` as a tuple, by size and then in
+    ``itertools.combinations`` order: the one 2^k walk of the package
+    (active-set guesses, cone faces, critical faces, multiplier supports,
+    CRCQ subfamilies).
+    More than ``MAX_CONE_ROWS`` items raise :class:`DeskScaleError` at call
+    time, with the count named by ``what``."""
+    items = tuple(items)
+    if len(items) > MAX_CONE_ROWS:
+        raise DeskScaleError(
+            f"{len(items)} {what} exceed the face-enumeration cap ({MAX_CONE_ROWS})"
+        )
+    return itertools.chain.from_iterable(
+        itertools.combinations(items, r) for r in range(len(items) + 1)
+    )
+
+
 def _enumerate_generators(cone: ConeDesc):
     n = cone.n
-    if cone.G.shape[0] > MAX_CONE_ROWS + 4:
-        raise DeskScaleError(
-            f"{cone.G.shape[0]} inequality rows exceed the enumeration cap"
-        )
     stacked = np.vstack([cone.E, cone.G])
     lin = null_space(stacked, n)
     dim_lin = lin.shape[1]
     rays = []
-    kg = cone.G.shape[0]
-    for r in range(kg + 1):
-        for subset in itertools.combinations(range(kg), r):
-            rows = np.vstack([cone.E, cone.G[list(subset)]]) if subset or cone.E.shape[0] else np.zeros((0, n))
-            N = null_space(rows, n)
-            if N.shape[1] != dim_lin + 1:
-                continue
-            # direction orthogonal to the lineality space inside N
-            if dim_lin:
-                proj = N - lin @ (lin.T @ N)
-            else:
-                proj = N
-            u, s, vt = np.linalg.svd(proj, full_matrices=False)
-            if s.size == 0 or s[0] < 1e-9:
-                continue
-            direction = u[:, 0]
-            for cand in (direction, -direction):
-                if cone.contains(cand, tol=1e-9):
-                    rays.append(cand / np.linalg.norm(cand))
+    for subset in subsets(range(cone.G.shape[0]), "inequality rows"):
+        rows = np.vstack([cone.E, cone.G[list(subset)]]) if subset or cone.E.shape[0] else np.zeros((0, n))
+        N = null_space(rows, n)
+        if N.shape[1] != dim_lin + 1:
+            continue
+        # direction orthogonal to the lineality space inside N
+        if dim_lin:
+            proj = N - lin @ (lin.T @ N)
+        else:
+            proj = N
+        u, s, vt = np.linalg.svd(proj, full_matrices=False)
+        if s.size == 0 or s[0] < 1e-9:
+            continue
+        direction = u[:, 0]
+        for cand in (direction, -direction):
+            if cone.contains(cand, tol=1e-9):
+                rays.append(cand / np.linalg.norm(cand))
     unique = []
     for ray in rays:
         if not any(np.linalg.norm(ray - r) < 1e-8 for r in unique):

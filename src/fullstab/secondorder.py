@@ -18,7 +18,6 @@ definiteness, the bordered-determinant probe) are decided directly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +27,6 @@ import numpy as np
 
 from .defaults import (
     ETA,
-    MAX_CONE_ROWS,
     SAMPLES,
     SEED,
     TOL_ACT,
@@ -38,7 +36,6 @@ from .defaults import (
 )
 from .errors import (
     DegenerateSampleError,
-    DeskScaleError,
     EvaluationError,
     InfeasibleSetError,
     InputError,
@@ -63,6 +60,7 @@ from .polycone import (
     rank,
     row_norms,
     span_difference,
+    subsets,
     tangent_cone,
 )
 from .simplex import gauss_jordan, solve_inequality_lp
@@ -141,37 +139,31 @@ def min_on_cone(Q: QuadForm, K: ConeDesc):
     enumerated once, with one stacked eigensolve per face, and (values,
     argmins) come back as a (k,) array and a list: entry j is what the call
     on the j-th form alone returns, to the bit."""
-    kg = K.G.shape[0]
-    if kg > MAX_CONE_ROWS:
-        raise DeskScaleError(
-            f"{kg} inequality rows exceed the face-enumeration cap ({MAX_CONE_ROWS})"
-        )
     Hs = Q.sym
     forms = Hs.reshape(-1, K.n, K.n)
     best = [math.inf] * len(forms)
     best_w = [None] * len(forms)
-    for r in range(kg + 1):
-        for subset in itertools.combinations(range(kg), r):
-            rows = np.vstack([K.E, K.G[list(subset)]])
-            V = null_space(rows, K.n)
-            if V.shape[1] == 0:
-                continue
-            M = V.T @ forms @ V
-            vals, vecs = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
-            for j in range(len(forms)):
-                for idx in range(vals.shape[1]):
-                    if vals[j, idx] >= best[j]:
+    for subset in subsets(range(K.G.shape[0]), "inequality rows"):
+        rows = np.vstack([K.E, K.G[list(subset)]])
+        V = null_space(rows, K.n)
+        if V.shape[1] == 0:
+            continue
+        M = V.T @ forms @ V
+        vals, vecs = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
+        for j in range(len(forms)):
+            for idx in range(vals.shape[1]):
+                if vals[j, idx] >= best[j]:
+                    break
+                w = V @ vecs[j, :, idx]
+                norm = np.linalg.norm(w)
+                if norm < 1e-12:
+                    continue
+                w = w / norm
+                for cand in (w, -w):
+                    if K.contains(cand, TOL_CONE):
+                        best[j] = float(vals[j, idx])
+                        best_w[j] = cand
                         break
-                    w = V @ vecs[j, :, idx]
-                    norm = np.linalg.norm(w)
-                    if norm < 1e-12:
-                        continue
-                    w = w / norm
-                    for cand in (w, -w):
-                        if K.contains(cand, TOL_CONE):
-                            best[j] = float(vals[j, idx])
-                            best_w[j] = cand
-                            break
     if Hs.ndim == 2:
         return best[0], best_w[0]
     return np.array(best), best_w
@@ -276,15 +268,6 @@ def _polyhedral(model: ParametricModel) -> bool:
     return all(expr_is_zero(e, n, d) for e in second_p + jac_p)
 
 
-def _cap_active_set(active):
-    """Refuse a reference with more active constraints than the cone
-    minimization of the uniform test can enumerate."""
-    if len(active) > MAX_CONE_ROWS:
-        raise DeskScaleError(
-            f"{len(active)} active constraints exceed the face-enumeration cap ({MAX_CONE_ROWS})"
-        )
-
-
 def _gusosc_by_faces(
     model: ParametricModel,
     ref: ReferenceTriple,
@@ -307,7 +290,6 @@ def _gusosc_by_faces(
     t* > 0; it is solved exactly on rational data.
     """
     bundle, active, exact = ms.bundle, ms.active, ms.exact
-    _cap_active_set(active)
     cast = Fraction if exact else float
     B = np.array(
         [[cast(evaluate(differentiate(model.constraints[i], "p", l), ref.x, ref.p))
@@ -324,33 +306,32 @@ def _gusosc_by_faces(
     witness = {}
     pairs = []
     lps = 0
-    for size in range(len(active) + 1):
-        for I in itertools.combinations(active, size):
-            inside = [J for J in supports if set(J) <= set(I)]
-            if not inside:
+    for I in subsets(active, "active constraints"):
+        inside = [J for J in supports if set(J) <= set(I)]
+        if not inside:
+            continue
+        if I != active:
+            lps += 1
+            face = [k for k, i in enumerate(active) if i in I]
+            rest = [k for k, i in enumerate(active) if i not in I]
+            if not _face_reachable(rows[face], rows[rest], exact):
                 continue
-            if I != active:
-                lps += 1
-                face = [k for k, i in enumerate(active) if i in I]
-                rest = [k for k, i in enumerate(active) if i not in I]
-                if not _face_reachable(rows[face], rows[rest], exact):
-                    continue
-            for J in inside:
-                cone = mixed_sign_cone(ms.grad_matrix, I, J, model.n)
-                val, w = min_on_cone(H, cone)
-                pair = {
-                    "active_set": [i + 1 for i in I],
-                    "strongly_active": [j + 1 for j in J],
-                    "value": None if not math.isfinite(val) else val,
+        for J in inside:
+            cone = mixed_sign_cone(ms.grad_matrix, I, J, model.n)
+            val, w = min_on_cone(H, cone)
+            pair = {
+                "active_set": [i + 1 for i in I],
+                "strongly_active": [j + 1 for j in J],
+                "value": None if not math.isfinite(val) else val,
+            }
+            pairs.append(pair)
+            if val < ell:
+                ell = val
+                witness = {
+                    **pair,
+                    "lambda": [float(c) for c in supports[J]],
+                    "direction": [float(c) for c in w],
                 }
-                pairs.append(pair)
-                if val < ell:
-                    ell = val
-                    witness = {
-                        **pair,
-                        "lambda": [float(c) for c in supports[J]],
-                        "direction": [float(c) for c in w],
-                    }
     verdict = "holds" if ell > tol_pd else "fails"
     details = {
         "samples_accepted": 0,
@@ -432,7 +413,6 @@ def gusosc_by_sampling(
     at which ``samples`` are accepted, so the report does not depend on the
     chunk sizes, and an evaluation error is raised only at an attempt the
     one-at-a-time loop would have reached."""
-    _cap_active_set(ms.active)  # before the first draw
     vertex_pool = ms.vertices_float()
     x0, p0, v0 = ref.as_arrays()
     n, d, m = model.n, model.d, model.m

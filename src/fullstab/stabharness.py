@@ -309,12 +309,16 @@ class CertifyOptions:
     tol_pd: float = TOL_PD
 
     def __post_init__(self):
-        # a grid axis needs two nodes to reach both sides of the reference
         for name in ("eta", "rho_v", "rho_p"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise InputError(f"option {name} must be finite and positive, got {value}")
-        for name, low in (("samples", 1), ("grid_v", 2), ("grid_p", 2)):
+        for name in ("tol_act", "tol_pd"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise InputError(f"option {name} must be finite and nonnegative, got {value}")
+        # a grid axis needs two nodes to reach both sides of the reference
+        for name, low in (("samples", 1), ("grid_v", 2), ("grid_p", 2), ("seed", 0)):
             value = getattr(self, name)
             if value < low:
                 raise InputError(f"option {name} must be at least {low}, got {value}")

@@ -26,7 +26,6 @@ halving the radii.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -37,7 +36,6 @@ from .defaults import (
     BOX_RADIUS,
     GRID_P,
     GRID_V,
-    MAX_CONE_ROWS,
     MAX_SHRINK,
     RANDOM_NODES,
     RHO_P,
@@ -51,7 +49,7 @@ from .errors import (
     LocalizationError,
 )
 from .modelspec import ParametricModel, ReferenceTriple, eval_bundle, eval_f
-from .polycone import polyhedron_rows, project_onto_rows, row_norms
+from .polycone import polyhedron_rows, project_onto_rows, row_norms, subsets
 
 __all__ = [
     "SolveOutcome",
@@ -268,10 +266,7 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
     guess and start by start.
     """
     n, m = model.n, model.m
-    if m > MAX_CONE_ROWS:
-        raise DeskScaleError(f"m = {m} exceeds the face-enumeration cap")
-    subsets = (itertools.combinations(range(m), r) for r in range(m + 1))
-    guesses = [list(J) for J in itertools.chain.from_iterable(subsets)]
+    guesses = [list(J) for J in subsets(range(m), "constraints")]
     if not (model.f_affine and all(model.affine_x)):
         yield from _newton_sweep(model, V, P, center, box_radius, tol_act, guesses)
         return

@@ -21,6 +21,14 @@ BOUNDARY_TOL_ACT = (
 )
 
 
+def half_planes(curve=""):
+    """Model text of 13 half-planes -x1 + (k/7) x2 + curve <= 0, k = -6..6,
+    all active at the reference (0, 0): one more than the face-enumeration
+    cap."""
+    rows = "".join(f"constraint -x1 + ({k}/7)*x2{curve} <= 0\n" for k in range(-6, 7))
+    return f"dims n=2 d=0\nf = (x1, x2)\n{rows}reference x=(0, 0) p=() v=(0, 0)\n"
+
+
 def exact_at(model, x, p, v=()):
     """The bundle that MFCQ, Lambda, the uniform test and the determinant
     probe read at (x, p), in Fractions when x, p and v are rational, and its

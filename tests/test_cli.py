@@ -11,7 +11,7 @@ import pytest
 from fullstab import defaults as dflt
 from fullstab.cli import _build_parser, run
 
-from conftest import BOUNDARY_TOL_ACT
+from conftest import BOUNDARY_TOL_ACT, half_planes
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -78,6 +78,7 @@ class TestExitCodes:
         )
         assert not (tmp_path / "rep.json").exists()
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flags, message", [
         (["--eta", "0"], "eta must be finite and positive"),
         (["--eta", "nan"], "eta must be finite and positive"),
@@ -86,11 +87,58 @@ class TestExitCodes:
         (["--samples", "0"], "samples must be at least 1"),
         (["--grid-v", "0"], "grid_v must be at least 2"),
         (["--grid-p", "1"], "grid_p must be at least 2"),
+        (["--seed", "-1"], "seed must be at least 0"),
+        (["--tol-pd", "nan"], "tol_pd must be finite and nonnegative"),
+        (["--tol-act", "nan"], "tol_act must be finite and nonnegative"),
+        (["--tol-act", "-1"], "tol_act must be finite and nonnegative"),
     ])
     def test_out_of_range_option_exit_one(self, flags, message, capsys):
         code = run(["certify", str(MODELS / "identity.model"), *flags])
         assert code == 1
         assert message in capsys.readouterr().err
+
+    # cones and probe-monotone check the flags they read by the rule of
+    # certify's test above
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv, message", [
+        (["cones", "--seed", "-1"], "option seed must be at least 0, got -1"),
+        (["probe-monotone", "--seed", "-1"], "option seed must be at least 0, got -1"),
+        (["cones", "--tol-act", "nan"], "option tol_act must be finite and nonnegative, got nan"),
+        (["cones", "--tol-act", "-1"], "option tol_act must be finite and nonnegative, got -1.0"),
+    ])
+    def test_other_subcommands_check_flags_alike(self, argv, message, tmp_path, capsys):
+        command, *flags = argv
+        code = run([command, str(MODELS / "ex64.model"), *flags,
+                    "--json", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--v", "1"], "--v has 1 entries, the model needs 3"),
+        (["--p", "1,2,3"], "--p has 3 entries, the model needs 2"),
+        (["--x0", "0,0"], "--x0 has 2 entries, the model needs 3"),
+        (["--v", "nan,0,0"], "vector entries must be finite, got 'nan,0,0'"),
+        (["--p", "0,inf"], "vector entries must be finite, got '0,inf'"),
+    ])
+    def test_bad_solve_vector_exit_one(self, flags, message, tmp_path, capsys):
+        code = run(["solve", str(MODELS / "ex64.model"), *flags,
+                    "--json", str(tmp_path / "s.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command, what", [
+        ("certify", "active constraints"),  # multiplier_polytope
+        ("cones", "inequality rows"),  # generators of the critical cone
+    ])
+    def test_over_the_cap_exit_one(self, command, what, tmp_path, capsys):
+        model = tmp_path / "thirteen.model"
+        model.write_text(half_planes())
+        code = run([command, str(model), "--json", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: 13 {what} exceed the face-enumeration cap (12)\n"
+        )
 
     def test_inconsistent_report_exit_two(self, monkeypatch, tmp_path, capsys):
         # force a verdict disagreement through the pipeline seam

@@ -91,16 +91,6 @@ class TestEstimateModuli:
         with pytest.raises(DegenerateSampleError):
             estimate_moduli(GraphSample(u=U, v=U))
 
-    def test_ball_declaration_enforced(self):
-        with pytest.raises(InputError):
-            GraphSample(
-                u=np.array([[0.0], [2.0]]),
-                v=np.array([[0.0], [0.0]]),
-                center_u=np.array([0.0]),
-                center_v=np.array([0.0]),
-                radius=1.0,
-            )
-
 
 class TestLocalizationEstimate:
     def test_exact_half_map_no_violations(self):

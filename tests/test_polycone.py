@@ -1,10 +1,15 @@
-"""Cone geometry: membership, generators, polarity, spans, projection.
+"""Cone geometry: membership, generators, polarity, spans, projection,
+and the one subset enumerator with its desk-scale cap.
 
 Oracles: rejection sampling for membership agreement, Dykstra's algorithm
-for projections, and direct generator checks frozen from hand derivations.
+for projections, direct generator checks frozen from hand derivations, and
+the nested ``itertools.combinations`` loops the enumerator replaced.
 """
 
+import ast
 import itertools
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +17,13 @@ import pytest
 from fullstab import polycone
 from fullstab.defaults import MAX_CONE_ROWS
 from fullstab.errors import (
+    DeskScaleError,
     InfeasiblePointError,
     InfeasibleSetError,
     InputError,
     SolveFailureError,
 )
+from fullstab.kkt import MultiplierSet, probe_crcq
 from fullstab.modelspec import eval_bundle, eval_bundle_exact, parse_model
 from fullstab.polycone import (
     ConeDesc,
@@ -27,9 +34,13 @@ from fullstab.polycone import (
     polyhedron_rows,
     project_onto_rows,
     span_difference,
+    subsets,
     tangent_cone,
 )
+from fullstab.secondorder import QuadForm, check_gusosc, min_on_cone
+from fullstab.visolver import solve_faces
 
+from conftest import exact_at, floats_at, half_planes, reference_multipliers
 from oracles import dykstra_projection, polar_from_generators
 
 
@@ -356,3 +367,67 @@ class TestSubspaceBasis:
     def test_orthonormal_ok(self):
         S = SubspaceBasis(V=np.array([[1.0], [0.0]]))
         assert S.dim == 1
+
+
+# the 13 rows -x1 + (k/7) x2 <= 0 of ``half_planes`` as a cone
+THIRTEEN_ROWS = [[-1.0, k / 7] for k in range(-6, 7)]
+
+
+def _gusosc_with_thirteen_active():
+    # multiplier_polytope refuses 13 active constraints itself, so the set
+    # is built by hand: lam = 0 is its one vertex
+    m = parse_model(half_planes())
+    exact, I = exact_at(m, (0, 0), (), (0, 0))
+    ms = MultiplierSet(active=I, vertices=[(Fraction(0),) * 13], dim=0, bundle=exact)
+    return check_gusosc(m, m.reference, ms)
+
+
+def _crcq_with_thirteen_curved_active():
+    m = parse_model(half_planes(" + x2^2"))
+    return probe_crcq(m, *floats_at(m, (0, 0), ()), (0, 0), ())
+
+
+class TestSubsets:
+    @pytest.mark.parametrize("items", [(), (7,), range(4), "abcde", (3, 1, 4, 1, 5), range(12)])
+    def test_matches_nested_combinations(self, items):
+        nested = []
+        for r in range(len(items) + 1):
+            for subset in itertools.combinations(items, r):
+                nested.append(subset)
+        assert list(subsets(items, "items")) == nested
+
+    def test_refuses_at_call_time(self):
+        with pytest.raises(DeskScaleError) as err:
+            subsets(range(MAX_CONE_ROWS + 1), "rows")  # never iterated
+        assert str(err.value) == "13 rows exceed the face-enumeration cap (12)"
+
+    @pytest.mark.parametrize("what, call", [
+        ("constraints", lambda: solve_faces(parse_model(half_planes()), (0, 0), ())),
+        ("inequality rows",
+         lambda: min_on_cone(QuadForm(np.eye(2)), ConeDesc(2, G=THIRTEEN_ROWS))),
+        ("inequality rows", lambda: ConeDesc(2, G=THIRTEEN_ROWS).generators()),
+        ("active constraints", lambda: reference_multipliers(parse_model(half_planes()))),
+        ("active constraints", _gusosc_with_thirteen_active),
+        ("active constraints", _crcq_with_thirteen_curved_active),
+    ], ids=["solve_faces", "min_on_cone", "generators", "multiplier_polytope",
+            "check_gusosc", "probe_crcq"])
+    def test_every_walk_refuses_thirteen(self, what, call):
+        with pytest.raises(DeskScaleError) as err:
+            call()
+        assert str(err.value) == f"13 {what} exceed the face-enumeration cap (12)"
+
+    def test_the_only_combinations_walk(self):
+        # a walk of its own would need a cap of its own
+        uses = []
+        for path in sorted(Path(polycone.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            scope = {id(node): fn.name for fn in tree.body
+                     if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [alias.name for alias in node.names]
+                else:
+                    names = [getattr(node, "attr", getattr(node, "id", None))]
+                if "combinations" in names:
+                    uses.append((path.name, scope.get(id(node))))
+        assert uses == [("polycone.py", "subsets")]
