@@ -61,8 +61,11 @@ PAIR_CAP = 200_000
 # which go through polycone.subsets: active-set guesses of the face sweep,
 # cone faces, the (I, J) pairs of the exact uniform test, multiplier
 # vertices and CRCQ subfamilies.  MAX_LP_DIM bounds the columns of one LP.
+# MAX_GRID_NODES bounds the tensor grid of a localization table
+# (grid_v^n * grid_p^d nodes, before the random interior nodes).
 MAX_CONE_ROWS = 12
 MAX_LP_DIM = 32
+MAX_GRID_NODES = 100_000
 
 # Default RNG seed.
 SEED = 0

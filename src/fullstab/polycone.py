@@ -6,6 +6,11 @@ enumeration (n <= 8, <= 12 rows: the cap of :func:`subsets`).  Tangent
 cones of inequality systems are linearization cones: exact for constraints
 affine in x, and exact under MFCQ otherwise (callers label them
 accordingly).
+
+Euclidean projection onto polyhedra has one stacked kernel:
+:func:`project_onto_rows` projects each row of a (K, n) stack of points
+onto its own {x : A x <= b} through one lockstep Lawson-Hanson
+:func:`nnls` call, with no row cap and no enumeration.
 """
 
 from __future__ import annotations
@@ -271,18 +276,25 @@ def span_difference(K: ConeDesc) -> SubspaceBasis:
 
 
 def polyhedron_rows(model: ParametricModel, p):
-    """(A, b) with C(p) = {x : A x <= b}; requires affinity in x."""
+    """(A, b) with C(p) = {x : A x <= b}; requires affinity in x.  For a
+    (K, d) stack of parameters, (K, m, n) and (K, m) stacks from one
+    evaluation."""
     if not all(model.affine_x):
         raise InputError("projection requires constraints affine in x")
-    zero_x = [0.0] * model.n
-    bundle = eval_bundle(model, zero_x, [float(c) for c in p])
-    A = bundle.grad_phi
-    b = -bundle.phi
-    return A, b
+    p = np.asarray(p, dtype=float)
+    zero_x = np.zeros(p.shape[:-1] + (model.n,))
+    bundle = eval_bundle(model, zero_x, p)
+    return bundle.grad_phi, -bundle.phi
+
+
+def _matvec(A, x):
+    """A[k] @ x[k] for every row k of the stacks."""
+    return np.matmul(A, x[..., None])[..., 0]
 
 
 def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray):
-    """Euclidean projection of z onto {x : A x <= b}.
+    """Euclidean projection of z onto {x : A x <= b}, or of each row of a
+    stack onto its own set: A (K, m, n), b (K, m) and z (K, n).
 
     With y = x - z this is the least-distance problem min ||y|| subject to
     -A y >= A z - b, solved by one nonnegative least-squares call (Lawson &
@@ -292,65 +304,121 @@ def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray):
     multipliers are mu = u / (-r[n]).  A zero residual is a Farkas
     certificate that the set is empty (:class:`InfeasibleSetError`).  The
     point is returned only after primal feasibility and complementarity
-    check out to ``TOL_CONE`` (relative); otherwise :class:`SolveFailureError`.
+    check out to ``TOL_CONE`` (relative); otherwise :class:`SolveFailureError`,
+    which a non-finite z, A or b also raises.
+
+    The infeasible rows of a stack go to one stacked :func:`nnls` call, and
+    every row gets the bits of its own one-point call.  A one-point call
+    returns x or raises; a stacked call returns (X, failures), where
+    failures maps each row whose one-point call raises to that exception
+    and X holds z in those rows.
     """
-    m, n = A.shape
-    scale = 1.0 + float(np.linalg.norm(z)) + (float(np.max(np.abs(b))) if m else 0.0)
-    feas_tol = TOL_CONE * scale
-    if m == 0 or np.all(A @ z <= b + feas_tol):
-        return z.copy()
-    E = np.vstack([-A.T, (A @ z - b)[None, :]])
-    f = np.zeros(n + 1)
-    f[n] = 1.0
-    u, _ = nnls(E, f)
-    r = E @ u - f
-    if np.linalg.norm(r) <= TOL_CONE:
-        raise InfeasibleSetError("constraint set is empty (no projection exists)")
-    x = z - r[:n] / r[n]
-    mu = u / -r[n]
-    viol = A @ x - b
-    feasible = np.all(viol <= feas_tol)
-    complementary = np.all(mu * np.abs(viol) <= feas_tol * (1.0 + mu))
-    if not (r[n] < 0 and feasible and complementary):
-        raise SolveFailureError("projection failed its optimality check")
-    return x
+    A, b, z = (np.ascontiguousarray(a, dtype=float) for a in (A, b, z))
+    single = z.ndim == 1
+    if single:
+        A, b, z = A[None], b[None], z[None]
+    K, m, n = A.shape
+    X, failures = z.copy(), {}
+    if m:
+        feas_tol = TOL_CONE * (1.0 + row_norms(z) + np.abs(b).max(axis=1))
+        Az = _matvec(A, z)
+        outside = ~(Az <= b + feas_tol[:, None]).all(axis=1)
+        if outside.any():
+            rows = np.flatnonzero(outside)
+            slack = Az[rows] - b[rows]
+            # a non-finite entry of A, b or z leaves a non-finite slack
+            finite = np.isfinite(slack).all(axis=1)
+            for k in rows[~finite]:
+                failures[k] = SolveFailureError("projection of a non-finite point")
+            rows, slack = rows[finite], slack[finite]
+            E = np.concatenate([-A[rows].transpose(0, 2, 1), slack[:, None, :]], axis=1)
+            f = np.zeros((rows.size, n + 1))
+            f[:, n] = 1.0
+            u, _ = nnls(E, f)
+            r = _matvec(E, u) - f
+            tol = feas_tol[rows, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = z[rows] - r[:, :n] / r[:, n:]
+                mu = u / -r[:, n:]
+                viol = _matvec(A[rows], x) - b[rows]
+                ok = (r[:, n] < 0) & np.all(viol <= tol, axis=1)
+                ok &= np.all(mu * np.abs(viol) <= tol * (1.0 + mu), axis=1)
+            empty = row_norms(r) <= TOL_CONE
+            for k, is_empty, is_ok in zip(rows, empty, ok):
+                if is_empty:
+                    failures[k] = InfeasibleSetError(
+                        "constraint set is empty (no projection exists)"
+                    )
+                elif not is_ok:
+                    failures[k] = SolveFailureError("projection failed its optimality check")
+            keep = ~empty & ok
+            X[rows[keep]] = x[keep]
+    if single:
+        if failures:
+            raise failures[0]
+        return X[0]
+    return X, failures
 
 
 def nnls(A: np.ndarray, b: np.ndarray):
-    """Lawson-Hanson nonnegative least squares: min ||A x - b||, x >= 0.
+    """Lawson-Hanson nonnegative least squares: min ||A x - b||, x >= 0,
+    for one system or for each of a stack, A (K, m, n) and b (K, m).
 
-    Returns (x, residual_norm).  Deterministic; desk scale only.
+    The rows of a stack run in lockstep, each with its own passive set,
+    tolerance and stopping rule: every step is taken on the whole stack
+    and kept only in the rows still running it, and each inner step
+    solves every row's least-squares problem on its passive columns by
+    one stacked pseudo-inverse (:func:`_passive_lstsq`).  Returns (x, residual_norm),
+    or the (K, n) and (K,) stacks of them; a row's result does not depend
+    on the other rows.  Deterministic; finite inputs, desk scale only.
     """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    w = A.T @ (b - A @ x)
-    tol = 1e-12 * (1 + float(np.linalg.norm(A.T @ b, ord=np.inf)) if n else 1.0)
-    for _ in range(6 * max(n, 1) + 10):
-        if passive.all() or (w[~passive] <= tol).all():
-            break
-        candidates = np.where(~passive, w, -np.inf)
-        j = int(np.argmax(candidates))
-        passive[j] = True
-        while True:
-            s = np.zeros(n)
-            idx = np.flatnonzero(passive)
-            sol, *_ = np.linalg.lstsq(A[:, idx], b, rcond=None)
-            s[idx] = sol
-            if (s[idx] > tol).all():
-                x = s
+    A = np.ascontiguousarray(A, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    single = A.ndim == 2
+    if single:
+        A, b = A[None], b[None]
+    K, m, n = A.shape
+    At = A.transpose(0, 2, 1)
+    x = np.zeros((K, n))
+    passive = np.zeros((K, n), dtype=bool)
+    w = _matvec(At, b)
+    tol = 1e-12 * (1 + np.max(np.abs(w), axis=1, initial=0.0))[:, None]
+    live = np.ones(K, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(6 * max(n, 1) + 10):
+            # a row is done when no entry off its passive set has w > tol
+            live &= ~(passive | (w <= tol)).all(axis=1)
+            if not live.any():
                 break
-            neg = idx[s[idx] <= tol]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alphas = x[neg] / (x[neg] - s[neg])
-            alpha = float(np.min(alphas)) if neg.size else 0.0
-            x = x + alpha * (s - x)
-            passive[np.abs(x) <= tol] = False
-            x[~passive] = 0.0
-            if not passive.any():
-                x = np.zeros(n)
-                break
-        w = A.T @ (b - A @ x)
-    return x, float(np.linalg.norm(A @ x - b))
+            j = np.argmax(np.where(passive, -np.inf, w), axis=1)
+            passive[live, j[live]] = True
+            inner = live.copy()
+            while inner.any():
+                s = _passive_lstsq(A, b, passive)
+                solved = inner & (~passive | (s > tol)).all(axis=1)
+                x[solved] = s[solved]
+                inner &= ~solved
+                if not inner.any():
+                    break
+                # step back to the first passive entry that would turn negative
+                alpha = np.min(np.where(passive & (s <= tol), x / (x - s), np.inf), axis=1)
+                step = x + alpha[:, None] * (s - x)
+                kept = passive & ~(np.abs(step) <= tol)
+                step[~kept] = 0.0
+                x[inner], passive[inner] = step[inner], kept[inner]
+                inner &= passive.any(axis=1)
+            # (the rows already done keep a w they no longer read)
+            w = _matvec(At, b - _matvec(A, x))
+    res = row_norms(_matvec(A, x) - b)
+    return (x[0], float(res[0])) if single else (x, res)
+
+
+def _passive_lstsq(A, b, passive):
+    """The minimum-norm least-squares solution of each row's A[k] s = b[k]
+    over its passive columns (zero elsewhere), by one stacked
+    pseudo-inverse with the cutoff of ``lstsq``: singular values up to
+    eps * max(m, passive count) times the largest count as zero."""
+    rank_tol = np.finfo(float).eps * np.maximum(A.shape[1], np.count_nonzero(passive, axis=1))
+    s = _matvec(np.linalg.pinv(A * passive[:, None, :], rtol=rank_tol), b)
+    s[~passive] = 0.0
+    return s

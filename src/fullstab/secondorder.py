@@ -34,13 +34,7 @@ from .defaults import (
     TOL_CQ,
     TOL_PD,
 )
-from .errors import (
-    DegenerateSampleError,
-    EvaluationError,
-    InfeasibleSetError,
-    InputError,
-    SolveFailureError,
-)
+from .errors import DegenerateSampleError, EvaluationError, InputError
 from .expr import differentiate, evaluate, expr_is_zero
 from .kkt import (
     MultiplierSet,
@@ -545,29 +539,27 @@ def gusosc_by_sampling(
 def _retract(model, X, P, tol_act):
     """Evaluate the draws (X, P) by one eval_bundle call, then project
     every infeasible row onto the constraints linearized there, {y : phi +
-    grad phi (y - x) <= 0}, and re-evaluate the moved rows by one call,
-    at most _MAX_STEPS times.  Returns the moved X and f, jac_f, phi,
-    grad_phi and hess_phi as C-contiguous stacks (each row laid out as a
-    one-point evaluation lays it out); a row whose projection failed reads
-    phi = +inf."""
+    grad phi (y - x) <= 0}, by one stacked project_onto_rows call, and
+    re-evaluate the moved rows by one call, at most _MAX_STEPS times.
+    Returns the moved X and f, jac_f, phi, grad_phi and hess_phi as
+    C-contiguous stacks (each row laid out as a one-point evaluation lays
+    it out); a row whose projection failed reads phi = +inf."""
     X = X.copy()
     tables = [np.ascontiguousarray(a) for a in eval_bundle(model, X, P).arrays()]
     phi, grad = tables[2], tables[3]
     failed = np.zeros(len(X), dtype=bool)
-    for _ in range(_MAX_STEPS):
-        feasible = active_mask(phi, tol_act)[0]
-        moving = np.flatnonzero(~feasible & ~failed)
-        if not moving.size:
-            break
-        for k in moving:
-            try:
-                X[k] = project_onto_rows(grad[k], grad[k] @ X[k] - phi[k], X[k])
-            except (InfeasibleSetError, SolveFailureError):
-                failed[k] = True
+    moving = np.flatnonzero(~active_mask(phi, tol_act)[0])
+    steps = 0
+    while moving.size and steps < _MAX_STEPS:
+        steps += 1
+        b = np.array([grad[k] @ X[k] - phi[k] for k in moving])
+        X[moving], failures = project_onto_rows(grad[moving], b, X[moving])
+        failed[moving[list(failures)]] = True
         moved = moving[~failed[moving]]
         if moved.size:
             for table, rows in zip(tables, eval_bundle(model, X[moved], P[moved]).arrays()):
                 table[moved] = rows
+        moving = moved[~active_mask(phi[moved], tol_act)[0]]
     phi[failed] = math.inf
     return X, tables
 

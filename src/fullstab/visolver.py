@@ -16,7 +16,9 @@ One uniqueness oracle and one cross-check, both at desk scale:
 * ``solve_projected`` - the classical fixed-point reformulation
   x = Proj_{C(p)}(x - gamma (f(x, p) - v)), contraction for
   gamma < 2 kappa / L^2 under strong monotonicity (checked empirically,
-  with step halving on divergence), which cross-checks the table.
+  with step halving on divergence), which cross-checks the table.  It
+  runs a stack of nodes in lockstep, one batched evaluation and one
+  stacked projection per step, so a table's cross-check is one call.
 
 ``build_localization`` tabulates the solution map on a tensor grid around
 the reference (plus random interior nodes), aborting with a witness at the
@@ -36,6 +38,7 @@ from .defaults import (
     BOX_RADIUS,
     GRID_P,
     GRID_V,
+    MAX_GRID_NODES,
     MAX_SHRINK,
     RANDOM_NODES,
     RHO_P,
@@ -96,63 +99,99 @@ def solve_projected(
     x0,
     moduli: Optional[tuple] = None,
     max_iter: int = 5000,
-) -> SolveOutcome:
+):
     """Fixed-point iteration x <- Proj_{C(p)}(x - gamma (f(x, p) - v)).
 
     gamma starts at 0.9 kappa / L^2 when (kappa, L) estimates are given,
-    else at 1e-2; it halves (at most 6 times) when the residual diverges.
-    The iteration step norm *is* the fixed-point residual at the current
+    else at 1e-2; it halves (at most 6 times), restarting from x0, when
+    the residual diverges or has not improved for 200 steps.  The
+    iteration step norm *is* the fixed-point residual at the current
     iterate, which the returned outcome reports.
+
+    v and p may be (K, n) and (K, d) stacks of nodes, x0 one start or a
+    (K, n) stack: every row then runs this rule in lockstep, each with its
+    own step, halvings and stopping, and each step of the live rows is one
+    ``eval_f`` call and one stacked ``project_onto_rows`` call.  The call
+    returns one outcome per row, each with the bits of that row's one-node
+    call; when rows fail, the first failing row's error is raised, as a
+    node-by-node loop would, and an evaluation error at any row raises.
     """
-    v = np.asarray(v, dtype=float)
-    p = np.asarray(p, dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
+    V = np.asarray(v, dtype=float)
+    single = V.ndim == 1
+    V = V.reshape(-1, model.n)
+    K = len(V)
+    P = np.asarray(p, dtype=float).reshape(K, model.d)
+    X0 = np.broadcast_to(np.asarray(x0, dtype=float), V.shape)
     estimated = moduli is not None and moduli[0] > 0 and moduli[1] > 0
-    gamma = 0.9 * moduli[0] / moduli[1] ** 2 if estimated else 1e-2
     if model.m:
-        A, b = polyhedron_rows(model, p)
-    else:
-        A = np.zeros((0, model.n))
-        b = np.zeros(0)
+        A, b = polyhedron_rows(model, P)
+    errors = {}  # row -> the error its one-node call raises
 
-    def step(xc):
-        target = xc - gamma * (eval_f(model, xc, p) - v)
-        return project_onto_rows(A, b, target) if model.m else target
+    def step(rows, xc, gamma):
+        """One fixed-point step from xc of each of rows with its gamma;
+        returns the new points and the failures of the projection."""
+        target = xc - gamma[:, None] * (eval_f(model, xc, P[rows]) - V[rows])
+        if not model.m:
+            return target, {}
+        out, failures = project_onto_rows(A[rows], b[rows], target)
+        for i, err in failures.items():
+            errors[rows[i]] = err
+        return out, failures
 
-    halvings = 0
-    best_resid = math.inf
-    stall = 0
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        x_next = step(x)
-        resid = float(np.linalg.norm(x_next - x))
+    # each row's outcome, and the state of the live rows
+    x_out, gamma_out, resid = X0.copy(), np.zeros(K), np.zeros(K)
+    iterations, converged = np.zeros(K, dtype=int), np.zeros(K, dtype=bool)
+    rows, x = np.arange(K), X0.copy()
+    gamma = np.full(K, 0.9 * moduli[0] / moduli[1] ** 2 if estimated else 1e-2)
+    best, stall, halvings = np.full(K, math.inf), np.zeros(K, dtype=int), np.zeros(K, dtype=int)
+    it = 0
+    while rows.size:
+        it += 1
+        x_next, failures = step(rows, x, gamma)
+        r = row_norms(x_next - x)
         x = x_next
-        if resid < _PROJECTED_TOL * (1.0 + float(np.linalg.norm(x))):
-            return SolveOutcome(
-                x=x, lam=np.zeros(model.m), residual=resid,
-                iterations=it, method="projected-iteration", converged=True,
-            )
-        if np.all(np.isfinite(x)) and resid <= 1e6:
-            if resid < best_resid * (1 - 1e-12):
-                best_resid, stall = resid, 0
-                continue
-            stall += 1
-            if stall <= 200:
-                continue
+        conv = r < _PROJECTED_TOL * (1.0 + row_norms(x))
+        ok = ~conv & np.isfinite(x).all(axis=1) & (r <= 1e6)
+        better = ok & (r < best * (1 - 1e-12))
+        best = np.where(better, r, best)
+        stall = np.where(better, 0, stall + ok)
         # diverged or stalled: restart from x0 with half the step
-        halvings += 1
-        if halvings > MAX_SHRINK:
-            break
-        gamma *= 0.5
-        x = np.asarray(x0, dtype=float).copy()
-        best_resid, stall = math.inf, 0
-    final = step(x)
-    resid = float(np.linalg.norm(final - x))
-    return SolveOutcome(
-        x=x, lam=np.zeros(model.m), residual=resid,
-        iterations=iterations, method="projected-iteration", converged=False,
-    )
+        restart = ~(conv | better | (ok & (stall <= 200)))
+        if restart.any():
+            halvings += restart
+            again = restart & (halvings <= MAX_SHRINK)
+            gamma = np.where(again, 0.5 * gamma, gamma)
+            x[again], best[again], stall[again] = X0[rows[again]], math.inf, 0
+        stop = conv | (halvings > MAX_SHRINK) | (it >= max_iter)
+        if failures:
+            stop[list(failures)] = True
+        if stop.any():
+            done = rows[stop]
+            x_out[done], gamma_out[done], iterations[done] = x[stop], gamma[stop], it
+            converged[done], resid[done] = conv[stop], r[stop]
+            keep = ~stop
+            if errors:
+                # a node-by-node loop never reaches the rows after a failure
+                keep &= rows < min(errors)
+            rows, x, gamma, best, stall, halvings = (
+                a[keep] for a in (rows, x, gamma, best, stall, halvings)
+            )
+    # the residual of an unconverged row is that of one more step
+    rest = np.flatnonzero(~converged & (np.arange(K) < min(errors, default=K)))
+    if rest.size:
+        final, _ = step(rest, x_out[rest], gamma_out[rest])
+        resid[rest] = row_norms(final - x_out[rest])
+    if errors:
+        raise errors[min(errors)]
+    outcomes = [
+        SolveOutcome(
+            x=x_out[k], lam=np.zeros(model.m), residual=float(resid[k]),
+            iterations=int(iterations[k]), method="projected-iteration",
+            converged=bool(converged[k]),
+        )
+        for k in range(K)
+    ]
+    return outcomes[0] if single else outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +570,12 @@ def build_localization(
     ``solve_projected`` cross-check."""
     x0, p0, v0 = ref.as_arrays()
     n, d = model.n, model.d
-    if grid_v**n * max(1, grid_p**d) > 100_000:
-        raise DeskScaleError("localization grid too large; lower the grid sizes")
+    grid_nodes = grid_v**n * max(1, grid_p**d)
+    if grid_nodes > MAX_GRID_NODES:
+        raise DeskScaleError(
+            f"localization grid of {grid_nodes} nodes exceeds the desk-scale cap "
+            f"({MAX_GRID_NODES}); lower the grid sizes"
+        )
     attempt_rho_v, attempt_rho_p = rho_v, rho_p
     last_witness = None
     for shrink in range(MAX_SHRINK + 1):
@@ -562,13 +605,12 @@ def build_localization(
                     float(np.linalg.eigvalsh(0.5 * (jac_ref + jac_ref.T))[0]),
                     float(np.linalg.norm(jac_ref, 2)),
                 )
-                stride = max(1, N // _CROSS_CHECKS)
-                for k in range(0, N, stride):
-                    proj = solve_projected(model, V[k], P[k], x0, moduli=moduli)
-                    if proj.converged:
-                        agreements.append(
-                            float(np.max(np.abs(proj.x - table_x[k])))
-                        )
+                nodes = np.arange(0, N, max(1, N // _CROSS_CHECKS))
+                outs = solve_projected(model, V[nodes], P[nodes], x0, moduli=moduli)
+                agreements = [
+                    float(np.max(np.abs(out.x - table_x[k])))
+                    for k, out in zip(nodes, outs) if out.converged
+                ]
             meta = {
                 "rho_v": attempt_rho_v,
                 "rho_p": attempt_rho_p,

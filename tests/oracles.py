@@ -8,7 +8,9 @@ per (node, guess, start) on the unfolded expression trees, the array
 tail of the affine face sweep by its per-node append, merge and score
 loop, the vertex minimum of GSSOSC by a scan of points inside the
 multiplier polytope, the chunked GUSOSC sampler by the plain per-attempt
-loop over its draws.
+loop over its draws, the stacked projection kernel by the one-row
+Lawson-Hanson NNLS it replaced, and the lockstep projected iteration by
+its node-by-node loop.
 """
 
 from __future__ import annotations
@@ -161,6 +163,121 @@ def dykstra_projection(A, b, z, iters=20_000):
         if moved < 1e-14:
             break
     return x
+
+
+def nnls_one_row(A, b):
+    """Lawson-Hanson nonnegative least squares, min ||A x - b|| over
+    x >= 0, one system at a time with ``lstsq`` on the passive columns.
+    Returns (x, residual_norm)."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    w = A.T @ (b - A @ x)
+    tol = 1e-12 * (1 + float(np.linalg.norm(A.T @ b, ord=np.inf)) if n else 1.0)
+    for _ in range(6 * max(n, 1) + 10):
+        if passive.all() or (w[~passive] <= tol).all():
+            break
+        candidates = np.where(~passive, w, -np.inf)
+        j = int(np.argmax(candidates))
+        passive[j] = True
+        while True:
+            s = np.zeros(n)
+            idx = np.flatnonzero(passive)
+            sol, *_ = np.linalg.lstsq(A[:, idx], b, rcond=None)
+            s[idx] = sol
+            if (s[idx] > tol).all():
+                x = s
+                break
+            neg = idx[s[idx] <= tol]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                alphas = x[neg] / (x[neg] - s[neg])
+            alpha = float(np.min(alphas)) if neg.size else 0.0
+            x = x + alpha * (s - x)
+            passive[np.abs(x) <= tol] = False
+            x[~passive] = 0.0
+            if not passive.any():
+                x = np.zeros(n)
+                break
+        w = A.T @ (b - A @ x)
+    return x, float(np.linalg.norm(A @ x - b))
+
+
+def project_one_row(A, b, z):
+    """Projection of z onto {x : A x <= b} by one :func:`nnls_one_row`
+    call on the least-distance problem, with the Farkas test and the
+    feasibility and complementarity checks of ``project_onto_rows``;
+    raises as it does."""
+    from fullstab.errors import InfeasibleSetError, SolveFailureError
+
+    m, n = A.shape
+    scale = 1.0 + float(np.linalg.norm(z)) + (float(np.max(np.abs(b))) if m else 0.0)
+    feas_tol = 1e-9 * scale
+    if m == 0 or np.all(A @ z <= b + feas_tol):
+        return z.copy()
+    E = np.vstack([-A.T, (A @ z - b)[None, :]])
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    u, _ = nnls_one_row(E, f)
+    r = E @ u - f
+    if np.linalg.norm(r) <= 1e-9:
+        raise InfeasibleSetError("constraint set is empty (no projection exists)")
+    x = z - r[:n] / r[n]
+    mu = u / -r[n]
+    viol = A @ x - b
+    feasible = np.all(viol <= feas_tol)
+    complementary = np.all(mu * np.abs(viol) <= feas_tol * (1.0 + mu))
+    if not (r[n] < 0 and feasible and complementary):
+        raise SolveFailureError("projection failed its optimality check")
+    return x
+
+
+def solve_projected_per_node(model, v, p, x0, moduli=None, max_iter=5000):
+    """The projected fixed-point iteration of ``visolver.solve_projected``
+    on one node, one step at a time: the same step rule, halvings, stall
+    rule and tolerance, with one-point ``eval_f`` and one-point
+    ``project_onto_rows`` calls.  Returns (x, residual, iterations,
+    converged)."""
+    from fullstab.defaults import MAX_SHRINK
+    from fullstab.modelspec import eval_f
+    from fullstab.polycone import polyhedron_rows, project_onto_rows
+    from fullstab.visolver import _PROJECTED_TOL
+
+    v = np.asarray(v, dtype=float)
+    p = np.asarray(p, dtype=float)
+    x = np.asarray(x0, dtype=float).copy()
+    estimated = moduli is not None and moduli[0] > 0 and moduli[1] > 0
+    gamma = 0.9 * moduli[0] / moduli[1] ** 2 if estimated else 1e-2
+    if model.m:
+        A, b = polyhedron_rows(model, p)
+
+    def step(xc):
+        target = xc - gamma * (eval_f(model, xc, p) - v)
+        return project_onto_rows(A, b, target) if model.m else target
+
+    halvings, best_resid, stall, iterations = 0, np.inf, 0, 0
+    for it in range(1, max_iter + 1):
+        iterations = it
+        x_next = step(x)
+        resid = float(np.linalg.norm(x_next - x))
+        x = x_next
+        if resid < _PROJECTED_TOL * (1.0 + float(np.linalg.norm(x))):
+            return x, resid, it, True
+        if np.all(np.isfinite(x)) and resid <= 1e6:
+            if resid < best_resid * (1 - 1e-12):
+                best_resid, stall = resid, 0
+                continue
+            stall += 1
+            if stall <= 200:
+                continue
+        halvings += 1
+        if halvings > MAX_SHRINK:
+            break
+        gamma *= 0.5
+        x = np.asarray(x0, dtype=float).copy()
+        best_resid, stall = np.inf, 0
+    return x, float(np.linalg.norm(step(x) - x)), iterations, False
 
 
 def cofactor_det(M):

@@ -140,6 +140,18 @@ class TestExitCodes:
             f"error: 13 {what} exceed the face-enumeration cap (12)\n"
         )
 
+    def test_grid_over_the_cap_exit_one(self, tmp_path, capsys):
+        # 50^3 v-nodes times 5^2 p-nodes on ex64
+        out = tmp_path / "r.json"
+        code = run(["certify", str(MODELS / "ex64.model"), "--grid-v", "50", "--json", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: localization grid of 3125000 nodes exceeds the desk-scale cap "
+            f"({dflt.MAX_GRID_NODES}); lower the grid sizes\n"
+        )
+        assert dflt.MAX_GRID_NODES == 100_000
+        assert not out.exists()
+
     def test_inconsistent_report_exit_two(self, monkeypatch, tmp_path, capsys):
         # force a verdict disagreement through the pipeline seam
         import fullstab.cli as cli_mod

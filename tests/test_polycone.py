@@ -2,8 +2,9 @@
 and the one subset enumerator with its desk-scale cap.
 
 Oracles: rejection sampling for membership agreement, Dykstra's algorithm
-for projections, direct generator checks frozen from hand derivations, and
-the nested ``itertools.combinations`` loops the enumerator replaced.
+and the one-row Lawson-Hanson NNLS for projections, direct generator
+checks frozen from hand derivations, and the nested
+``itertools.combinations`` loops the enumerator replaced.
 """
 
 import ast
@@ -41,7 +42,7 @@ from fullstab.secondorder import QuadForm, check_gusosc, min_on_cone
 from fullstab.visolver import solve_faces
 
 from conftest import exact_at, floats_at, half_planes, reference_multipliers
-from oracles import dykstra_projection, polar_from_generators
+from oracles import dykstra_projection, nnls_one_row, polar_from_generators, project_one_row
 
 
 def tangent_at(model, x, p):
@@ -306,8 +307,11 @@ class TestProjection:
 
     def test_unverified_point_raises(self, monkeypatch):
         # u = 0 is not the NNLS optimum here; it maps back to x = z, which is
-        # infeasible, and must not be returned as the projection
-        monkeypatch.setattr(polycone, "nnls", lambda E, f: (np.zeros(E.shape[1]), 1.0))
+        # infeasible, and must not be returned as the projection (nnls
+        # gets the (K, n + 1, m) stack of the infeasible rows)
+        monkeypatch.setattr(
+            polycone, "nnls", lambda E, f: (np.zeros((len(E), E.shape[2])), np.ones(len(E)))
+        )
         A = np.array([[1.0, 0.0]])
         with pytest.raises(SolveFailureError):
             project_onto_rows(A, np.array([1.0]), np.array([2.0, 0.0]))
@@ -357,6 +361,105 @@ class TestNNLS:
         x, res = nnls(A, np.array([1.0, -1.0]))
         assert x == pytest.approx([1.0, 0.0])
         assert res == pytest.approx(1.0)
+
+
+def _stack_cases(ex64_model):
+    """(name, A, b, z) stacks of one shape each: random polytopes, rows
+    listed twice, polytopes of scales 1e-3 to 1e3, the ex64 cone around
+    its apex, already-feasible points, and a stack whose second and fourth
+    rows have an empty set."""
+    rng = np.random.default_rng(14)
+    cases = []
+    A = rng.normal(size=(12, 5, 3))
+    b = rng.uniform(0.2, 1.0, size=(12, 5))  # origin strictly feasible
+    cases.append(("random", A, b, rng.normal(size=(12, 3)) * 2.0))
+    A = np.concatenate([A[:, :3], A[:, :2]], axis=1)
+    b = np.concatenate([b[:, :3], b[:, :2]], axis=1)
+    cases.append(("duplicated", A, b, rng.normal(size=(12, 3)) * 2.0))
+    # the same kind of sets at scales 1e-3 .. 1e3, in one stack
+    scale = 10.0 ** np.arange(-3, 4)
+    A = rng.normal(size=(7, 5, 3)) * scale[:, None, None]
+    b = rng.uniform(0.2, 1.0, size=(7, 5)) * scale[:, None] ** 2
+    cases.append(("scales", A, b, rng.normal(size=(7, 3)) * 2.0 * scale[:, None]))
+    A, b = polyhedron_rows(ex64_model, [0.0, 0.0])
+    z = np.vstack([[0.0, 0.0, -1.0], [0.0, 0.0, 0.5], rng.normal(size=(8, 3))])
+    cases.append(("ex64 apex", np.repeat(A[None], 10, axis=0), np.repeat(b[None], 10, axis=0), z))
+    A = rng.normal(size=(6, 4, 2))
+    b = rng.uniform(0.5, 1.0, size=(6, 4))
+    cases.append(("feasible", A, b, rng.uniform(-0.1, 0.1, size=(6, 2))))
+    # x1 <= t and -x1 <= 0 in R^2: empty for t < 0
+    t = np.array([1.0, -1.0, 0.5, -0.25, 2.0])
+    A = np.repeat(np.array([[[1.0, 0.0], [-1.0, 0.0]]]), len(t), axis=0)
+    b = np.stack([t, np.zeros_like(t)], axis=1)
+    cases.append(("empty", A, b, np.array([[3.0, 1.0]] * len(t))))
+    return cases
+
+
+class TestStackedProjection:
+    """project_onto_rows and nnls on (K, m, n) stacks: each row gets the
+    bits of its own one-point call whatever else is in the stack, agrees
+    with the one-row Lawson-Hanson oracle and with Dykstra, and a failure
+    comes back for its row alone."""
+
+    def test_every_row_is_its_one_point_call(self, ex64_model):
+        for name, A, b, z in _stack_cases(ex64_model):
+            X, failures = project_onto_rows(A, b, z)
+            for k in range(len(z)):
+                if k in failures:
+                    with pytest.raises(type(failures[k])):
+                        project_onto_rows(A[k], b[k], z[k])
+                    assert np.array_equal(X[k], z[k]), name
+                else:
+                    assert np.array_equal(project_onto_rows(A[k], b[k], z[k]), X[k]), name
+            # the same rows in reverse order and in a stack of two copies
+            back, back_failures = project_onto_rows(A[::-1], b[::-1], z[::-1])
+            assert np.array_equal(back, X[::-1]), name
+            assert sorted(back_failures) == sorted(len(z) - 1 - k for k in failures)
+            twice, _ = project_onto_rows(*(np.concatenate([a, a]) for a in (A, b, z)))
+            assert np.array_equal(twice, np.concatenate([X, X])), name
+
+    def test_rows_match_the_oracles(self, ex64_model):
+        for name, A, b, z in _stack_cases(ex64_model):
+            X, failures = project_onto_rows(A, b, z)
+            for k in range(len(z)):
+                if k in failures:
+                    continue
+                tol = 1e-9 * max(1.0, np.max(np.abs(z[k])))  # relative on large sets
+                assert np.max(np.abs(X[k] - project_one_row(A[k], b[k], z[k]))) <= tol, name
+                assert np.max(np.abs(X[k] - dykstra_projection(A[k], b[k], z[k]))) <= tol, name
+                assert np.all(A[k] @ X[k] <= b[k] + tol * np.max(np.abs(A[k]))), name
+
+    def test_failures_come_back_per_row(self, ex64_model):
+        (_, A, b, z), = [c for c in _stack_cases(ex64_model) if c[0] == "empty"]
+        X, failures = project_onto_rows(A, b, z)
+        assert sorted(failures) == [1, 3]
+        assert all(isinstance(err, InfeasibleSetError) for err in failures.values())
+        assert X[[0, 2, 4], 0] == pytest.approx([1.0, 0.5, 2.0], abs=1e-12)
+        for k in failures:
+            with pytest.raises(InfeasibleSetError):
+                project_one_row(A[k], b[k], z[k])
+        # a non-finite point fails alone, as a typed error
+        z = z.copy()
+        z[4, 1] = np.nan
+        _, failures = project_onto_rows(A, b, z)
+        assert sorted(failures) == [1, 3, 4]
+        assert isinstance(failures[4], SolveFailureError)
+
+    def test_stacked_nnls_rows(self):
+        # wide systems step back often, several rows at once; the rows
+        # span scales 1e-4 .. 1e4 in one stack
+        rng = np.random.default_rng(15)
+        A = rng.normal(size=(45, 3, 6)) * (10.0 ** np.repeat(np.arange(-4, 5), 5))[:, None, None]
+        b = rng.normal(size=(45, 3))
+        A[5:10] = np.concatenate([A[5:10, :, :3], A[5:10, :, :3]], axis=2)  # duplicated columns
+        X, res = nnls(A, b)
+        assert X.shape == (45, 6) and res.shape == (45,)
+        for k in range(45):
+            x, r = nnls(A[k], b[k])
+            assert np.array_equal(x, X[k]) and r == res[k]
+            x_ref, r_ref = nnls_one_row(A[k], b[k])
+            assert abs(r - r_ref) <= 1e-9 and np.all(x >= 0)
+            assert np.linalg.norm(A[k] @ x_ref - A[k] @ x) <= 1e-9  # the same fit
 
 
 class TestSubspaceBasis:
@@ -431,3 +534,44 @@ class TestSubsets:
                 if "combinations" in names:
                     uses.append((path.name, scope.get(id(node))))
         assert uses == [("polycone.py", "subsets")]
+
+
+def _calls_to(tree, name):
+    """The calls of ``name`` (a bare or a module-qualified name) in tree."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
+    ]
+
+
+class TestOneProjectionKernel:
+    """Every projection goes through one stacked call: nnls is called only
+    by project_onto_rows, and no for loop or comprehension in the package
+    calls project_onto_rows (its callers step their live rows in while
+    loops, one stacked call per step)."""
+
+    @staticmethod
+    def _sources():
+        for path in sorted(Path(polycone.__file__).parent.glob("*.py")):
+            yield path.name, ast.parse(path.read_text())
+
+    def test_nnls_has_one_caller(self):
+        callers = []
+        for name, tree in self._sources():
+            scope = {id(node): fn.name for fn in tree.body
+                     if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+            callers += [(name, scope.get(id(call))) for call in _calls_to(tree, "nnls")]
+        assert callers == [("polycone.py", "project_onto_rows")]
+
+    def test_no_loop_calls_project_onto_rows(self):
+        loops = (ast.For, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+        looped = [
+            (name, node.lineno)
+            for name, tree in self._sources() for node in ast.walk(tree)
+            if isinstance(node, loops) and _calls_to(node, "project_onto_rows")
+        ]
+        assert looped == []
+        # the guard sees the calls it guards
+        assert sum(len(_calls_to(tree, "project_onto_rows")) for _, tree in self._sources()) == 2
+

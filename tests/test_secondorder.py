@@ -376,34 +376,40 @@ class TestGUSOSC:
         import fullstab.polycone as polycone
         import fullstab.secondorder as secondorder
 
-        events = []  # "draw", ("eval", rows), "project"
+        events = []  # "draw", ("eval", rows), ("project", rows projected)
 
         def counted(module, name, event):
             inner = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 out = inner(*args, **kwargs)
-                events.append(event(*args))
+                events.append(event(out, *args))
                 return out
 
             monkeypatch.setattr(module, name, wrapper)
 
         ms = reference_multipliers(ex64_model)  # before the counters go in
         for module in (kkt, polycone, secondorder):
-            counted(module, "eval_bundle", lambda model, x, p: ("eval", len(x)))
-        counted(secondorder, "project_onto_rows", lambda *a: "project")
-        counted(secondorder, "_ball", lambda *a: "draw")
+            counted(module, "eval_bundle", lambda out, model, x, p: ("eval", len(x)))
+        # a stacked projection reports its failed rows, which are not moved
+        counted(
+            secondorder, "project_onto_rows", lambda out, A, b, z: ("project", len(z) - len(out[1]))
+        )
+        counted(secondorder, "_ball", lambda out, *a: "draw")
         rep = gusosc_by_sampling(ex64_model, ex64_model.reference, ms, samples=100, seed=1)
         assert rep.details["samples_accepted"] == 100
         evals = [e[1] for e in events if e[0] == "eval"]
         draws = events.count("draw") // 2  # a p and an x offset per attempt
-        projections = events.count("project")
+        projections = sum(e[1] for e in events if e[0] == "project")
         assert projections > 0
         assert draws >= rep.details["attempts"]
-        # a projection that raises is not counted, nor re-evaluated
+        # a row whose projection fails is not counted, nor re-evaluated
         assert sum(evals) == draws + projections
         chunks = sum(1 for a, b in zip(events, events[1:]) if a == "draw" and b != "draw")
         assert len(evals) <= chunks * (1 + secondorder._MAX_STEPS)
+        # one stacked projection call per projection step of a chunk
+        steps = sum(1 for e in events if e[0] == "project")
+        assert steps <= chunks * secondorder._MAX_STEPS
 
     def test_gssosc_implies_gusosc_on_corpus(self):
         # Strict-complementarity test passing forces the sampled uniform

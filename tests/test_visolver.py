@@ -11,13 +11,18 @@ import numpy as np
 import pytest
 
 from fullstab import visolver
-from fullstab.errors import EvaluationError, LocalizationError, UnboundedMultiplierError
+from fullstab.errors import (
+    EvaluationError,
+    InfeasibleSetError,
+    LocalizationError,
+    UnboundedMultiplierError,
+)
 from fullstab.modelspec import eval_bundle_exact, parse_model
 from fullstab.polycone import polyhedron_rows
 from fullstab.visolver import build_localization, solve_faces, solve_projected
 
 from conftest import reference_jacobian
-from oracles import face_sweep_per_node, newton_face_sweep
+from oracles import face_sweep_per_node, newton_face_sweep, solve_projected_per_node
 
 
 def scalar_halfline_model():
@@ -282,19 +287,21 @@ class TestBuildLocalization:
             "constraint -x1 <= 0\nconstraint -x2 <= 0\nconstraint -x3 <= 0\n"
             "reference x=(1, 0, 1) p=(0) v=(3, -3, 2)\n"
         )
-        iterations = []
+        calls = []
 
         def recording(*args, **kwargs):
-            out = solve_projected(*args, **kwargs)
-            iterations.append(out.iterations)
-            return out
+            outs = solve_projected(*args, **kwargs)
+            calls.append([out.iterations for out in outs])
+            return outs
 
         monkeypatch.setattr(visolver, "solve_projected", recording)
         table = build_localization(
             model, model.reference, reference_jacobian(model), grid_v=3, grid_p=3, seed=5
         )
-        assert table.meta["cross_checks"] == len(iterations) == 11
-        assert max(iterations) < 400
+        # one stacked call for the table's eleven cross-check nodes
+        assert len(calls) == 1
+        assert table.meta["cross_checks"] == len(calls[0]) == 11
+        assert max(calls[0]) < 400
 
     def test_csv_export_shape(self, identity_model):
         table = build_localization(
@@ -406,6 +413,81 @@ CURVED_MODELS = {
         "reference x=(1, 0) p=(0) v=(2, 0)\n"
     ),
 }
+
+
+class TestLockstepProjected:
+    """solve_projected on a stack of nodes runs every row in lockstep; each
+    row's outcome equals, bit for bit, the node-by-node loop with one-point
+    evaluations and one-point projections."""
+
+    @staticmethod
+    def _cross_check(model, monkeypatch, **grid):
+        """The one solve_projected call of build_localization's cross-check:
+        its arguments and its outcomes."""
+        calls = []
+
+        def recording(*args, **kwargs):
+            outs = solve_projected(*args, **kwargs)
+            calls.append((args, kwargs, outs))
+            return outs
+
+        monkeypatch.setattr(visolver, "solve_projected", recording)
+        build_localization(model, model.reference, reference_jacobian(model), **grid)
+        monkeypatch.undo()
+        (call,) = calls
+        return call
+
+    def _assert_lockstep_matches_oracle(self, model, monkeypatch, **grid):
+        (_, V, P, x0), kwargs, outs = self._cross_check(model, monkeypatch, **grid)
+        assert len(outs) == len(V) > 1
+        for k, out in enumerate(outs):
+            x, resid, iterations, converged = solve_projected_per_node(
+                model, V[k], P[k], x0, **kwargs
+            )
+            assert np.array_equal(out.x, x)
+            assert out.residual == resid and type(out.residual) is float
+            assert out.iterations == iterations and out.converged == converged
+        return outs
+
+    def test_worked_example(self, ex64_model, monkeypatch):
+        outs = self._assert_lockstep_matches_oracle(ex64_model, monkeypatch, seed=7)
+        assert all(out.converged for out in outs)
+
+    def test_criterion_7_corpus(self, monkeypatch):
+        from test_acceptance import _corpus
+
+        for model in _corpus():
+            self._assert_lockstep_matches_oracle(model, monkeypatch, grid_v=3, grid_p=3, seed=5)
+
+    def test_identity_and_skew(self, identity_model, skew_model, monkeypatch):
+        self._assert_lockstep_matches_oracle(identity_model, monkeypatch)
+        # the skew map's step diverges: rows stall, halve their step and
+        # give up after 6 halvings, or run to max_iter
+        outs = self._assert_lockstep_matches_oracle(skew_model, monkeypatch)
+        assert sum(out.converged for out in outs) == 1
+        assert len({out.iterations for out in outs}) > 2
+        assert max(out.iterations for out in outs) == 5000
+
+    def test_one_node_is_a_stack_of_one(self, ex64_model):
+        v, p, x0 = [0.01, -0.02, 0.03], [0.02, 0.01], [0.1, 0.1, 0.1]
+        one = solve_projected(ex64_model, v, p, x0)
+        (row,) = solve_projected(ex64_model, [v], [p], [x0])
+        assert np.array_equal(one.x, row.x) and one.residual == row.residual
+        assert one.iterations == row.iterations and one.converged and row.converged
+
+    def test_first_failing_row_raises(self):
+        # C(p) = {x : 0 <= x1 <= p1} is empty for p1 < 0: the stack raises
+        # the error of its first such row, as the node-by-node loop would
+        model = parse_model(
+            "dims n=1 d=1\nf = (x1)\nconstraint x1 - p1 <= 0\nconstraint -x1 <= 0\n"
+            "reference x=(0) p=(1) v=(0)\n"
+        )
+        with pytest.raises(InfeasibleSetError):
+            solve_projected(model, [[0.5], [0.5], [0.5]], [[1.0], [-1.0], [2.0]], [3.0])
+        with pytest.raises(InfeasibleSetError):
+            solve_projected_per_node(model, [0.5], [-1.0], [3.0])
+        outs = solve_projected(model, [[0.5], [0.5]], [[1.0], [0.25]], [3.0])
+        assert [out.x[0] for out in outs] == pytest.approx([0.5, 0.25], abs=1e-8)
 
 
 def _random_curved_model(rng):
