@@ -249,8 +249,7 @@ def _eval_tables(model: ParametricModel, tables, x, p, cast):
 def _float_points(x, p):
     """(x, p) as lists of floats at one point, or as lists of float columns
     when x and p are (K, n) and (K, d) arrays of K points; with the cast
-    that gives every table entry the batch shape, () or (K,).  A batch of
-    one point is evaluated in Python floats, which give the same bits."""
+    that gives every table entry the batch shape, () or (K,)."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
     if x.ndim == 1:
@@ -258,8 +257,6 @@ def _float_points(x, p):
     if p.ndim != 2 or len(p) != len(x):
         raise DimensionError(f"{len(x)} x rows but p has shape {p.shape}")
     batch = x.shape[:1]
-    if batch == (1,):
-        return x[0].tolist(), p[0].tolist(), batch, lambda value: (float(value),)
     return (
         list(np.ascontiguousarray(x.T)),
         list(np.ascontiguousarray(p.T)),
@@ -272,7 +269,7 @@ def _stack(table, shape, batch, dtype=float):
     """A nested list of entries as an array of ``shape``, with the batch
     axis first."""
     a = np.array(table, dtype=dtype).reshape(shape + batch)
-    return a.transpose(-1, *range(a.ndim - 1)) if batch else a
+    return np.moveaxis(a, -1, 0) if batch else a
 
 
 def _bundle(model: ParametricModel, tables, batch, dtype) -> EvalBundle:

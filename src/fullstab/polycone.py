@@ -320,39 +320,43 @@ def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray):
     K, m, n = A.shape
     X, failures = z.copy(), {}
     if m:
-        feas_tol = TOL_CONE * (1.0 + row_norms(z) + np.abs(b).max(axis=1))
+        feas_tol = TOL_CONE * (1.0 + row_norms(z) + np.abs(b).max(axis=1))[:, None]
         Az = _matvec(A, z)
-        outside = ~(Az <= b + feas_tol[:, None]).all(axis=1)
+        outside = ~(Az <= b + feas_tol)
         if outside.any():
-            rows = np.flatnonzero(outside)
-            slack = Az[rows] - b[rows]
+            rows = np.flatnonzero(outside.any(axis=1))
+            if rows.size < K:
+                A, b, z, feas_tol, Az = (a[rows] for a in (A, b, z, feas_tol, Az))
+            slack = Az - b
             # a non-finite entry of A, b or z leaves a non-finite slack
-            finite = np.isfinite(slack).all(axis=1)
-            for k in rows[~finite]:
-                failures[k] = SolveFailureError("projection of a non-finite point")
-            rows, slack = rows[finite], slack[finite]
-            E = np.concatenate([-A[rows].transpose(0, 2, 1), slack[:, None, :]], axis=1)
+            if not np.isfinite(slack).all():
+                finite = np.isfinite(slack).all(axis=1)
+                for k in rows[~finite]:
+                    failures[k] = SolveFailureError("projection of a non-finite point")
+                rows, A, b, z, feas_tol, slack = (
+                    a[finite] for a in (rows, A, b, z, feas_tol, slack)
+                )
+            E = np.concatenate([-A.transpose(0, 2, 1), slack[:, None, :]], axis=1)
             f = np.zeros((rows.size, n + 1))
             f[:, n] = 1.0
-            u, _ = nnls(E, f)
+            u, res = nnls(E, f)
             r = _matvec(E, u) - f
-            tol = feas_tol[rows, None]
             with np.errstate(divide="ignore", invalid="ignore"):
-                x = z[rows] - r[:, :n] / r[:, n:]
+                x = z - r[:, :n] / r[:, n:]
                 mu = u / -r[:, n:]
-                viol = _matvec(A[rows], x) - b[rows]
-                ok = (r[:, n] < 0) & np.all(viol <= tol, axis=1)
-                ok &= np.all(mu * np.abs(viol) <= tol * (1.0 + mu), axis=1)
-            empty = row_norms(r) <= TOL_CONE
-            for k, is_empty, is_ok in zip(rows, empty, ok):
-                if is_empty:
-                    failures[k] = InfeasibleSetError(
-                        "constraint set is empty (no projection exists)"
-                    )
-                elif not is_ok:
-                    failures[k] = SolveFailureError("projection failed its optimality check")
+                viol = _matvec(A, x) - b
+                ok = (r[:, n] < 0) & (
+                    (viol <= feas_tol) & (mu * np.abs(viol) <= feas_tol * (1.0 + mu))
+                ).all(axis=1)
+            empty = res <= TOL_CONE
             keep = ~empty & ok
             X[rows[keep]] = x[keep]
+            for i in np.flatnonzero(~keep):
+                failures[rows[i]] = (
+                    InfeasibleSetError("constraint set is empty (no projection exists)")
+                    if empty[i]
+                    else SolveFailureError("projection failed its optimality check")
+                )
     if single:
         if failures:
             raise failures[0]
@@ -365,12 +369,12 @@ def nnls(A: np.ndarray, b: np.ndarray):
     for one system or for each of a stack, A (K, m, n) and b (K, m).
 
     The rows of a stack run in lockstep, each with its own passive set,
-    tolerance and stopping rule: every step is taken on the whole stack
-    and kept only in the rows still running it, and each inner step
-    solves every row's least-squares problem on its passive columns by
-    one stacked pseudo-inverse (:func:`_passive_lstsq`).  Returns (x, residual_norm),
-    or the (K, n) and (K,) stacks of them; a row's result does not depend
-    on the other rows.  Deterministic; finite inputs, desk scale only.
+    tolerance and stopping rule: each inner step solves the least-squares
+    problems of the rows still running it, on their passive columns, by
+    one stacked pseudo-inverse (:func:`_passive_lstsq`).  Returns (x,
+    residual_norm), or the (K, n) and (K,) stacks of them; a row's result
+    does not depend on the other rows.  Deterministic; finite inputs, desk
+    scale only.
     """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.ascontiguousarray(b, dtype=float)
@@ -382,31 +386,35 @@ def nnls(A: np.ndarray, b: np.ndarray):
     x = np.zeros((K, n))
     passive = np.zeros((K, n), dtype=bool)
     w = _matvec(At, b)
-    tol = 1e-12 * (1 + np.max(np.abs(w), axis=1, initial=0.0))[:, None]
+    tol = 1e-12 * (1 + np.abs(w).max(axis=1, initial=0.0))[:, None]
     live = np.ones(K, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(6 * max(n, 1) + 10):
             # a row is done when no entry off its passive set has w > tol
             live &= ~(passive | (w <= tol)).all(axis=1)
-            if not live.any():
+            inner = np.flatnonzero(live)
+            if not inner.size:
                 break
             j = np.argmax(np.where(passive, -np.inf, w), axis=1)
-            passive[live, j[live]] = True
-            inner = live.copy()
-            while inner.any():
-                s = _passive_lstsq(A, b, passive)
-                solved = inner & (~passive | (s > tol)).all(axis=1)
-                x[solved] = s[solved]
-                inner &= ~solved
-                if not inner.any():
+            passive[inner, j[inner]] = True
+            while inner.size:
+                # the rows running this step (a view when all of them run)
+                sel = inner if inner.size < K else slice(None)
+                pi, ti = passive[sel], tol[sel]
+                s = _passive_lstsq(A[sel], b[sel], pi)
+                solved = (~pi | (s > ti)).all(axis=1)
+                if solved.all():
+                    x[sel] = s
                     break
                 # step back to the first passive entry that would turn negative
-                alpha = np.min(np.where(passive & (s <= tol), x / (x - s), np.inf), axis=1)
-                step = x + alpha[:, None] * (s - x)
-                kept = passive & ~(np.abs(step) <= tol)
+                xi = x[sel]
+                alpha = np.where(pi & (s <= ti), xi / (xi - s), np.inf).min(axis=1)
+                step = xi + alpha[:, None] * (s - xi)
+                kept = pi & ~(np.abs(step) <= ti)
                 step[~kept] = 0.0
-                x[inner], passive[inner] = step[inner], kept[inner]
-                inner &= passive.any(axis=1)
+                x[sel] = np.where(solved[:, None], s, step)
+                passive[sel] = np.where(solved[:, None], pi, kept)
+                inner = inner[~solved & kept.any(axis=1)]
             # (the rows already done keep a w they no longer read)
             w = _matvec(At, b - _matvec(A, x))
     res = row_norms(_matvec(A, x) - b)
@@ -415,10 +423,15 @@ def nnls(A: np.ndarray, b: np.ndarray):
 
 def _passive_lstsq(A, b, passive):
     """The minimum-norm least-squares solution of each row's A[k] s = b[k]
-    over its passive columns (zero elsewhere), by one stacked
-    pseudo-inverse with the cutoff of ``lstsq``: singular values up to
-    eps * max(m, passive count) times the largest count as zero."""
-    rank_tol = np.finfo(float).eps * np.maximum(A.shape[1], np.count_nonzero(passive, axis=1))
-    s = _matvec(np.linalg.pinv(A * passive[:, None, :], rtol=rank_tol), b)
+    over its passive columns (zero elsewhere), by one stacked SVD with the
+    cutoff of ``lstsq``: singular values up to eps * max(m, passive count)
+    times the largest count as zero.  The arithmetic is that of
+    ``np.linalg.pinv`` followed by a product with b."""
+    u, sig, vt = np.linalg.svd(A * passive[:, None, :], full_matrices=False)
+    rank_tol = np.finfo(float).eps * np.maximum(A.shape[1], passive.sum(axis=1))
+    # (singular values come in descending order: sig[:, :1] is the largest)
+    inv = 1.0 / np.where(sig > rank_tol[:, None] * sig[:, :1], sig, np.inf)
+    pinv = np.matmul(vt.transpose(0, 2, 1), inv[..., None] * u.transpose(0, 2, 1))
+    s = _matvec(pinv, b)
     s[~passive] = 0.0
     return s

@@ -121,65 +121,78 @@ def solve_projected(
     V = V.reshape(-1, model.n)
     K = len(V)
     P = np.asarray(p, dtype=float).reshape(K, model.d)
-    X0 = np.broadcast_to(np.asarray(x0, dtype=float), V.shape)
+    X0 = np.broadcast_to(np.asarray(x0, dtype=float), V.shape).copy()
     estimated = moduli is not None and moduli[0] > 0 and moduli[1] > 0
     if model.m:
         A, b = polyhedron_rows(model, P)
+    else:
+        A, b = np.zeros((K, 0, model.n)), np.zeros((K, 0))
     errors = {}  # row -> the error its one-node call raises
 
-    def step(rows, xc, gamma):
-        """One fixed-point step from xc of each of rows with its gamma;
-        returns the new points and the failures of the projection."""
-        target = xc - gamma[:, None] * (eval_f(model, xc, P[rows]) - V[rows])
+    def step(rows, xc, gamma, Vr, Pr, Ar, br):
+        """One fixed-point step from xc of rows, whose nodes, projection
+        rows and (R, 1) column of steps are given; returns the new points
+        and the failures of the projection.  One row is evaluated at its
+        point, in Python floats, which give the bits of a stacked row."""
+        f = eval_f(model, xc[0], Pr[0])[None] if len(rows) == 1 else eval_f(model, xc, Pr)
+        target = xc - gamma * (f - Vr)
         if not model.m:
             return target, {}
-        out, failures = project_onto_rows(A[rows], b[rows], target)
+        out, failures = project_onto_rows(Ar, br, target)
         for i, err in failures.items():
             errors[rows[i]] = err
         return out, failures
 
-    # each row's outcome, and the state of the live rows
+    # each row's outcome
     x_out, gamma_out, resid = X0.copy(), np.zeros(K), np.zeros(K)
     iterations, converged = np.zeros(K, dtype=int), np.zeros(K, dtype=bool)
+    # the live rows' state and data, compacted as rows stop; bar is the
+    # best residual so far times (1 - 1e-12), which a step must beat
     rows, x = np.arange(K), X0.copy()
-    gamma = np.full(K, 0.9 * moduli[0] / moduli[1] ** 2 if estimated else 1e-2)
-    best, stall, halvings = np.full(K, math.inf), np.zeros(K, dtype=int), np.zeros(K, dtype=int)
+    Vl, Pl, X0l, Al, bl = V, P, X0, A, b
+    gamma = np.full((K, 1), 0.9 * moduli[0] / moduli[1] ** 2 if estimated else 1e-2)
+    bar, stall, halvings = np.full(K, math.inf), np.zeros(K, dtype=int), np.zeros(K, dtype=int)
     it = 0
     while rows.size:
         it += 1
-        x_next, failures = step(rows, x, gamma)
+        x_next, failures = step(rows, x, gamma, Vl, Pl, Al, bl)
         r = row_norms(x_next - x)
         x = x_next
         conv = r < _PROJECTED_TOL * (1.0 + row_norms(x))
-        ok = ~conv & np.isfinite(x).all(axis=1) & (r <= 1e6)
-        better = ok & (r < best * (1 - 1e-12))
-        best = np.where(better, r, best)
+        # (a non-finite x leaves a non-finite r, which fails r <= 1e6)
+        ok = (r <= 1e6) & ~conv
+        better = ok & (r < bar)
+        bar = np.where(better, r * (1 - 1e-12), bar)
         stall = np.where(better, 0, stall + ok)
+        if better.all() and not failures and it < max_iter:
+            continue  # every row improved: none restarts or stops
         # diverged or stalled: restart from x0 with half the step
-        restart = ~(conv | better | (ok & (stall <= 200)))
+        restart = ~(conv | (ok & (stall <= 200)))
         if restart.any():
             halvings += restart
             again = restart & (halvings <= MAX_SHRINK)
-            gamma = np.where(again, 0.5 * gamma, gamma)
-            x[again], best[again], stall[again] = X0[rows[again]], math.inf, 0
+            gamma[again] *= 0.5
+            x[again], bar[again], stall[again] = X0l[again], math.inf, 0
         stop = conv | (halvings > MAX_SHRINK) | (it >= max_iter)
         if failures:
             stop[list(failures)] = True
         if stop.any():
             done = rows[stop]
-            x_out[done], gamma_out[done], iterations[done] = x[stop], gamma[stop], it
+            x_out[done], gamma_out[done], iterations[done] = x[stop], gamma[stop, 0], it
             converged[done], resid[done] = conv[stop], r[stop]
             keep = ~stop
             if errors:
                 # a node-by-node loop never reaches the rows after a failure
                 keep &= rows < min(errors)
-            rows, x, gamma, best, stall, halvings = (
-                a[keep] for a in (rows, x, gamma, best, stall, halvings)
+            rows, x, gamma, bar, stall, halvings, Vl, Pl, X0l, Al, bl = (
+                a[keep] for a in (rows, x, gamma, bar, stall, halvings, Vl, Pl, X0l, Al, bl)
             )
     # the residual of an unconverged row is that of one more step
     rest = np.flatnonzero(~converged & (np.arange(K) < min(errors, default=K)))
     if rest.size:
-        final, _ = step(rest, x_out[rest], gamma_out[rest])
+        final, _ = step(
+            rest, x_out[rest], gamma_out[rest, None], V[rest], P[rest], A[rest], b[rest]
+        )
         resid[rest] = row_norms(final - x_out[rest])
     if errors:
         raise errors[min(errors)]

@@ -461,6 +461,27 @@ class TestStackedProjection:
             assert abs(r - r_ref) <= 1e-9 and np.all(x >= 0)
             assert np.linalg.norm(A[k] @ x_ref - A[k] @ x) <= 1e-9  # the same fit
 
+    def test_inner_steps_solve_only_running_rows(self, monkeypatch):
+        # row 0 is done before any step (b = 0); the other rows leave the
+        # least-squares stack as they finish
+        rng = np.random.default_rng(16)
+        A = rng.normal(size=(8, 3, 6))
+        b = rng.normal(size=(8, 3))
+        b[0] = 0.0
+        expected = nnls(A, b)
+        sizes = []
+        solve = polycone._passive_lstsq
+
+        def recording(A_rows, b_rows, passive):
+            sizes.append(len(A_rows))
+            return solve(A_rows, b_rows, passive)
+
+        monkeypatch.setattr(polycone, "_passive_lstsq", recording)
+        X, res = nnls(A, b)
+        assert np.array_equal(X, expected[0]) and np.array_equal(res, expected[1])
+        assert not X[0].any()
+        assert max(sizes) == 7 and min(sizes) < 7
+
 
 class TestSubspaceBasis:
     def test_rejects_nonorthonormal(self):
