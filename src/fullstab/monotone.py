@@ -3,6 +3,8 @@
 Estimators are corroborating, never certifying: the definitions quantify
 over all graph pairs in a neighborhood, a sample can only bound them.
 The strong-modulus estimate is the worst pairwise Rayleigh-type ratio.
+Both estimators reduce the pairs block by block through
+:mod:`fullstab.pairs`, so their memory does not grow with the pair count.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 from .defaults import ETA, SEED, TOL_INEQ
 from .errors import DegenerateSampleError, InconsistencyError, InputError
 from .modelspec import ParametricModel, ReferenceTriple, eval_f
+from .pairs import Pairs, diff, pair_extreme
 from .visolver import solve_faces
 
 __all__ = [
@@ -135,17 +138,20 @@ class MonotonicityEstimate:
         }
 
 
-def _pair_ratios(u: np.ndarray, v: np.ndarray):
-    """All unordered pair ratios <dv, du>/||du||^2 with degenerate pairs
-    skipped.  Returns (ratios, index pairs)."""
-    N = u.shape[0]
-    ii, jj = np.triu_indices(N, k=1)
-    du = u[ii] - u[jj]
-    dv = v[ii] - v[jj]
-    sq = np.einsum("ij,ij->i", du, du)
-    keep = np.sqrt(sq) > _DEGENERATE
-    ratios = np.einsum("ij,ij->i", dv[keep], du[keep]) / sq[keep]
-    return ratios, ii[keep], jj[keep]
+def _pair_ratios(u: np.ndarray, v: np.ndarray, rows=None):
+    """The least pair ratio <dv, du>/||du||^2 over the unordered pairs of
+    the points (of ``rows`` of them when given), degenerate pairs skipped:
+    (number of kept pairs, least ratio, its first pair of row indices)."""
+
+    def ratios(ii, jj):
+        du = diff(u, ii, jj)
+        sq = np.einsum("ij,ij->i", du, du)
+        keep = np.sqrt(sq) > _DEGENERATE
+        dv = diff(v, ii[keep], jj[keep])
+        return keep, np.einsum("ij,ij->i", dv, du[keep]) / sq[keep]
+
+    count = u.shape[0] if rows is None else rows.size
+    return pair_extreme(Pairs(count, rows=rows), ratios)
 
 
 def estimate_moduli(sample: GraphSample) -> MonotonicityEstimate:
@@ -156,16 +162,15 @@ def estimate_moduli(sample: GraphSample) -> MonotonicityEstimate:
     """
     if len(sample) < 2:
         raise DegenerateSampleError("need at least 2 graph points")
-    ratios, ii, jj = _pair_ratios(sample.u, sample.v)
-    if ratios.size == 0:
+    count, kappa, witness = _pair_ratios(sample.u, sample.v)
+    if count == 0:
         raise DegenerateSampleError("all pairs degenerate (coincident u's)")
-    k = int(np.argmin(ratios))
-    kappa = float(ratios[k])
+    kappa = float(kappa)
     return MonotonicityEstimate(
         kappa_hat=kappa,
         r_hat=max(0.0, -kappa),
-        witness=(int(ii[k]), int(jj[k])),
-        pair_count=int(ratios.size),
+        witness=witness,
+        pair_count=count,
     )
 
 
@@ -178,13 +183,17 @@ def estimate_from_inverse(sample: GraphSample) -> float:
     N = V.shape[0]
     if N < 2:
         raise DegenerateSampleError("need at least 2 graph points")
-    ii, jj = np.triu_indices(N, k=1)
-    dv = np.linalg.norm(V[ii] - V[jj], axis=1)
-    dx = np.linalg.norm(X[ii] - X[jj], axis=1)
-    keep = dv > _DEGENERATE
-    if not np.any(keep):
+
+    def lipschitz(ii, jj):
+        dv = np.linalg.norm(diff(V, ii, jj), axis=1)
+        dx = np.linalg.norm(diff(X, ii, jj), axis=1)
+        keep = dv > _DEGENERATE
+        return keep, dx[keep] / dv[keep]
+
+    count, L_hat, _ = pair_extreme(Pairs(N), lipschitz, largest=True)
+    if count == 0:
         raise DegenerateSampleError("all pairs degenerate (coincident v's)")
-    L_hat = float(np.max(dx[keep] / dv[keep]))
+    L_hat = float(L_hat)
     inv = estimate_moduli(GraphSample(u=X.copy(), v=V.copy()))
     if inv.kappa_hat > 0 and L_hat > 1.0 / inv.kappa_hat + TOL_INEQ:
         raise InconsistencyError(

@@ -54,6 +54,7 @@ from .kkt import (
 )
 from .modelspec import ParametricModel, eval_reference, print_model
 from .monotone import _pair_ratios
+from .pairs import Pairs, diff, pair_map, slices
 from .polycone import active_indices, rank
 from .secondorder import (
     check_gssosc,
@@ -82,37 +83,49 @@ _MAX_REPORTED = 20
 
 
 def _pair_indices(count: int):
+    """The capped subsample of the table's pairs as index arrays, or None
+    when all of them are checked."""
     total = count * (count - 1) // 2
     if total <= PAIR_CAP:
-        return np.triu_indices(count, k=1)
+        return None
     rng = np.random.default_rng(0)  # deterministic subsampling
     ii = rng.integers(0, count, size=PAIR_CAP)
     jj = rng.integers(0, count, size=PAIR_CAP)
     keep = ii != jj
-    lo = np.minimum(ii[keep], jj[keep])
-    hi = np.maximum(ii[keep], jj[keep])
-    return lo, hi
+    ii, jj = ii[keep], jj[keep]
+    return np.minimum(ii, jj), np.maximum(ii, jj)
 
 
 def _pair_terms(table: LocalizationTable, kappa: float):
-    """Over the (capped) pairs of the table: the pair indices, lhs =
+    """Over the (capped) pairs of the table: the pairs, lhs =
     ||dv - 2 kappa dx||, ||dv|| and d_p.  The terms of the last kappa are
     kept on the table, so that ``certify``'s fit_moduli and
     verify_inequality, both at the fitted kappa, compute them once."""
     if table.pair_terms is not None and table.pair_terms[0] == kappa:
         return table.pair_terms[1]
-    ii, jj = _pair_indices(len(table))
-    dv = table.v_nodes[ii] - table.v_nodes[jj]
-    dx = table.x_values[ii] - table.x_values[jj]
-    dp = (
-        np.linalg.norm(table.p_nodes[ii] - table.p_nodes[jj], axis=1)
-        if table.p_nodes.shape[1]
-        else np.zeros(ii.size)
-    )
-    lhs = np.linalg.norm(dv - 2.0 * kappa * dx, axis=1)
-    terms = ii, jj, lhs, np.linalg.norm(dv, axis=1), dp
+    v, x, p = table.v_nodes, table.x_values, table.p_nodes
+    pairs = Pairs(len(table), _pair_indices(len(table)))
+
+    def per_pair(ii, jj):
+        dv = diff(v, ii, jj)
+        lhs = np.linalg.norm(dv - 2.0 * kappa * diff(x, ii, jj), axis=1)
+        dp = np.linalg.norm(diff(p, ii, jj), axis=1) if p.shape[1] else np.zeros(ii.size)
+        return lhs, np.linalg.norm(dv, axis=1), dp
+
+    terms = (pairs, *pair_map(pairs, per_pair, 3))
     table.pair_terms = (kappa, terms)
     return terms
+
+
+def _violations(terms, ell: float, exponent: float) -> np.ndarray:
+    """Positions of the pairs with lhs > ||dv|| + ell d_p^exponent + TOL_INEQ,
+    ascending, tested slice by slice of the pair terms."""
+    _, lhs, base, dp = terms
+    bad = [np.zeros(0, dtype=np.int64)]
+    for sl in slices(lhs.size):
+        rhs = base[sl] + ell * dp[sl] ** exponent + TOL_INEQ
+        bad.append(sl.start + np.flatnonzero(lhs[sl] > rhs))
+    return np.concatenate(bad)
 
 
 def verify_inequality(
@@ -128,20 +141,21 @@ def verify_inequality(
         raise InputError("empty localization table")
     if kappa <= 0 or ell < 0:
         raise InputError("need kappa > 0 and ell >= 0")
-    ii, jj, lhs, base, dp = _pair_terms(table, kappa)
-    rhs = base + ell * dp**exponent + TOL_INEQ
-    bad = np.flatnonzero(lhs > rhs)
-    order = np.argsort(lhs[bad] - rhs[bad])[::-1]
-    bad = bad[order]
+    terms = _pair_terms(table, kappa)
+    pairs, lhs, base, dp = terms
+    bad = _violations(terms, ell, exponent)
+    rhs = base[bad] + ell * dp[bad] ** exponent + TOL_INEQ
+    margin = lhs[bad] - rhs
+    order = np.argsort(margin)[::-1]
     return [
         {
-            "pair": (int(ii[k]), int(jj[k])),
-            "lhs": float(lhs[k]),
-            "rhs": float(rhs[k]),
-            "margin": float(lhs[k] - rhs[k]),
-            "d_p": float(dp[k]),
+            "pair": pairs.pair(int(bad[o])),
+            "lhs": float(lhs[bad[o]]),
+            "rhs": float(rhs[o]),
+            "margin": float(margin[o]),
+            "d_p": float(dp[bad[o]]),
         }
-        for k in bad[:_MAX_REPORTED]
+        for o in order[:_MAX_REPORTED]
     ], int(bad.size)
 
 
@@ -173,6 +187,20 @@ class StabilityModuli:
         }
 
 
+def _frozen_groups(p_nodes: np.ndarray):
+    """The rows of each distinct parameter node, ascending, with the groups
+    in first-seen order.  Nodes are told apart by their bytes, so 0.0 and
+    -0.0 are two nodes."""
+    N, d = p_nodes.shape
+    if d == 0:
+        return [np.arange(N)]
+    rows = np.ascontiguousarray(p_nodes)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * d))).ravel()
+    _, first, label = np.unique(keys, return_index=True, return_inverse=True)
+    label = np.argsort(np.argsort(first))[label]
+    return np.split(np.argsort(label, kind="stable"), np.cumsum(np.bincount(label))[:-1])
+
+
 def fit_moduli(table: LocalizationTable) -> StabilityModuli:
     """Fit (kappa, ell, exponent) from the table.
 
@@ -180,31 +208,26 @@ def fit_moduli(table: LocalizationTable) -> StabilityModuli:
     <v1-v2, x1-x2>/||x1-x2||^2 (vacuous when the localization does not
     move with v); the exponent comes from a log-log regression on
     canonically-frozen pairs rounded to {1/2, 1}; ell is the smallest
-    value with zero violations at those (kappa, exponent), found by
-    bisection.
+    value with zero violations at those (kappa, exponent), found by a
+    bisection that tests only the pairs still violating at its lower end
+    (see ``_fit_ell``).  Every pair walk goes through ``fullstab.pairs``.
     """
     N = len(table)
     if N < 2:
         raise InputError("need at least two table entries")
     d = table.p_nodes.shape[1]
+    x, v, p = table.x_values, table.v_nodes, table.p_nodes
 
     # --- kappa from p-frozen pairs
-    groups = {}
-    for k in range(N):
-        groups.setdefault(table.p_nodes[k].tobytes(), []).append(k)
     kappa_hat = None
     p_frozen = 0
     witness = {}
-    for idx in groups.values():
-        idx = np.array(idx)
-        ratios, ii, jj = _pair_ratios(table.x_values[idx], table.v_nodes[idx])
-        p_frozen += ratios.size
-        if not ratios.size:
-            continue
-        k_min = int(np.argmin(ratios))
-        if kappa_hat is None or ratios[k_min] < kappa_hat:
-            kappa_hat = float(ratios[k_min])
-            witness["kappa_pair"] = (int(idx[ii[k_min]]), int(idx[jj[k_min]]))
+    for rows in _frozen_groups(p):
+        count, ratio, pair = _pair_ratios(x, v, rows)
+        p_frozen += count
+        if count and (kappa_hat is None or ratio < kappa_hat):
+            kappa_hat = float(ratio)
+            witness["kappa_pair"] = pair
     kappa_vacuous = kappa_hat is None
     kappa_flagged = (kappa_hat is not None) and kappa_hat <= TOL_INEQ
     kappa_used = 1.0 if kappa_vacuous or kappa_flagged else kappa_hat
@@ -215,17 +238,18 @@ def fit_moduli(table: LocalizationTable) -> StabilityModuli:
     if d:
         # the tensor grid repeats each v-node across all p-nodes; use the
         # node closest to the table's median v as the frozen slice
-        med = np.median(table.v_nodes, axis=0)
-        dist = np.linalg.norm(table.v_nodes - med, axis=1)
-        vkey = table.v_nodes[int(np.argmin(dist))]
-        sel = np.flatnonzero(np.linalg.norm(table.v_nodes - vkey, axis=1) < 1e-12)
+        med = np.median(v, axis=0)
+        dist = np.linalg.norm(v - med, axis=1)
+        vkey = v[int(np.argmin(dist))]
+        sel = np.flatnonzero(np.linalg.norm(v - vkey, axis=1) < 1e-12)
         if sel.size >= 2:
-            ii, jj = np.triu_indices(sel.size, k=1)
-            dx = np.linalg.norm(
-                table.x_values[sel[ii]] - table.x_values[sel[jj]], axis=1
-            )
-            dp = np.linalg.norm(
-                table.p_nodes[sel[ii]] - table.p_nodes[sel[jj]], axis=1
+            dx, dp = pair_map(
+                Pairs(sel.size, rows=sel),
+                lambda ii, jj: (
+                    np.linalg.norm(diff(x, ii, jj), axis=1),
+                    np.linalg.norm(diff(p, ii, jj), axis=1),
+                ),
+                2,
             )
             keep = (dx > 1e-12) & (dp > 1e-12)
             v_frozen = int(np.sum(keep))
@@ -255,37 +279,51 @@ def fit_moduli(table: LocalizationTable) -> StabilityModuli:
 
 
 def _fit_ell(table, kappa, exponent):
-    ii, jj, lhs, base, dp = _pair_terms(table, kappa)
-    frozen = dp <= 1e-15
-    gap = lhs - base - TOL_INEQ
-    if np.any(frozen & (gap > 0)):
-        k = int(np.argmax(np.where(frozen, gap, -np.inf)))
+    """The smallest ell with no violation at (kappa, exponent), to a relative
+    1e-9, by bisection on [0, max(0, h) + 1], h the largest
+    (lhs - ||dv|| - TOL_INEQ) / d_p^exponent over the moving pairs; None and
+    a witness when a parameter-frozen pair violates at every ell.
+
+    Each step tests only the live pairs, those violating at the current
+    lower end.  A pair clear at lo is clear at every larger ell, because each
+    rounding in ||dv|| + ell d_p^exponent + TOL_INEQ is monotone in ell; so
+    the live set shrinks as lo rises, and the bisection takes the same mids
+    and returns the same hi as one that tests every pair."""
+    terms = _pair_terms(table, kappa)
+    pairs, lhs, base, dp = terms
+    frozen = np.flatnonzero(dp <= 1e-15)
+    gap = lhs[frozen] - base[frozen] - TOL_INEQ
+    if np.any(gap > 0):
+        k = int(np.argmax(gap))
         return None, {
-            "pair": (int(ii[k]), int(jj[k])),
+            "pair": pairs.pair(int(frozen[k])),
             "margin": float(gap[k]),
             "reason": "parameter-frozen pair violates at every ell",
         }
-
-    dpe = dp**exponent
-
-    def n_violations(ell):
-        rhs = base + ell * dpe + TOL_INEQ
-        return int(np.sum(lhs > rhs))
-
-    moving = ~frozen
-    if not np.any(moving):
+    if frozen.size == dp.size:
         return 0.0, None
-    hi_exact = float(np.max((lhs[moving] - base[moving] - TOL_INEQ) / dpe[moving]))
+
+    def block_maxima():
+        for sl in slices(dp.size):
+            moving = sl.start + np.flatnonzero(~(dp[sl] <= 1e-15))
+            ratio = (lhs[moving] - base[moving] - TOL_INEQ) / dp[moving] ** exponent
+            yield np.max(ratio, initial=-np.inf)
+
+    hi_exact = float(np.max(list(block_maxima())))
     hi = max(0.0, hi_exact) + 1.0
     lo = 0.0
-    if n_violations(lo) == 0:
+    live = _violations(terms, lo, exponent)
+    if live.size == 0:
         return 0.0, None
+    lhs, base, dpe = lhs[live], base[live], dp[live] ** exponent
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if n_violations(mid) == 0:
+        violating = np.flatnonzero(lhs > base + mid * dpe + TOL_INEQ)
+        if not violating.size:
             hi = mid
         else:
             lo = mid
+            lhs, base, dpe = lhs[violating], base[violating], dpe[violating]
         if hi - lo <= 1e-9 * (1.0 + hi):
             break
     return hi, None

@@ -662,3 +662,164 @@ def gusosc_sequential(model, ref, ms, eta, samples, seed, tol_pd=1e-8, tol_act=1
     }
     verdict = "corroborated" if ell > tol_pd else "fails"
     return SecondOrderReport("GUSOSC", verdict, ell, witness, details)
+
+
+def _pair_indices_rowwise(count):
+    """Every i < j of range(count), or the capped subsample of
+    ``stabharness`` (seed 0, ``PAIR_CAP`` draws of each end)."""
+    from fullstab.defaults import PAIR_CAP
+
+    if count * (count - 1) // 2 <= PAIR_CAP:
+        return np.triu_indices(count, k=1)
+    rng = np.random.default_rng(0)
+    ii = rng.integers(0, count, size=PAIR_CAP)
+    jj = rng.integers(0, count, size=PAIR_CAP)
+    keep = ii != jj
+    return np.minimum(ii[keep], jj[keep]), np.maximum(ii[keep], jj[keep])
+
+
+def pair_terms_rowwise(table, kappa):
+    """(ii, jj, lhs, ||dv||, d_p) over the table's (capped) pairs, from
+    whole (P, n) stacks gathered by fancy indexing."""
+    ii, jj = _pair_indices_rowwise(len(table))
+    dv = table.v_nodes[ii] - table.v_nodes[jj]
+    dx = table.x_values[ii] - table.x_values[jj]
+    dp = (
+        np.linalg.norm(table.p_nodes[ii] - table.p_nodes[jj], axis=1)
+        if table.p_nodes.shape[1]
+        else np.zeros(ii.size)
+    )
+    lhs = np.linalg.norm(dv - 2.0 * kappa * dx, axis=1)
+    return ii, jj, lhs, np.linalg.norm(dv, axis=1), dp
+
+
+def verify_inequality_rowwise(table, kappa, ell, exponent=1.0):
+    """The pair inequality checked over whole stacks: the worst 20
+    violations and their count, as ``verify_inequality`` reports them."""
+    from fullstab.defaults import TOL_INEQ
+
+    ii, jj, lhs, base, dp = pair_terms_rowwise(table, kappa)
+    rhs = base + ell * dp**exponent + TOL_INEQ
+    bad = np.flatnonzero(lhs > rhs)
+    bad = bad[np.argsort(lhs[bad] - rhs[bad])[::-1]]
+    return [
+        {
+            "pair": (int(ii[k]), int(jj[k])),
+            "lhs": float(lhs[k]),
+            "rhs": float(rhs[k]),
+            "margin": float(lhs[k] - rhs[k]),
+            "d_p": float(dp[k]),
+        }
+        for k in bad[:20]
+    ], int(bad.size)
+
+
+def pair_ratios_rowwise(u, v):
+    """All unordered pair ratios <dv, du>/||du||^2 with ||du|| <= 1e-12
+    skipped, from whole stacks: (ratios, ii, jj)."""
+    ii, jj = np.triu_indices(u.shape[0], k=1)
+    du = u[ii] - u[jj]
+    dv = v[ii] - v[jj]
+    sq = np.einsum("ij,ij->i", du, du)
+    keep = np.sqrt(sq) > 1e-12
+    return np.einsum("ij,ij->i", dv[keep], du[keep]) / sq[keep], ii[keep], jj[keep]
+
+
+def fit_moduli_rowwise(table):
+    """The moduli fit row-wise: p-frozen groups by a dict on each node's
+    bytes, the ratios, the v-frozen slice and the pair terms over whole
+    gathered stacks, and ell bisected with a violation count over every
+    pair at each step.  Returns the StabilityModuli ``fit_moduli`` must
+    reproduce to the bit."""
+    from fullstab.defaults import TOL_INEQ
+    from fullstab.stabharness import StabilityModuli
+
+    groups = {}
+    for k in range(len(table)):
+        groups.setdefault(table.p_nodes[k].tobytes(), []).append(k)
+    kappa_hat, p_frozen, witness = None, 0, {}
+    for idx in groups.values():
+        idx = np.array(idx)
+        ratios, ii, jj = pair_ratios_rowwise(table.x_values[idx], table.v_nodes[idx])
+        p_frozen += ratios.size
+        if ratios.size:
+            k = int(np.argmin(ratios))
+            if kappa_hat is None or ratios[k] < kappa_hat:
+                kappa_hat = float(ratios[k])
+                witness["kappa_pair"] = (int(idx[ii[k]]), int(idx[jj[k]]))
+    flagged = kappa_hat is not None and kappa_hat <= TOL_INEQ
+    kappa = 1.0 if kappa_hat is None or flagged else kappa_hat
+
+    exponent_hat, v_frozen = None, 0
+    if table.p_nodes.shape[1]:
+        V = table.v_nodes
+        vkey = V[int(np.argmin(np.linalg.norm(V - np.median(V, axis=0), axis=1)))]
+        sel = np.flatnonzero(np.linalg.norm(V - vkey, axis=1) < 1e-12)
+        if sel.size >= 2:
+            ii, jj = np.triu_indices(sel.size, k=1)
+            dx = np.linalg.norm(table.x_values[sel[ii]] - table.x_values[sel[jj]], axis=1)
+            dp = np.linalg.norm(table.p_nodes[sel[ii]] - table.p_nodes[sel[jj]], axis=1)
+            keep = (dx > 1e-12) & (dp > 1e-12)
+            v_frozen = int(np.sum(keep))
+            if v_frozen >= 2:
+                exponent_hat = float(np.polyfit(np.log(dp[keep]), np.log(dx[keep]), 1)[0])
+    exponent = 1.0
+    if exponent_hat is not None and abs(exponent_hat - 0.5) < abs(exponent_hat - 1.0):
+        exponent = 0.5
+
+    ii, jj, lhs, base, dp = pair_terms_rowwise(table, kappa)
+    frozen = dp <= 1e-15
+    gap = lhs - base - TOL_INEQ
+    dpe = dp**exponent
+    ell = 0.0
+    if np.any(frozen & (gap > 0)):
+        k = int(np.argmax(np.where(frozen, gap, -np.inf)))
+        ell = None
+        witness["ell_blocking_pair"] = {
+            "pair": (int(ii[k]), int(jj[k])),
+            "margin": float(gap[k]),
+            "reason": "parameter-frozen pair violates at every ell",
+        }
+    elif np.any(~frozen) and np.any(lhs > base + 0.0 * dpe + TOL_INEQ):
+        moving = ~frozen
+        hi = max(0.0, float(np.max(gap[moving] / dpe[moving]))) + 1.0
+        lo = 0.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if np.sum(lhs > base + mid * dpe + TOL_INEQ) == 0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo <= 1e-9 * (1.0 + hi):
+                break
+        ell = hi
+    return StabilityModuli(
+        kappa_hat=kappa_hat,
+        kappa_vacuous=kappa_hat is None,
+        kappa_used=kappa,
+        kappa_flagged=flagged,
+        ell_hat=ell,
+        exponent_hat=exponent_hat,
+        exponent_used=exponent,
+        p_frozen_pairs=p_frozen,
+        v_frozen_pairs=v_frozen,
+        witness=witness,
+    )
+
+
+def estimate_moduli_rowwise(sample):
+    """(kappa_hat, witness pair, kept pairs) of ``estimate_moduli`` from the
+    whole stack of pair ratios."""
+    ratios, ii, jj = pair_ratios_rowwise(sample.u, sample.v)
+    k = int(np.argmin(ratios))
+    return float(ratios[k]), (int(ii[k]), int(jj[k])), int(ratios.size)
+
+
+def inverse_lipschitz_rowwise(sample):
+    """The largest ||dx|| / ||dv|| over pairs with ||dv|| > 1e-12 of
+    ``estimate_from_inverse`` (v the sample's u, x its v), from whole stacks."""
+    ii, jj = np.triu_indices(len(sample), k=1)
+    dv = np.linalg.norm(sample.u[ii] - sample.u[jj], axis=1)
+    dx = np.linalg.norm(sample.v[ii] - sample.v[jj], axis=1)
+    keep = dv > 1e-12
+    return float(np.max(dx[keep] / dv[keep]))

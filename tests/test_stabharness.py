@@ -1,7 +1,9 @@
 """Inequality verification, moduli fitting and the certify pipeline."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,22 @@ def scaled_inverse_table(c, count=40, seed=0):
     rng = np.random.default_rng(seed)
     V = rng.normal(size=(count, 2))
     return make_table(V, np.zeros((count, 0)), V / c)
+
+
+def hoelder_table():
+    """theta(v, p) = 0.5 v + sqrt(p): square-root parameter response.  The
+    regime shows on a geometric ladder of scales toward the singular
+    parameter (a uniform grid away from 0 is locally Lipschitz and fits
+    slope 1)."""
+    vals = np.linspace(-0.02, 0.02, 5)
+    ps = [0.0] + [0.1 * 0.25**k for k in range(8)]
+    V, P, X = [], [], []
+    for v in vals:
+        for p in ps:
+            V.append([v])
+            P.append([p])
+            X.append([0.5 * v + math.sqrt(p)])
+    return make_table(V, P, X)
 
 
 class TestVerifyInequality:
@@ -136,19 +154,7 @@ class TestFitModuli:
         assert count == 0
 
     def test_hoelder_regime_exponent_half(self):
-        # theta(v, p) = 0.5 v + sqrt(p): square-root parameter response.
-        # The regime shows on a geometric ladder of scales toward the
-        # singular parameter (a uniform grid away from 0 is locally
-        # Lipschitz and fits slope 1).
-        vals = np.linspace(-0.02, 0.02, 5)
-        ps = [0.0] + [0.1 * 0.25**k for k in range(8)]
-        V, P, X = [], [], []
-        for v in vals:
-            for p in ps:
-                V.append([v])
-                P.append([p])
-                X.append([0.5 * v + math.sqrt(p)])
-        table = make_table(V, P, X)
+        table = hoelder_table()
         fitted = fit_moduli(table)
         assert fitted.exponent_hat is not None
         assert abs(fitted.exponent_hat - 0.5) < 0.25
@@ -407,3 +413,219 @@ class TestGUSOSCReportBlock:
             blocks.add(json.dumps(rep["gusosc"], sort_keys=True))
         assert len(blocks) == 1
         assert json.loads(blocks.pop())["verdict"] == "holds"
+
+
+# ---------------------------------------------------------------------------
+# the blocked pair kernel against the row-wise fit
+
+
+def _random_table(n, d, seed):
+    """Six v-nodes repeated across five p-nodes (so the fit has p-frozen
+    groups and a v-frozen slice), plus six nodes off that grid, two of them
+    at p = 0.0 and p = -0.0 (two distinct nodes by their bytes); x is a
+    strongly monotone affine localization in v with a smooth perturbation,
+    so kappa is positive and ell is bisected on the moving pairs."""
+    rng = np.random.default_rng(seed)
+    V, P = rng.normal(size=(6, n)), rng.normal(size=(5, d))
+    v = np.vstack([np.repeat(V, 5, axis=0), rng.normal(size=(6, n))])
+    extra = rng.normal(size=(6, d))
+    extra[0], extra[1] = 0.0, -0.0
+    p = np.vstack([np.tile(P, (6, 1)), extra])
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    M = Q @ np.diag(rng.uniform(0.5, 1.5, size=n)) @ Q.T
+    x = (v - p @ rng.normal(size=(d, n))) @ M + 0.05 * np.tanh(v @ rng.normal(size=(n, n)))
+    return make_table(v, p, x)
+
+
+def _frozen_table(violating):
+    """Every pair p-frozen (one parameter node): x = v / 2, which clears the
+    inequality at ell = 0, or a random x, which no ell clears."""
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(30, 3))
+    x = rng.normal(size=(30, 3)) if violating else v / 2.0
+    return make_table(v, np.full(30, 0.5), x)
+
+
+def _tied_table():
+    """x = v: every nondegenerate ratio is exactly 1, so the kappa witness
+    is decided by the first-pair tie-break alone."""
+    rng = np.random.default_rng(6)
+    v = np.repeat(rng.normal(size=(8, 2)), 4, axis=0)
+    return make_table(v, np.tile(rng.normal(size=(4, 1)), (8, 1)), v.copy())
+
+
+def _fresh(table):
+    return make_table(table.v_nodes, table.p_nodes, table.x_values)
+
+
+def _bits(value):
+    return json.dumps(value, sort_keys=True)
+
+
+def assert_fit_matches_rowwise(table, every_check=True):
+    """fit_moduli, the pair terms and verify_inequality reproduce the
+    row-wise oracle to the bit: verify_inequality at the fitted moduli and,
+    with ``every_check``, at ell = 0 and at a kappa of its own, where it
+    computes the terms afresh."""
+    import oracles
+
+    from fullstab.stabharness import _pair_terms
+
+    # the blocked terms at the fitted kappa are kept on the table, and
+    # verify_inequality at that kappa reads them
+    blocked = _fresh(table)
+    fitted = fit_moduli(blocked)
+    assert _bits(fitted.to_json_dict()) == _bits(oracles.fit_moduli_rowwise(table).to_json_dict())
+
+    kappa, exponent = fitted.kappa_used, fitted.exponent_used
+    pairs, *terms = _pair_terms(blocked, kappa)
+    ends = [np.concatenate(side) for side in zip(*[(ii, jj) for _, ii, jj in pairs.blocks()])]
+    expected = oracles.pair_terms_rowwise(table, kappa)
+    for got, want in zip(ends + terms, expected):
+        assert got.tobytes() == want.tobytes()
+
+    ell = fitted.ell_hat if fitted.ell_hat is not None else 0.0
+    checks = [(kappa, ell, exponent), (kappa, 0.0, 1.0), (0.25, 0.0, 0.5)]
+    for args in checks if every_check else checks[:1]:
+        got = verify_inequality(blocked, *args)
+        assert _bits(got) == _bits(oracles.verify_inequality_rowwise(table, *args))
+
+
+@pytest.fixture(scope="module")
+def ex64_table(ex64_model):
+    """The ex64 table at certify's defaults: 3145 nodes, so its pairs are
+    the PAIR_CAP subsample."""
+    from fullstab.visolver import build_localization
+
+    from conftest import reference_jacobian
+
+    table = build_localization(ex64_model, ex64_model.reference, reference_jacobian(ex64_model))
+    assert len(table) * (len(table) - 1) // 2 > 200_000
+    return table
+
+
+TABLES = {
+    **{f"n{n}-d{d}": (lambda n=n, d=d: _random_table(n, d, seed=10 * n + d))
+       for n in (1, 3, 8, 12) for d in (0, 1, 2)},
+    "all-frozen": lambda: _frozen_table(violating=False),
+    "all-frozen-violating": lambda: _frozen_table(violating=True),
+    "tied": _tied_table,
+    "hoelder": hoelder_table,
+}
+
+
+class TestBlockedPairKernel:
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_small_tables_match_rowwise(self, name, block, monkeypatch):
+        from fullstab import pairs
+
+        if block is not None:
+            monkeypatch.setattr(pairs, "_BLOCK", block)
+        assert_fit_matches_rowwise(TABLES[name]())
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_ex64_table_matches_rowwise(self, ex64_table, block, monkeypatch):
+        from fullstab import pairs
+
+        if block is not None:
+            monkeypatch.setattr(pairs, "_BLOCK", block)
+        # one pair per block is ~10 s a walk here; the other checks run at
+        # one pair per block on the small tables
+        assert_fit_matches_rowwise(ex64_table, every_check=block != 1)
+
+    def test_cases_reach_every_branch(self):
+        fits = {name: fit_moduli(make()) for name, make in TABLES.items()}
+        assert fits["all-frozen"].ell_hat == 0.0
+        assert fits["all-frozen-violating"].ell_hat is None
+        assert fits["tied"].kappa_hat == 1.0
+        assert fits["hoelder"].exponent_used == 0.5
+        assert fits["n12-d1"].ell_hat is None  # the pair at p = 0.0 and p = -0.0
+        assert sum(bool(f.ell_hat) for f in fits.values()) >= 8
+        # 0.0 and -0.0 are two parameter nodes: six groups, not five
+        from fullstab.stabharness import _frozen_groups
+
+        groups = _frozen_groups(_random_table(3, 1, 0).p_nodes)
+        assert [g.tolist() for g in groups[:2]] == [list(range(0, 30, 5)), list(range(1, 30, 5))]
+        assert len(groups) == 11
+
+    def test_ex64_peak_memory(self, ex64_table):
+        # the blocks hold no (pairs, n) stack: at most 3/4 of the row-wise
+        # fit's traced peak, both measured here on fresh copies of the table
+        import tracemalloc
+
+        import oracles
+
+        def peak(run):
+            table = _fresh(ex64_table)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run(table)
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        def blocked(table):
+            fitted = fit_moduli(table)
+            verify_inequality(table, fitted.kappa_used, fitted.ell_hat or 0.0, fitted.exponent_used)
+
+        def rowwise(table):
+            fitted = oracles.fit_moduli_rowwise(table)
+            oracles.verify_inequality_rowwise(
+                table, fitted.kappa_used, fitted.ell_hat or 0.0, fitted.exponent_used
+            )
+
+        assert peak(blocked) <= 0.75 * peak(rowwise)
+
+
+def _called(node):
+    """The bare or attribute name a call node calls."""
+    return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+
+class TestOnePairKernel:
+    """Every pair walk goes through ``fullstab.pairs``: outside it, no module
+    enumerates pairs (``triu_indices``, ``tril_indices``), gathers rows
+    (``take``) or subscripts by a block's ends (named ii and jj
+    throughout), and each walk of the package builds a ``Pairs``."""
+
+    @staticmethod
+    def _sources():
+        from fullstab import pairs
+
+        for path in sorted(Path(pairs.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            scope = {id(node): fn.name for fn in tree.body
+                     if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)}
+            yield path.name, tree, scope
+
+    def test_no_pair_walk_outside_the_kernel(self):
+        found, gathers = [], 0
+        for name, tree, _ in self._sources():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) and _called(node) in {"triu_indices", "tril_indices", "take"}:
+                    gathers += name == "pairs.py"
+                    found.append((name, node.lineno, _called(node)))
+                elif isinstance(node, ast.Subscript) and {
+                    sub.id for sub in ast.walk(node.slice) if isinstance(sub, ast.Name)
+                } & {"ii", "jj"}:
+                    found.append((name, node.lineno, "subscript"))
+        assert [entry for entry in found if entry[0] != "pairs.py"] == []
+        # the guard sees the gathers it keeps in the kernel
+        assert gathers >= 2
+
+    def test_every_walk_builds_pairs(self):
+        # the kappa groups (through _pair_ratios) and the v-frozen slice
+        # of fit_moduli included
+        users = sorted(
+            (name, scope.get(id(node)))
+            for name, tree, scope in self._sources() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called(node) == "Pairs"
+        )
+        assert users == [
+            ("monotone.py", "_pair_ratios"),
+            ("monotone.py", "estimate_from_inverse"),
+            ("stabharness.py", "_pair_terms"),
+            ("stabharness.py", "fit_moduli"),
+        ]
