@@ -9,8 +9,12 @@ tail of the affine face sweep by its per-node append, merge and score
 loop, the vertex minimum of GSSOSC by a scan of points inside the
 multiplier polytope, the chunked GUSOSC sampler by the plain per-attempt
 loop over its draws, the stacked projection kernel by the one-row
-Lawson-Hanson NNLS it replaced, and the lockstep projected iteration by
-its node-by-node loop.
+Lawson-Hanson NNLS it replaced, the lockstep projected iteration by
+its node-by-node loop, and the blocked pair kernel (the moduli fit, the
+pair inequality and the monotonicity estimators) by the row-wise fit over
+whole gathered stacks, with p-frozen groups from a dict on each node's
+bytes and an ell bisection that counts violations over every pair
+(``fit_moduli_rowwise`` and its helpers).
 """
 
 from __future__ import annotations

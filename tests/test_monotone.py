@@ -1,5 +1,7 @@
 """Monotonicity estimators and the localization inequality."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,26 @@ class TestBlockedEstimators:
         assert (repr(est.kappa_hat), est.witness, est.pair_count) == (
             repr((want := oracles.estimate_moduli_rowwise(s))[0]), *want[1:]
         )
+        assert repr(estimate_from_inverse(s)) == repr(oracles.inverse_lipschitz_rowwise(s))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-later"])
+    def test_overflowing_pairs_match_rowwise(self, first, block, monkeypatch):
+        # ||du||^2 overflows to inf on pairs with the 1e200 row, whose ratio
+        # inf/inf is NaN: the whole-stack argmin returns the first NaN, before
+        # or after a finite ratio, and so must the running extreme
+        import oracles
+
+        from fullstab import pairs
+
+        if block is not None:
+            monkeypatch.setattr(pairs, "_BLOCK", block)
+        rows = [[0.0], [1e200], [1.0], [2.0]] if first else [[1.0], [2.0], [0.0], [1e200]]
+        s = GraphSample(u=rows, v=rows)
+        est = estimate_moduli(s)
+        want = oracles.estimate_moduli_rowwise(s)
+        assert math.isnan(est.kappa_hat) and (est.witness, est.pair_count) == want[1:]
         assert repr(estimate_from_inverse(s)) == repr(oracles.inverse_lipschitz_rowwise(s))
 
     def test_tied_witness_is_the_first_pair(self):
