@@ -1,14 +1,17 @@
 """Monotonicity estimators and the localization inequality."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fullstab import pairs
 from fullstab.errors import DegenerateSampleError, InputError
 from fullstab.monotone import GraphSample, estimate_from_inverse, estimate_moduli
 from fullstab.stabharness import verify_inequality
 from fullstab.visolver import LocalizationTable
+from oracles import estimate_moduli_rowwise, inverse_lipschitz_rowwise
 
 
 def localization_violations(V, theta, kappa):
@@ -201,18 +204,13 @@ class TestBlockedEstimators:
     @pytest.mark.parametrize("block", [None, 1, 7])
     @pytest.mark.parametrize("args", SAMPLES, ids=[f"n{a[0]}-N{a[1]}" + "-tied" * (len(a) > 3) for a in SAMPLES])
     def test_match_rowwise(self, args, block, monkeypatch):
-        import oracles
-
-        from fullstab import pairs
-
         if block is not None:
             monkeypatch.setattr(pairs, "_BLOCK", block)
         s = _random_sample(*args)
         est = estimate_moduli(s)
-        assert (repr(est.kappa_hat), est.witness, est.pair_count) == (
-            repr((want := oracles.estimate_moduli_rowwise(s))[0]), *want[1:]
-        )
-        assert repr(estimate_from_inverse(s)) == repr(oracles.inverse_lipschitz_rowwise(s))
+        kappa, witness, count = estimate_moduli_rowwise(s)
+        assert (repr(est.kappa_hat), est.witness, est.pair_count) == (repr(kappa), witness, count)
+        assert repr(estimate_from_inverse(s)) == repr(inverse_lipschitz_rowwise(s))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("block", [None, 1])
@@ -221,18 +219,14 @@ class TestBlockedEstimators:
         # ||du||^2 overflows to inf on pairs with the 1e200 row, whose ratio
         # inf/inf is NaN: the whole-stack argmin returns the first NaN, before
         # or after a finite ratio, and so must the running extreme
-        import oracles
-
-        from fullstab import pairs
-
         if block is not None:
             monkeypatch.setattr(pairs, "_BLOCK", block)
         rows = [[0.0], [1e200], [1.0], [2.0]] if first else [[1.0], [2.0], [0.0], [1e200]]
         s = GraphSample(u=rows, v=rows)
         est = estimate_moduli(s)
-        want = oracles.estimate_moduli_rowwise(s)
-        assert math.isnan(est.kappa_hat) and (est.witness, est.pair_count) == want[1:]
-        assert repr(estimate_from_inverse(s)) == repr(oracles.inverse_lipschitz_rowwise(s))
+        _, witness, count = estimate_moduli_rowwise(s)
+        assert math.isnan(est.kappa_hat) and (est.witness, est.pair_count) == (witness, count)
+        assert repr(estimate_from_inverse(s)) == repr(inverse_lipschitz_rowwise(s))
 
     def test_tied_witness_is_the_first_pair(self):
         est = estimate_moduli(_random_sample(3, 40, 4, tied=True))
@@ -241,11 +235,9 @@ class TestBlockedEstimators:
     def test_peak_memory_bounded(self):
         # 1,500 points make 1,124,250 pairs: the traced peak stays under one
         # float per pair, so no per-pair array is held (whole stacks took
-        # about 145 MB here)
-        import tracemalloc
-
+        # about 145 MB)
         s = _random_sample(3, 1500, 5)
-        pairs = 1500 * 1499 // 2
+        count = 1500 * 1499 // 2
         for run in (estimate_moduli, estimate_from_inverse):
             tracemalloc.start()
             try:
@@ -254,4 +246,4 @@ class TestBlockedEstimators:
                 peak = tracemalloc.get_traced_memory()[1] - start
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * pairs, run.__name__
+            assert peak < 8 * count, run.__name__

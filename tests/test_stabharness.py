@@ -3,24 +3,29 @@
 import ast
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fullstab import pairs
 from fullstab.defaults import TOL_ACT
 from fullstab.errors import InputError
 from fullstab.modelspec import eval_bundle_exact, parse_model
 from fullstab.monotone import graph_sample_from_model
 from fullstab.stabharness import (
     CertifyOptions,
+    _frozen_groups,
+    _pair_terms,
     certify,
     fit_moduli,
     verify_inequality,
 )
-from fullstab.visolver import LocalizationTable
+from fullstab.visolver import LocalizationTable, build_localization
 
-from conftest import BOUNDARY_TOL_ACT
+from conftest import BOUNDARY_TOL_ACT, reference_jacobian
+from oracles import fit_moduli_rowwise, pair_terms_rowwise, verify_inequality_rowwise
 
 
 def make_table(v, p, x):
@@ -467,20 +472,16 @@ def assert_fit_matches_rowwise(table, every_check=True):
     row-wise oracle to the bit: verify_inequality at the fitted moduli and,
     with ``every_check``, at ell = 0 and at a kappa of its own, where it
     computes the terms afresh."""
-    import oracles
-
-    from fullstab.stabharness import _pair_terms
-
     # the blocked terms at the fitted kappa are kept on the table, and
     # verify_inequality at that kappa reads them
     blocked = _fresh(table)
     fitted = fit_moduli(blocked)
-    assert _bits(fitted.to_json_dict()) == _bits(oracles.fit_moduli_rowwise(table).to_json_dict())
+    assert _bits(fitted.to_json_dict()) == _bits(fit_moduli_rowwise(table).to_json_dict())
 
     kappa, exponent = fitted.kappa_used, fitted.exponent_used
-    pairs, *terms = _pair_terms(blocked, kappa)
-    ends = [np.concatenate(side) for side in zip(*[(ii, jj) for _, ii, jj in pairs.blocks()])]
-    expected = oracles.pair_terms_rowwise(table, kappa)
+    walk, *terms = _pair_terms(blocked, kappa)
+    ends = [np.concatenate(side) for side in zip(*[(ii, jj) for _, ii, jj in walk.blocks()])]
+    expected = pair_terms_rowwise(table, kappa)
     for got, want in zip(ends + terms, expected):
         assert got.tobytes() == want.tobytes()
 
@@ -488,17 +489,13 @@ def assert_fit_matches_rowwise(table, every_check=True):
     checks = [(kappa, ell, exponent), (kappa, 0.0, 1.0), (0.25, 0.0, 0.5)]
     for args in checks if every_check else checks[:1]:
         got = verify_inequality(blocked, *args)
-        assert _bits(got) == _bits(oracles.verify_inequality_rowwise(table, *args))
+        assert _bits(got) == _bits(verify_inequality_rowwise(table, *args))
 
 
 @pytest.fixture(scope="module")
 def ex64_table(ex64_model):
     """The ex64 table at certify's defaults: 3145 nodes, so its pairs are
     the PAIR_CAP subsample."""
-    from fullstab.visolver import build_localization
-
-    from conftest import reference_jacobian
-
     table = build_localization(ex64_model, ex64_model.reference, reference_jacobian(ex64_model))
     assert len(table) * (len(table) - 1) // 2 > 200_000
     return table
@@ -518,16 +515,12 @@ class TestBlockedPairKernel:
     @pytest.mark.parametrize("block", [None, 1, 7])
     @pytest.mark.parametrize("name", sorted(TABLES))
     def test_small_tables_match_rowwise(self, name, block, monkeypatch):
-        from fullstab import pairs
-
         if block is not None:
             monkeypatch.setattr(pairs, "_BLOCK", block)
         assert_fit_matches_rowwise(TABLES[name]())
 
     @pytest.mark.parametrize("block", [None, 1, 7])
     def test_ex64_table_matches_rowwise(self, ex64_table, block, monkeypatch):
-        from fullstab import pairs
-
         if block is not None:
             monkeypatch.setattr(pairs, "_BLOCK", block)
         # one pair per block is ~10 s a walk here; the other checks run at
@@ -543,8 +536,6 @@ class TestBlockedPairKernel:
         assert fits["n12-d1"].ell_hat is None  # the pair at p = 0.0 and p = -0.0
         assert sum(bool(f.ell_hat) for f in fits.values()) >= 8
         # 0.0 and -0.0 are two parameter nodes: six groups, not five
-        from fullstab.stabharness import _frozen_groups
-
         groups = _frozen_groups(_random_table(3, 1, 0).p_nodes)
         assert [g.tolist() for g in groups[:2]] == [list(range(0, 30, 5)), list(range(1, 30, 5))]
         assert len(groups) == 11
@@ -552,10 +543,6 @@ class TestBlockedPairKernel:
     def test_ex64_peak_memory(self, ex64_table):
         # the blocks hold no (pairs, n) stack: at most 3/4 of the row-wise
         # fit's traced peak, both measured here on fresh copies of the table
-        import tracemalloc
-
-        import oracles
-
         def peak(run):
             table = _fresh(ex64_table)
             tracemalloc.start()
@@ -571,8 +558,8 @@ class TestBlockedPairKernel:
             verify_inequality(table, fitted.kappa_used, fitted.ell_hat or 0.0, fitted.exponent_used)
 
         def rowwise(table):
-            fitted = oracles.fit_moduli_rowwise(table)
-            oracles.verify_inequality_rowwise(
+            fitted = fit_moduli_rowwise(table)
+            verify_inequality_rowwise(
                 table, fitted.kappa_used, fitted.ell_hat or 0.0, fitted.exponent_used
             )
 
@@ -592,8 +579,6 @@ class TestOnePairKernel:
 
     @staticmethod
     def _sources():
-        from fullstab import pairs
-
         for path in sorted(Path(pairs.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text())
             scope = {id(node): fn.name for fn in tree.body
