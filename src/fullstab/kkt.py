@@ -4,7 +4,7 @@ MFCQ is decided by a small LP (exact rational pivoting whenever the point
 and model data are rational, so a zero margin is never a floating-point
 artifact); LICQ by a singular-value rank check; CRCQ by a sampled probe
 that can falsify or corroborate but never prove, except for jointly affine
-data where gradients are constant.
+data, where gradients are constant, and under LICQ, which implies it.
 
 The multiplier set Lambda(x, p, v) = {lam >= 0 : sum lam_i grad phi_i =
 v - f(x, p), lam_i = 0 off the active set} is enumerated vertex by vertex
@@ -145,9 +145,11 @@ def probe_crcq(
     active set I.
 
     Jointly affine constraints have constant gradients, so the verdict is
-    upgraded to 'holds'; otherwise the probe samples the neighborhood, all
-    points in one batched evaluation, and can only report 'corroborated' or
-    'fails' (with a witness subset and point).
+    upgraded to 'holds'.  So it is under LICQ (:func:`check_licq`): full row
+    rank persists near (x, p), so every subfamily keeps full rank there.
+    Otherwise the probe samples the neighborhood, all points in one batched
+    evaluation, and can only report 'corroborated' or 'fails' (with a
+    witness subset and point).
     """
     if samples < 1:
         raise ValueError("probe needs samples >= 1")
@@ -157,6 +159,8 @@ def probe_crcq(
         return CQReport(
             "CRCQ", "holds", {"active_set": [i + 1 for i in I], "affine": True}
         )
+    if check_licq(bundle, I).ok:
+        return CQReport("CRCQ", "holds", {"active_set": [i + 1 for i in I], "licq": True})
     families = subsets(I, "active constraints")
     next(families)  # the empty family has rank 0 everywhere
     x0 = np.array([float(c) for c in x])

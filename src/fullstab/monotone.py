@@ -141,7 +141,9 @@ class MonotonicityEstimate:
 def _pair_ratios(u: np.ndarray, v: np.ndarray, rows=None):
     """The least pair ratio <dv, du>/||du||^2 over the unordered pairs of
     the points (of ``rows`` of them when given), degenerate pairs skipped:
-    (number of kept pairs, least ratio, its first pair of row indices)."""
+    (number of kept pairs, least ratio, its first pair of row indices).
+    The walk is skipped when :func:`_all_degenerate` proves it keeps no
+    pair."""
 
     def ratios(ii, jj):
         du = diff(u, ii, jj)
@@ -150,8 +152,21 @@ def _pair_ratios(u: np.ndarray, v: np.ndarray, rows=None):
         dv = diff(v, ii[keep], jj[keep])
         return keep, np.einsum("ij,ij->i", dv, du[keep]) / sq[keep]
 
+    if _all_degenerate(u if rows is None else u[rows]):
+        return 0, None, None
     count = u.shape[0] if rows is None else rows.size
     return pair_extreme(Pairs(count, rows=rows), ratios)
+
+
+def _all_degenerate(u: np.ndarray) -> bool:
+    """Whether every pair of the rows of u fails the test sqrt(<du, du>) >
+    _DEGENERATE of :func:`_pair_ratios`, proved from the column spans s_c =
+    max - min.  Rounding is monotone, so each computed |du_c| is at most
+    s_c and each computed norm at most sqrt(n) max_c s_c up to a few
+    relative roundings, which the factor 2 covers.  NaN spans prove
+    nothing."""
+    spans = np.max(u, axis=0) - np.min(u, axis=0)
+    return bool(2.0 * np.sqrt(u.shape[1]) * np.max(spans, initial=0.0) <= _DEGENERATE)
 
 
 def estimate_moduli(sample: GraphSample) -> MonotonicityEstimate:

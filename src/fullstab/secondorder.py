@@ -7,13 +7,16 @@ face-projected symmetric part, which contains every KKT point of the
 sphere-constrained problem and hence the global minimizer.
 
 The uniform neighborhood condition (GUSOSC) is decided exactly, as
-'holds'/'fails', when every constraint is affine in (x, p) and jac_f is
-constant: it is then a minimum over finitely many (reachable face,
+'holds'/'fails', in two cases.  When every constraint is affine in (x, p)
+and jac_f is constant it is a minimum over finitely many (reachable face,
 multiplier-vertex support) pairs, each face settled by one exact LP.  On
-every other model it is sampled on the solution-map graph and reported
-as 'corroborated'/'fails', never 'proved'.  The pointwise tests (strict
-complementarity subspaces, critical-cone spans, smooth positive
-definiteness, the bordered-determinant probe) are decided directly.
+any other model where LICQ holds at the reference it is the pointwise
+strong second-order value, its limit as the neighborhood shrinks.  On
+the remaining models (MFCQ without LICQ) it is sampled on the
+solution-map graph and reported as 'corroborated'/'fails', never
+'proved'.  The pointwise tests (strict complementarity subspaces,
+critical-cone spans, smooth positive definiteness, the
+bordered-determinant probe) are decided directly.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .kkt import (
     MultiplierSet,
     _jsonify,
     _multipliers,
+    check_licq,
     check_mfcq,
     strict_complement,
 )
@@ -238,14 +242,66 @@ def check_gusosc(
     tol_act: float = TOL_ACT,
 ) -> SecondOrderReport:
     """Uniform second-order test around ``ref`` with multiplier set ``ms``
-    (from :func:`kkt.multiplier_polytope`, so MFCQ holds): decided exactly
-    by face enumeration when every constraint is affine in (x, p) and jac_f
-    is constant in (x, p), otherwise corroborated by
-    :func:`gusosc_by_sampling` (the only path that reads ``eta``,
-    ``samples``, ``seed`` and ``tol_act``)."""
+    (from :func:`kkt.multiplier_polytope`, so MFCQ holds), by the first of
+    three paths that applies:
+
+    1. every constraint affine in (x, p) and jac_f constant in (x, p):
+       decided exactly by face enumeration (:func:`_gusosc_by_faces`);
+    2. LICQ at the reference (:func:`kkt.check_licq` on the float bundle
+       of ``ms``): decided exactly as the limit of the uniform value,
+       which is the pointwise strong second-order value
+       (:func:`_gusosc_licq_limit`);
+    3. otherwise corroborated by :func:`gusosc_by_sampling`, the only path
+       that reads ``eta``, ``samples``, ``seed`` and ``tol_act``.
+
+    Why the limit is the pointwise value under LICQ.  The uniform value at
+    radius eta is the infimum, over the graph points (x, p, v, lam) within
+    eta of the reference, of the minimum of the Lagrangian Jacobian form
+    over ``mixed_sign_cone(grad phi(x, p), I(x), I_+(lam))``.  Under
+    LICQ, Lambda(xbar, pbar, vbar) is a single lambar, LICQ persists near
+    (xbar, pbar), and the multipliers of nearby graph points are unique and
+    tend to lambar.  So their strongly active sets contain I_+ = I_+(lambar),
+    each mixed cone lies in null(grad phi_{I_+}(x, p)), and the value at
+    each point is at least the minimum of the form over that subspace.
+    That subspace tends to K = null(grad phi_{I_+}(xbar, pbar)), because the
+    rows of I_+ keep full rank, and the form tends to that of lambar; this
+    is the bound.  The bound is attained: for each p near pbar, LICQ lets x
+    sit on {phi_{I_+}(., p) = 0} with every other constraint strictly
+    inactive, and v = f + grad phi^T lam with lam > 0 on I_+ is a graph
+    point whose mixed cone is exactly the subspace.  Hence, as eta -> 0, the
+    uniform value tends to the minimum of the Lagrangian Jacobian form of
+    lambar over K, which is what :func:`check_gssosc` computes: when it is
+    positive the condition holds at every small eta, when it is negative
+    it fails at every eta (a zero reads 'fails', as on the other paths).
+    This is
+    the "full stability iff SSOSC under LICQ" of Mordukhovich, Nghia &
+    Rockafellar, Math. Oper. Res. 40 (2015), carried over to the
+    variational system v in f(x, p) + d_x g(x, p).  The sampler's value at
+    a fixed eta sits within O(eta) of it (the tests hold it to a band)."""
     if _polyhedral(model):
         return _gusosc_by_faces(model, ref, ms, tol_pd)
+    floats = ms.bundle.floats()
+    if check_licq(floats, ms.active).ok:
+        return _gusosc_licq_limit(floats, ms, tol_pd)
     return gusosc_by_sampling(model, ref, ms, eta, samples, seed, tol_pd, tol_act)
+
+
+def _gusosc_licq_limit(bundle: EvalBundle, ms: MultiplierSet, tol_pd: float) -> SecondOrderReport:
+    """Uniform second-order test under LICQ at the point of the float
+    ``bundle``, decided as its limit, the strong second-order value of
+    :func:`check_gssosc` (see :func:`check_gusosc`).  The sample counters
+    read 0, as on the face path."""
+    limit = check_gssosc(bundle, ms, tol_pd)
+    details = {
+        "method": "licq_limit",
+        "strongly_active": [i + 1 for i in strict_complement(ms.vertices[0], ms.active)],
+        "samples_accepted": 0,
+        "samples_requested": 0,
+        "attempts": 0,
+        "cones_evaluated": len(ms.vertices),
+        "all_cones_trivial": not math.isfinite(limit.modulus),
+    }
+    return SecondOrderReport("GUSOSC", limit.verdict, limit.modulus, limit.witness, details)
 
 
 def _polyhedral(model: ParametricModel) -> bool:

@@ -20,6 +20,22 @@ BOUNDARY_TOL_ACT = (
     "reference x=(1/10) p=(0) v=(0)\n"
 )
 
+# Curved models on which LICQ fails and MFCQ holds at the reference, so
+# check_gusosc samples them: two constraints whose gradients are
+# proportional there.  On DEPENDENT_CURVED every draw is accepted; on
+# STEEP_DEPENDENT the steep map keeps v in its window only for graph
+# points with |x2| of about 1e-5, a fraction of a percent of the draws.
+DEPENDENT_CURVED = (
+    "dims n=1 d=1\nf = (x1^3 + x1 + p1)\n"
+    "constraint x1 + x1^2 <= 0\nconstraint 2*x1 <= 0\n"
+    "reference x=(0) p=(0) v=(0)\n"
+)
+STEEP_DEPENDENT = (
+    "dims n=2 d=0\nf = (1000*x1 + x1^3, 1000*x2)\n"
+    "constraint x1 + x2^2 <= 0\nconstraint 2*x1 + 2*x2^2 <= 0\n"
+    "reference x=(0, 0) p=() v=(1, 0)\n"
+)
+
 
 def half_planes(curve=""):
     """Model text of 13 half-planes -x1 + (k/7) x2 + curve <= 0, k = -6..6,

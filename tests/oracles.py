@@ -8,13 +8,15 @@ per (node, guess, start) on the unfolded expression trees, the array
 tail of the affine face sweep by its per-node append, merge and score
 loop, the vertex minimum of GSSOSC by a scan of points inside the
 multiplier polytope, the chunked GUSOSC sampler by the plain per-attempt
-loop over its draws, the stacked projection kernel by the one-row
-Lawson-Hanson NNLS it replaced, the lockstep projected iteration by
-its node-by-node loop, and the blocked pair kernel (the moduli fit, the
-pair inequality and the monotonicity estimators) by the row-wise fit over
-whole gathered stacks, with p-frozen groups from a dict on each node's
-bytes and an ell bisection that counts violations over every pair
-(``fit_moduli_rowwise`` and its helpers).
+loop over its draws, the LICQ limit of GUSOSC by a least-squares
+multiplier and one projected eigenvalue problem (``licq_limit``, on the
+seeded models of ``random_licq_model`` among others), the stacked
+projection kernel by the one-row Lawson-Hanson NNLS it replaced, the
+lockstep projected iteration by its node-by-node loop, and the blocked
+pair kernel (the moduli fit, the pair inequality and the monotonicity
+estimators) by the row-wise fit over whole gathered stacks, with p-frozen
+groups from a dict on each node's bytes and an ell bisection that counts
+violations over every pair (``fit_moduli_rowwise`` and its helpers).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from fullstab import expr as ex
+from fullstab.modelspec import parse_model
 
 
 def fd_gradient(fun, point, step=1e-5):
@@ -666,6 +669,72 @@ def gusosc_sequential(model, ref, ms, eta, samples, seed, tol_pd=1e-8, tol_act=1
     }
     verdict = "corroborated" if ell > tol_pd else "fails"
     return SecondOrderReport("GUSOSC", verdict, ell, witness, details)
+
+
+def linear_form(coeffs):
+    """Model-file text of sum_j c_j x_(j+1)."""
+    return " + ".join(f"{c}*x{j + 1}" for j, c in enumerate(coeffs))
+
+
+def random_licq_model(rng):
+    """Random model off the polyhedral scope (f has a cubic term) with one
+    to three constraints, curved in x and moving with p, each active at the
+    reference x = 0, p = 0 or not; the active gradients are independent
+    (LICQ holds), and the reference multiplier is random on them, 0, 1/2
+    or 1 each, so constraints may be strongly or weakly active."""
+    n, d = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    m = int(rng.integers(1, 4))
+    jac = rng.integers(-2, 3, size=(n, n)) + 2 * np.eye(n, dtype=int)
+    rows = [linear_form(row) + f" + x{j + 1}^3" for j, row in enumerate(jac)]
+    if d:
+        rows[0] += " + p1"
+    active = rng.permutation(m)[: int(rng.integers(0, min(m, n) + 1))]
+    G = np.linalg.qr(rng.normal(size=(n, n)))[0][: len(active)]
+    v = np.zeros(n, dtype=object)
+    lines = [f"dims n={n} d={d}", "f = (" + ", ".join(rows) + ")"]
+    grads = iter(G)
+    for i in range(m):
+        if i in active:
+            g = [Fraction(c).limit_denominator(8) for c in next(grads)]
+            lam = Fraction(int(rng.integers(0, 3)), 2)
+            v = v + np.array([lam * c for c in g], dtype=object)
+            shift = ""
+        else:
+            g = [Fraction(int(c)) for c in rng.integers(-2, 3, size=n)]
+            shift = " - 1"
+        curve = " + ".join(
+            f"{int(rng.integers(-2, 3))}*x{a + 1}*x{b + 1}" for a in range(n) for b in range(a, n)
+        )
+        moving = f" + {int(rng.integers(-1, 2))}*p{d}" if d else ""
+        linear = linear_form([f"({c})" for c in g])
+        lines.append(f"constraint {linear} + {curve}{moving}{shift} <= 0")
+    x, p = ", ".join(["0"] * n), ", ".join(["0"] * d)
+    lines.append(f"reference x=({x}) p=({p}) v=(" + ", ".join(str(c) for c in v) + ")")
+    return parse_model("\n".join(lines) + "\n")
+
+
+def licq_limit(bundle, active, v, tol_cq=1e-8):
+    """The limit of the uniform second-order value under LICQ at the point
+    of a float ``bundle`` with active set ``active`` and reference ``v``,
+    assembled with numpy alone: the unique multiplier solves grad
+    phi_active^T lam = v - f by least squares (no vertex enumeration), I+
+    is where lam > tol_cq, and the value is the least eigenvalue of the
+    symmetric part of jac_f + sum lam_i hess phi_i on the null space of the
+    I+ gradients (+inf when that space is {0}).  Returns (value, I+ as
+    1-based labels)."""
+    grads = np.asarray(bundle.grad_phi, dtype=float)
+    lam = np.zeros(len(grads))
+    if len(active):
+        rhs = np.asarray(v, dtype=float) - np.asarray(bundle.f, dtype=float)
+        lam[list(active)] = np.linalg.lstsq(grads[list(active)].T, rhs, rcond=None)[0]
+    strong = [i for i in active if lam[i] > tol_cq]
+    hess = np.asarray(bundle.hess_phi, dtype=float)
+    H = np.asarray(bundle.jac_f, dtype=float) + np.tensordot(lam, hess, axes=1)
+    N = _null_basis(grads[strong], H.shape[0])
+    value = np.inf
+    if N.shape[1]:
+        value = float(np.linalg.eigvalsh(N.T @ (0.5 * (H + H.T)) @ N)[0])
+    return value, [i + 1 for i in strong]
 
 
 def _pair_indices_rowwise(count):

@@ -109,10 +109,27 @@ class TestCRCQ:
         assert rep.witness["rank_at_center"] == 0
         assert rep.witness["rank_at_witness"] == 1
 
-    def test_nonvanishing_gradient_corroborated(self):
+    def test_nonvanishing_gradient_holds_by_licq(self, monkeypatch):
+        # one active gradient 3 x1^2 + 1 != 0: LICQ holds, which implies
+        # CRCQ, so the probe decides without sampling
+        from fullstab import kkt
+
         m = parse_model("dims n=1 d=0\nf = (x1)\nconstraint x1^3 + x1 <= 0\n")
+        monkeypatch.setattr(kkt, "eval_bundle", None)  # a sampled probe would call it
+        rep = crcq_at(m, (0,), (), samples=10)
+        assert rep.verdict == "holds"
+        assert rep.witness == {"active_set": [1], "licq": True}
+
+    def test_dependent_curved_gradients_sampled(self):
+        # gradients 1 + 2 x1 and 2 are dependent at the origin, so LICQ
+        # fails and the probe samples; every subfamily keeps rank 1 nearby
+        m = parse_model(
+            "dims n=1 d=0\nf = (x1)\nconstraint x1 + x1^2 <= 0\nconstraint 2*x1 <= 0\n"
+        )
+        assert licq_at(m, (0,), ()).verdict == "fails"
         rep = crcq_at(m, (0,), (), samples=10)
         assert rep.verdict == "corroborated"
+        assert rep.witness["samples"] == 10
 
 
 class TestMultiplierPolytope:

@@ -8,10 +8,16 @@ import pytest
 
 from fullstab import pairs
 from fullstab.errors import DegenerateSampleError, InputError
-from fullstab.monotone import GraphSample, estimate_from_inverse, estimate_moduli
+from fullstab.monotone import (
+    GraphSample,
+    _all_degenerate,
+    _pair_ratios,
+    estimate_from_inverse,
+    estimate_moduli,
+)
 from fullstab.stabharness import verify_inequality
 from fullstab.visolver import LocalizationTable
-from oracles import estimate_moduli_rowwise, inverse_lipschitz_rowwise
+from oracles import estimate_moduli_rowwise, inverse_lipschitz_rowwise, pair_ratios_rowwise
 
 
 def localization_violations(V, theta, kappa):
@@ -227,6 +233,27 @@ class TestBlockedEstimators:
         _, witness, count = estimate_moduli_rowwise(s)
         assert math.isnan(est.kappa_hat) and (est.witness, est.pair_count) == (witness, count)
         assert repr(estimate_from_inverse(s)) == repr(inverse_lipschitz_rowwise(s))
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_walk_skipped_only_when_no_pair_is_kept(self, n):
+        # clusters whose spread straddles the degeneracy threshold 1e-12:
+        # the span test skips a walk only where the row-wise oracle keeps
+        # no pair, and the kept count and least ratio match it either way
+        rng = np.random.default_rng(n)
+        skipped = walked = 0
+        for scale in np.geomspace(1e-15, 1e-11, 40):
+            u = rng.normal(size=n) + scale * rng.uniform(-1, 1, size=(12, n))
+            v = u @ rng.normal(size=(n, n))
+            ratios, _, _ = pair_ratios_rowwise(u, v)
+            count, least, _ = _pair_ratios(u, v)
+            if _all_degenerate(u):
+                skipped += 1
+                assert ratios.size == 0
+            else:
+                walked += 1
+            assert count == ratios.size
+            assert least == (ratios.min() if ratios.size else None)
+        assert skipped and walked
 
     def test_tied_witness_is_the_first_pair(self):
         est = estimate_moduli(_random_sample(3, 40, 4, tied=True))

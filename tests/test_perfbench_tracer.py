@@ -8,6 +8,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from conftest import DEPENDENT_CURVED
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -32,7 +34,7 @@ def test_layer_metrics_read_gusosc_details_on_both_paths(tmp_path, monkeypatch):
     models = {
         "faces": "dims n=1 d=1\nf = (2*x1 + p1)\nconstraint x1 - 1 <= 0\n"
                  "reference x=(0) p=(0) v=(0)\n",
-        "sampled": "dims n=1 d=1\nf = (x1^3 + x1 + p1)\nreference x=(0) p=(0) v=(0)\n",
+        "sampled": DEPENDENT_CURVED,
     }
     reports = []
     for name, text in models.items():
@@ -46,6 +48,7 @@ def test_layer_metrics_read_gusosc_details_on_both_paths(tmp_path, monkeypatch):
     for d in details:
         assert {"attempts", "samples_accepted", "cones_evaluated"} <= d.keys()
     assert details[0]["attempts"] == details[0]["samples_accepted"] == 0
+    assert "faces" in details[1]  # the sampled path
     assert details[1]["samples_accepted"] == 20
     tracer = worker.Tracer()
     tracer.install()

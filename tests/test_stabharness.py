@@ -24,7 +24,7 @@ from fullstab.stabharness import (
 )
 from fullstab.visolver import LocalizationTable, build_localization
 
-from conftest import BOUNDARY_TOL_ACT, reference_jacobian
+from conftest import BOUNDARY_TOL_ACT, STEEP_DEPENDENT, reference_jacobian
 from oracles import fit_moduli_rowwise, pair_terms_rowwise, verify_inequality_rowwise
 
 
@@ -350,13 +350,15 @@ class TestCertify:
         assert rep.multipliers["recession"] is not None
 
     def test_short_gusosc_sample_flagged(self):
-        # steep map: v = 1000 x + x^3 leaves the v-window |v| <= eta for all
-        # but about 0.4% of the draws |x| <= eta/4, so the 40000 attempts
-        # fill only part of the 500 samples asked for (the cubic term keeps
-        # the model on the sampled path)
-        m = parse_model("dims n=1 d=0\nf = (1000*x1 + x1^3)\nreference x=(0) p=() v=(0)\n")
+        # steep map on two proportional curved constraints (MFCQ without
+        # LICQ, so GUSOSC is sampled): only graph points with |x2| of about
+        # 1e-5 keep v = f + grad phi^T lam in the window |v - (1, 0)| <=
+        # eta, a fraction of a percent of the draws, so the 40000 attempts
+        # fill only part of the 500 samples asked for
+        m = parse_model(STEEP_DEPENDENT)
         rep = certify(m, CertifyOptions(seed=3))
         details = rep.gusosc["details"]
+        assert rep.cq["licq"]["verdict"] == "fails"
         assert details["samples_accepted"] < details["samples_requested"]
         assert any(
             f"accepted only {details['samples_accepted']} of 500" in note for note in rep.notes
@@ -365,13 +367,18 @@ class TestCertify:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_circle_boundary_fully_stable(self, circle_model, seed):
         # the reference sits on the curved boundary with multiplier 1/2; on
-        # the tangent line the Lagrangian Jacobian is (1 + 2 lambda) I = 2 I
+        # the tangent line the Lagrangian Jacobian is (1 + 2 lambda) I = 2 I.
+        # LICQ holds, so GUSOSC is that limit, the same at every seed
         rep = certify(circle_model, CertifyOptions(seed=seed))
         details = rep.gusosc["details"]
         assert rep.verdict == "fully_stable"
-        assert details["samples_accepted"] == details["samples_requested"] == 500
+        assert rep.gusosc["verdict"] == "holds"
+        assert details["method"] == "licq_limit"
+        assert details["strongly_active"] == [1]
+        assert details["samples_accepted"] == details["samples_requested"] == 0
         assert details["all_cones_trivial"] is False
-        assert rep.gusosc["modulus"] == pytest.approx(2.0, abs=1e-2)
+        assert rep.gusosc["modulus"] == pytest.approx(2.0, abs=1e-12)
+        assert rep.cq["crcq"]["verdict"] == "holds"
 
     def test_missing_reference_rejected(self):
         m = parse_model("dims n=1 d=0\nf = (x1)\n")
