@@ -212,7 +212,7 @@ def _cmd_cones(args) -> int:
     K = critical_cone(T, v_hat)
     mfcq = check_mfcq(exact, I)
     licq = check_licq(floats, I)
-    crcq = probe_crcq(model, floats, I, ref.x, ref.p, seed=opts.seed)
+    crcq = probe_crcq(model, floats, I, ref.x, ref.p, seed=opts.seed, licq=licq)
     rays, lin = K.generators()
     payload = {
         "active_set": [i + 1 for i in I],

@@ -150,12 +150,13 @@ def _pair_ratios(u: np.ndarray, v: np.ndarray, rows=None):
         sq = np.einsum("ij,ij->i", du, du)
         keep = np.sqrt(sq) > _DEGENERATE
         dv = diff(v, ii[keep], jj[keep])
-        return keep, np.einsum("ij,ij->i", dv, du[keep]) / sq[keep]
+        return ((keep, np.einsum("ij,ij->i", dv, du[keep]) / sq[keep]),)
 
     if _all_degenerate(u if rows is None else u[rows]):
         return 0, None, None
     count = u.shape[0] if rows is None else rows.size
-    return pair_extreme(Pairs(count, rows=rows), ratios)
+    (least,) = pair_extreme(Pairs(count, rows=rows), ratios, (False,))
+    return least
 
 
 def _all_degenerate(u: np.ndarray) -> bool:
@@ -192,26 +193,33 @@ def estimate_moduli(sample: GraphSample) -> MonotonicityEstimate:
 def estimate_from_inverse(sample: GraphSample) -> float:
     """Largest pairwise Lipschitz ratio of the localization and the
     consistency bound L_hat <= 1/kappa_hat (an identity at sample level
-    when kappa_hat > 0; a violation is an internal bug, not data)."""
+    when kappa_hat > 0; a violation is an internal bug, not data), with
+    kappa_hat the :func:`estimate_moduli` of the swapped sample.  One walk
+    over the pairs gathers each block once for both extremes."""
     V = sample.u
     X = sample.v
     N = V.shape[0]
     if N < 2:
         raise DegenerateSampleError("need at least 2 graph points")
 
-    def lipschitz(ii, jj):
-        dv = np.linalg.norm(diff(V, ii, jj), axis=1)
-        dx = np.linalg.norm(diff(X, ii, jj), axis=1)
-        keep = dv > _DEGENERATE
-        return keep, dx[keep] / dv[keep]
+    def extremes(ii, jj):
+        dV, dX = diff(V, ii, jj), diff(X, ii, jj)
+        dv, dx = np.linalg.norm(dV, axis=1), np.linalg.norm(dX, axis=1)
+        lip = dv > _DEGENERATE
+        # the pair ratio of the swapped sample, as _pair_ratios forms it
+        sq = np.einsum("ij,ij->i", dX, dX)
+        ratio = np.sqrt(sq) > _DEGENERATE
+        return (
+            (lip, dx[lip] / dv[lip]),
+            (ratio, np.einsum("ij,ij->i", dV[ratio], dX[ratio]) / sq[ratio]),
+        )
 
-    count, L_hat, _ = pair_extreme(Pairs(N), lipschitz, largest=True)
+    (count, L_hat, _), (ratios, kappa, _) = pair_extreme(Pairs(N), extremes, (True, False))
     if count == 0:
         raise DegenerateSampleError("all pairs degenerate (coincident v's)")
-    L_hat = float(L_hat)
-    inv = estimate_moduli(GraphSample(u=X.copy(), v=V.copy()))
-    if inv.kappa_hat > 0 and L_hat > 1.0 / inv.kappa_hat + TOL_INEQ:
-        raise InconsistencyError(
-            f"L_hat = {L_hat} exceeds 1/kappa_hat = {1.0 / inv.kappa_hat}"
-        )
+    if ratios == 0:
+        raise DegenerateSampleError("all pairs degenerate (coincident u's)")
+    L_hat, kappa = float(L_hat), float(kappa)
+    if kappa > 0 and L_hat > 1.0 / kappa + TOL_INEQ:
+        raise InconsistencyError(f"L_hat = {L_hat} exceeds 1/kappa_hat = {1.0 / kappa}")
     return L_hat

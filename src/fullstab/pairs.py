@@ -91,26 +91,26 @@ def pair_map(pairs: Pairs, terms, count: int):
     return outs
 
 
-def pair_extreme(pairs: Pairs, values, largest: bool = False):
-    """``(kept, best, pair)`` over the pairs: ``values(ii, jj)`` returns a
-    keep mask of the block and the values of its kept pairs; ``best`` is the
-    least kept value (the greatest when ``largest``), ``pair`` the row
+def pair_extreme(pairs: Pairs, values, largest):
+    """One ``(kept, best, pair)`` per entry of ``largest``, all from one
+    walk over the pairs: ``values(ii, jj)`` returns, per entry, a keep mask
+    of the block and the values of its kept pairs; ``best`` is the least
+    kept value (the greatest where ``largest`` is true), ``pair`` the row
     indices of its first occurrence and ``kept`` the number of kept pairs.
     A NaN wins as in ``np.argmin``/``np.argmax``.  ``best`` and ``pair`` are
     None when no pair is kept."""
-    pick = np.argmax if largest else np.argmin
-    kept, best, at = 0, None, None
+    picks = [np.argmax if big else np.argmin for big in largest]
+    out = [[0, None, None] for _ in largest]
     for _, ii, jj in pairs.blocks():
-        keep, vals = values(ii, jj)
-        kept += vals.size
-        if not vals.size:
-            continue
-        k = int(pick(vals))
-        if best is None or _first_wins(vals[k], best, largest):
-            best = vals[k]
-            pos = np.flatnonzero(keep)[k]
-            at = (int(ii[pos]), int(jj[pos]))
-    return kept, best, at
+        for acc, pick, big, (keep, vals) in zip(out, picks, largest, values(ii, jj)):
+            acc[0] += vals.size
+            if not vals.size:
+                continue
+            k = int(pick(vals))
+            if acc[1] is None or _first_wins(vals[k], acc[1], big):
+                pos = np.flatnonzero(keep)[k]
+                acc[1:] = vals[k], (int(ii[pos]), int(jj[pos]))
+    return [tuple(acc) for acc in out]
 
 
 def _first_wins(value, best, largest: bool) -> bool:

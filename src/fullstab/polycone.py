@@ -41,6 +41,7 @@ __all__ = [
     "nnls",
     "rank",
     "row_norms",
+    "row_space_projectors",
     "null_space",
     "subsets",
 ]
@@ -124,16 +125,27 @@ def _as_matrix(M, n) -> np.ndarray:
     return M
 
 
+def _rank_cutoff(shape, s: np.ndarray):
+    """The shared rank cutoff max(shape) * RANK_TOL * s[0] for the singular
+    values s (descending along the last axis) of a matrix of the given
+    shape, or of each matrix of a stack; s[0] reads 1 when it is 0."""
+    top = s[..., :1]
+    return max(shape) * RANK_TOL * np.where(top > 0, top, 1.0)
+
+
 def _rank_of(shape, s: np.ndarray) -> int:
     """Count of singular values s (descending) of a matrix of the given
-    shape above the shared cutoff max(shape) * RANK_TOL * s[0]."""
-    cutoff = max(shape) * RANK_TOL * (s[0] if s.size and s[0] > 0 else 1.0)
-    return int(np.sum(s > cutoff))
+    shape above the shared cutoff."""
+    return int(np.sum(s > _rank_cutoff(shape, s)))
 
 
-def rank(M) -> int:
-    """Numerical rank of M under the shared cutoff (0 for an empty matrix)."""
+def rank(M):
+    """Numerical rank of M under the shared cutoff (0 for an empty matrix),
+    or the (K,) ranks of a (K, m, n) stack of nonempty matrices."""
     M = np.asarray(M, dtype=float)
+    if M.ndim == 3:
+        s = np.linalg.svd(M, compute_uv=False)
+        return np.sum(s > _rank_cutoff(M.shape[1:], s), axis=-1)
     if M.size == 0:
         return 0
     return _rank_of(M.shape, np.linalg.svd(M, compute_uv=False))
@@ -144,6 +156,18 @@ def row_norms(A):
     contiguous vectors runs the same BLAS dot as norm does."""
     A = np.ascontiguousarray(A)
     return np.sqrt(np.matmul(A[..., None, :], A[..., :, None])[..., 0, 0])
+
+
+def row_space_projectors(A: np.ndarray) -> np.ndarray:
+    """The orthogonal projector onto the row space of each matrix of a
+    (K, m, n) stack, as a (K, n, n) stack, with each rank decided by the
+    shared cutoff."""
+    K, m, n = A.shape
+    if not m:
+        return np.zeros((K, n, n))
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    W = vt * (s > _rank_cutoff((m, n), s))[..., None]
+    return np.matmul(W.transpose(0, 2, 1), W)
 
 
 def null_space(M: np.ndarray, n: int) -> np.ndarray:
@@ -292,7 +316,7 @@ def _matvec(A, x):
     return np.matmul(A, x[..., None])[..., 0]
 
 
-def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray):
+def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray, tight: bool = False):
     """Euclidean projection of z onto {x : A x <= b}, or of each row of a
     stack onto its own set: A (K, m, n), b (K, m) and z (K, n).
 
@@ -311,14 +335,17 @@ def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray):
     every row gets the bits of its own one-point call.  A one-point call
     returns x or raises; a stacked call returns (X, failures), where
     failures maps each row whose one-point call raises to that exception
-    and X holds z in those rows.
+    and X holds z in those rows.  With ``tight`` the call also returns the
+    mask of the rows of A that are tight at the projection: the final
+    passive set of the NNLS (mu > 0), empty for a point inside its set and
+    for a failed row.
     """
     A, b, z = (np.ascontiguousarray(a, dtype=float) for a in (A, b, z))
     single = z.ndim == 1
     if single:
         A, b, z = A[None], b[None], z[None]
     K, m, n = A.shape
-    X, failures = z.copy(), {}
+    X, failures, T = z.copy(), {}, np.zeros((K, m), dtype=bool)
     if m:
         feas_tol = TOL_CONE * (1.0 + row_norms(z) + np.abs(b).max(axis=1))[:, None]
         Az = _matvec(A, z)
@@ -351,6 +378,7 @@ def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray):
             empty = res <= TOL_CONE
             keep = ~empty & ok
             X[rows[keep]] = x[keep]
+            T[rows[keep]] = u[keep] > 0
             for i in np.flatnonzero(~keep):
                 failures[rows[i]] = (
                     InfeasibleSetError("constraint set is empty (no projection exists)")
@@ -360,8 +388,8 @@ def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray):
     if single:
         if failures:
             raise failures[0]
-        return X[0]
-    return X, failures
+        return (X[0], T[0]) if tight else X[0]
+    return (X, failures, T) if tight else (X, failures)
 
 
 def nnls(A: np.ndarray, b: np.ndarray):

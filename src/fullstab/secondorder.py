@@ -40,6 +40,7 @@ from .defaults import (
 from .errors import DegenerateSampleError, EvaluationError, InputError
 from .expr import differentiate, evaluate, expr_is_zero
 from .kkt import (
+    CQReport,
     MultiplierSet,
     _jsonify,
     _multipliers,
@@ -240,10 +241,13 @@ def check_gusosc(
     seed: int = SEED,
     tol_pd: float = TOL_PD,
     tol_act: float = TOL_ACT,
+    licq: Optional[CQReport] = None,
 ) -> SecondOrderReport:
     """Uniform second-order test around ``ref`` with multiplier set ``ms``
     (from :func:`kkt.multiplier_polytope`, so MFCQ holds), by the first of
-    three paths that applies:
+    three paths that applies (``licq`` is :func:`kkt.check_licq` of the
+    float bundle and active set of ``ms`` when the caller has decided it
+    already):
 
     1. every constraint affine in (x, p) and jac_f constant in (x, p):
        decided exactly by face enumeration (:func:`_gusosc_by_faces`);
@@ -281,7 +285,7 @@ def check_gusosc(
     if _polyhedral(model):
         return _gusosc_by_faces(model, ref, ms, tol_pd)
     floats = ms.bundle.floats()
-    if check_licq(floats, ms.active).ok:
+    if (licq or check_licq(floats, ms.active)).ok:
         return _gusosc_licq_limit(floats, ms, tol_pd)
     return gusosc_by_sampling(model, ref, ms, eta, samples, seed, tol_pd, tol_act)
 

@@ -444,7 +444,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
     licq = check_licq(floats, I)
     crcq = probe_crcq(
         model, floats, I, ref.x, ref.p,
-        samples=max(10, opts.samples // 10), seed=opts.seed,
+        samples=max(10, opts.samples // 10), seed=opts.seed, licq=licq,
     )
     cq = {
         "mfcq": mfcq.to_json_dict(),
@@ -478,7 +478,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
     gssosc = check_gssosc(floats, ms, tol_pd=opts.tol_pd)
     gusosc = check_gusosc(
         model, ref, ms, eta=opts.eta, samples=opts.samples,
-        seed=opts.seed, tol_pd=opts.tol_pd, tol_act=opts.tol_act,
+        seed=opts.seed, tol_pd=opts.tol_pd, tol_act=opts.tol_act, licq=licq,
     )
     pvi = None
     v_hat = ref.v_hat(exact)
@@ -501,7 +501,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
     table = None
     try:
         table = build_localization(
-            model, ref, floats.jac_f,
+            model, ref,
             rho_v=opts.rho_v, rho_p=opts.rho_p,
             grid_v=opts.grid_v, grid_p=opts.grid_p,
             n_random=opts.n_random, seed=opts.seed, tol_act=opts.tol_act,

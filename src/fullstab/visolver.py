@@ -13,12 +13,26 @@ One uniqueness oracle and one cross-check, both at desk scale:
   batched linear solve per step.  A fixed-point solver cannot certify
   single-valuedness, enumeration over a box can.  ``solve_faces`` runs it
   on one node, ``build_localization`` on a grid.
-* ``solve_projected`` - the classical fixed-point reformulation
-  x = Proj_{C(p)}(x - gamma (f(x, p) - v)), contraction for
-  gamma < 2 kappa / L^2 under strong monotonicity (checked empirically,
-  with step halving on divergence), which cross-checks the table.  It
-  runs a stack of nodes in lockstep, one batched evaluation and one
-  stacked projection per step, so a table's cross-check is one call.
+* ``solve_projected`` - semismooth Newton on the natural map
+  F(x) = x - Proj_{C(p)}(x - (f(x, p) - v)), whose zeros are the
+  solutions (Qi & Sun, Math. Program. 58, 1993), for constraints affine
+  in x; it cross-checks the table.  Projection onto a polyhedron is
+  piecewise affine, so F is semismooth, and a generalized Jacobian is
+  I - P (I - J_f), with P the projector onto the null space of the rows
+  tight at the projection (read from the final passive set of its NNLS).
+  Full stability implies strong regularity of the solution (Robinson,
+  Math. Oper. Res. 5, 1980), under which every element of the
+  B-subdifferential of F there is nonsingular (Facchinei & Pang,
+  Finite-Dimensional Variational Inequalities and Complementarity
+  Problems, 2003), so Newton converges locally quadratically.  It needs
+  no step size and, unlike a fixed-point step, no monotonicity: the
+  skew map, strongly regular but not fully stable, is solved in one
+  step.  Away from the solution, halving the step until ||F|| falls
+  keeps the iterates from diverging, and a rank-deficient Newton matrix
+  gives way to the natural-map step -F.  It never enumerates active
+  sets, so it stays independent of the sweep.  A stack of nodes runs in
+  lockstep, one batched evaluation, one stacked projection and one
+  batched solve per step, so a table's cross-check is one call.
 
 ``build_localization`` tabulates the solution map on a tensor grid around
 the reference (plus random interior nodes), aborting with a witness at the
@@ -28,7 +42,6 @@ halving the radii.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -51,8 +64,10 @@ from .errors import (
     EvaluationError,
     LocalizationError,
 )
-from .modelspec import ParametricModel, ReferenceTriple, eval_bundle, eval_f
-from .polycone import polyhedron_rows, project_onto_rows, row_norms, subsets
+from .modelspec import ParametricModel, ReferenceTriple, eval_bundle
+from .polycone import (
+    polyhedron_rows, project_onto_rows, rank, row_norms, row_space_projectors, subsets,
+)
 
 __all__ = [
     "SolveOutcome",
@@ -69,7 +84,7 @@ class SolveOutcome:
     lam: np.ndarray  # full-length multipliers (zeros off the active guess)
     residual: float
     iterations: int
-    method: str  # 'projected-iteration' | 'face-enumeration'
+    method: str  # 'semismooth-newton' | 'face-enumeration'
     converged: bool
     multiplicity: str = "unknown"  # 'unique-in-box' | 'multiple-found' | 'unknown'
 
@@ -86,32 +101,36 @@ class SolveOutcome:
 
 
 # ---------------------------------------------------------------------------
-# projected fixed-point iteration
+# semismooth Newton on the natural map
 
-# relative step norm at which the projected iteration has converged
+# relative residual at which semismooth Newton has converged
 _PROJECTED_TOL = 1e-11
+# evaluations per row before solve_projected or _newton_stack gives it up
+_NEWTON_STEPS = 60
 
 
-def solve_projected(
-    model: ParametricModel,
-    v,
-    p,
-    x0,
-    moduli: Optional[tuple] = None,
-    max_iter: int = 5000,
-):
-    """Fixed-point iteration x <- Proj_{C(p)}(x - gamma (f(x, p) - v)).
+def solve_projected(model: ParametricModel, v, p, x0):
+    """Semismooth Newton on the natural map F(x) = x - y(x), with
+    y(x) = Proj_{C(p)}(x - (f(x, p) - v)), from x0.
 
-    gamma starts at 0.9 kappa / L^2 when (kappa, L) estimates are given,
-    else at 1e-2; it halves (at most 6 times), restarting from x0, when
-    the residual diverges or has not improved for 200 steps.  The
-    iteration step norm *is* the fixed-point residual at the current
-    iterate, which the returned outcome reports.
+    F(x) = 0 is the variational condition v in f(x, p) + N_{C(p)}(x).  A
+    generalized Jacobian of F at x is I - P (I - J_f), where J_f is the
+    x-Jacobian of f and P the projector onto the null space of the rows of
+    C(p) = {x : A x <= b} that are tight at y: the final passive set of the
+    projection's NNLS.  With Q = I - P the projector onto their row space
+    (:func:`polycone.row_space_projectors`), the Newton system is
+    (Q + P J_f) d = -F(x); where Q + P J_f is rank-deficient under the
+    shared rank cutoff, d = -F(x), the step to y.  A trial point x + t d
+    (t = 1, 1/2, ...) is accepted once ||F|| falls below that at x.  A
+    row stops when ||F(x)|| < 1e-11 (1 + ||y||), when its Newton system
+    cannot be solved, or after ``_NEWTON_STEPS`` evaluations.  The
+    outcome is y at the last accepted x, with residual ||F(x)|| and the
+    count of Newton steps taken.
 
     v and p may be (K, n) and (K, d) stacks of nodes, x0 one start or a
-    (K, n) stack: every row then runs this rule in lockstep, each with its
-    own step, halvings and stopping, and each step of the live rows is one
-    ``eval_f`` call and one stacked ``project_onto_rows`` call.  The call
+    (K, n) stack: every row then runs this rule in lockstep, and each
+    evaluation of the live rows' trial points is one ``eval_bundle`` call,
+    one stacked ``project_onto_rows`` call and one batched solve.  The call
     returns one outcome per row, each with the bits of that row's one-node
     call; when rows fail, the first failing row's error is raised, as a
     node-by-node loop would, and an evaluation error at any row raises.
@@ -119,87 +138,71 @@ def solve_projected(
     V = np.asarray(v, dtype=float)
     single = V.ndim == 1
     V = V.reshape(-1, model.n)
-    K = len(V)
+    K, n = V.shape
     P = np.asarray(p, dtype=float).reshape(K, model.d)
     X0 = np.broadcast_to(np.asarray(x0, dtype=float), V.shape).copy()
-    estimated = moduli is not None and moduli[0] > 0 and moduli[1] > 0
-    if model.m:
-        A, b = polyhedron_rows(model, P)
-    else:
-        A, b = np.zeros((K, 0, model.n)), np.zeros((K, 0))
+    A, b = polyhedron_rows(model, P)
     errors = {}  # row -> the error its one-node call raises
-
-    def step(rows, xc, gamma, Vr, Pr, Ar, br):
-        """One fixed-point step from xc of rows, whose nodes, projection
-        rows and (R, 1) column of steps are given; returns the new points
-        and the failures of the projection.  One row is evaluated at its
-        point, in Python floats, which give the bits of a stacked row."""
-        f = eval_f(model, xc[0], Pr[0])[None] if len(rows) == 1 else eval_f(model, xc, Pr)
-        target = xc - gamma * (f - Vr)
-        if not model.m:
-            return target, {}
-        out, failures = project_onto_rows(Ar, br, target)
-        for i, err in failures.items():
-            errors[rows[i]] = err
-        return out, failures
-
     # each row's outcome
-    x_out, gamma_out, resid = X0.copy(), np.zeros(K), np.zeros(K)
+    x_out, resid = X0.copy(), np.zeros(K)
     iterations, converged = np.zeros(K, dtype=int), np.zeros(K, dtype=bool)
-    # the live rows' state and data, compacted as rows stop; bar is the
-    # best residual so far times (1 - 1e-12), which a step must beat
-    rows, x = np.arange(K), X0.copy()
-    Vl, Pl, X0l, Al, bl = V, P, X0, A, b
-    gamma = np.full((K, 1), 0.9 * moduli[0] / moduli[1] ** 2 if estimated else 1e-2)
-    bar, stall, halvings = np.full(K, math.inf), np.zeros(K, dtype=int), np.zeros(K, dtype=int)
-    it = 0
+    # the live rows' state and data, compacted as rows stop: the accepted
+    # iterate x with its residual r and projection y, the Newton step d
+    # and its scale t, the Newton systems solved so far, and the trial
+    # point x + t d (x0 first, which any finite residual accepts)
+    rows, x, y, trial = np.arange(K), X0, X0, X0
+    r, d, t, solves = np.full(K, np.inf), np.zeros((K, n)), np.ones(K), np.zeros(K, dtype=int)
+    Vl, Pl, Al, bl = V, P, A, b
+    evaluations = 0
     while rows.size:
-        it += 1
-        x_next, failures = step(rows, x, gamma, Vl, Pl, Al, bl)
-        r = row_norms(x_next - x)
-        x = x_next
-        conv = r < _PROJECTED_TOL * (1.0 + row_norms(x))
-        # (a non-finite x leaves a non-finite r, which fails r <= 1e6)
-        ok = (r <= 1e6) & ~conv
-        better = ok & (r < bar)
-        bar = np.where(better, r * (1 - 1e-12), bar)
-        stall = np.where(better, 0, stall + ok)
-        if better.all() and not failures and it < max_iter:
-            continue  # every row improved: none restarts or stops
-        # diverged or stalled: restart from x0 with half the step
-        restart = ~(conv | (ok & (stall <= 200)))
-        if restart.any():
-            halvings += restart
-            again = restart & (halvings <= MAX_SHRINK)
-            gamma[again] *= 0.5
-            x[again], bar[again], stall[again] = X0l[again], math.inf, 0
-        stop = conv | (halvings > MAX_SHRINK) | (it >= max_iter)
-        if failures:
-            stop[list(failures)] = True
+        if evaluations == _NEWTON_STEPS:
+            # the step cap: the rows still running stop where they are
+            x_out[rows], resid[rows], iterations[rows] = y, r, solves
+            break
+        evaluations += 1
+        bundle = eval_bundle(model, trial, Pl)
+        proj, failures, tight = project_onto_rows(Al, bl, trial - (bundle.f - Vl), tight=True)
+        errors.update((rows[i], err) for i, err in failures.items())
+        F = trial - proj
+        rt = row_norms(F)
+        better = rt < r
+        x, y, r = (np.where(better[:, None], trial, x), np.where(better[:, None], proj, y),
+                   np.where(better, rt, r))
+        conv = better & (rt < _PROJECTED_TOL * (1.0 + row_norms(proj)))
+        # a better point not converged takes a Newton step, a worse one
+        # halves the step it came from
+        go = np.flatnonzero(better & ~conv)
+        Q = row_space_projectors(Al[go] * tight[go, :, None])
+        M = Q + np.matmul(np.eye(n) - Q, bundle.jac_f[go])
+        # a rank-deficient Newton matrix takes the natural-map step -F
+        step, solved = -F[go], np.ones(go.size, dtype=bool)
+        regular = rank(M) == n
+        step[regular], solved[regular] = _solve_stack(M[regular], step[regular])
+        solved &= np.isfinite(step).all(axis=1)
+        d[go], t[go], solves[go] = step, 1.0, solves[go] + 1
+        t[~better] *= 0.5
+        # (a row whose start has no finite residual never accepts a point)
+        stop = conv | np.isinf(r)
+        stop[go[~solved]] = True
+        stop[list(failures)] = True
         if stop.any():
             done = rows[stop]
-            x_out[done], gamma_out[done], iterations[done] = x[stop], gamma[stop, 0], it
-            converged[done], resid[done] = conv[stop], r[stop]
+            x_out[done], resid[done], converged[done] = y[stop], r[stop], conv[stop]
+            iterations[done] = solves[stop]
             keep = ~stop
             if errors:
                 # a node-by-node loop never reaches the rows after a failure
                 keep &= rows < min(errors)
-            rows, x, gamma, bar, stall, halvings, Vl, Pl, X0l, Al, bl = (
-                a[keep] for a in (rows, x, gamma, bar, stall, halvings, Vl, Pl, X0l, Al, bl)
+            rows, x, y, r, d, t, solves, Vl, Pl, Al, bl = (
+                a[keep] for a in (rows, x, y, r, d, t, solves, Vl, Pl, Al, bl)
             )
-    # the residual of an unconverged row is that of one more step
-    rest = np.flatnonzero(~converged & (np.arange(K) < min(errors, default=K)))
-    if rest.size:
-        final, _ = step(
-            rest, x_out[rest], gamma_out[rest, None], V[rest], P[rest], A[rest], b[rest]
-        )
-        resid[rest] = row_norms(final - x_out[rest])
+        trial = x + t[:, None] * d
     if errors:
         raise errors[min(errors)]
     outcomes = [
         SolveOutcome(
             x=x_out[k], lam=np.zeros(model.m), residual=float(resid[k]),
-            iterations=int(iterations[k]), method="projected-iteration",
+            iterations=int(iterations[k]), method="semismooth-newton",
             converged=bool(converged[k]),
         )
         for k in range(K)
@@ -209,10 +212,6 @@ def solve_projected(
 
 # ---------------------------------------------------------------------------
 # face enumeration
-
-
-# Newton steps per row before _newton_stack gives the row up
-_NEWTON_STEPS = 60
 
 
 def _newton_stack(model, V, P, J, Z):
@@ -565,7 +564,6 @@ _CROSS_CHECKS = 10
 def build_localization(
     model: ParametricModel,
     ref: ReferenceTriple,
-    jac_ref: np.ndarray,
     rho_v: float = RHO_V,
     rho_p: float = RHO_P,
     grid_v: int = GRID_V,
@@ -578,9 +576,9 @@ def build_localization(
     """Tabulate the single-valued localization on a tensor grid plus random
     interior nodes; radii halve (at most 6 times) when single-valuedness
     fails, and a LocalizationError with the witness node is raised when it
-    keeps failing.  ``jac_ref`` is the float x-Jacobian of f at the
-    reference (the ``jac_f`` of its float bundle), for the step of the
-    ``solve_projected`` cross-check."""
+    keeps failing.  When the constraints are affine in x, one stacked
+    ``solve_projected`` call from the reference x cross-checks the table
+    at _CROSS_CHECKS nodes spread over it."""
     x0, p0, v0 = ref.as_arrays()
     n, d = model.n, model.d
     grid_nodes = grid_v**n * max(1, grid_p**d)
@@ -611,15 +609,8 @@ def build_localization(
         else:
             agreements = []
             if all(model.affine_x):
-                # step from the reference Jacobian: (kappa, L) =
-                # (lambda_min(sym J_f), ||J_f||_2); solve_projected falls
-                # back to its default step when kappa <= 0
-                moduli = (
-                    float(np.linalg.eigvalsh(0.5 * (jac_ref + jac_ref.T))[0]),
-                    float(np.linalg.norm(jac_ref, 2)),
-                )
                 nodes = np.arange(0, N, max(1, N // _CROSS_CHECKS))
-                outs = solve_projected(model, V[nodes], P[nodes], x0, moduli=moduli)
+                outs = solve_projected(model, V[nodes], P[nodes], x0)
                 agreements = [
                     float(np.max(np.abs(out.x - table_x[k])))
                     for k, out in zip(nodes, outs) if out.converged

@@ -60,12 +60,6 @@ def floats_at(model, x, p):
     return floats, active_indices(floats.phi)
 
 
-def reference_jacobian(model):
-    """The float x-Jacobian of f at the model's reference, as ``certify``
-    passes it to ``build_localization``."""
-    return eval_reference(model, model.reference)[1].jac_f
-
-
 def reference_multipliers(model):
     """Lambda at the model's reference, as ``certify`` enumerates it."""
     ref = model.reference

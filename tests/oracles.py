@@ -12,11 +12,13 @@ loop over its draws, the LICQ limit of GUSOSC by a least-squares
 multiplier and one projected eigenvalue problem (``licq_limit``, on the
 seeded models of ``random_licq_model`` among others), the stacked
 projection kernel by the one-row Lawson-Hanson NNLS it replaced, the
-lockstep projected iteration by its node-by-node loop, and the blocked
-pair kernel (the moduli fit, the pair inequality and the monotonicity
-estimators) by the row-wise fit over whole gathered stacks, with p-frozen
-groups from a dict on each node's bytes and an ell bisection that counts
-violations over every pair (``fit_moduli_rowwise`` and its helpers).
+lockstep semismooth Newton cross-check by its node-by-node loop and its
+solutions by the projected fixed-point iteration it replaced, the one-walk
+inverse estimator by its two walks, and the blocked pair kernel (the moduli
+fit, the pair inequality and the monotonicity estimators) by the row-wise
+fit over whole gathered stacks, with p-frozen groups from a dict on each
+node's bytes and an ell bisection that counts violations over every pair
+(``fit_moduli_rowwise`` and its helpers).
 """
 
 from __future__ import annotations
@@ -285,6 +287,53 @@ def solve_projected_per_node(model, v, p, x0, moduli=None, max_iter=5000):
         x = np.asarray(x0, dtype=float).copy()
         best_resid, stall = np.inf, 0
     return x, float(np.linalg.norm(step(x) - x)), iterations, False
+
+
+def semismooth_newton_per_node(model, v, p, x0):
+    """The semismooth Newton rule of ``visolver.solve_projected`` on one
+    node, one step at a time: the natural map from one-point
+    ``eval_bundle`` and one-point ``project_onto_rows`` calls, the Newton
+    matrix Q + (I - Q) J_f from the row-space projector of the tight rows,
+    one ``np.linalg.solve`` per Newton step (the step -F where that matrix
+    is rank-deficient), the step halved until the residual falls, and the
+    same tolerance and step cap.  Returns (x, residual, iterations,
+    converged)."""
+    from fullstab.modelspec import eval_bundle
+    from fullstab.polycone import polyhedron_rows, project_onto_rows, rank, row_space_projectors
+    from fullstab.visolver import _NEWTON_STEPS, _PROJECTED_TOL
+
+    v = np.asarray(v, dtype=float)
+    p = np.asarray(p, dtype=float)
+    n = model.n
+    A, b = polyhedron_rows(model, p)
+    x = y = np.asarray(x0, dtype=float).copy()
+    best, d, t, solves = np.inf, np.zeros(n), 1.0, 0
+    for _ in range(_NEWTON_STEPS):
+        trial = x if best == np.inf else x + t * d
+        bundle = eval_bundle(model, trial, p)
+        z = trial - (bundle.f - v)
+        proj, tight = project_onto_rows(A, b, z, tight=True)
+        F = trial - proj
+        resid = float(np.linalg.norm(F))
+        if not resid < best:
+            if best == np.inf:
+                return x, best, solves, False
+            t *= 0.5
+            continue
+        x, y, best = trial, proj, resid
+        if resid < _PROJECTED_TOL * (1.0 + float(np.linalg.norm(proj))):
+            return y, resid, solves, True
+        Q = row_space_projectors((A * tight[:, None])[None])[0]
+        M = Q + (np.eye(n) - Q) @ bundle.jac_f
+        solves += 1
+        try:
+            d = np.linalg.solve(M, -F) if rank(M) == n else -F
+        except np.linalg.LinAlgError:
+            return y, best, solves, False
+        if not np.all(np.isfinite(d)):
+            return y, best, solves, False
+        t = 1.0
+    return y, best, solves, False
 
 
 def cofactor_det(M):
@@ -896,3 +945,31 @@ def inverse_lipschitz_rowwise(sample):
     dx = np.linalg.norm(sample.v[ii] - sample.v[jj], axis=1)
     keep = dv > 1e-12
     return float(np.max(dx[keep] / dv[keep]))
+
+
+def estimate_from_inverse_two_walks(sample):
+    """``estimate_from_inverse`` as two walks over the pairs: the largest
+    ||dx|| / ||dv|| by one ``pair_extreme`` walk, then the consistency bound
+    against ``estimate_moduli`` of the swapped sample, a second walk with
+    the same gathers.  Returns L_hat or raises as the one-walk estimator."""
+    from fullstab.defaults import TOL_INEQ
+    from fullstab.errors import DegenerateSampleError, InconsistencyError
+    from fullstab.monotone import GraphSample, estimate_moduli
+    from fullstab.pairs import Pairs, diff, pair_extreme
+
+    V, X = sample.u, sample.v
+
+    def lipschitz(ii, jj):
+        dv = np.linalg.norm(diff(V, ii, jj), axis=1)
+        dx = np.linalg.norm(diff(X, ii, jj), axis=1)
+        keep = dv > 1e-12
+        return ((keep, dx[keep] / dv[keep]),)
+
+    ((count, L_hat, _),) = pair_extreme(Pairs(len(V)), lipschitz, (True,))
+    if count == 0:
+        raise DegenerateSampleError("all pairs degenerate (coincident v's)")
+    L_hat = float(L_hat)
+    inv = estimate_moduli(GraphSample(u=X.copy(), v=V.copy()))
+    if inv.kappa_hat > 0 and L_hat > 1.0 / inv.kappa_hat + TOL_INEQ:
+        raise InconsistencyError(f"L_hat = {L_hat} exceeds 1/kappa_hat = {1.0 / inv.kappa_hat}")
+    return L_hat

@@ -181,10 +181,7 @@ def test_criterion_5_solver_cross_validation():
         v = rng.normal(size=n) * 0.5
         faces = solve_faces(model, v, [], box_center=np.zeros(n), box_radius=50.0)
         assert len(faces) == 1
-        kappa = float(np.linalg.eigvalsh(0.5 * (Jf + Jf.T))[0])
-        L = float(np.linalg.norm(Jf, 2))
-        proj = solve_projected(model, v, [], np.zeros(n), moduli=(kappa, L),
-                               max_iter=20000)
+        proj = solve_projected(model, v, [], np.zeros(n))
         assert proj.converged
         assert np.max(np.abs(proj.x - faces[0].x)) < 1e-7
         _vi_inner_product_test(model, faces[0].x, v, rng)

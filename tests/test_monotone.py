@@ -17,7 +17,12 @@ from fullstab.monotone import (
 )
 from fullstab.stabharness import verify_inequality
 from fullstab.visolver import LocalizationTable
-from oracles import estimate_moduli_rowwise, inverse_lipschitz_rowwise, pair_ratios_rowwise
+from oracles import (
+    estimate_from_inverse_two_walks,
+    estimate_moduli_rowwise,
+    inverse_lipschitz_rowwise,
+    pair_ratios_rowwise,
+)
 
 
 def localization_violations(V, theta, kappa):
@@ -254,6 +259,39 @@ class TestBlockedEstimators:
             assert count == ratios.size
             assert least == (ratios.min() if ratios.size else None)
         assert skipped and walked
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_inverse_estimate_is_one_walk(self, block, monkeypatch):
+        # L_hat and the kappa_hat of the swapped sample come from one walk
+        # over the pairs, with the value and the errors of two walks
+        if block is not None:
+            monkeypatch.setattr(pairs, "_BLOCK", block)
+        walks = []
+        blocks = pairs.Pairs.blocks
+
+        def counting(self):
+            walks.append(self.size)
+            return blocks(self)
+
+        U = np.random.default_rng(9).normal(size=(20, 2))
+        samples = [_random_sample(*args) for args in SAMPLES] + [
+            GraphSample(u=U, v=np.zeros_like(U)),  # coincident x's
+            GraphSample(u=np.ones_like(U), v=U),  # coincident v's
+        ]
+        for s in samples:
+            try:
+                expect = repr(estimate_from_inverse_two_walks(s))
+            except DegenerateSampleError as err:
+                expect = repr(err)
+            with monkeypatch.context() as mp:
+                mp.setattr(pairs.Pairs, "blocks", counting)
+                try:
+                    got = repr(estimate_from_inverse(s))
+                except DegenerateSampleError as err:
+                    got = repr(err)
+            assert got == expect
+            assert walks == [len(s) * (len(s) - 1) // 2]
+            walks.clear()
 
     def test_tied_witness_is_the_first_pair(self):
         est = estimate_moduli(_random_sample(3, 40, 4, tied=True))

@@ -24,7 +24,7 @@ from fullstab.stabharness import (
 )
 from fullstab.visolver import LocalizationTable, build_localization
 
-from conftest import BOUNDARY_TOL_ACT, STEEP_DEPENDENT, reference_jacobian
+from conftest import BOUNDARY_TOL_ACT, STEEP_DEPENDENT
 from oracles import fit_moduli_rowwise, pair_terms_rowwise, verify_inequality_rowwise
 
 
@@ -259,8 +259,7 @@ class TestCertify:
     @pytest.mark.parametrize("name", ["ex64", "circle"])
     def test_reference_evaluated_once(self, name, ex64_model, circle_model, monkeypatch):
         # every pointwise check reads the one bundle certify evaluates at
-        # the rational reference, in Fractions, or its float cast (the
-        # localization's solve_projected step takes the cast's jac_f): one
+        # the rational reference, in Fractions, or its float cast: one
         # exact evaluation and no float one at the reference, one
         # enumeration of Lambda at the reference (the circle's sampled path
         # enumerates again only at its samples) and two MFCQ LPs, certify's
@@ -312,6 +311,32 @@ class TestCertify:
         assert set(float_callers) <= {"_face_sweep", "polyhedron_rows"}
         assert sum(bundle is exact_bundles[0] for bundle in enumerated) == 1
         assert len(lps) == 2
+
+    @pytest.mark.parametrize("name", ["ex64", "circle"])
+    def test_licq_decided_once(self, name, ex64_model, circle_model, monkeypatch):
+        # certify decides LICQ at the reference once and hands its report
+        # to the CRCQ probe and the uniform test, which on the circle both
+        # take their LICQ paths
+        import sys
+
+        import fullstab.kkt as kkt
+
+        calls = []
+        original = kkt.check_licq
+
+        def counting(*args):
+            calls.append(sys._getframe(1).f_code.co_name)
+            return original(*args)
+
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("fullstab.") and getattr(mod, "check_licq", None) is original:
+                monkeypatch.setattr(mod, "check_licq", counting)
+        model = {"ex64": ex64_model, "circle": circle_model}[name]
+        rep = certify(model, CertifyOptions(samples=50, grid_v=3, grid_p=3, n_random=2))
+        assert calls == ["certify"]
+        if name == "circle":
+            assert rep.cq["crcq"]["witness"]["licq"] is True
+            assert rep.gusosc["details"]["method"] == "licq_limit"
 
     def test_one_active_set_at_the_reference(self, monkeypatch):
         # phi_1 = -1/10^7 at the reference: in Fractions just outside the
@@ -503,7 +528,7 @@ def assert_fit_matches_rowwise(table, every_check=True):
 def ex64_table(ex64_model):
     """The ex64 table at certify's defaults: 3145 nodes, so its pairs are
     the PAIR_CAP subsample."""
-    table = build_localization(ex64_model, ex64_model.reference, reference_jacobian(ex64_model))
+    table = build_localization(ex64_model, ex64_model.reference)
     assert len(table) * (len(table) - 1) // 2 > 200_000
     return table
 

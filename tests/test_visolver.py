@@ -1,4 +1,4 @@
-"""Solvers: projected iteration vs face enumeration, localization tables.
+"""Solvers: semismooth Newton vs face enumeration, localization tables.
 
 Cross-validation oracle: both routes must agree on strongly monotone
 affine problems, and every solution must pass the inner-product test of
@@ -17,12 +17,16 @@ from fullstab.errors import (
     LocalizationError,
     UnboundedMultiplierError,
 )
-from fullstab.modelspec import eval_bundle_exact, parse_model
-from fullstab.polycone import polyhedron_rows
+from fullstab.modelspec import eval_bundle_exact, eval_reference, parse_model
+from fullstab.polycone import null_space, polyhedron_rows, row_space_projectors
 from fullstab.visolver import build_localization, solve_faces, solve_projected
 
-from conftest import reference_jacobian
-from oracles import face_sweep_per_node, newton_face_sweep, solve_projected_per_node
+from oracles import (
+    face_sweep_per_node,
+    newton_face_sweep,
+    semismooth_newton_per_node,
+    solve_projected_per_node,
+)
 
 
 def scalar_halfline_model():
@@ -49,9 +53,10 @@ class TestSolveProjected:
         assert out.x == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
         assert out.residual < 1e-9
 
-    def test_moduli_step_choice(self):
+    def test_linear_map_without_step_size(self):
+        # f = 4 x1 is solved with no step size to choose
         m = parse_model("dims n=1 d=0\nf = (4*x1)\nreference x=(0) p=() v=(0)\n")
-        out = solve_projected(m, [2.0], [], [0.0], moduli=(4.0, 4.0))
+        out = solve_projected(m, [2.0], [], [0.0])
         assert out.converged
         assert out.x == pytest.approx([0.5], abs=1e-9)
 
@@ -128,11 +133,7 @@ def _run_agreement_trials(count, seed):
         v = rng.normal(size=n) * 0.5
         faces = solve_faces(model, v, [], box_center=np.zeros(n), box_radius=50.0)
         assert len(faces) == 1, "strongly monotone VI must have one solution"
-        kappa = float(np.linalg.eigvalsh(0.5 * (Jf + Jf.T))[0])
-        L = float(np.linalg.norm(Jf, 2))
-        proj = solve_projected(
-            model, v, [], np.zeros(n), moduli=(kappa, L), max_iter=20000
-        )
+        proj = solve_projected(model, v, [], np.zeros(n))
         assert proj.converged
         assert np.max(np.abs(proj.x - faces[0].x)) < 1e-7
         _check_vi_inner_product(model, faces[0].x, v, rng)
@@ -179,15 +180,12 @@ def _check_vi_inner_product(model, x_star, v, rng, count=1000):
 
 class TestBuildLocalization:
     def test_identity_table_exact(self, identity_model):
-        table = build_localization(
-            identity_model, identity_model.reference, reference_jacobian(identity_model),
-            grid_v=5, n_random=5,
-        )
+        table = build_localization(identity_model, identity_model.reference, grid_v=5, n_random=5)
         assert np.max(np.abs(table.x_values - table.v_nodes)) < 1e-10
 
     def test_worked_example_grid_unique(self, ex64_model):
         table = build_localization(
-            ex64_model, ex64_model.reference, reference_jacobian(ex64_model),
+            ex64_model, ex64_model.reference,
             grid_v=3, grid_p=3, n_random=5,
         )
         assert len(table) == 27 * 9 + 5
@@ -204,7 +202,7 @@ class TestBuildLocalization:
         m = parse_model(
             "dims n=2 d=0\nf = (2*x1 + x2, x1 + 3*x2)\nreference x=(0, 0) p=() v=(0, 0)\n"
         )
-        table = build_localization(m, m.reference, reference_jacobian(m), grid_v=3, n_random=0)
+        table = build_localization(m, m.reference, grid_v=3, n_random=0)
         Jf = np.array([[2.0, 1.0], [1.0, 3.0]])
         expect = np.linalg.solve(Jf, table.v_nodes.T).T
         assert np.max(np.abs(table.x_values - expect)) < 1e-10
@@ -226,9 +224,7 @@ class TestBuildLocalization:
             "dims n=1 d=0\nf = (x1^3 - x1)\nreference x=(0) p=() v=(0)\n"
         )
         with pytest.raises(LocalizationError) as err:
-            build_localization(
-                m, m.reference, reference_jacobian(m), grid_v=3, n_random=0, box_radius=2.0
-            )
+            build_localization(m, m.reference, grid_v=3, n_random=0, box_radius=2.0)
         assert err.value.witness is not None
 
     def test_newton_sweep_stops_at_first_bad_node(self, monkeypatch):
@@ -248,9 +244,7 @@ class TestBuildLocalization:
 
         monkeypatch.setattr(visolver, "_newton_stack", counting)
         with pytest.raises(LocalizationError):
-            build_localization(
-                m, m.reference, reference_jacobian(m), grid_v=3, n_random=0, box_radius=2.0
-            )
+            build_localization(m, m.reference, grid_v=3, n_random=0, box_radius=2.0)
         assert len(pairs) == (1 + visolver.MAX_SHRINK) * 7
 
     @pytest.mark.parametrize("name", ["p-dependent-gradient", "ex64"])
@@ -264,10 +258,7 @@ class TestBuildLocalization:
             "reference x=(1/4, 0) p=(0) v=(3/2, 0)\n"
         )
         assert model.f_affine and all(model.affine_x)
-        table = build_localization(
-            model, model.reference, reference_jacobian(model),
-            grid_v=3, grid_p=3, n_random=6, seed=3,
-        )
+        table = build_localization(model, model.reference, grid_v=3, grid_p=3, n_random=6, seed=3)
         assert table.meta["shrinks"] == 0
         x0 = model.reference.as_arrays()[0]
         for k in range(len(table)):
@@ -278,9 +269,10 @@ class TestBuildLocalization:
             assert np.max(np.abs(outs[0].x - table.x_values[k])) <= 1e-12
             assert abs(outs[0].residual - table.residuals[k]) <= 1e-12
 
-    def test_cross_check_step_from_reference_jacobian(self, monkeypatch):
-        # box3-b of the acceptance corpus: at the fixed default step 1e-2
-        # four of its eleven cross-checks took about 1680 iterations each
+    def test_cross_check_box_model_in_one_call(self, monkeypatch):
+        # box3-b of the acceptance corpus: at the fixed-point rule's default
+        # step 1e-2 four of its eleven cross-checks took about 1680
+        # iterations each
         model = parse_model(
             "dims n=3 d=1\nf = (2*x1, 3*x2 + p1, x3 + x1)\n"
             "constraint x1 - 1 <= 0\nconstraint x2 - 1 <= 0\nconstraint x3 - 1 <= 0\n"
@@ -295,19 +287,14 @@ class TestBuildLocalization:
             return outs
 
         monkeypatch.setattr(visolver, "solve_projected", recording)
-        table = build_localization(
-            model, model.reference, reference_jacobian(model), grid_v=3, grid_p=3, seed=5
-        )
+        table = build_localization(model, model.reference, grid_v=3, grid_p=3, seed=5)
         # one stacked call for the table's eleven cross-check nodes
         assert len(calls) == 1
         assert table.meta["cross_checks"] == len(calls[0]) == 11
         assert max(calls[0]) < 400
 
     def test_csv_export_shape(self, identity_model):
-        table = build_localization(
-            identity_model, identity_model.reference, reference_jacobian(identity_model),
-            grid_v=3, n_random=2,
-        )
+        table = build_localization(identity_model, identity_model.reference, grid_v=3, n_random=2)
         csv = table.to_csv()
         lines = csv.strip().splitlines()
         assert lines[0] == "v1,x1,residual,method"
@@ -386,9 +373,7 @@ class TestArrayFaceSweep:
         assert several and all(V[k, 0] == 0 and P[k, 0] <= 0 for k in several)
         assert set(counts) == {1, 3}
         with pytest.raises(LocalizationError) as err:
-            build_localization(
-                model, model.reference, reference_jacobian(model), grid_v=5, grid_p=5
-            )
+            build_localization(model, model.reference, grid_v=5, grid_p=5)
         assert err.value.witness["solutions"] == 3
 
 
@@ -417,8 +402,8 @@ CURVED_MODELS = {
 
 class TestLockstepProjected:
     """solve_projected on a stack of nodes runs every row in lockstep; each
-    row's outcome equals, bit for bit, the node-by-node loop with one-point
-    evaluations and one-point projections."""
+    row's outcome equals, bit for bit, the node-by-node semismooth Newton
+    loop with one-point evaluations, projections and solves."""
 
     @staticmethod
     def _cross_check(model, monkeypatch, **grid):
@@ -432,22 +417,27 @@ class TestLockstepProjected:
             return outs
 
         monkeypatch.setattr(visolver, "solve_projected", recording)
-        build_localization(model, model.reference, reference_jacobian(model), **grid)
+        build_localization(model, model.reference, **grid)
         monkeypatch.undo()
         (call,) = calls
         return call
 
     def _assert_lockstep_matches_oracle(self, model, monkeypatch, **grid):
         (_, V, P, x0), kwargs, outs = self._cross_check(model, monkeypatch, **grid)
-        assert len(outs) == len(V) > 1
+        assert len(outs) == len(V) > 1 and not kwargs
+        self._assert_rows_match_oracle(model, V, P, x0, outs)
+        return outs
+
+    @staticmethod
+    def _assert_rows_match_oracle(model, V, P, x0, outs):
+        X0 = np.broadcast_to(x0, V.shape)
         for k, out in enumerate(outs):
-            x, resid, iterations, converged = solve_projected_per_node(
-                model, V[k], P[k], x0, **kwargs
+            x, resid, iterations, converged = semismooth_newton_per_node(
+                model, V[k], P[k], X0[k]
             )
             assert np.array_equal(out.x, x)
             assert out.residual == resid and type(out.residual) is float
             assert out.iterations == iterations and out.converged == converged
-        return outs
 
     def test_worked_example(self, ex64_model, monkeypatch):
         outs = self._assert_lockstep_matches_oracle(ex64_model, monkeypatch, seed=7)
@@ -461,12 +451,40 @@ class TestLockstepProjected:
 
     def test_identity_and_skew(self, identity_model, skew_model, monkeypatch):
         self._assert_lockstep_matches_oracle(identity_model, monkeypatch)
-        # the skew map's step diverges: rows stall, halve their step and
-        # give up after 6 halvings, or run to max_iter
+        # f = (x1, -x2) is not monotone, so no fixed-point step contracts;
+        # with no constraints the natural map is f - v, and one Newton step
+        # solves each of the 12 rows but the reference node, solved at x0
         outs = self._assert_lockstep_matches_oracle(skew_model, monkeypatch)
-        assert sum(out.converged for out in outs) == 1
+        assert len(outs) == 12 and all(out.converged for out in outs)
+        assert sorted(out.iterations for out in outs) == [0] + [1] * 11
+
+    def test_nonaffine_f_and_p_dependent_rows(self):
+        # f with cubic and p-dependent terms over constraints affine in x
+        # whose rows and bounds move with p: rows of a stack take different
+        # numbers of Newton steps and halvings, start on and off C(p), and
+        # end with none, one or two tight constraints
+        model = parse_model(
+            "dims n=2 d=1\nf = (x1 + x1^3 + p1*x2, x2 + x2^3/3 - p1*x1)\n"
+            "constraint x1 + p1*x2 - 1/2 <= 0\nconstraint -x2 - 1/4 + p1 <= 0\n"
+            "constraint x1 - x2 - 1 <= 0\n"
+        )
+        assert not model.f_affine and all(model.affine_x)
+        rng = np.random.default_rng(11)
+        V = rng.uniform(-3.0, 3.0, size=(40, 2))
+        P = rng.uniform(-0.2, 0.2, size=(40, 1))
+        X0 = rng.uniform(-2.0, 2.0, size=(40, 2))
+        outs = solve_projected(model, V, P, X0)
+        self._assert_rows_match_oracle(model, V, P, X0, outs)
+        assert all(out.converged for out in outs)
         assert len({out.iterations for out in outs}) > 2
-        assert max(out.iterations for out in outs) == 5000
+        A, b = polyhedron_rows(model, P)
+        X = np.array([out.x for out in outs])
+        tight = np.abs(np.matmul(A, X[..., None])[..., 0] - b) < 1e-9
+        assert set(tight.sum(axis=1)) >= {0, 1, 2}
+        # each x solves its node: it is the face sweep's solution there
+        for k in range(0, 40, 8):
+            (face,) = solve_faces(model, V[k], P[k], box_center=np.zeros(2), box_radius=10.0)
+            assert np.max(np.abs(face.x - outs[k].x)) < 1e-9
 
     def test_one_node_is_a_stack_of_one(self, ex64_model):
         v, p, x0 = [0.01, -0.02, 0.03], [0.02, 0.01], [0.1, 0.1, 0.1]
@@ -488,6 +506,68 @@ class TestLockstepProjected:
             solve_projected_per_node(model, [0.5], [-1.0], [3.0])
         outs = solve_projected(model, [[0.5], [0.5]], [[1.0], [0.25]], [3.0])
         assert [out.x[0] for out in outs] == pytest.approx([0.5, 0.25], abs=1e-8)
+
+
+class TestNewtonAgreesWithFixedPoint:
+    """The semismooth Newton cross-check solves what the projected
+    fixed-point rule it replaced solves: at every cross-check node where
+    that rule converges, both x agree with each other and with the face
+    sweep's table to 1e-9."""
+
+    @staticmethod
+    def _assert_agreement(model, **grid):
+        calls = []
+
+        def recording(*args):
+            outs = solve_projected(*args)
+            calls.append((args, outs))
+            return outs
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(visolver, "solve_projected", recording)
+            table = build_localization(model, model.reference, **grid)
+        ((_, V, P, x0), outs), = calls
+        nodes = np.arange(0, len(table), max(1, len(table) // visolver._CROSS_CHECKS))
+        # the old rule's step came from (kappa, L) of the reference Jacobian
+        jac = eval_reference(model, model.reference)[1].jac_f
+        moduli = (np.linalg.eigvalsh(0.5 * (jac + jac.T))[0], np.linalg.norm(jac, 2))
+        agreed = 0
+        for k, (node, out) in enumerate(zip(nodes, outs)):
+            assert out.converged and out.method == "semismooth-newton"
+            assert np.max(np.abs(out.x - table.x_values[node])) < 1e-9
+            x, _, _, converged = solve_projected_per_node(model, V[k], P[k], x0, moduli)
+            if converged:
+                assert np.max(np.abs(out.x - x)) < 1e-9
+                agreed += 1
+        return agreed, len(outs)
+
+    def test_worked_example(self, ex64_model):
+        agreed, checks = self._assert_agreement(ex64_model, grid_v=3, grid_p=3, seed=7)
+        assert agreed == checks == 11
+
+    def test_criterion_7_corpus(self):
+        from test_acceptance import _corpus
+
+        for model in _corpus():
+            assert self._assert_agreement(model, grid_v=3, grid_p=3, seed=5)[0] > 0
+
+    def test_identity(self, identity_model):
+        agreed, checks = self._assert_agreement(identity_model)
+        assert agreed == checks == 13
+
+    def test_tight_row_projector_is_the_null_space_complement(self):
+        # Q = I - N N^T for an orthonormal null-space basis N of the rows,
+        # including repeated and dependent rows and no row at all
+        rng = np.random.default_rng(3)
+        for m, n in [(1, 1), (2, 3), (3, 3), (4, 2), (5, 4)]:
+            A = rng.normal(size=(6, m, n))
+            A[1, -1] = A[1, 0]
+            A[2] = 0.0
+            tight = rng.uniform(size=(6, m)) < 0.6
+            Q = row_space_projectors(A * tight[..., None])
+            for k in range(6):
+                N = null_space(A[k][tight[k]], n)
+                assert np.max(np.abs(Q[k] - (np.eye(n) - N @ N.T))) < 1e-12
 
 
 def _random_curved_model(rng):
@@ -534,9 +614,7 @@ class TestStackedNewtonSweep:
     @staticmethod
     def _assert_table_matches_oracle(model):
         assert not (model.f_affine and all(model.affine_x))
-        table = build_localization(
-            model, model.reference, reference_jacobian(model), grid_v=3, grid_p=3, n_random=4
-        )
+        table = build_localization(model, model.reference, grid_v=3, grid_p=3, n_random=4)
         x0 = model.reference.as_arrays()[0]
         starts = visolver._newton_starts(x0, table.meta["box_radius"], model.n)
         expect = newton_face_sweep(
