@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,12 +139,13 @@ def probe_crcq(
     p,
     samples: int = CRCQ_SAMPLES,
     seed: int = 0,
-    licq: Optional[CQReport] = None,
+    *,
+    licq: CQReport,
 ) -> CQReport:
     """Partial CRCQ in x: every active-gradient subfamily keeps constant
     rank on a neighborhood of (x, p), whose float bundle is ``bundle`` with
-    active set I.  ``licq`` is :func:`check_licq` of (bundle, I) when the
-    caller has decided it already.
+    active set I.  ``licq`` is :func:`check_licq` of (bundle, I), which the
+    caller decides once.
 
     Jointly affine constraints have constant gradients, so the verdict is
     upgraded to 'holds'.  So it is under LICQ (:func:`check_licq`): full row
@@ -161,7 +162,7 @@ def probe_crcq(
         return CQReport(
             "CRCQ", "holds", {"active_set": [i + 1 for i in I], "affine": True}
         )
-    if (licq or check_licq(bundle, I)).ok:
+    if licq.ok:
         return CQReport("CRCQ", "holds", {"active_set": [i + 1 for i in I], "licq": True})
     families = subsets(I, "active constraints")
     next(families)  # the empty family has rank 0 everywhere

@@ -331,8 +331,14 @@ def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray, tight: bool =
     check out to ``TOL_CONE`` (relative); otherwise :class:`SolveFailureError`,
     which a non-finite z, A or b also raises.
 
-    The infeasible rows of a stack go to one stacked :func:`nnls` call, and
-    every row gets the bits of its own one-point call.  A one-point call
+    Far from the set -r[n] is about 1 / (1 + ||y||^2) and the recovery of x
+    loses more than the check allows, so a row that fails with a slack above
+    1 is solved again at the slack over sigma = max|A z - b|, whose solution
+    is y / sigma: x = z - sigma r[:n] / r[n] and mu = sigma u / (-r[n]).
+
+    The infeasible rows of a stack go to one stacked :func:`nnls` call (and
+    the far rows it leaves unverified to a second), and every row gets the
+    bits of its own one-point call.  A one-point call
     returns x or raises; a stacked call returns (X, failures), where
     failures maps each row whose one-point call raises to that exception
     and X holds z in those rows.  With ``tight`` the call also returns the
@@ -363,22 +369,36 @@ def project_onto_rows(A: np.ndarray, b: np.ndarray, z: np.ndarray, tight: bool =
                 rows, A, b, z, feas_tol, slack = (
                     a[finite] for a in (rows, A, b, z, feas_tol, slack)
                 )
-            E = np.concatenate([-A.transpose(0, 2, 1), slack[:, None, :]], axis=1)
-            f = np.zeros((rows.size, n + 1))
-            f[:, n] = 1.0
-            u, res = nnls(E, f)
-            r = _matvec(E, u) - f
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = z - r[:, :n] / r[:, n:]
-                mu = u / -r[:, n:]
-                viol = _matvec(A, x) - b
-                ok = (r[:, n] < 0) & (
-                    (viol <= feas_tol) & (mu * np.abs(viol) <= feas_tol * (1.0 + mu))
-                ).all(axis=1)
-            empty = res <= TOL_CONE
-            keep = ~empty & ok
+
+            def least_distance(k, sigma):
+                # rows k at slack / sigma: the point, the passive set u > 0,
+                # whether the point checks out and whether the set is empty
+                E = np.concatenate(
+                    [-A[k].transpose(0, 2, 1), (slack[k] / sigma)[:, None, :]], axis=1
+                )
+                f = np.zeros((len(E), n + 1))
+                f[:, n] = 1.0
+                u, res = nnls(E, f)
+                r = _matvec(E, u) - f
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    x = z[k] - sigma * r[:, :n] / r[:, n:]
+                    mu = sigma * u / -r[:, n:]
+                    viol = _matvec(A[k], x) - b[k]
+                    ok = (r[:, n] < 0) & (
+                        (viol <= feas_tol[k]) & (mu * np.abs(viol) <= feas_tol[k] * (1.0 + mu))
+                    ).all(axis=1)
+                empty = res <= TOL_CONE
+                return x, u > 0, ~empty & ok, empty
+
+            x, passive, keep, empty = least_distance(slice(None), 1.0)
+            sigma = np.abs(slack).max(axis=1, keepdims=True)
+            again = np.flatnonzero(~keep & (sigma[:, 0] > 1.0))
+            if again.size:
+                scaled = least_distance(again, sigma[again])
+                for out, values in zip((x, passive, keep, empty), scaled):
+                    out[again] = values
             X[rows[keep]] = x[keep]
-            T[rows[keep]] = u[keep] > 0
+            T[rows[keep]] = passive[keep]
             for i in np.flatnonzero(~keep):
                 failures[rows[i]] = (
                     InfeasibleSetError("constraint set is empty (no projection exists)")

@@ -44,7 +44,6 @@ from .kkt import (
     MultiplierSet,
     _jsonify,
     _multipliers,
-    check_licq,
     check_mfcq,
     strict_complement,
 )
@@ -180,12 +179,11 @@ def check_gssosc(
     the Lagrangian Jacobian on the null space of the strongly active
     constraint gradients.
 
-    Lambda is a polytope here (``multiplier_polytope`` refuses an unbounded
-    one), so the minimum over its vertices is exact: a multiplier in the
-    relative interior of a face is a positive combination of the face's
-    vertices, its strongly active set contains each of theirs (so its null
-    space lies in each of theirs), and the Lagrangian Jacobian is affine in
-    lam.
+    Lambda is a polytope here (it is enumerated only once MFCQ holds), so
+    the minimum over its vertices is exact: a multiplier in the relative
+    interior of a face is a positive combination of the face's vertices,
+    its strongly active set contains each of theirs (so its null space lies
+    in each of theirs), and the Lagrangian Jacobian is affine in lam.
     """
     n = len(bundle.f)
     worst = math.inf
@@ -241,13 +239,13 @@ def check_gusosc(
     seed: int = SEED,
     tol_pd: float = TOL_PD,
     tol_act: float = TOL_ACT,
-    licq: Optional[CQReport] = None,
+    *,
+    licq: CQReport,
 ) -> SecondOrderReport:
     """Uniform second-order test around ``ref`` with multiplier set ``ms``
-    (from :func:`kkt.multiplier_polytope`, so MFCQ holds), by the first of
-    three paths that applies (``licq`` is :func:`kkt.check_licq` of the
-    float bundle and active set of ``ms`` when the caller has decided it
-    already):
+    (enumerated once MFCQ holds), by the first of three paths that applies
+    (``licq`` is :func:`kkt.check_licq` of the float bundle and active set
+    of ``ms``, which the caller decides once):
 
     1. every constraint affine in (x, p) and jac_f constant in (x, p):
        decided exactly by face enumeration (:func:`_gusosc_by_faces`);
@@ -284,9 +282,8 @@ def check_gusosc(
     a fixed eta sits within O(eta) of it (the tests hold it to a band)."""
     if _polyhedral(model):
         return _gusosc_by_faces(model, ref, ms, tol_pd)
-    floats = ms.bundle.floats()
-    if (licq or check_licq(floats, ms.active)).ok:
-        return _gusosc_licq_limit(floats, ms, tol_pd)
+    if licq.ok:
+        return _gusosc_licq_limit(ms.bundle.floats(), ms, tol_pd)
     return gusosc_by_sampling(model, ref, ms, eta, samples, seed, tol_pd, tol_act)
 
 

@@ -7,8 +7,9 @@
 
 over all (capped, deterministically subsampled) pairs of a localization
 table.  ``fit_moduli`` estimates kappa from parameter-frozen pairs, the
-Hoelder exponent from a log-log fit on canonically-frozen pairs, and the
-smallest workable ell by bisection.  ``certify`` runs the whole pipeline:
+Hoelder exponent from a log-log fit on canonically-frozen pairs, and ell in
+closed form from the largest moving-pair ratio, and lists the pairs that
+violate at its moduli.  ``certify`` runs the whole pipeline:
 constraint qualifications, multiplier enumeration, the pointwise and
 uniform second-order tests, the bordered-determinant probe, the solver
 table and the inequality verification; the headline verdict is
@@ -38,17 +39,13 @@ from .defaults import (
     TOL_INEQ,
     TOL_PD,
 )
-from .errors import (
-    InputError,
-    LocalizationError,
-    NoMultiplierError,
-    UnboundedMultiplierError,
-)
+from .errors import InputError, LocalizationError
 from .kkt import (
     _jsonify,
+    _multipliers,
+    _recession_direction,
     check_licq,
     check_mfcq,
-    multiplier_polytope,
     probe_crcq,
     strict_complement,
 )
@@ -98,11 +95,7 @@ def _pair_indices(count: int):
 
 def _pair_terms(table: LocalizationTable, kappa: float):
     """Over the (capped) pairs of the table: the pairs, lhs =
-    ||dv - 2 kappa dx||, ||dv|| and d_p.  The terms of the last kappa are
-    kept on the table, so that ``certify``'s fit_moduli and
-    verify_inequality, both at the fitted kappa, compute them once."""
-    if table.pair_terms is not None and table.pair_terms[0] == kappa:
-        return table.pair_terms[1]
+    ||dv - 2 kappa dx||, ||dv|| and d_p."""
     v, x, p = table.v_nodes, table.x_values, table.p_nodes
     pairs = Pairs(len(table), _pair_indices(len(table)))
 
@@ -112,20 +105,7 @@ def _pair_terms(table: LocalizationTable, kappa: float):
         dp = np.linalg.norm(diff(p, ii, jj), axis=1) if p.shape[1] else np.zeros(ii.size)
         return lhs, np.linalg.norm(dv, axis=1), dp
 
-    terms = (pairs, *pair_map(pairs, per_pair, 3))
-    table.pair_terms = (kappa, terms)
-    return terms
-
-
-def _violations(terms, ell: float, exponent: float) -> np.ndarray:
-    """Positions of the pairs with lhs > ||dv|| + ell d_p^exponent + TOL_INEQ,
-    ascending, tested slice by slice of the pair terms."""
-    _, lhs, base, dp = terms
-    bad = [np.zeros(0, dtype=np.int64)]
-    for sl in slices(lhs.size):
-        rhs = base[sl] + ell * dp[sl] ** exponent + TOL_INEQ
-        bad.append(sl.start + np.flatnonzero(lhs[sl] > rhs))
-    return np.concatenate(bad)
+    return (pairs, *pair_map(pairs, per_pair, 3))
 
 
 def verify_inequality(
@@ -141,9 +121,19 @@ def verify_inequality(
         raise InputError("empty localization table")
     if kappa <= 0 or ell < 0:
         raise InputError("need kappa > 0 and ell >= 0")
-    terms = _pair_terms(table, kappa)
+    return _listed(_pair_terms(table, kappa), ell, exponent)
+
+
+def _listed(terms, ell: float, exponent: float):
+    """The pairs with lhs > ||dv|| + ell d_p^exponent + TOL_INEQ, tested
+    slice by slice of the pair terms: the worst _MAX_REPORTED of them,
+    worst first, and their count."""
     pairs, lhs, base, dp = terms
-    bad = _violations(terms, ell, exponent)
+    bad = [np.zeros(0, dtype=np.int64)]
+    for sl in slices(lhs.size):
+        rhs = base[sl] + ell * dp[sl] ** exponent + TOL_INEQ
+        bad.append(sl.start + np.flatnonzero(lhs[sl] > rhs))
+    bad = np.concatenate(bad)
     rhs = base[bad] + ell * dp[bad] ** exponent + TOL_INEQ
     margin = lhs[bad] - rhs
     order = np.argsort(margin)[::-1]
@@ -171,6 +161,9 @@ class StabilityModuli:
     p_frozen_pairs: int
     v_frozen_pairs: int
     witness: dict = field(default_factory=dict)
+    # verify_inequality at (kappa_used, ell_hat or 0, exponent_used)
+    violations: list = field(default_factory=list)
+    violation_count: int = 0
 
     def to_json_dict(self):
         return {
@@ -208,9 +201,11 @@ def fit_moduli(table: LocalizationTable) -> StabilityModuli:
     <v1-v2, x1-x2>/||x1-x2||^2 (vacuous when the localization does not
     move with v); the exponent comes from a log-log regression on
     canonically-frozen pairs rounded to {1/2, 1}; ell is the smallest
-    value with zero violations at those (kappa, exponent), found by a
-    bisection that tests only the pairs still violating at its lower end
-    (see ``_fit_ell``).  Every pair walk goes through ``fullstab.pairs``.
+    value with zero violations at those (kappa, exponent), in closed form
+    up to a relative band (see ``_fit_ell``).  The pair terms at kappa are
+    computed once, for ell and for the violations listed at the fitted
+    moduli, as :func:`verify_inequality` lists them.  Every pair walk goes
+    through ``fullstab.pairs``.
     """
     N = len(table)
     if N < 2:
@@ -260,10 +255,12 @@ def fit_moduli(table: LocalizationTable) -> StabilityModuli:
     if exponent_hat is not None:
         exponent_used = 0.5 if abs(exponent_hat - 0.5) < abs(exponent_hat - 1.0) else 1.0
 
-    # --- ell by bisection at (kappa_used, exponent_used)
-    ell_hat, ell_witness = _fit_ell(table, kappa_used, exponent_used)
+    # --- ell in closed form at (kappa_used, exponent_used)
+    terms = _pair_terms(table, kappa_used)
+    ell_hat, ell_witness = _fit_ell(terms, exponent_used)
     if ell_witness:
         witness["ell_blocking_pair"] = ell_witness
+    violations, violation_count = _listed(terms, ell_hat or 0.0, exponent_used)
     return StabilityModuli(
         kappa_hat=kappa_hat,
         kappa_vacuous=kappa_vacuous,
@@ -275,21 +272,23 @@ def fit_moduli(table: LocalizationTable) -> StabilityModuli:
         p_frozen_pairs=p_frozen,
         v_frozen_pairs=v_frozen,
         witness=witness,
+        violations=violations,
+        violation_count=violation_count,
     )
 
 
-def _fit_ell(table, kappa, exponent):
-    """The smallest ell with no violation at (kappa, exponent), to a relative
-    1e-9, by bisection on [0, max(0, h) + 1], h the largest
-    (lhs - ||dv|| - TOL_INEQ) / d_p^exponent over the moving pairs; None and
-    a witness when a parameter-frozen pair violates at every ell.
+def _fit_ell(terms, exponent):
+    """ell = h + 1e-9 (1 + h) over the pair terms at the fitted kappa, h the
+    largest (lhs - ||dv|| - TOL_INEQ) / d_p^exponent over the moving pairs
+    (0 when that is negative); 0.0 when no pair violates at ell = 0; None
+    and a witness when a parameter-frozen pair violates at every ell.
 
-    Each step tests only the live pairs, those violating at the current
-    lower end.  A pair clear at lo is clear at every larger ell, because each
-    rounding in ||dv|| + ell d_p^exponent + TOL_INEQ is monotone in ell; so
-    the live set shrinks as lo rises, and the bisection takes the same mids
-    and returns the same hi as one that tests every pair."""
-    terms = _pair_terms(table, kappa)
+    h is the smallest ell with no violation up to the rounding of the
+    ratios, which can leave the pair attaining it violating by an ulp.  The
+    band 1e-9 (1 + h), the width a bisection to a relative 1e-9 stops
+    within, covers that rounding and the table's pairs outside the capped
+    subsample: on ex64 every pair then clears by 4e-10, where ell nudged up
+    from h by ulps leaves a pair over TOL_INEQ."""
     pairs, lhs, base, dp = terms
     frozen = np.flatnonzero(dp <= 1e-15)
     gap = lhs[frozen] - base[frozen] - TOL_INEQ
@@ -303,30 +302,18 @@ def _fit_ell(table, kappa, exponent):
     if frozen.size == dp.size:
         return 0.0, None
 
-    def block_maxima():
+    def blocks():
+        # per block: any violation at ell = 0, the largest moving-pair ratio
         for sl in slices(dp.size):
             moving = sl.start + np.flatnonzero(~(dp[sl] <= 1e-15))
             ratio = (lhs[moving] - base[moving] - TOL_INEQ) / dp[moving] ** exponent
-            yield np.max(ratio, initial=-np.inf)
+            yield np.any(lhs[sl] > base[sl] + TOL_INEQ), np.max(ratio, initial=-np.inf)
 
-    hi_exact = float(np.max(list(block_maxima())))
-    hi = max(0.0, hi_exact) + 1.0
-    lo = 0.0
-    live = _violations(terms, lo, exponent)
-    if live.size == 0:
+    violating, maxima = zip(*blocks())
+    if not any(violating):
         return 0.0, None
-    lhs, base, dpe = lhs[live], base[live], dp[live] ** exponent
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        violating = np.flatnonzero(lhs > base + mid * dpe + TOL_INEQ)
-        if not violating.size:
-            hi = mid
-        else:
-            lo = mid
-            lhs, base, dpe = lhs[violating], base[violating], dpe[violating]
-        if hi - lo <= 1e-9 * (1.0 + hi):
-            break
-    return hi, None
+    h = max(0.0, float(np.max(maxima)))
+    return h + 1e-9 * (1.0 + h), None
 
 
 # ---------------------------------------------------------------------------
@@ -461,19 +448,14 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
             "MFCQ fails at the reference: multiplier set may be unbounded; "
             "second-order checks refused"
         )
-        try:
-            multiplier_polytope(exact, I, ref.v)
-            multipliers = None
-        except UnboundedMultiplierError as err:
-            multipliers = {"unbounded": True, "recession": _jsonify(err.recession)}
-        except NoMultiplierError:
-            multipliers = {"empty": True}
+        multipliers = {"unbounded": True, "recession": _jsonify(_recession_direction(exact, I))}
         return StabilityReport(
             verdict="undetermined", fully_stable=None, multipliers=multipliers,
             notes=notes, **base,
         )
 
-    ms = multiplier_polytope(exact, I, ref.v)
+    # MFCQ holds: Lambda is a polytope, enumerated without a second MFCQ LP
+    ms = _multipliers(exact, I, ref.v)
 
     gssosc = check_gssosc(floats, ms, tol_pd=opts.tol_pd)
     gusosc = check_gusosc(
@@ -493,11 +475,9 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
         scoc.append(scoc_probe(exact, vert, J))
 
     # ----- empirical harness
-    localization = None
     moduli = None
     violations = []
     violation_count = 0
-    harness_clean = None
     table = None
     try:
         table = build_localization(
@@ -511,10 +491,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
         localization["single_valued"] = True
         fitted = fit_moduli(table)
         moduli = fitted.to_json_dict()
-        ell = fitted.ell_hat if fitted.ell_hat is not None else 0.0
-        violations, violation_count = verify_inequality(
-            table, fitted.kappa_used, ell, fitted.exponent_used
-        )
+        violations, violation_count = fitted.violations, fitted.violation_count
         harness_clean = (
             not fitted.kappa_flagged
             and fitted.ell_hat is not None

@@ -43,7 +43,6 @@ halving the radii.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -502,9 +501,6 @@ class LocalizationTable:
     residuals: np.ndarray  # (N,)
     methods: list
     meta: dict = field(default_factory=dict)
-    # (kappa, terms) of stabharness._pair_terms at the last kappa asked
-    # for; a table is not changed once built
-    pair_terms: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self):
         return self.v_nodes.shape[0]

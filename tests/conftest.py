@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fullstab.kkt import multiplier_polytope
+from fullstab.kkt import check_licq, multiplier_polytope, probe_crcq
 from fullstab.modelspec import ReferenceTriple, eval_bundle, eval_reference, parse_model
 from fullstab.polycone import active_indices
 
@@ -64,6 +64,30 @@ def reference_multipliers(model):
     """Lambda at the model's reference, as ``certify`` enumerates it."""
     ref = model.reference
     return multiplier_polytope(*exact_at(model, ref.x, ref.p, ref.v), ref.v)
+
+
+def licq_of(ms):
+    """LICQ on the float cast of the bundle and active set that ``ms`` was
+    enumerated at: the report ``certify`` decides once and hands to the
+    CRCQ probe and the uniform test."""
+    return check_licq(ms.bundle.floats(), ms.active)
+
+
+def reference_gusosc(model, ms=None, **kwargs):
+    """``check_gusosc`` at the model's reference, with Lambda (``ms``, or
+    :func:`reference_multipliers`) and LICQ decided there as ``certify``
+    decides them."""
+    from fullstab.secondorder import check_gusosc
+
+    ms = reference_multipliers(model) if ms is None else ms
+    return check_gusosc(model, model.reference, ms, licq=licq_of(ms), **kwargs)
+
+
+def crcq_at(model, x, p, **kwargs):
+    """``probe_crcq`` at (x, p) on the float bundle, active set and LICQ
+    report ``certify`` would hand it there."""
+    floats, I = floats_at(model, x, p)
+    return probe_crcq(model, floats, I, x, p, licq=check_licq(floats, I), **kwargs)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -18,7 +18,10 @@ inverse estimator by its two walks, and the blocked pair kernel (the moduli
 fit, the pair inequality and the monotonicity estimators) by the row-wise
 fit over whole gathered stacks, with p-frozen groups from a dict on each
 node's bytes and an ell bisection that counts violations over every pair
-(``fit_moduli_rowwise`` and its helpers).
+(``fit_moduli_rowwise`` and its helpers), with the closed-form ell checked
+bit for bit by ``fit_ell_closed_form_rowwise``; the reported moduli are
+held on every pair of a table, not only the fit's subsample, by
+``worst_pair_margin``.
 """
 
 from __future__ import annotations
@@ -852,7 +855,8 @@ def fit_moduli_rowwise(table):
     bytes, the ratios, the v-frozen slice and the pair terms over whole
     gathered stacks, and ell bisected with a violation count over every
     pair at each step.  Returns the StabilityModuli ``fit_moduli`` must
-    reproduce to the bit."""
+    reproduce to the bit, except ell, whose closed form lies within the
+    bisection's stopping band 1e-9 (1 + ell) of this one."""
     from fullstab.defaults import TOL_INEQ
     from fullstab.stabharness import StabilityModuli
 
@@ -927,6 +931,47 @@ def fit_moduli_rowwise(table):
         v_frozen_pairs=v_frozen,
         witness=witness,
     )
+
+
+def fit_ell_closed_form_rowwise(table, kappa, exponent):
+    """ell of ``fit_moduli`` at (kappa, exponent) from whole stacks: None
+    when a parameter-frozen pair violates, 0.0 when no pair violates at
+    ell = 0, else h + 1e-9 (1 + h) with h the largest moving-pair ratio
+    (lhs - ||dv|| - TOL_INEQ) / d_p^exponent, clipped at 0."""
+    from fullstab.defaults import TOL_INEQ
+
+    _, _, lhs, base, dp = pair_terms_rowwise(table, kappa)
+    frozen = dp <= 1e-15
+    gap = lhs - base - TOL_INEQ
+    if np.any(frozen & (gap > 0)):
+        return None
+    if np.all(frozen) or not np.any(lhs > base + TOL_INEQ):
+        return 0.0
+    h = max(0.0, float(np.max(gap[~frozen] / dp[~frozen] ** exponent)))
+    return h + 1e-9 * (1.0 + h)
+
+
+def worst_pair_margin(table, kappa, ell, exponent):
+    """The largest ||dv - 2 kappa dx|| - ||dv|| - ell d_p^exponent over
+    every pair i < j of the table, not a subsample: the quantity the pair
+    inequality bounds by TOL_INEQ.  numpy only, 256 rows against all at a
+    time."""
+    V, P, X = table.v_nodes, table.p_nodes, table.x_values
+    N = V.shape[0]
+    worst = -np.inf
+    for lo in range(0, N - 1, 256):
+        rows = np.arange(lo, min(N, lo + 256))
+        dv = V[rows, None, :] - V[None, :, :]
+        dx = X[rows, None, :] - X[None, :, :]
+        dp = np.sqrt(np.sum((P[rows, None, :] - P[None, :, :]) ** 2, axis=2))
+        margin = (
+            np.sqrt(np.sum((dv - 2.0 * kappa * dx) ** 2, axis=2))
+            - np.sqrt(np.sum(dv**2, axis=2))
+            - ell * dp**exponent
+        )
+        upper = rows[:, None] < np.arange(N)[None, :]
+        worst = max(worst, float(np.max(margin, where=upper, initial=-np.inf)))
+    return worst
 
 
 def estimate_moduli_rowwise(sample):

@@ -19,7 +19,6 @@ from fullstab.kkt import (
     check_licq,
     check_mfcq,
     multiplier_polytope,
-    probe_crcq,
     strict_complement,
 )
 from fullstab.modelspec import eval_bundle_exact, parse_model
@@ -27,7 +26,7 @@ from fullstab.secondorder import scoc_probe
 from fullstab.simplex import solve_standard_lp
 from fullstab.stabharness import _max_independent_subset
 
-from conftest import exact_at, floats_at
+from conftest import crcq_at, exact_at, floats_at
 
 ZERO3 = (Fraction(0), Fraction(0), Fraction(0))
 ZERO2 = (Fraction(0), Fraction(0))
@@ -40,10 +39,6 @@ def mfcq_at(model, x, p):
 
 def licq_at(model, x, p):
     return check_licq(*floats_at(model, x, p))
-
-
-def crcq_at(model, x, p, **kwargs):
-    return probe_crcq(model, *floats_at(model, x, p), x, p, **kwargs)
 
 
 def polytope_at(model, x, p, v):

@@ -24,7 +24,7 @@ from fullstab.errors import (
     InputError,
     SolveFailureError,
 )
-from fullstab.kkt import MultiplierSet, probe_crcq
+from fullstab.kkt import MultiplierSet
 from fullstab.modelspec import eval_bundle, eval_bundle_exact, parse_model
 from fullstab.polycone import (
     ConeDesc,
@@ -38,10 +38,10 @@ from fullstab.polycone import (
     subsets,
     tangent_cone,
 )
-from fullstab.secondorder import QuadForm, check_gusosc, min_on_cone
+from fullstab.secondorder import QuadForm, min_on_cone
 from fullstab.visolver import solve_faces
 
-from conftest import exact_at, floats_at, half_planes, reference_multipliers
+from conftest import crcq_at, exact_at, half_planes, reference_gusosc, reference_multipliers
 from oracles import dykstra_projection, nnls_one_row, polar_from_generators, project_one_row
 
 
@@ -338,6 +338,17 @@ class TestProjection:
         x = project_onto_rows(*polyhedron_rows(ex64_model, [0.0, 0.0]), z)
         assert x == pytest.approx([0.0, 0.0, 0.0], abs=1e-9)
 
+    @pytest.mark.parametrize("s", [3e3, 1e4, 1e6])
+    def test_far_point_matches_dykstra(self, ex64_model, s):
+        # ex64's rows at p = (-0.025, -0.025) and z = (s, s, -1.05): the
+        # least-distance problem is solved at its slack scaled to at most 1,
+        # so the point passes the optimality check at any distance
+        A, b = polyhedron_rows(ex64_model, [-0.025, -0.025])
+        z = np.array([s, s, -1.05])
+        x = project_onto_rows(A, b, z)
+        assert np.max(np.abs(x - dykstra_projection(A, b, z))) <= 1e-12 * s
+        assert np.all(A @ x <= b + 1e-12 * s)
+
     def test_empty_set_detected(self):
         m = parse_model(
             "dims n=1 d=0\nf = (x1)\nconstraint x1 + 1 <= 0\nconstraint -x1 <= 0\n"
@@ -429,6 +440,20 @@ class TestStackedProjection:
                 assert np.max(np.abs(X[k] - dykstra_projection(A[k], b[k], z[k]))) <= tol, name
                 assert np.all(A[k] @ X[k] <= b[k] + tol * np.max(np.abs(A[k]))), name
 
+    def test_far_and_near_rows_in_one_stack(self, ex64_model):
+        # rows whose slack is scaled (s >= 3e3) beside rows whose slack is
+        # at most 1 and feasible rows: each gets the bits of its own call
+        A, b = polyhedron_rows(ex64_model, [-0.025, -0.025])
+        s = np.array([0.0, 3e3, 0.3, 1e6, -0.2, 1e4, 2.0])
+        z = np.stack([s, s, np.full(s.size, -1.05)], axis=1)
+        z[6, 2] = 5.0  # inside the set
+        stack = (np.repeat(a[None], s.size, axis=0) for a in (A, b))
+        X, failures = project_onto_rows(*stack, z)
+        assert failures == {}
+        for k in range(s.size):
+            assert np.array_equal(project_onto_rows(A, b, z[k]), X[k]), k
+        assert np.array_equal(X[6], z[6])
+
     def test_failures_come_back_per_row(self, ex64_model):
         (_, A, b, z), = [c for c in _stack_cases(ex64_model) if c[0] == "empty"]
         X, failures = project_onto_rows(A, b, z)
@@ -503,12 +528,12 @@ def _gusosc_with_thirteen_active():
     m = parse_model(half_planes())
     exact, I = exact_at(m, (0, 0), (), (0, 0))
     ms = MultiplierSet(active=I, vertices=[(Fraction(0),) * 13], dim=0, bundle=exact)
-    return check_gusosc(m, m.reference, ms)
+    return reference_gusosc(m, ms)
 
 
 def _crcq_with_thirteen_curved_active():
     m = parse_model(half_planes(" + x2^2"))
-    return probe_crcq(m, *floats_at(m, (0, 0), ()), (0, 0), ())
+    return crcq_at(m, (0, 0), ())
 
 
 class TestSubsets:

@@ -36,7 +36,6 @@ from fullstab.polycone import ConeDesc, SubspaceBasis
 from fullstab.secondorder import (
     QuadForm,
     check_gssosc,
-    check_gusosc,
     check_pvi_pointwise,
     check_smooth_psd,
     gusosc_by_sampling,
@@ -45,7 +44,7 @@ from fullstab.secondorder import (
     scoc_probe,
 )
 
-from conftest import MODELS_DIR, exact_at, floats_at, reference_multipliers
+from conftest import MODELS_DIR, exact_at, floats_at, reference_gusosc, reference_multipliers
 from oracles import (
     cofactor_det,
     gssosc_by_scan,
@@ -239,7 +238,7 @@ class TestGUSOSC:
         # only the apex face is reachable: its two vertex supports give
         # trivial cones, while the unreachable face {1, 2} would give the
         # value 0 on e2
-        rep = check_gusosc(ex64_model, ex64_model.reference, reference_multipliers(ex64_model))
+        rep = reference_gusosc(ex64_model)
         assert rep.verdict == "holds"
         assert rep.modulus == math.inf
         assert rep.details["reachability_lps"] == 4
@@ -254,7 +253,7 @@ class TestGUSOSC:
         # the apex pair gives 1 on the negative orthant; the face {1} and
         # the interior see the eigenvalue -2 of the symmetric part
         m = parse_model(OFF_APEX)
-        rep = check_gusosc(m, m.reference, reference_multipliers(m))
+        rep = reference_gusosc(m)
         assert rep.verdict == "fails"
         assert rep.modulus == pytest.approx(-2.0, abs=1e-12)
         assert rep.witness["active_set"] != [1, 2]
@@ -270,7 +269,7 @@ class TestGUSOSC:
         rows = "".join(f"constraint -x1 + ({k}/7)*x2 <= 0\n" for k in range(-6, 7))
         m = parse_model(f"dims n=2 d=0\nf = (x1, x2)\n{rows}reference x=(0, 0) p=() v=(0, 0)\n")
         with pytest.raises(DeskScaleError, match="face-enumeration cap"):
-            check_gusosc(m, m.reference, reference_multipliers(m))
+            reference_gusosc(m)
 
     def test_sampler_caps_active_set_before_drawing(self, monkeypatch):
         # the curved version of the model above stays on the sampled path;
@@ -283,7 +282,7 @@ class TestGUSOSC:
         ball = secondorder._ball
         monkeypatch.setattr(secondorder, "_ball", lambda *a: draws.append(1) or ball(*a))
         with pytest.raises(DeskScaleError, match="13 active constraints exceed the face-enumeration cap"):
-            check_gusosc(m, m.reference, reference_multipliers(m))
+            reference_gusosc(m)
         assert draws == []
 
     def test_reachability_lp_sized_by_active_rows(self):
@@ -296,7 +295,7 @@ class TestGUSOSC:
             f"dims n=8 d=8\nf = ({xs})\nconstraint x1 - p1 <= 0\nconstraint x2 - p2 <= 0\n"
             f"reference x=({zeros}) p=({zeros}) v=({zeros})\n"
         )
-        rep = check_gusosc(m, m.reference, reference_multipliers(m))
+        rep = reference_gusosc(m)
         assert rep.verdict == "holds" and rep.modulus == pytest.approx(1.0)
         assert rep.details["reachability_lps"] == 3
         assert [p["active_set"] for p in rep.details["pairs"]] == [[], [1], [2], [1, 2]]
@@ -318,7 +317,7 @@ class TestGUSOSC:
         models = [ex64_model, *_corpus(), identity_model, skew_model]
         assert len(models) == 23
         for idx, m in enumerate(models):
-            exact = check_gusosc(m, m.reference, reference_multipliers(m))
+            exact = reference_gusosc(m)
             sampled = gusosc_by_sampling(
                 m, m.reference, reference_multipliers(m), samples=80, seed=5
             )
@@ -339,7 +338,7 @@ class TestGUSOSC:
         ]
         for m, expected in models:
             ms = reference_multipliers(m)
-            rep = check_gusosc(m, m.reference, ms)
+            rep = reference_gusosc(m, ms)
             act = list(ms.active)
             G = ms.grad_matrix[act]
             B = [[float(ex.evaluate(ex.differentiate(m.constraints[i], "p", l), m.reference.x,
@@ -355,10 +354,7 @@ class TestGUSOSC:
                 assert abs(oracle - expected) <= 1e-4, (expected, oracle)
 
     def test_skew_fails_at_minus_one(self, skew_model):
-        rep = check_gusosc(
-            skew_model, skew_model.reference, reference_multipliers(skew_model),
-            eta=1e-2, samples=50, seed=1,
-        )
+        rep = reference_gusosc(skew_model, eta=1e-2, samples=50, seed=1)
         assert rep.verdict == "fails"
         assert rep.modulus <= -1 + 1e-6
         assert rep.modulus == pytest.approx(-1.0, abs=1e-9)
@@ -368,7 +364,7 @@ class TestGUSOSC:
             "dims n=2 d=0\nf = (2*x1, 3*x2)\nconstraint x1 - 1 <= 0\n"
             "reference x=(0, 0) p=() v=(0, 0)\n"
         )
-        rep = check_gusosc(m, m.reference, reference_multipliers(m), eta=1e-2, samples=50, seed=2)
+        rep = reference_gusosc(m, eta=1e-2, samples=50, seed=2)
         assert rep.verdict == "holds"
         # interior samples see the full-space cone: min eig of sym jac
         assert rep.modulus == pytest.approx(2.0, abs=1e-6)
@@ -433,9 +429,7 @@ class TestGUSOSC:
             m = parse_model(text)
             gss = check_gssosc(_floats(m), reference_multipliers(m))
             assert gss.verdict == "holds", text
-            gus = check_gusosc(
-                m, m.reference, reference_multipliers(m), eta=eta0, samples=120, seed=5
-            )
+            gus = reference_gusosc(m, eta=eta0, samples=120, seed=5)
             assert gus.verdict == "holds", text
             if math.isfinite(gss.modulus):
                 assert gus.modulus >= gss.modulus / 2 - 1e-9
@@ -565,7 +559,7 @@ class TestGusoscLicqLimit:
         assert check_licq(_floats(m), ms.active).verdict == "holds"
         # this module's gusosc_by_sampling stays the real one
         monkeypatch.setattr(secondorder, "gusosc_by_sampling", refuse)
-        rep = check_gusosc(m, ref, ms, seed=seed)
+        rep = reference_gusosc(m, ms, seed=seed)
         value, strong = licq_limit(_floats(m), ms.active, [float(c) for c in ref.v])
         assert rep.details["method"] == "licq_limit"
         assert rep.details["strongly_active"] == strong

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fullstab import pairs
-from fullstab.defaults import TOL_ACT
+from fullstab.defaults import TOL_ACT, TOL_INEQ
 from fullstab.errors import InputError
 from fullstab.modelspec import eval_bundle_exact, parse_model
 from fullstab.monotone import graph_sample_from_model
@@ -25,7 +25,13 @@ from fullstab.stabharness import (
 from fullstab.visolver import LocalizationTable, build_localization
 
 from conftest import BOUNDARY_TOL_ACT, STEEP_DEPENDENT
-from oracles import fit_moduli_rowwise, pair_terms_rowwise, verify_inequality_rowwise
+from oracles import (
+    fit_ell_closed_form_rowwise,
+    fit_moduli_rowwise,
+    pair_terms_rowwise,
+    verify_inequality_rowwise,
+    worst_pair_margin,
+)
 
 
 def make_table(v, p, x):
@@ -228,9 +234,10 @@ class TestCertify:
         assert rep.moduli["ell"] == 0.0
 
     def test_pair_terms_computed_once(self, ex64_model, monkeypatch):
-        # fit_moduli and verify_inequality read the table's pairs at the
-        # same fitted kappa: one computation of the pair terms, and the same
-        # moduli and violations as on fresh copies of the table
+        # fit_moduli computes the table's pair terms once, at the fitted
+        # kappa, for ell and for the violations it lists there: one
+        # computation per certification, and the same moduli and violations
+        # as verify_inequality at the fitted moduli, which computes afresh
         from fullstab import stabharness
 
         calls = []
@@ -253,8 +260,24 @@ class TestCertify:
         assert rep.moduli == fitted.to_json_dict()
         args = (fitted.kappa_used, fitted.ell_hat, fitted.exponent_used)
         assert verify_inequality(table, *args) == verify_inequality(fresh(), *args)
+        assert (rep.violations, rep.violation_count) == verify_inequality(table, *args)
         # another kappa is computed afresh
         assert verify_inequality(table, 0.25, 0.0) == verify_inequality(fresh(), 0.25, 0.0)
+
+    @pytest.mark.parametrize("name, seed", [("ex64", 7), ("circle", 0)])
+    def test_moduli_clear_every_table_pair(self, name, seed, ex64_model, circle_model):
+        # the fit sees the 200k-pair subsample of ex64's 3145-node table
+        # (4.9M pairs); the reported (kappa, ell, exponent) must hold on
+        # every pair within TOL_INEQ, as the benchmark checks it.  The band
+        # of the closed-form ell leaves ex64 5.8e-10 (an ell nudged up from
+        # the largest ratio only until the subsample clears leaves 1.0e-9 +
+        # 1.4e-16, over the slack)
+        model = {"ex64": ex64_model, "circle": circle_model}[name]
+        rep = certify(model, CertifyOptions(seed=seed))
+        assert rep.verdict == "fully_stable" and rep.violation_count == 0
+        moduli = rep.moduli
+        margin = worst_pair_margin(rep._table, moduli["kappa"], moduli["ell"], moduli["exponent"])
+        assert margin <= TOL_INEQ
 
     @pytest.mark.parametrize("name", ["ex64", "circle"])
     def test_reference_evaluated_once(self, name, ex64_model, circle_model, monkeypatch):
@@ -262,11 +285,12 @@ class TestCertify:
         # the rational reference, in Fractions, or its float cast: one
         # exact evaluation and no float one at the reference, one
         # enumeration of Lambda at the reference (the circle's sampled path
-        # enumerates again only at its samples) and two MFCQ LPs, certify's
-        # own and the refusal inside multiplier_polytope (every LP that kkt
-        # solves is an MFCQ LP here: MFCQ holds, so no recession direction
-        # is sought).  The face sweep and the projection rows evaluate their
-        # own table points (0, p), which on ex64 include the reference's.
+        # enumerates again only at its samples) and one MFCQ LP, certify's
+        # own, after which Lambda is enumerated without a second one (every
+        # LP that kkt solves is an MFCQ LP here: MFCQ holds, so no recession
+        # direction is sought).  The face sweep and the projection rows
+        # evaluate their own table points (0, p), which on ex64 include the
+        # reference's.
         import sys
 
         import fullstab.kkt as kkt
@@ -310,7 +334,7 @@ class TestCertify:
         assert len(exact_bundles) == 1
         assert set(float_callers) <= {"_face_sweep", "polyhedron_rows"}
         assert sum(bundle is exact_bundles[0] for bundle in enumerated) == 1
-        assert len(lps) == 2
+        assert len(lps) == 1
 
     @pytest.mark.parametrize("name", ["ex64", "circle"])
     def test_licq_decided_once(self, name, ex64_model, circle_model, monkeypatch):
@@ -461,7 +485,7 @@ def _random_table(n, d, seed):
     groups and a v-frozen slice), plus six nodes off that grid, two of them
     at p = 0.0 and p = -0.0 (two distinct nodes by their bytes); x is a
     strongly monotone affine localization in v with a smooth perturbation,
-    so kappa is positive and ell is bisected on the moving pairs."""
+    so kappa is positive and ell comes from the moving pairs."""
     rng = np.random.default_rng(seed)
     V, P = rng.normal(size=(6, n)), rng.normal(size=(5, d))
     v = np.vstack([np.repeat(V, 5, axis=0), rng.normal(size=(6, n))])
@@ -501,24 +525,32 @@ def _bits(value):
 
 def assert_fit_matches_rowwise(table, every_check=True):
     """fit_moduli, the pair terms and verify_inequality reproduce the
-    row-wise oracle to the bit: verify_inequality at the fitted moduli and,
-    with ``every_check``, at ell = 0 and at a kappa of its own, where it
-    computes the terms afresh."""
-    # the blocked terms at the fitted kappa are kept on the table, and
-    # verify_inequality at that kappa reads them
+    row-wise oracles to the bit: the moduli, with ell against its row-wise
+    closed form and within the band 1e-9 (1 + ell) of the row-wise
+    bisection; the violations the fit lists; verify_inequality at the
+    fitted moduli and, with ``every_check``, at ell = 0 and at a kappa of
+    its own."""
     blocked = _fresh(table)
     fitted = fit_moduli(blocked)
-    assert _bits(fitted.to_json_dict()) == _bits(fit_moduli_rowwise(table).to_json_dict())
+    moduli, bisected = fitted.to_json_dict(), fit_moduli_rowwise(table).to_json_dict()
+    ell, ell_bisected = moduli.pop("ell"), bisected.pop("ell")
+    assert _bits(moduli) == _bits(bisected)
 
     kappa, exponent = fitted.kappa_used, fitted.exponent_used
+    assert _bits(ell) == _bits(fit_ell_closed_form_rowwise(table, kappa, exponent))
+    if ell:
+        assert abs(ell - ell_bisected) <= 1e-9 * (1.0 + ell)
+    else:
+        assert ell == ell_bisected  # both 0.0 or both None
     walk, *terms = _pair_terms(blocked, kappa)
     ends = [np.concatenate(side) for side in zip(*[(ii, jj) for _, ii, jj in walk.blocks()])]
     expected = pair_terms_rowwise(table, kappa)
     for got, want in zip(ends + terms, expected):
         assert got.tobytes() == want.tobytes()
 
-    ell = fitted.ell_hat if fitted.ell_hat is not None else 0.0
-    checks = [(kappa, ell, exponent), (kappa, 0.0, 1.0), (0.25, 0.0, 0.5)]
+    checks = [(kappa, ell or 0.0, exponent), (kappa, 0.0, 1.0), (0.25, 0.0, 0.5)]
+    listed = (fitted.violations, fitted.violation_count)
+    assert _bits(listed) == _bits(verify_inequality_rowwise(table, *checks[0]))
     for args in checks if every_check else checks[:1]:
         got = verify_inequality(blocked, *args)
         assert _bits(got) == _bits(verify_inequality_rowwise(table, *args))
