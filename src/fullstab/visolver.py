@@ -301,9 +301,11 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
 
     Each active-set guess J is solved with phi_J = 0 and kept when
     lam >= 0, phi <= tol_act and x lies in the box.  When f and every phi
-    are affine in x the system is linear: the data are evaluated once per
-    distinct parameter row, and each guess is one batched lstsq over the
-    nodes that share (jac_f, grad_phi), filtered by the linear residual.
+    are affine in x the system is linear: the data are evaluated by one
+    batched call over the distinct parameter rows (row by row when it
+    raises, so the error names the first failing row), and each guess is
+    one batched lstsq over the nodes that share (jac_f, grad_phi),
+    filtered by the linear residual.
     The tail then runs in array passes: the kept rows of every guess are
     stably sorted by node (each node keeps its discovery order), a node
     whose candidates all lie within 1e-7 of its first keeps that one (as
@@ -323,9 +325,13 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
     N = V.shape[0]
     rows, which = np.unique(P, axis=0, return_inverse=True)
     which = which.reshape(-1)
-    bundles = [eval_bundle(model, [0.0] * n, row) for row in rows]
     # f, jac_f, phi and grad_phi at (0, p), one entry per distinct p row
-    F0, JF, C, GP = (np.array([b.arrays()[i] for b in bundles]) for i in range(4))
+    try:
+        F0, JF, C, GP = eval_bundle(model, np.zeros((len(rows), n)), rows).arrays()[:4]
+    except (EvaluationError, ArithmeticError):
+        # the point calls raise the error of the first failing row
+        bundles = [eval_bundle(model, [0.0] * n, row) for row in rows]
+        F0, JF, C, GP = (np.array([b.arrays()[i] for b in bundles]) for i in range(4))
     groups = {}
     for k, b in enumerate(which):
         groups.setdefault((JF[b].tobytes(), GP[b].tobytes()), []).append(k)

@@ -3,7 +3,8 @@
 Each oracle deliberately avoids the code path it checks: derivatives are
 verified by central finite differences, cone minimization by rejection
 sampling, projections by Dykstra's alternating method, determinants by
-cofactor expansion, the stacked Newton face sweep by one scalar Newton run
+cofactor expansion, the integer simplex by the Fraction tableau it replaced
+(``fraction_simplex``), the stacked Newton face sweep by one scalar Newton run
 per (node, guess, start) on the unfolded expression trees, the array
 tail of the affine face sweep by its per-node append, merge and score
 loop, the vertex minimum of GSSOSC by a scan of points inside the
@@ -354,6 +355,70 @@ def cofactor_det(M):
         sign = -1 if j % 2 else 1
         total += sign * Fraction(M[0][j]) * cofactor_det(minor)
     return total
+
+
+def fraction_simplex(c, A, b):
+    """Minimize c.x s.t. A x = b, x >= 0 by the two-phase simplex with
+    Bland's rule on a tableau of Fractions, each pivot dividing its row:
+    the exact path of ``solve_standard_lp`` before it moved to integers.
+    Returns (status, x, value), x and value None unless optimal."""
+    m, n = len(A), len(c)
+    full = []
+    for i, (row, rhs) in enumerate(zip(A, b)):
+        sign = -1 if rhs < 0 else 1  # rows with b_i < 0 are negated first
+        full.append(
+            [sign * Fraction(v) for v in row]
+            + [Fraction(int(j == i)) for j in range(m)]
+            + [sign * Fraction(rhs)]
+        )
+    basis = list(range(n, n + m))
+    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
+    _fraction_bland(full, basis, cost1, n + m)  # phase 1 is bounded
+    if sum(cost1[bi] * row[-1] for bi, row in zip(basis, full)) > 0:
+        return "infeasible", None, None
+    for i in range(m):
+        if basis[i] >= n:  # drive the artificial out on its first nonzero entry
+            col = next((j for j in range(n) if full[i][j] != 0), None)
+            if col is not None:
+                _fraction_pivot(full, basis, i, col)
+    keep = [i for i in range(m) if basis[i] < n]  # the others are redundant rows
+    rows = [full[i][:n] + [full[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    cost = [Fraction(v) for v in c]
+    if not _fraction_bland(rows, basis, cost, n):
+        return "unbounded", None, None
+    x = [Fraction(0)] * n
+    for bi, row in zip(basis, rows):
+        x[bi] = row[-1]
+    return "optimal", x, sum(ci * xi for ci, xi in zip(cost, x))
+
+
+def _fraction_bland(rows, basis, cost, ncols):
+    """Bland's rule on a feasible Fraction tableau: the first column with a
+    negative reduced cost enters, the least ratio leaves (ties to the least
+    basic index).  False when the LP is unbounded."""
+    while True:
+        red = [
+            cost[j] - sum(cost[bi] * row[j] for bi, row in zip(basis, rows))
+            for j in range(ncols)
+        ]
+        enter = next((j for j in range(ncols) if red[j] < 0), None)
+        if enter is None:
+            return True
+        ratios = [
+            (row[-1] / row[enter], basis[i], i) for i, row in enumerate(rows) if row[enter] > 0
+        ]
+        if not ratios:
+            return False
+        _fraction_pivot(rows, basis, min(ratios)[2], enter)
+
+
+def _fraction_pivot(rows, basis, leave, enter):
+    rows[leave] = [v / rows[leave][enter] for v in rows[leave]]
+    for i, row in enumerate(rows):
+        if i != leave and row[enter] != 0:
+            rows[i] = [v - row[enter] * w for v, w in zip(row, rows[leave])]
+    basis[leave] = enter
 
 
 def random_polynomial_expr(rng, n, d, depth=3):

@@ -63,6 +63,22 @@ class TestExitCodes:
         )
         assert not (tmp_path / "rep.json").exists()
 
+    def test_pole_in_the_affine_sweep_exit_one(self, tmp_path, capsys):
+        # the p grid meets both poles; the error names the pole of the first
+        # failing distinct p row, as one evaluation per row would, not the
+        # first pole met by one evaluation over all rows
+        model = tmp_path / "poles.model"
+        model.write_text(
+            "dims n=2 d=2\nf = (x1 + 1/(p1 - 1/20), x2 + 1/(p2 + 1/20))\n"
+            "reference x=(20, -20) p=(0, 0) v=(0, 0)\n"
+        )
+        code = run(["certify", str(model), "--samples", "30", "--json", str(tmp_path / "rep.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: division by zero in subexpression '1/(p2 + 1/20)'\n"
+        )
+        assert not (tmp_path / "rep.json").exists()
+
     def test_float_overflow_in_the_sweep_exit_one(self, tmp_path, capsys):
         # (1 + x1)^4000 overflows a float at the Newton starts away from the
         # reference: the run ends with the typed error naming the power
