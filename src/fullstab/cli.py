@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -48,7 +49,8 @@ def _vector(text: str):
 
 # every model flag; each subcommand registers only the ones it reads
 _FLAGS = {
-    "--eta": dict(type=float, default=dflt.ETA, help="graph-sampling radius"),
+    "--eta": dict(type=float, default=dflt.ETA,
+                  help="graph-sampling radius of the monotonicity probe"),
     "--rho-v": dict(type=float, default=dflt.RHO_V,
                     help="canonical-parameter grid radius"),
     "--rho-p": dict(type=float, default=dflt.RHO_P,
@@ -70,6 +72,7 @@ _FLAGS = {
 }
 
 
+@functools.cache  # built at the first call, then shared by every run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fullstab",
@@ -84,7 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **_FLAGS[flag])
         return p
 
-    model_command("certify", "run the full certification pipeline", _FLAGS)
+    model_command(
+        "certify", "run the full certification pipeline", [f for f in _FLAGS if f != "--eta"]
+    )
 
     solve_p = model_command("solve", "solve the system at one (v, p)", ["--json"])
     solve_p.add_argument("--v", type=_vector, default=None, help="comma-separated")

@@ -26,10 +26,11 @@ TOL_CQ = 1e-8
 # of second-order conditions become "> TOL_PD".
 TOL_PD = 1e-9
 
-# Graph-sampling radius for neighborhood second-order probes.
+# Graph-sampling radius of the monotonicity probe (probe-monotone).
 ETA = 1e-2
 
-# Sample count for neighborhood second-order probes.
+# Sample count for neighborhood probes: certify's CRCQ probe draws a tenth
+# of it and probe-monotone a fifth, each at least 10.
 SAMPLES = 500
 
 # CRCQ probe neighborhood radius and sample count.

@@ -307,9 +307,8 @@ def _enumerate_vertices(bundle: EvalBundle, I, rhs, tol):
     exact = bundle.exact
     cols = bundle.grad_phi[list(I)]
     found = []
-    for subset in subsets(range(len(I)), "active constraints"):
-        if len(subset) > len(rhs):  # more columns than rows are dependent
-            break
+    # more columns than rows are dependent
+    for subset in subsets(range(len(I)), "active constraints", len(rhs)):
         sol = _solve_subset(cols[list(subset)], rhs, exact, tol)
         if sol is None:
             continue

@@ -33,7 +33,6 @@ from .modelspec import ParametricModel, eval_bundle
 __all__ = [
     "ConeDesc",
     "SubspaceBasis",
-    "active_mask",
     "active_indices",
     "tangent_cone",
     "critical_cone",
@@ -179,11 +178,11 @@ def null_space(M: np.ndarray, n: int) -> np.ndarray:
     return vt[_rank_of(M.shape, s):].T
 
 
-def subsets(items, what: str):
-    """Every subset of ``items`` as a tuple, by size and then in
-    ``itertools.combinations`` order: the one 2^k walk of the package
-    (active-set guesses, cone faces, critical faces, multiplier supports,
-    CRCQ subfamilies).
+def subsets(items, what: str, most: int | None = None):
+    """Every subset of ``items`` as a tuple, of at most ``most`` items when
+    that is given, by size and then in ``itertools.combinations`` order:
+    the one 2^k walk of the package (active-set guesses, cone faces,
+    critical faces, multiplier supports, CRCQ subfamilies).
     More than ``MAX_CONE_ROWS`` items raise :class:`DeskScaleError` at call
     time, with the count named by ``what``."""
     items = tuple(items)
@@ -191,9 +190,8 @@ def subsets(items, what: str):
         raise DeskScaleError(
             f"{len(items)} {what} exceed the face-enumeration cap ({MAX_CONE_ROWS})"
         )
-    return itertools.chain.from_iterable(
-        itertools.combinations(items, r) for r in range(len(items) + 1)
-    )
+    top = len(items) if most is None else min(most, len(items))
+    return itertools.chain.from_iterable(itertools.combinations(items, r) for r in range(top + 1))
 
 
 def _enumerate_generators(cone: ConeDesc):
@@ -231,26 +229,17 @@ def _enumerate_generators(cone: ConeDesc):
 # active sets and cone builders at an evaluated point
 
 
-def active_mask(phi, tol_act: float = TOL_ACT):
-    """The only active-set rule, for constraint values in floats or
-    Fractions, one point or a (k, m) stack of points (one per row): returns
-    (feasible, active), where feasible is max_i phi_i <= tol_act per point
-    and active marks the i with |phi_i| <= tol_act."""
-    phi = np.asarray(phi)
-    feasible = np.max(phi, axis=-1, initial=-np.inf) <= tol_act
-    return feasible, np.abs(phi) <= tol_act
-
-
 def active_indices(phi, tol_act: float = TOL_ACT):
-    """Indices (0-based, sorted) of the active constraints of one point, by
-    :func:`active_mask`.  The point must be feasible to ``tol_act``; reports
+    """Indices (0-based, sorted) of the i with |phi_i| <= tol_act, for the
+    constraint values of one point in floats or Fractions: the only
+    active-set rule.  The point must be feasible to ``tol_act``; reports
     use 1-based labels."""
-    feasible, active = active_mask(phi, tol_act)
-    if not feasible:
+    phi = np.asarray(phi)
+    if np.max(phi, initial=-np.inf) > tol_act:
         raise InfeasiblePointError(
             f"point is infeasible: max phi = {float(max(phi)):.3e} > {tol_act}"
         )
-    return tuple(int(i) for i in np.flatnonzero(active))
+    return tuple(int(i) for i in np.flatnonzero(np.abs(phi) <= tol_act))
 
 
 def tangent_cone(bundle, I) -> ConeDesc:

@@ -6,17 +6,18 @@ faces (2^rows) and collects the feasible eigenvector candidates of each
 face-projected symmetric part, which contains every KKT point of the
 sphere-constrained problem and hence the global minimizer.
 
-The uniform neighborhood condition (GUSOSC) is decided exactly, as
-'holds'/'fails', in two cases.  When every constraint is affine in (x, p)
-and jac_f is constant it is a minimum over finitely many (reachable face,
-multiplier-vertex support) pairs, each face settled by one exact LP.  On
-any other model where LICQ holds at the reference it is the pointwise
-strong second-order value, its limit as the neighborhood shrinks.  On
-the remaining models (MFCQ without LICQ) it is sampled on the
-solution-map graph and reported as 'corroborated'/'fails', never
-'proved'.  The pointwise tests (strict complementarity subspaces,
-critical-cone spans, smooth positive definiteness, the
-bordered-determinant probe) are decided directly.
+The uniform neighborhood condition (GUSOSC) is decided at the reference,
+as 'holds'/'fails', and nothing is sampled.  When every constraint is
+affine in (x, p) and jac_f is constant it is a minimum over finitely many
+(reachable face, multiplier-vertex support) pairs, each face settled by
+one exact LP.  Where LICQ holds at the reference it is the pointwise
+strong second-order value, its limit as the neighborhood shrinks.
+Elsewhere under MFCQ + CRCQ it is the minimum over the same pairs with the
+Lagrangian Jacobian of each support's vertex.  Where CRCQ fails it is
+'not_run', since it no longer characterizes full stability.  The
+pointwise tests (strict complementarity subspaces, critical-cone spans,
+smooth positive definiteness, the bordered-determinant probe) are decided
+directly.
 """
 
 from __future__ import annotations
@@ -28,35 +29,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .defaults import (
-    ETA,
-    SAMPLES,
-    SEED,
-    TOL_ACT,
-    TOL_CONE,
-    TOL_CQ,
-    TOL_PD,
-)
-from .errors import DegenerateSampleError, EvaluationError, InputError
+from .defaults import TOL_CONE, TOL_CQ, TOL_PD
+from .errors import InputError
 from .expr import differentiate, evaluate, expr_is_zero
-from .kkt import (
-    CQReport,
-    MultiplierSet,
-    _jsonify,
-    _multipliers,
-    check_mfcq,
-    strict_complement,
-)
-from .modelspec import EvalBundle, ParametricModel, ReferenceTriple, eval_bundle
+# check_mfcq is unused here; the benchmark's tracer test patches it through this module
+from .kkt import CQReport, MultiplierSet, _jsonify, check_mfcq, strict_complement  # noqa: F401
+from .modelspec import EvalBundle, ParametricModel, ReferenceTriple
 from .polycone import (
     ConeDesc,
     SubspaceBasis,
-    active_mask,
     critical_cone,
     null_space,
-    project_onto_rows,
     rank,
-    row_norms,
     span_difference,
     subsets,
     tangent_cone,
@@ -70,7 +54,6 @@ __all__ = [
     "min_on_cone",
     "check_gssosc",
     "check_gusosc",
-    "gusosc_by_sampling",
     "check_pvi_pointwise",
     "check_smooth_psd",
     "scoc_probe",
@@ -93,14 +76,14 @@ class QuadForm:
 @dataclass
 class SecondOrderReport:
     condition: str
-    verdict: str  # 'holds' | 'fails' | 'corroborated' | 'vacuous'
+    verdict: str  # 'holds' | 'fails' | 'vacuous' | 'not_run'
     modulus: Optional[float]
     witness: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return self.verdict in ("holds", "corroborated", "vacuous")
+        return self.verdict in ("holds", "vacuous")
 
     def to_json_dict(self):
         vacuous = self.modulus is not None and not math.isfinite(self.modulus)
@@ -208,17 +191,7 @@ def check_gssosc(
 
 
 # ---------------------------------------------------------------------------
-# sampled uniform neighborhood test
-
-
-def _ball(rng, dim: int, radius: float) -> np.ndarray:
-    if dim == 0:
-        return np.zeros(0)
-    raw = rng.normal(size=dim)
-    norm = np.linalg.norm(raw)
-    if norm == 0:
-        return np.zeros(dim)
-    return raw / norm * radius * rng.uniform() ** (1.0 / dim)
+# uniform neighborhood test
 
 
 def mixed_sign_cone(grad_rows: np.ndarray, active, strongly_active, n: int) -> ConeDesc:
@@ -234,33 +207,35 @@ def check_gusosc(
     model: ParametricModel,
     ref: ReferenceTriple,
     ms: MultiplierSet,
-    eta: float = ETA,
-    samples: int = SAMPLES,
-    seed: int = SEED,
     tol_pd: float = TOL_PD,
-    tol_act: float = TOL_ACT,
     *,
     licq: CQReport,
+    crcq: CQReport,
 ) -> SecondOrderReport:
     """Uniform second-order test around ``ref`` with multiplier set ``ms``
-    (enumerated once MFCQ holds), by the first of three paths that applies
-    (``licq`` is :func:`kkt.check_licq` of the float bundle and active set
-    of ``ms``, which the caller decides once):
+    (enumerated once MFCQ holds), by the first of four paths that applies
+    (``licq`` and ``crcq`` are :func:`kkt.check_licq` and
+    :func:`kkt.probe_crcq` at the float bundle and active set of ``ms``,
+    which the caller decides once):
 
     1. every constraint affine in (x, p) and jac_f constant in (x, p):
        decided exactly by face enumeration (:func:`_gusosc_by_faces`);
-    2. LICQ at the reference (:func:`kkt.check_licq` on the float bundle
-       of ``ms``): decided exactly as the limit of the uniform value,
-       which is the pointwise strong second-order value
+    2. LICQ at the reference: decided exactly as the limit of the uniform
+       value, which is the pointwise strong second-order value
        (:func:`_gusosc_licq_limit`);
-    3. otherwise corroborated by :func:`gusosc_by_sampling`, the only path
-       that reads ``eta``, ``samples``, ``seed`` and ``tol_act``.
+    3. CRCQ fails: not run (verdict 'not_run', modulus None), since the
+       test no longer characterizes full stability there;
+    4. otherwise (MFCQ + CRCQ without LICQ): the face enumeration of 1,
+       with the Lagrangian Jacobian of each support's vertex at the
+       reference as the form.
 
-    Why the limit is the pointwise value under LICQ.  The uniform value at
-    radius eta is the infimum, over the graph points (x, p, v, lam) within
-    eta of the reference, of the minimum of the Lagrangian Jacobian form
-    over ``mixed_sign_cone(grad phi(x, p), I(x), I_+(lam))``.  Under
-    LICQ, Lambda(xbar, pbar, vbar) is a single lambar, LICQ persists near
+    The uniform value at radius eta is the infimum, over the graph points
+    (x, p, v, lam) within eta of the reference, of the minimum of the
+    Lagrangian Jacobian form over ``mixed_sign_cone(grad phi(x, p), I(x),
+    I_+(lam))``; each path gives its limit as eta -> 0.
+
+    Why the limit is the pointwise value under LICQ.  Under LICQ,
+    Lambda(xbar, pbar, vbar) is a single lambar, LICQ persists near
     (xbar, pbar), and the multipliers of nearby graph points are unique and
     tend to lambar.  So their strongly active sets contain I_+ = I_+(lambar),
     each mixed cone lies in null(grad phi_{I_+}(x, p)), and the value at
@@ -275,16 +250,68 @@ def check_gusosc(
     lambar over K, which is what :func:`check_gssosc` computes: when it is
     positive the condition holds at every small eta, when it is negative
     it fails at every eta (a zero reads 'fails', as on the other paths).
-    This is
-    the "full stability iff SSOSC under LICQ" of Mordukhovich, Nghia &
-    Rockafellar, Math. Oper. Res. 40 (2015), carried over to the
-    variational system v in f(x, p) + d_x g(x, p).  The sampler's value at
-    a fixed eta sits within O(eta) of it (the tests hold it to a band)."""
+    This is the "full stability iff SSOSC under LICQ" of Mordukhovich,
+    Nghia & Rockafellar, Math. Oper. Res. 40 (2015), carried over to the
+    variational system v in f(x, p) + d_x g(x, p).
+
+    Why path 4 gives the limit under MFCQ + CRCQ.  Vertices: the form is
+    affine in lam and a larger strongly active set gives a smaller cone,
+    so at each graph point the vertices of its multiplier polytope attain
+    the minimum (as in :func:`check_gssosc`).  Supports: a vertex of a
+    nearby Lambda(x, p, v) has a support J with grad phi_J(x, p) linearly
+    independent; under CRCQ every subfamily keeps its rank near the
+    reference (Janin, Math. Programming Study 21, 1984), so grad
+    phi_J(xbar, pbar) is independent too, and the vertex, the unique
+    solution on J, tends to the solution at the reference: a vertex of
+    Lambda(xbar, pbar, vbar) with support J' in J, whose form is the limit
+    of the nearby forms (a support determines its vertex).  Cones: a limit
+    of unit vectors of the nearby cones lies in ``mixed_sign_cone(grad
+    phi(xbar, pbar), I(x), J)``, inside the cone of (I(x), J').  So the
+    minimum over the pairs of a face I of I(xbar) that nearby graph points
+    have and a vertex support inside it bounds the limit from below.  The
+    bound is attained: on such a face Lu (Math. Program. 126, 2011) makes
+    the feasible set a smooth image of a polyhedral one, so the cones of
+    its points tend to the reference's (they are a fixed polyhedral cone
+    pulled back by d phi_K, K a basis of the face's gradients), and v = f
+    + grad phi_J^T lam_J with J's vertex lam_J gives graph points with
+    that pair.  Reachability: on active constraints affine in (x, p) the
+    LP of :func:`_gusosc_by_faces` decides it.  So it does under CRCQ on
+    curved active constraints free of p.  When t* > 0, phi_I keeps its
+    rank, and the constant-rank theorem lifts the LP direction onto {phi_I
+    = 0}.  When t* = 0, Motzkin's transposition theorem gives mu >= 0 on
+    the other active constraints, nonzero on S, and some nu with sum mu_r
+    grad phi_r + sum nu_i grad phi_i = 0 at xbar (r in S, i in I).  Each
+    active phi is locally a function of phi_Khat, Khat a basis of I(xbar)
+    containing one K of I (Janin), and on {phi_K = 0} the map from the
+    other coordinates phi_Khat to phi_S keeps its rank (CRCQ on K and S),
+    so its image is a manifold tangent at 0 to a space orthogonal to mu.
+    There mu . y = o(|y|), while y < 0 on S forces mu . y <= -c |y|: no
+    point near xbar has phi_I = 0 and phi_S < 0.  With moves in p the
+    partial CRCQ in x checked here does not give this: with phi_1 = x1 +
+    p1^2 and phi_2 = x1 (n = d = 1) the face {1} is reached at x1 = -p1^2,
+    p1 != 0, while its LP needs w = 0 and w < 0.  So when an active
+    constraint is curved and moves with p, the faces the LP rejects stay in
+    the minimum (``details['lp_rejected_kept']``): 'holds' is sound, and
+    'fails' is exact only when the minimum is attained on I(xbar), where
+    the reference itself is the graph point (``details
+    ['minimum_attained']``).  On curved data CRCQ is the rank probe's
+    'corroborated', a sampled premise that ``details['premise']`` names."""
     if _polyhedral(model):
         return _gusosc_by_faces(model, ref, ms, tol_pd)
     if licq.ok:
         return _gusosc_licq_limit(ms.bundle.floats(), ms, tol_pd)
-    return gusosc_by_sampling(model, ref, ms, eta, samples, seed, tol_pd, tol_act)
+    if not crcq.ok:
+        details = {
+            "method": "not_run",
+            "reason": "CRCQ fails at the reference: the uniform test no longer "
+            "characterizes full stability",
+            "samples_accepted": 0,
+            "samples_requested": 0,
+            "attempts": 0,
+            "cones_evaluated": 0,
+        }
+        return SecondOrderReport("GUSOSC", "not_run", None, {}, details)
+    return _gusosc_by_faces(model, ref, ms, tol_pd, crcq)
 
 
 def _gusosc_licq_limit(bundle: EvalBundle, ms: MultiplierSet, tol_pd: float) -> SecondOrderReport:
@@ -324,9 +351,12 @@ def _gusosc_by_faces(
     ref: ReferenceTriple,
     ms: MultiplierSet,
     tol_pd: float = TOL_PD,
+    crcq: Optional[CQReport] = None,
 ) -> SecondOrderReport:
-    """Uniform second-order test decided exactly on polyhedral data (see
-    :func:`_polyhedral`).
+    """Uniform second-order test decided by face enumeration at the
+    reference: exactly on polyhedral data (see :func:`_polyhedral`), and
+    under MFCQ + CRCQ (``crcq``, the report it rests on, given) as the
+    bound that :func:`check_gusosc` derives.
 
     With constraints phi = G x + B p + c and a constant jac_f, the
     multipliers of graph points near the reference have supports that
@@ -338,24 +368,39 @@ def _gusosc_by_faces(
     Dontchev & Rockafellar, SIAM J. Optim. 6, 1996).  Face I is reachable
     iff the LP max t over (w, dp, t) in the unit box subject to G_I w +
     B_I dp = 0 and G_r w + B_r dp + t <= 0 for r in I(x) outside I has
-    t* > 0; it is solved exactly on rational data.
+    t* > 0; it is solved exactly on rational data.  Off that scope G and B
+    are taken at the reference, the form of pair (I, J) is the Lagrangian
+    Jacobian of J's vertex there (jac_f itself on polyhedral data), and
+    when an active constraint is curved and moves with p a face the LP
+    rejects stays in the minimum.
     """
     bundle, active, exact = ms.bundle, ms.active, ms.exact
     cast = Fraction if exact else float
+    dp = [[differentiate(model.constraints[i], "p", l) for l in range(model.d)] for i in active]
     B = np.array(
-        [[cast(evaluate(differentiate(model.constraints[i], "p", l), ref.x, ref.p))
-          for l in range(model.d)] for i in active],
-        dtype=bundle.phi.dtype,
+        [[cast(evaluate(e, ref.x, ref.p)) for e in row] for row in dp], dtype=bundle.phi.dtype,
     ).reshape(len(active), model.d)
     rows = np.hstack([bundle.grad_phi[list(active)], B])  # [G_i | B_i], i in active
     supports = {}  # vertex support J -> first vertex with it
     for vert in ms.vertices:
         supports.setdefault(strict_complement(vert, active), vert)
-    H = QuadForm(bundle.jac_f.astype(float))
+    forms = {
+        J: QuadForm(bundle.lagrangian_jacobian(vert).astype(float))
+        for J, vert in supports.items()
+    }
+    # the LP decides when each active constraint is free of p or affine in
+    # (x, p) (see check_gusosc), as on polyhedral data
+    lp_decides = crcq is None or all(
+        model.param_free[i] or model.affine_xp[i] and all(
+            expr_is_zero(differentiate(e, "p", l), model.n, model.d)
+            for e in row for l in range(model.d)
+        )
+        for i, row in zip(active, dp)
+    )
 
-    ell = math.inf
+    ell = at_reference = math.inf
     witness = {}
-    pairs = []
+    pairs, kept = [], []
     lps = 0
     for I in subsets(active, "active constraints"):
         inside = [J for J in supports if set(J) <= set(I)]
@@ -366,16 +411,20 @@ def _gusosc_by_faces(
             face = [k for k, i in enumerate(active) if i in I]
             rest = [k for k, i in enumerate(active) if i not in I]
             if not _face_reachable(rows[face], rows[rest], exact):
-                continue
+                if lp_decides:
+                    continue
+                kept.append([i + 1 for i in I])
         for J in inside:
             cone = mixed_sign_cone(ms.grad_matrix, I, J, model.n)
-            val, w = min_on_cone(H, cone)
+            val, w = min_on_cone(forms[J], cone)
             pair = {
                 "active_set": [i + 1 for i in I],
                 "strongly_active": [j + 1 for j in J],
                 "value": None if not math.isfinite(val) else val,
             }
             pairs.append(pair)
+            if I == active:
+                at_reference = min(at_reference, val)
             if val < ell:
                 ell = val
                 witness = {
@@ -394,6 +443,17 @@ def _gusosc_by_faces(
         "all_cones_trivial": not math.isfinite(ell),
         "exact": exact,
     }
+    if crcq is not None:
+        sampled = " by the sampled rank probe" if crcq.verdict == "corroborated" else ""
+        details.update({
+            "method": "faces",
+            "premise": f"MFCQ holds; CRCQ {crcq.verdict}{sampled}",
+            "reachability": "decided by the LP: each active constraint affine in "
+            "(x, p) or free of p" if lp_decides else "faces the LP rejects kept: "
+            "'holds' is sound, 'fails' is exact only where minimum_attained",
+            "lp_rejected_kept": kept,
+            "minimum_attained": lp_decides or at_reference <= ell,
+        })
     return SecondOrderReport("GUSOSC", verdict, ell, witness, details)
 
 
@@ -424,203 +484,6 @@ def _face_reachable(face_rows, rest_rows, exact: bool) -> bool:
     return t_star > 0 if exact else float(t_star) > TOL_CQ
 
 
-# at most this many attempts are judged as one chunk by gusosc_by_sampling,
-# which bounds the memory a chunk holds
-_CHUNK_ROWS = 256
-# linearized projections per draw in gusosc_by_sampling
-_MAX_STEPS = 8
-
-
-def gusosc_by_sampling(
-    model: ParametricModel,
-    ref: ReferenceTriple,
-    ms: MultiplierSet,
-    eta: float = ETA,
-    samples: int = SAMPLES,
-    seed: int = SEED,
-    tol_pd: float = TOL_PD,
-    tol_act: float = TOL_ACT,
-) -> SecondOrderReport:
-    """Uniform second-order test, corroborated by sampling graph points of
-    the Lagrangian representation near the reference (any model; the path
-    :func:`check_gusosc` takes off the polyhedral scope).
-
-    Every attempt draws the same variates in the same order, whatever
-    becomes of it: a p and an x offset in the eta/4 ball (``_ball``), the
-    index of a base multiplier among the vertices of ``ms`` (at ``ref``)
-    and m uniforms in [-1, 1] for the multiplier noise.  The draw is
-    projected onto the constraints linearized at the current point until it
-    is feasible (at most _MAX_STEPS times), and kept when x and v = f +
-    grad phi^T lam lie within eta of the reference and MFCQ holds; at each
-    kept sample and each multiplier vertex there, the Lagrangian Jacobian
-    form is minimized over the cone mixing strongly active equalities with
-    weakly active inequalities, and the reported lower bound is the minimum
-    over everything sampled.
-
-    Attempts are drawn and judged in chunks of arrays, sized from the
-    acceptance rate so far: one eval_bundle call per projection step per
-    chunk, and one stacked :func:`min_on_cone` call for the chunk's samples
-    with no active constraint.  Attempts are judged in order up to the one
-    at which ``samples`` are accepted, so the report does not depend on the
-    chunk sizes, and an evaluation error is raised only at an attempt the
-    one-at-a-time loop would have reached."""
-    vertex_pool = ms.vertices_float()
-    x0, p0, v0 = ref.as_arrays()
-    n, d, m = model.n, model.d, model.m
-    rng = np.random.default_rng(seed)
-    max_attempts = 80 * samples
-    draw_radius = eta / 4.0
-    noise_scale = eta / (8.0 * max(1, m))
-
-    def draw(count):
-        X, P, U = np.empty((count, n)), np.empty((count, d)), np.empty((count, m))
-        pick = np.empty(count, dtype=int)
-        for i in range(count):
-            P[i] = p0 + _ball(rng, d, draw_radius)
-            X[i] = x0 + _ball(rng, n, draw_radius)
-            pick[i] = rng.integers(len(vertex_pool))
-            U[i] = rng.uniform(-1.0, 1.0, size=m)
-        return X, P, pick, U
-
-    def judge(X, P, pick, U, need):
-        """The attempts (X, P, pick, U) of a chunk judged in order up to the
-        one at which ``need`` are accepted.  Returns (attempts used, MFCQ
-        failures, active sets of the accepted attempts, cones evaluated,
-        least cone value, its witness), the witness being the first
-        attempt and vertex with that value."""
-        X, (f, jac, phi, grad, hess) = _retract(model, X, P, tol_act)
-        feasible, act = active_mask(phi, tol_act)
-        lam = np.where(act, np.maximum(0.0, vertex_pool[pick] + noise_scale * U), 0.0)
-        V = f + np.matmul(lam[:, None, :], grad)[:, 0, :]
-        near = feasible & (row_norms(X - x0) <= eta) & (row_norms(V - v0) <= eta)
-
-        def bundle(k):
-            return EvalBundle(f[k], jac[k], phi[k], grad[k], hess[k])
-
-        used, failures, kept = len(X), 0, []
-        for k in np.flatnonzero(near):
-            active = tuple(int(i) for i in np.flatnonzero(act[k]))
-            # LICQ implies MFCQ, so the LP runs only on dependent gradients
-            dependent = rank(grad[k][list(active)]) < len(active)
-            if dependent and not check_mfcq(bundle(k), active).ok:
-                failures += 1
-                continue
-            kept.append((k, active))
-            if len(kept) == need:
-                used = k + 1
-                break
-        # a sample with no active constraint has the cone R^n and the one
-        # multiplier vertex 0, where the Lagrangian Jacobian is jac_f
-        inner = [k for k, active in kept if not active]
-        if inner:
-            values, argmins = min_on_cone(QuadForm(jac[inner]), ConeDesc(n))
-            interior = dict(zip(inner, zip(values.tolist(), argmins)))
-        cones, best, witness = 0, math.inf, {}
-        for k, active in kept:
-            minima = [(*interior[k], np.zeros(m))] if not active else []
-            if active:
-                at = bundle(k)
-                for vert in _multipliers(at, active, V[k]).vertices:
-                    cone = mixed_sign_cone(grad[k], active, strict_complement(vert, active), n)
-                    H = QuadForm(at.lagrangian_jacobian(vert))
-                    minima.append((*min_on_cone(H, cone), vert))
-            for val, w, vert in minima:
-                cones += 1
-                if val < best:
-                    best = val
-                    witness = {
-                        "x": [float(c) for c in X[k]],
-                        "p": [float(c) for c in P[k]],
-                        "v": [float(c) for c in V[k]],
-                        "lambda": [float(c) for c in vert],
-                        "direction": None if w is None else [float(c) for c in w],
-                        "value": None if not math.isfinite(val) else val,
-                    }
-        return used, failures, [active for _, active in kept], cones, best, witness
-
-    def settle(X, P, pick, U, need):
-        """The :func:`judge` results that cover a chunk: one, or on an
-        evaluation error those of its halves in order, the second only
-        while fewer than ``need`` are accepted, so that the error surfaces
-        only at an attempt the one-at-a-time loop reaches."""
-        try:
-            return [judge(X, P, pick, U, need)]
-        except (EvaluationError, ArithmeticError):
-            if len(X) == 1:
-                raise
-            h = len(X) // 2
-            judged = settle(X[:h], P[:h], pick[:h], U[:h], need)
-            got = sum(len(actives) for _, _, actives, *_ in judged)
-            if got < need:
-                judged += settle(X[h:], P[h:], pick[h:], U[h:], need - got)
-            return judged
-
-    attempts = accepted = mfcq_failures = cones_evaluated = 0
-    ell_hat, witness = math.inf, {}
-    faces = {}  # active set -> accepted samples, in the order first seen
-    while accepted < samples and attempts < max_attempts:
-        rate = (accepted + 1) / (attempts + 1)
-        need = samples - accepted
-        size = min(_CHUNK_ROWS, max_attempts - attempts, math.ceil(1.1 * need / rate))
-        for used, failures, actives, cones, best, at_best in settle(*draw(size), need):
-            attempts += used
-            accepted += len(actives)
-            mfcq_failures += failures
-            cones_evaluated += cones
-            for active in actives:
-                faces[active] = faces.get(active, 0) + 1
-            if best < ell_hat:
-                ell_hat, witness = best, at_best
-    if accepted == 0:
-        raise DegenerateSampleError(
-            "no feasible graph samples found near the reference "
-            f"(attempts={attempts}); geometry may be degenerate"
-        )
-    verdict = "corroborated" if ell_hat > tol_pd else "fails"
-    details = {
-        "eta": eta,
-        "samples_accepted": accepted,
-        "samples_requested": samples,
-        "attempts": attempts,
-        "mfcq_failures": mfcq_failures,
-        "cones_evaluated": cones_evaluated,
-        "all_cones_trivial": not math.isfinite(ell_hat),
-        "faces": [
-            {"active_set": [i + 1 for i in active], "samples": count}
-            for active, count in faces.items()
-        ],
-    }
-    return SecondOrderReport("GUSOSC", verdict, ell_hat, witness, details)
-
-
-def _retract(model, X, P, tol_act):
-    """Evaluate the draws (X, P) by one eval_bundle call, then project
-    every infeasible row onto the constraints linearized there, {y : phi +
-    grad phi (y - x) <= 0}, by one stacked project_onto_rows call, and
-    re-evaluate the moved rows by one call, at most _MAX_STEPS times.
-    Returns the moved X and f, jac_f, phi, grad_phi and hess_phi as
-    C-contiguous stacks (each row laid out as a one-point evaluation lays
-    it out); a row whose projection failed reads phi = +inf."""
-    X = X.copy()
-    tables = [np.ascontiguousarray(a) for a in eval_bundle(model, X, P).arrays()]
-    phi, grad = tables[2], tables[3]
-    failed = np.zeros(len(X), dtype=bool)
-    moving = np.flatnonzero(~active_mask(phi, tol_act)[0])
-    steps = 0
-    while moving.size and steps < _MAX_STEPS:
-        steps += 1
-        b = np.array([grad[k] @ X[k] - phi[k] for k in moving])
-        X[moving], failures = project_onto_rows(grad[moving], b, X[moving])
-        failed[moving[list(failures)]] = True
-        moved = moving[~failed[moving]]
-        if moved.size:
-            for table, rows in zip(tables, eval_bundle(model, X[moved], P[moved]).arrays()):
-                table[moved] = rows
-        moving = moved[~active_mask(phi[moved], tol_act)[0]]
-    phi[failed] = math.inf
-    return X, tables
-
-
 # ---------------------------------------------------------------------------
 # pointwise tests for parameter-independent polyhedral constraint sets
 
@@ -643,7 +506,7 @@ def check_pvi_pointwise(
     if not (all(model.affine_x) and all(model.param_free)):
         raise InputError(
             "pointwise spans test needs parameter-independent affine "
-            "constraints; use the sampled uniform test instead"
+            "constraints; use the uniform test instead"
         )
     T = tangent_cone(bundle, I)
     K = critical_cone(T, v_hat)

@@ -458,10 +458,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
     ms = _multipliers(exact, I, ref.v)
 
     gssosc = check_gssosc(floats, ms, tol_pd=opts.tol_pd)
-    gusosc = check_gusosc(
-        model, ref, ms, eta=opts.eta, samples=opts.samples,
-        seed=opts.seed, tol_pd=opts.tol_pd, tol_act=opts.tol_act, licq=licq,
-    )
+    gusosc = check_gusosc(model, ref, ms, opts.tol_pd, licq=licq, crcq=crcq)
     pvi = None
     v_hat = ref.v_hat(exact)
     if all(model.affine_x) and all(model.param_free):
@@ -505,19 +502,19 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
     # ----- headline verdict
     characterization_available = crcq.ok  # MFCQ already holds here
     conditions_stable = gusosc.ok
-    if gssosc.ok and not gusosc.ok:
-        verdict = "inconsistent"
-        fully_stable = None
-        notes.append(
-            "implication chain broken: pointwise strict-complementarity test "
-            "holds but the uniform test fails"
-        )
-    elif not characterization_available:
+    if not characterization_available:
         verdict = "undetermined"
         fully_stable = None
         notes.append(
             "CRCQ not corroborated: the uniform second-order test is no "
             "longer a characterization; empirical harness attached"
+        )
+    elif gssosc.ok and not gusosc.ok:
+        verdict = "inconsistent"
+        fully_stable = None
+        notes.append(
+            "implication chain broken: pointwise strict-complementarity test "
+            "holds but the uniform test fails"
         )
     elif conditions_stable and harness_clean:
         verdict = "fully_stable"
@@ -539,14 +536,6 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
         notes.append(
             "GSSOSC fails but the uniform test passes: consistent, the "
             "pointwise test is only sufficient"
-        )
-    accepted, requested = (
-        gusosc.details["samples_accepted"], gusosc.details["samples_requested"]
-    )
-    if accepted < requested:
-        notes.append(
-            f"GUSOSC accepted only {accepted} of {requested} requested "
-            "samples: the uniform test rests on fewer graph points than asked for"
         )
     if any(entry["zero"] for entry in scoc):
         notes.append(

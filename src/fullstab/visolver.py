@@ -318,7 +318,9 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
     guess and start by start.
     """
     n, m = model.n, model.m
-    guesses = [list(J) for J in subsets(range(m), "constraints")]
+    # a solution has a multiplier with independent support (Caratheodory's
+    # conic theorem), so guesses of more than n constraints add none
+    guesses = [list(J) for J in subsets(range(m), "constraints", n)]
     if not (model.f_affine and all(model.affine_x)):
         yield from _newton_sweep(model, V, P, center, box_radius, tol_act, guesses)
         return

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from fullstab.defaults import SAMPLES, SEED
 from fullstab.kkt import check_licq, multiplier_polytope, probe_crcq
 from fullstab.modelspec import ReferenceTriple, eval_bundle, eval_reference, parse_model
 from fullstab.polycone import active_indices
@@ -20,9 +21,10 @@ BOUNDARY_TOL_ACT = (
     "reference x=(1/10) p=(0) v=(0)\n"
 )
 
-# Curved models on which LICQ fails and MFCQ holds at the reference, so
-# check_gusosc samples them: two constraints whose gradients are
-# proportional there.  On DEPENDENT_CURVED every draw is accepted; on
+# Curved models on which LICQ fails and MFCQ and CRCQ hold at the
+# reference, so check_gusosc decides them by faces: two constraints whose
+# gradients are proportional.  On DEPENDENT_CURVED every draw of the
+# sampling oracle (oracles.gusosc_sequential) is accepted; on
 # STEEP_DEPENDENT the steep map keeps v in its window only for graph
 # points with |x2| of about 1e-5, a fraction of a percent of the draws.
 DEPENDENT_CURVED = (
@@ -43,6 +45,16 @@ def half_planes(curve=""):
     cap."""
     rows = "".join(f"constraint -x1 + ({k}/7)*x2{curve} <= 0\n" for k in range(-6, 7))
     return f"dims n=2 d=0\nf = (x1, x2)\n{rows}reference x=(0, 0) p=() v=(0, 0)\n"
+
+
+def curv(k):
+    """Model text of the curv-k family: k constraints -x1 + (j/k) x2 + x1^2
+    + x2^2 <= 0, j = 0..k-1, all active at the reference, where MFCQ and
+    CRCQ hold (any two gradients differ by a constant) and LICQ fails for
+    k >= 3; f = (x1 + p1, x2) and v = (-1, 0), so Lambda is the one vertex
+    e_1 and the Lagrangian Jacobian is 3 I."""
+    rows = "".join(f"constraint -x1 + ({j}/{k})*x2 + x1^2 + x2^2 <= 0\n" for j in range(k))
+    return f"dims n=2 d=1\nf = (x1 + p1, x2)\n{rows}reference x=(0, 0) p=(0) v=(-1, 0)\n"
 
 
 def exact_at(model, x, p, v=()):
@@ -73,14 +85,19 @@ def licq_of(ms):
     return check_licq(ms.bundle.floats(), ms.active)
 
 
-def reference_gusosc(model, ms=None, **kwargs):
+def reference_gusosc(model, ms=None):
     """``check_gusosc`` at the model's reference, with Lambda (``ms``, or
-    :func:`reference_multipliers`) and LICQ decided there as ``certify``
-    decides them."""
+    :func:`reference_multipliers`), LICQ and CRCQ decided there as
+    ``certify`` decides them at its default options."""
     from fullstab.secondorder import check_gusosc
 
     ms = reference_multipliers(model) if ms is None else ms
-    return check_gusosc(model, model.reference, ms, licq=licq_of(ms), **kwargs)
+    ref, licq = model.reference, licq_of(ms)
+    crcq = probe_crcq(
+        model, ms.bundle.floats(), ms.active, ref.x, ref.p,
+        samples=max(10, SAMPLES // 10), seed=SEED, licq=licq,
+    )
+    return check_gusosc(model, ref, ms, licq=licq, crcq=crcq)
 
 
 def crcq_at(model, x, p, **kwargs):

@@ -8,10 +8,12 @@ cofactor expansion, the integer simplex by the Fraction tableau it replaced
 per (node, guess, start) on the unfolded expression trees, the array
 tail of the affine face sweep by its per-node append, merge and score
 loop, the vertex minimum of GSSOSC by a scan of points inside the
-multiplier polytope, the chunked GUSOSC sampler by the plain per-attempt
-loop over its draws, the LICQ limit of GUSOSC by a least-squares
-multiplier and one projected eigenvalue problem (``licq_limit``, on the
-seeded models of ``random_licq_model`` among others), the stacked
+multiplier polytope, the exact uniform test off the polyhedral scope by
+graph sampling (``gusosc_sequential``, on the seeded models of
+``random_licq_model`` and ``random_crcq_model`` among others) and its
+LICQ limit also by a least-squares multiplier and one projected
+eigenvalue problem (``licq_limit``), the pruned face sweep by the sweep
+over every active-set guess (``full_face_sweep``), the stacked
 projection kernel by the one-row Lawson-Hanson NNLS it replaced, the
 lockstep semismooth Newton cross-check by its node-by-node loop and its
 solutions by the projected fixed-point iteration it replaced, the one-walk
@@ -692,12 +694,22 @@ def gssosc_by_scan(bundle, vertices, scan_random=64, seed=0, tol_cq=1e-8):
     return scanned
 
 
+def _ball(rng, dim, radius):
+    """A point of the centred ball of ``radius`` in R^dim, uniform in
+    volume."""
+    if dim == 0:
+        return np.zeros(0)
+    raw = rng.normal(size=dim)
+    norm = np.linalg.norm(raw)
+    if norm == 0:
+        return np.zeros(dim)
+    return raw / norm * radius * rng.uniform() ** (1.0 / dim)
+
+
 def gusosc_draws(model, ref, ms, eta, seed):
     """The fixed-width draw stream of the sampled uniform test, one attempt
     at a time: (p, x, base vertex index, m uniforms in [-1, 1]), the same
     variates whatever becomes of the attempt."""
-    from fullstab.secondorder import _ball
-
     x0, p0, _ = ref.as_arrays()
     rng = np.random.default_rng(seed)
     while True:
@@ -707,12 +719,15 @@ def gusosc_draws(model, ref, ms, eta, seed):
 
 
 def gusosc_sequential(model, ref, ms, eta, samples, seed, tol_pd=1e-8, tol_act=1e-7):
-    """The sampled uniform test as the plain per-attempt loop over
-    :func:`gusosc_draws`: each attempt is evaluated at its own point,
-    projected onto the linearized constraints at most 8 times, judged from
-    its last evaluation, and every multiplier vertex of an accepted sample
-    gets its own cone minimization with a single form.  Returns the
-    SecondOrderReport the sampler must reproduce to the bit."""
+    """The uniform test sampled on the solution-map graph, as a plain
+    per-attempt loop over :func:`gusosc_draws`: each attempt is evaluated
+    at its own point, projected onto the linearized constraints at most 8
+    times, judged from its last evaluation (x and v within eta of the
+    reference, MFCQ), and every multiplier vertex of an accepted sample
+    gets its own cone minimization.  Its modulus is a minimum over graph
+    points within eta, so it lies O(eta) from the limits that
+    ``check_gusosc`` decides exactly.  Returns a SecondOrderReport
+    ('corroborated' or 'fails')."""
     from fullstab.errors import (
         DegenerateSampleError,
         InfeasiblePointError,
@@ -828,6 +843,51 @@ def random_licq_model(rng):
     x, p = ", ".join(["0"] * n), ", ".join(["0"] * d)
     lines.append(f"reference x=({x}) p=({p}) v=(" + ", ".join(str(c) for c in v) + ")")
     return parse_model("\n".join(lines) + "\n")
+
+
+def random_crcq_model(rng):
+    """Random model off the polyhedral scope in the family of ``curv``:
+    n = 2 and three to five curved constraints s_j x2 - x1 + c_j (x1^2 +
+    x2^2) <= 0 active at the reference x = 0, with distinct slopes s_j, so
+    the active gradients are pairwise independent: MFCQ holds along e1,
+    every subfamily keeps its rank near 0 (CRCQ) and LICQ fails.  Maybe one
+    more constraint is inactive.  The constraints are free of p, which
+    enters f only; jac_f is a I plus a skew part plus the derivative of
+    cubic terms, and v is 0 or lam times the gradient of largest slope, so
+    Lambda is one vertex, with empty support or with the constraint whose
+    face {j} is reached along its tangent.  The forms are multiples of I
+    at the reference, so a sampled face within the active tolerance of the
+    reference gives the value of the face it rounds to."""
+    d = int(rng.integers(0, 3))
+    a, b = Fraction(int(rng.integers(2, 5)), 2), int(rng.integers(-1, 2))
+    rows = [f"{a}*x1 + {b}*x2 + x1^3/4", f"{-b}*x1 + {a}*x2 + x2^3/4"]
+    for l in range(d):
+        rows[l % 2] += f" + p{l + 1}"
+    k = int(rng.integers(3, 6))
+    slopes = rng.choice([Fraction(c, 2) for c in range(-4, 5)], size=k, replace=False)
+    lines = [f"dims n=2 d={d}", "f = (" + ", ".join(rows) + ")"]
+    for s in slopes:
+        c = Fraction(int(rng.integers(-1, 3)), 2)
+        lines.append(f"constraint -x1 + ({s})*x2 + ({c})*(x1^2 + x2^2) <= 0")
+    if rng.integers(2):
+        lines.append(f"constraint {linear_form(rng.integers(-2, 3, size=2))} + x1^2 - 1 <= 0")
+    lam = Fraction(int(rng.integers(0, 3)), 2)
+    v = [-lam, lam * max(slopes)]
+    p = ", ".join(["0"] * d)
+    lines.append(f"reference x=(0, 0) p=({p}) v=({v[0]}, {v[1]})")
+    return parse_model("\n".join(lines) + "\n")
+
+
+def full_face_sweep(model, V, P, center, box_radius, tol_act=1e-7):
+    """The curved face sweep over every active-set guess, all 2^m of them,
+    as it ran before guesses were capped at n constraints: the stacked
+    Newton multistart of ``visolver._newton_sweep`` handed the full list.
+    Returns [(x, lam, residual), ...] per node."""
+    from fullstab.visolver import _newton_sweep
+
+    m = model.m
+    guesses = [list(J) for r in range(m + 1) for J in itertools.combinations(range(m), r)]
+    return list(_newton_sweep(model, V, P, center, box_radius, tol_act, guesses))
 
 
 def licq_limit(bundle, active, v, tol_cq=1e-8):

@@ -109,7 +109,9 @@ class TestExitCodes:
         (["--tol-act", "-1"], "tol_act must be finite and nonnegative"),
     ])
     def test_out_of_range_option_exit_one(self, flags, message, capsys):
-        code = run(["certify", str(MODELS / "identity.model"), *flags])
+        # each flag on a subcommand that reads it: --eta only probe-monotone
+        command = "probe-monotone" if flags[0] == "--eta" else "certify"
+        code = run([command, str(MODELS / "identity.model"), *flags])
         assert code == 1
         assert message in capsys.readouterr().err
 
@@ -209,11 +211,28 @@ class TestDeterminism:
         assert ra["verdict"] == rb["verdict"]  # verdict is seed-robust
 
 
+class TestParserBuiltOnce:
+    def test_first_run_builds_it_and_later_runs_share_it(self):
+        # not at import, so importing the CLI stays as cheap as before
+        code = (
+            "import fullstab.cli as cli\n"
+            "before = cli._build_parser.cache_info().currsize\n"
+            "cli.run(['report', 'missing.json'])\n"
+            "first = cli._build_parser()\n"
+            "cli.run(['report', 'missing.json'])\n"
+            "print(before, cli._build_parser() is first, cli._build_parser.cache_info().misses)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(MODELS.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=300)
+        assert out.stdout.split() == ["0", "True", "1"], out.stderr
+
+
 class TestDefaultsSingleSource:
     def test_parser_defaults_match_module_table(self):
         parser = _build_parser()
         args = parser.parse_args(["certify", "x.model"])
-        assert args.eta == dflt.ETA
+        assert parser.parse_args(["probe-monotone", "x.model"]).eta == dflt.ETA
         assert args.rho_v == dflt.RHO_V
         assert args.rho_p == dflt.RHO_P
         assert args.samples == dflt.SAMPLES
@@ -357,6 +376,7 @@ class TestFlagsPerSubcommand:
     @pytest.mark.parametrize("argv", [
         ["solve", str(MODELS / "ex64.model"), "--grid-v", "3"],
         ["cones", str(MODELS / "ex64.model"), "--text"],
+        ["certify", str(MODELS / "identity.model"), "--eta", "0.5"],
     ])
     def test_unread_flag_is_rejected(self, argv, capsys):
         assert run(argv) == 1

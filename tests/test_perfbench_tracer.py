@@ -26,15 +26,17 @@ def test_every_traced_name_is_a_package_callable():
 
 def test_layer_metrics_read_gusosc_details_on_both_paths(tmp_path, monkeypatch):
     # the traced pass sums attempts, samples_accepted and cones_evaluated
-    # from every report's gusosc details, whichever path decided it
+    # from every report's gusosc details, whichever path decided it: faces,
+    # the LICQ limit, or not run where CRCQ fails
     monkeypatch.syspath_prepend(str(TRACER.parent))
     worker = importlib.import_module("worker")
     from fullstab.cli import run
 
     models = {
-        "faces": "dims n=1 d=1\nf = (2*x1 + p1)\nconstraint x1 - 1 <= 0\n"
-                 "reference x=(0) p=(0) v=(0)\n",
-        "sampled": DEPENDENT_CURVED,
+        "faces": DEPENDENT_CURVED,
+        "licq_limit": (TRACER.parent.parent / "models" / "circle.model").read_text(),
+        "not_run": "dims n=2 d=0\nf = (2*x1, 2*x2)\nconstraint x1 <= 0\n"
+                   "constraint x1 - x2^2 <= 0\nreference x=(0, 0) p=() v=(0, 0)\n",
     }
     reports = []
     for name, text in models.items():
@@ -45,16 +47,17 @@ def test_layer_metrics_read_gusosc_details_on_both_paths(tmp_path, monkeypatch):
         assert run(argv + ["--json", str(out)]) == 0
         reports.append(json.loads(out.read_text()))
     details = [r["gusosc"]["details"] for r in reports]
+    assert [d["method"] for d in details] == list(models)
+    assert reports[2]["verdict"] == "undetermined"
     for d in details:
-        assert {"attempts", "samples_accepted", "cones_evaluated"} <= d.keys()
-    assert details[0]["attempts"] == details[0]["samples_accepted"] == 0
-    assert "faces" in details[1]  # the sampled path
-    assert details[1]["samples_accepted"] == 20
+        assert d["attempts"] == d["samples_accepted"] == 0
+    assert details[2]["cones_evaluated"] == 0
+    assert details[0]["cones_evaluated"] > 0 and details[1]["cones_evaluated"] > 0
     tracer = worker.Tracer()
     tracer.install()
     tracer.uninstall()
     metrics = worker.layer_metrics(tracer, reports)
-    assert metrics["secondorder.gusosc.accepted"] == (20, "count")
-    assert metrics["secondorder.gusosc.attempts"] == (details[1]["attempts"], "count")
+    assert metrics["secondorder.gusosc.accepted"] == (0, "count")
+    assert metrics["secondorder.gusosc.attempts"] == (0, "count")
     assert metrics["secondorder.gusosc.cones_evaluated"] == (
-        details[0]["cones_evaluated"] + details[1]["cones_evaluated"], "count")
+        sum(d["cones_evaluated"] for d in details), "count")

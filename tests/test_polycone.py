@@ -544,6 +544,7 @@ class TestSubsets:
             for subset in itertools.combinations(items, r):
                 nested.append(subset)
         assert list(subsets(items, "items")) == nested
+        assert list(subsets(items, "items", 2)) == [s for s in nested if len(s) <= 2]
 
     def test_refuses_at_call_time(self):
         with pytest.raises(DeskScaleError) as err:
@@ -618,6 +619,6 @@ class TestOneProjectionKernel:
             if isinstance(node, loops) and _calls_to(node, "project_onto_rows")
         ]
         assert looped == []
-        # the guard sees the calls it guards
-        assert sum(len(_calls_to(tree, "project_onto_rows")) for _, tree in self._sources()) == 2
+        # the guard sees the call it guards (the projected cross-check's)
+        assert sum(len(_calls_to(tree, "project_onto_rows")) for _, tree in self._sources()) == 1
 

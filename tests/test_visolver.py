@@ -21,9 +21,12 @@ from fullstab.modelspec import eval_bundle_exact, eval_reference, parse_model
 from fullstab.polycone import null_space, polyhedron_rows, row_space_projectors
 from fullstab.visolver import build_localization, solve_faces, solve_projected
 
+from conftest import curv
 from oracles import (
     face_sweep_per_node,
+    full_face_sweep,
     newton_face_sweep,
+    random_crcq_model,
     semismooth_newton_per_node,
     solve_projected_per_node,
 )
@@ -661,3 +664,41 @@ class TestStackedNewtonSweep:
         assert [len(next(sweep)), len(next(sweep))] == [3, 3]
         with pytest.raises(EvaluationError, match="division by zero"):
             next(sweep)
+
+
+class TestGuessesUpToN:
+    """The face sweep tries only active-set guesses of at most n
+    constraints, since a solution has a multiplier with linearly
+    independent support (Caratheodory's conic theorem).  The sweep over all
+    2^m guesses (``full_face_sweep``) finds as many solutions at every node
+    of a table, each x within 1e-9."""
+
+    @staticmethod
+    def _assert_as_full_sweep(model):
+        assert model.m > model.n
+        x0, p0, v0 = model.reference.as_arrays()
+        V, P = visolver._grid_nodes(
+            v0, p0, visolver.RHO_V, visolver.RHO_P, 3, 3, model.n, model.d, 4, 0
+        )
+        args = (model, V, P, x0, visolver.BOX_RADIUS, visolver.TOL_ACT)
+        got, expect = list(visolver._face_sweep(*args)), full_face_sweep(*args)
+        assert [len(g) for g in got] == [len(e) for e in expect]
+        for g, e in zip(got, expect):
+            for (x, _, _), (xe, _, _) in zip(g, e):
+                assert np.max(np.abs(x - xe)) <= 1e-9
+        return got
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_curv_family(self, k):
+        assert {len(g) for g in self._assert_as_full_sweep(parse_model(curv(k)))} == {1}
+
+    def test_seeded_curved_models(self):
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            self._assert_as_full_sweep(random_crcq_model(rng))
+        tried = 0
+        while tried < 4:  # the n = 1, m = 2 draws of the other family
+            m = _random_curved_model(rng)
+            if m.m > m.n:
+                self._assert_as_full_sweep(m)
+                tried += 1
