@@ -56,7 +56,8 @@ _FLAGS = {
     "--rho-p": dict(type=float, default=dflt.RHO_P,
                     help="basic-parameter grid radius"),
     "--samples": dict(type=int, default=dflt.SAMPLES,
-                      help="sample count for neighborhood probes"),
+                      help="sample count of the monotonicity probe (certify "
+                      "accepts and echoes it)"),
     "--seed": dict(type=int, default=dflt.SEED),
     "--tol-pd": dict(type=float, default=dflt.TOL_PD,
                      help="positive-definiteness threshold"),
@@ -105,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     model_command(
         "cones", "tangent/critical cone geometry",
-        ["--tol-act", "--seed", "--json", "--csv-table"],
+        ["--tol-act", "--json", "--csv-table"],
     )
 
     report_p = sub.add_parser("report", help="render a JSON report as text")
@@ -217,7 +218,7 @@ def _cmd_cones(args) -> int:
     K = critical_cone(T, v_hat)
     mfcq = check_mfcq(exact, I)
     licq = check_licq(floats, I)
-    crcq = probe_crcq(model, floats, I, ref.x, ref.p, seed=opts.seed, licq=licq)
+    crcq = probe_crcq(model, exact, I, licq=licq)
     rays, lin = K.generators()
     payload = {
         "active_set": [i + 1 for i in I],

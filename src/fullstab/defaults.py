@@ -29,13 +29,9 @@ TOL_PD = 1e-9
 # Graph-sampling radius of the monotonicity probe (probe-monotone).
 ETA = 1e-2
 
-# Sample count for neighborhood probes: certify's CRCQ probe draws a tenth
-# of it and probe-monotone a fifth, each at least 10.
+# Sample count of the monotonicity probe: probe-monotone draws a fifth of
+# it, at least 10.  certify accepts and echoes it, and reads nothing from it.
 SAMPLES = 500
-
-# CRCQ probe neighborhood radius and sample count.
-CRCQ_RADIUS = 1e-2
-CRCQ_SAMPLES = 50
 
 # Localization grid radii (canonical / basic parameter) on unit-scaled data.
 RHO_V = 0.05

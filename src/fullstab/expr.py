@@ -360,29 +360,38 @@ def expr_is_zero(e: Expr, n: int, d: int) -> bool:
     """Decide whether ``e`` is identically zero.
 
     Simplification handles the common case; otherwise evaluate exactly at
-    _ZERO_TRIALS deterministic rational points (Schwartz-Zippel with exact
-    arithmetic).  Points hitting division-by-zero singularities are
-    skipped.
+    the points of :func:`at_probe_points` (Schwartz-Zippel with exact
+    arithmetic: a nonzero rational function vanishes at all of them only
+    if they happen to lie on its zero set).
     """
     s = simplify(e)
     if is_zero(s):
         return True
     hits = 0
-    k = 0
-    attempt = 0
-    while hits < _ZERO_TRIALS and attempt < 8 * _ZERO_TRIALS:
-        attempt += 1
+    for value in at_probe_points(lambda x, p: evaluate(s, x, p), n, d):
+        if value != 0:
+            return False
+        hits += 1
+    return hits > 0
+
+
+def at_probe_points(fn, n: int, d: int):
+    """``fn(x, p)`` at the first _ZERO_TRIALS of 8 * _ZERO_TRIALS fixed
+    rational points (x, p) where it raises no EvaluationError (a point on a
+    singularity is skipped): the points of every identically-zero test."""
+    hits = k = 0
+    for _ in range(8 * _ZERO_TRIALS):
         x = [_probe_value(k + 2 * j) for j in range(n)]
         p = [_probe_value(k + 2 * n + 3 * j + 1) for j in range(d)]
         k += 2 * n + 3 * max(d, 1) + 5
         try:
-            val = evaluate(s, x, p)
+            value = fn(x, p)
         except EvaluationError:
             continue
-        if val != 0:
-            return False
+        yield value
         hits += 1
-    return hits > 0
+        if hits == _ZERO_TRIALS:
+            return
 
 
 def _probe_value(seed: int) -> Fraction:

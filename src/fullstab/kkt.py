@@ -2,9 +2,11 @@
 
 MFCQ is decided by a small LP (exact rational pivoting whenever the point
 and model data are rational, so a zero margin is never a floating-point
-artifact); LICQ by a singular-value rank check; CRCQ by a sampled probe
-that can falsify or corroborate but never prove, except for jointly affine
-data, where gradients are constant, and under LICQ, which implies it.
+artifact); LICQ by a singular-value rank check; CRCQ by comparing each
+active subfamily's rank at the reference with its generic rank, read
+exactly at deterministic rational points, except for jointly affine data,
+where gradients are constant, and under LICQ, which implies it.  Nothing
+is sampled.
 
 The multiplier set Lambda(x, p, v) = {lam >= 0 : sum lam_i grad phi_i =
 v - f(x, p), lam_i = 0 off the active set} is enumerated vertex by vertex
@@ -19,9 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .defaults import CRCQ_RADIUS, CRCQ_SAMPLES, TOL_CONE, TOL_CQ
+from .defaults import TOL_CONE, TOL_CQ
 from .errors import NoMultiplierError, UnboundedMultiplierError
-from .modelspec import EvalBundle, ParametricModel, eval_bundle
+from .expr import at_probe_points, evaluate
+from .modelspec import EvalBundle, ParametricModel
 from .polycone import rank, subsets
 from .simplex import gauss_jordan, solve_inequality_lp
 
@@ -39,12 +42,12 @@ __all__ = [
 @dataclass
 class CQReport:
     cq: str  # 'MFCQ' | 'LICQ' | 'CRCQ'
-    verdict: str  # 'holds' | 'fails' | 'corroborated'
+    verdict: str  # 'holds' | 'fails'
     witness: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return self.verdict in ("holds", "corroborated")
+        return self.verdict == "holds"
 
     def to_json_dict(self):
         return {"cq": self.cq, "verdict": self.verdict, "witness": _jsonify(self.witness)}
@@ -131,77 +134,52 @@ def check_licq(bundle: EvalBundle, I) -> CQReport:
 # CRCQ probe
 
 
-def probe_crcq(
-    model: ParametricModel,
-    bundle: EvalBundle,
-    I,
-    x,
-    p,
-    samples: int = CRCQ_SAMPLES,
-    seed: int = 0,
-    *,
-    licq: CQReport,
-) -> CQReport:
-    """Partial CRCQ in x: every active-gradient subfamily keeps constant
-    rank on a neighborhood of (x, p), whose float bundle is ``bundle`` with
-    active set I.  ``licq`` is :func:`check_licq` of (bundle, I), which the
-    caller decides once.
+def probe_crcq(model: ParametricModel, bundle: EvalBundle, I, *, licq: CQReport) -> CQReport:
+    """Partial CRCQ in x at the reference, whose bundle (exact on rational
+    data) is ``bundle`` with active set I: every active-gradient subfamily
+    S keeps its rank nearby.  ``licq`` is :func:`check_licq` there.
 
-    Jointly affine constraints have constant gradients, so the verdict is
-    upgraded to 'holds'.  So it is under LICQ (:func:`check_licq`): full row
-    rank persists near (x, p), so every subfamily keeps full rank there.
-    Otherwise the probe samples the neighborhood, all points in one batched
-    evaluation, and can only report 'corroborated' or 'fails' (with a
-    witness subset and point).
+    It holds on jointly affine constraints (constant gradients) and under
+    LICQ (full row rank persists).  Otherwise: the entries of grad_x phi_S
+    are rational in (x, p), rank is lower semicontinuous, and a minor not
+    identically zero vanishes on no open set, so S keeps its rank iff its
+    rank at the reference equals its generic rank.  That is read exactly at
+    the points of :func:`expr.at_probe_points`, with the Schwartz-Zippel
+    caveat of :func:`expr.expr_is_zero`; a family of full rank cannot rise.
+    'fails' names the first S (in :func:`polycone.subsets` order) whose
+    rank rises, with a point of its generic rank (not near the reference),
+    or says that no point evaluates, so nothing is certified.
     """
-    if samples < 1:
-        raise ValueError("probe needs samples >= 1")
     if not I:
         return CQReport("CRCQ", "holds", {"active_set": [], "vacuous": True})
+    active = [i + 1 for i in I]
     if all(model.affine_xp[i] for i in I):
-        return CQReport(
-            "CRCQ", "holds", {"active_set": [i + 1 for i in I], "affine": True}
-        )
+        return CQReport("CRCQ", "holds", {"active_set": active, "affine": True})
     if licq.ok:
-        return CQReport("CRCQ", "holds", {"active_set": [i + 1 for i in I], "licq": True})
+        return CQReport("CRCQ", "holds", {"active_set": active, "licq": True})
     families = subsets(I, "active constraints")
     next(families)  # the empty family has rank 0 everywhere
-    x0 = np.array([float(c) for c in x])
-    p0 = np.array([float(c) for c in p])
-    rng = np.random.default_rng(seed)
-    xs, ps = [], []
-    for _ in range(samples):
-        dx = rng.normal(size=model.n)
-        dp = rng.normal(size=model.d) if model.d else np.zeros(0)
-        norm = np.linalg.norm(np.concatenate([dx, dp]))
-        if norm > 0:
-            shift = CRCQ_RADIUS * rng.uniform() / norm
-            xs.append(x0 + shift * dx)
-            ps.append(p0 + shift * dp)
-    xs, ps = np.array(xs), np.array(ps).reshape(len(xs), model.d)
-    grads = [bundle.grad_phi, *eval_bundle(model, xs, ps).grad_phi]
+    points = list(at_probe_points(
+        lambda x, p: (x, p, {i: [evaluate(g, x, p) for g in model.grad_phi[i]] for i in I}),
+        model.n, model.d,
+    ))
+    if not points:
+        reason = "the active gradients evaluate at no probe point"
+        return CQReport("CRCQ", "fails", {"active_set": active, "reason": reason})
     for subset in families:
-        base_rank = rank(grads[0][list(subset)])
-        for k in range(1, len(grads)):
-            rank_k = rank(grads[k][list(subset)])
-            if rank_k != base_rank:
-                return CQReport(
-                    "CRCQ",
-                    "fails",
-                    {
-                        "active_set": [i + 1 for i in I],
-                        "subset": [i + 1 for i in subset],
-                        "rank_at_center": base_rank,
-                        "rank_at_witness": rank_k,
-                        "witness_x": [float(v) for v in xs[k - 1]],
-                        "witness_p": [float(v) for v in ps[k - 1]],
-                    },
-                )
-    return CQReport(
-        "CRCQ",
-        "corroborated",
-        {"active_set": [i + 1 for i in I], "samples": samples, "radius": CRCQ_RADIUS},
-    )
+        rows = bundle.grad_phi[list(subset)]
+        base_rank = len(gauss_jordan(rows)[1]) if bundle.exact else rank(rows)
+        if base_rank == min(len(subset), model.n):
+            continue  # full rank cannot rise
+        ranks = [len(gauss_jordan([grads[i] for i in subset])[1]) for *_, grads in points]
+        if max(ranks) > base_rank:
+            x, p, _ = points[ranks.index(max(ranks))]
+            return CQReport("CRCQ", "fails", {
+                "active_set": active, "subset": [i + 1 for i in subset],
+                "rank_at_reference": base_rank, "rank_generic": max(ranks),
+                "point": {"x": x, "p": p},
+            })
+    return CQReport("CRCQ", "holds", {"active_set": active})
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 A model couples a base map f(x, p) on R^n (given directly or as the
 x-gradient of a scalar potential) with m inequality constraints
 phi_i(x, p) <= 0 and, optionally, a reference triple on the solution-map
-graph.  All derivative data (Jacobian of f, constraint gradients and
-Hessians) is built symbolically once at construction and evaluated on
-demand, exactly at rational points.  The float path evaluates a copy of
-the tables folded once per model (:func:`expr.fold_float`), at one point
-or at a batch of points through the same code.  Both paths give arrays of
-one layout, Fractions in ``dtype=object`` on the exact one.
+graph.  All derivative data (Jacobian of f, constraint gradients in x and
+p, Hessians), and the structure flags read from it, are built symbolically
+once at construction; the data is evaluated on demand, exactly at rational
+points.  The float path evaluates a copy of the tables folded once per
+model (:func:`expr.fold_float`), at one point or at a batch of points
+through the same code.  Both paths give arrays of one layout, Fractions in
+``dtype=object`` on the exact one.
 
 Model file format (UTF-8, '#' comments)::
 
@@ -91,8 +92,12 @@ class ParametricModel:
     hess_phi: tuple = field(default=(), compare=False)  # m x n x n exprs
     affine_x: tuple = field(default=(), compare=False)  # per-constraint flag
     affine_xp: tuple = field(default=(), compare=False)  # gradient constant in (x,p)
+    phi_p: tuple = field(default=(), compare=False)  # m x d exprs, d phi_i / d p_l
     param_free: tuple = field(default=(), compare=False)  # phi_i independent of p
+    jointly_affine: tuple = field(default=(), compare=False)  # phi_i affine in (x, p)
     f_affine: bool = field(default=False, compare=False)  # f affine in x
+    # every phi_i affine in (x, p) and jac_f constant in (x, p)
+    polyhedral: bool = field(default=False, compare=False)
     # (f, jac_f, phi, grad_phi, hess_phi) by expr.fold_float
     float_tables: tuple = field(default=(), compare=False, repr=False)
 
@@ -139,12 +144,19 @@ class ParametricModel:
             )
             for i in range(len(self.constraints))
         )
-        param_free = tuple(
-            all(
-                ex.expr_is_zero(ex.differentiate(phi, "p", l), n, d)
-                for l in range(d)
-            )
+        phi_p = tuple(
+            tuple(ex.differentiate(phi, "p", l) for l in range(d))
             for phi in self.constraints
+        )
+        param_free = tuple(all(ex.expr_is_zero(e, n, d) for e in row) for row in phi_p)
+        jointly_affine = tuple(
+            affine_xp[i]
+            and (param_free[i] or all(
+                ex.expr_is_zero(ex.differentiate(e, "p", l), n, d)
+                for e in phi_p[i]
+                for l in range(d)
+            ))
+            for i in range(len(self.constraints))
         )
         f_affine = all(
             ex.expr_is_zero(ex.differentiate(fij, "x", k), n, d)
@@ -152,13 +164,22 @@ class ParametricModel:
             for fij in row
             for k in range(n)
         )
+        polyhedral = f_affine and all(jointly_affine) and all(
+            ex.expr_is_zero(ex.differentiate(fij, "p", l), n, d)
+            for row in f_jac
+            for fij in row
+            for l in range(d)
+        )
         object.__setattr__(self, "f_jac", f_jac)
         object.__setattr__(self, "grad_phi", grad_phi)
         object.__setattr__(self, "hess_phi", hess_phi)
         object.__setattr__(self, "affine_x", affine_x)
         object.__setattr__(self, "affine_xp", affine_xp)
+        object.__setattr__(self, "phi_p", phi_p)
         object.__setattr__(self, "param_free", param_free)
+        object.__setattr__(self, "jointly_affine", jointly_affine)
         object.__setattr__(self, "f_affine", f_affine)
+        object.__setattr__(self, "polyhedral", polyhedral)
         object.__setattr__(self, "float_tables", _fold(self.tables))
         if self.reference is not None:
             self._check_reference()

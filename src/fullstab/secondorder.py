@@ -31,7 +31,7 @@ import numpy as np
 
 from .defaults import TOL_CONE, TOL_CQ, TOL_PD
 from .errors import InputError
-from .expr import differentiate, evaluate, expr_is_zero
+from .expr import evaluate
 # check_mfcq is unused here; the benchmark's tracer test patches it through this module
 from .kkt import CQReport, MultiplierSet, _jsonify, check_mfcq, strict_complement  # noqa: F401
 from .modelspec import EvalBundle, ParametricModel, ReferenceTriple
@@ -215,7 +215,7 @@ def check_gusosc(
     """Uniform second-order test around ``ref`` with multiplier set ``ms``
     (enumerated once MFCQ holds), by the first of four paths that applies
     (``licq`` and ``crcq`` are :func:`kkt.check_licq` and
-    :func:`kkt.probe_crcq` at the float bundle and active set of ``ms``,
+    :func:`kkt.probe_crcq` at the bundle and active set of ``ms``,
     which the caller decides once):
 
     1. every constraint affine in (x, p) and jac_f constant in (x, p):
@@ -294,9 +294,10 @@ def check_gusosc(
     the minimum (``details['lp_rejected_kept']``): 'holds' is sound, and
     'fails' is exact only when the minimum is attained on I(xbar), where
     the reference itself is the graph point (``details
-    ['minimum_attained']``).  On curved data CRCQ is the rank probe's
-    'corroborated', a sampled premise that ``details['premise']`` names."""
-    if _polyhedral(model):
+    ['minimum_attained']``).  The premise, named in ``details['premise']``,
+    is decided at the reference: CRCQ by the exact rank test of
+    :func:`kkt.probe_crcq`."""
+    if model.polyhedral:
         return _gusosc_by_faces(model, ref, ms, tol_pd)
     if licq.ok:
         return _gusosc_licq_limit(ms.bundle.floats(), ms, tol_pd)
@@ -332,20 +333,6 @@ def _gusosc_licq_limit(bundle: EvalBundle, ms: MultiplierSet, tol_pd: float) -> 
     return SecondOrderReport("GUSOSC", limit.verdict, limit.modulus, limit.witness, details)
 
 
-def _polyhedral(model: ParametricModel) -> bool:
-    """Every phi_i affine in (x, p) and jac_f constant in (x, p), decided on
-    the symbolic derivatives."""
-    n, d = model.n, model.d
-    if not (model.f_affine and all(model.affine_xp)):
-        return False
-    second_p = [
-        differentiate(differentiate(phi, "p", k), "p", l)
-        for phi in model.constraints for k in range(d) for l in range(d)
-    ]
-    jac_p = [differentiate(e, "p", l) for row in model.f_jac for e in row for l in range(d)]
-    return all(expr_is_zero(e, n, d) for e in second_p + jac_p)
-
-
 def _gusosc_by_faces(
     model: ParametricModel,
     ref: ReferenceTriple,
@@ -354,7 +341,7 @@ def _gusosc_by_faces(
     crcq: Optional[CQReport] = None,
 ) -> SecondOrderReport:
     """Uniform second-order test decided by face enumeration at the
-    reference: exactly on polyhedral data (see :func:`_polyhedral`), and
+    reference: exactly on polyhedral data (``model.polyhedral``), and
     under MFCQ + CRCQ (``crcq``, the report it rests on, given) as the
     bound that :func:`check_gusosc` derives.
 
@@ -376,9 +363,9 @@ def _gusosc_by_faces(
     """
     bundle, active, exact = ms.bundle, ms.active, ms.exact
     cast = Fraction if exact else float
-    dp = [[differentiate(model.constraints[i], "p", l) for l in range(model.d)] for i in active]
     B = np.array(
-        [[cast(evaluate(e, ref.x, ref.p)) for e in row] for row in dp], dtype=bundle.phi.dtype,
+        [[cast(evaluate(e, ref.x, ref.p)) for e in model.phi_p[i]] for i in active],
+        dtype=bundle.phi.dtype,
     ).reshape(len(active), model.d)
     rows = np.hstack([bundle.grad_phi[list(active)], B])  # [G_i | B_i], i in active
     supports = {}  # vertex support J -> first vertex with it
@@ -391,11 +378,7 @@ def _gusosc_by_faces(
     # the LP decides when each active constraint is free of p or affine in
     # (x, p) (see check_gusosc), as on polyhedral data
     lp_decides = crcq is None or all(
-        model.param_free[i] or model.affine_xp[i] and all(
-            expr_is_zero(differentiate(e, "p", l), model.n, model.d)
-            for e in row for l in range(model.d)
-        )
-        for i, row in zip(active, dp)
+        model.param_free[i] or model.jointly_affine[i] for i in active
     )
 
     ell = at_reference = math.inf
@@ -444,10 +427,9 @@ def _gusosc_by_faces(
         "exact": exact,
     }
     if crcq is not None:
-        sampled = " by the sampled rank probe" if crcq.verdict == "corroborated" else ""
         details.update({
             "method": "faces",
-            "premise": f"MFCQ holds; CRCQ {crcq.verdict}{sampled}",
+            "premise": "MFCQ holds; CRCQ holds",
             "reachability": "decided by the LP: each active constraint affine in "
             "(x, p) or free of p" if lp_decides else "faces the LP rejects kept: "
             "'holds' is sound, 'fails' is exact only where minimum_attained",

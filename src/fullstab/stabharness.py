@@ -323,7 +323,7 @@ def _fit_ell(terms, exponent):
 @dataclass
 class CertifyOptions:
     eta: float = ETA
-    samples: int = SAMPLES
+    samples: int = SAMPLES  # read by probe-monotone; certify only echoes it
     rho_v: float = RHO_V
     rho_p: float = RHO_P
     grid_v: int = GRID_V
@@ -422,17 +422,14 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
     if ref is None:
         raise InputError("model file has no reference triple")
     notes = []
-    # one evaluation of the reference and one active set: MFCQ, Lambda, the
-    # uniform test and the determinant probe read the exact bundle, the rest
-    # its float cast
+    # one evaluation of the reference and one active set: MFCQ, CRCQ,
+    # Lambda, the uniform test and the determinant probe read the exact
+    # bundle, the rest its float cast
     exact, floats = eval_reference(model, ref)
     I = active_indices(exact.phi, opts.tol_act)
     mfcq = check_mfcq(exact, I)
     licq = check_licq(floats, I)
-    crcq = probe_crcq(
-        model, floats, I, ref.x, ref.p,
-        samples=max(10, opts.samples // 10), seed=opts.seed, licq=licq,
-    )
+    crcq = probe_crcq(model, exact, I, licq=licq)
     cq = {
         "mfcq": mfcq.to_json_dict(),
         "licq": licq.to_json_dict(),
@@ -506,7 +503,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
         verdict = "undetermined"
         fully_stable = None
         notes.append(
-            "CRCQ not corroborated: the uniform second-order test is no "
+            "CRCQ fails: the uniform second-order test is no "
             "longer a characterization; empirical harness attached"
         )
     elif gssosc.ok and not gusosc.ok:

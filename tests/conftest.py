@@ -6,7 +6,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fullstab.defaults import SAMPLES, SEED
 from fullstab.kkt import check_licq, multiplier_polytope, probe_crcq
 from fullstab.modelspec import ReferenceTriple, eval_bundle, eval_reference, parse_model
 from fullstab.polycone import active_indices
@@ -88,23 +87,20 @@ def licq_of(ms):
 def reference_gusosc(model, ms=None):
     """``check_gusosc`` at the model's reference, with Lambda (``ms``, or
     :func:`reference_multipliers`), LICQ and CRCQ decided there as
-    ``certify`` decides them at its default options."""
+    ``certify`` decides them."""
     from fullstab.secondorder import check_gusosc
 
     ms = reference_multipliers(model) if ms is None else ms
-    ref, licq = model.reference, licq_of(ms)
-    crcq = probe_crcq(
-        model, ms.bundle.floats(), ms.active, ref.x, ref.p,
-        samples=max(10, SAMPLES // 10), seed=SEED, licq=licq,
-    )
-    return check_gusosc(model, ref, ms, licq=licq, crcq=crcq)
+    licq = licq_of(ms)
+    crcq = probe_crcq(model, ms.bundle, ms.active, licq=licq)
+    return check_gusosc(model, model.reference, ms, licq=licq, crcq=crcq)
 
 
-def crcq_at(model, x, p, **kwargs):
-    """``probe_crcq`` at (x, p) on the float bundle, active set and LICQ
-    report ``certify`` would hand it there."""
-    floats, I = floats_at(model, x, p)
-    return probe_crcq(model, floats, I, x, p, licq=check_licq(floats, I), **kwargs)
+def crcq_at(model, x, p):
+    """``probe_crcq`` at (x, p) on the bundle, active set and LICQ report
+    ``certify`` would hand it there."""
+    exact, I = exact_at(model, x, p)
+    return probe_crcq(model, exact, I, licq=check_licq(exact.floats(), I))
 
 
 @pytest.hookimpl(hookwrapper=True)

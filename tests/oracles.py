@@ -3,28 +3,30 @@
 Each oracle deliberately avoids the code path it checks: derivatives are
 verified by central finite differences, cone minimization by rejection
 sampling, projections by Dykstra's alternating method, determinants by
-cofactor expansion, the integer simplex by the Fraction tableau it replaced
-(``fraction_simplex``), the stacked Newton face sweep by one scalar Newton run
-per (node, guess, start) on the unfolded expression trees, the array
-tail of the affine face sweep by its per-node append, merge and score
-loop, the vertex minimum of GSSOSC by a scan of points inside the
-multiplier polytope, the exact uniform test off the polyhedral scope by
-graph sampling (``gusosc_sequential``, on the seeded models of
-``random_licq_model`` and ``random_crcq_model`` among others) and its
-LICQ limit also by a least-squares multiplier and one projected
-eigenvalue problem (``licq_limit``), the pruned face sweep by the sweep
-over every active-set guess (``full_face_sweep``), the stacked
-projection kernel by the one-row Lawson-Hanson NNLS it replaced, the
-lockstep semismooth Newton cross-check by its node-by-node loop and its
-solutions by the projected fixed-point iteration it replaced, the one-walk
-inverse estimator by its two walks, and the blocked pair kernel (the moduli
-fit, the pair inequality and the monotonicity estimators) by the row-wise
-fit over whole gathered stacks, with p-frozen groups from a dict on each
-node's bytes and an ell bisection that counts violations over every pair
-(``fit_moduli_rowwise`` and its helpers), with the closed-form ell checked
-bit for bit by ``fit_ell_closed_form_rowwise``; the reported moduli are
-held on every pair of a table, not only the fit's subsample, by
-``worst_pair_margin``.
+cofactor expansion, the integer simplex by the Fraction tableau it
+replaced (``fraction_simplex``), the exact CRCQ rank test by the sampled
+rank probe it replaced (``crcq_by_sampling``, on the curv-k family and the
+seeded models of ``random_crcq_model`` and ``curved_multiplier_model``),
+the stacked Newton face sweep by one scalar Newton run per (node, guess,
+start) on the unfolded expression trees, the array tail of the affine face
+sweep by its per-node append, merge and score loop, the vertex minimum of
+GSSOSC by a scan of points inside the multiplier polytope, the exact
+uniform test off the polyhedral scope by graph sampling
+(``gusosc_sequential``, on the seeded models of ``random_licq_model`` and
+``random_crcq_model`` among others) and its LICQ limit also by a
+least-squares multiplier and one projected eigenvalue problem
+(``licq_limit``), the pruned face sweep by the sweep over every active-set
+guess (``full_face_sweep``), the stacked projection kernel by the one-row
+Lawson-Hanson NNLS it replaced, the lockstep semismooth Newton cross-check
+by its node-by-node loop and its solutions by the projected fixed-point
+iteration it replaced, the one-walk inverse estimator by its two walks,
+and the blocked pair kernel (the moduli fit, the pair inequality and the
+monotonicity estimators) by the row-wise fit over whole gathered stacks,
+with p-frozen groups from a dict on each node's bytes and an ell bisection
+that counts violations over every pair (``fit_moduli_rowwise`` and its
+helpers), with the closed-form ell checked bit for bit by
+``fit_ell_closed_form_rowwise``; the reported moduli are held on every
+pair of a table, not only the fit's subsample, by ``worst_pair_margin``.
 """
 
 from __future__ import annotations
@@ -706,6 +708,59 @@ def _ball(rng, dim, radius):
     return raw / norm * radius * rng.uniform() ** (1.0 / dim)
 
 
+def crcq_by_sampling(model, bundle, I, x, p, samples=50, seed=0, radius=1e-2):
+    """CRCQ at (x, p), whose float bundle is ``bundle`` with active set I,
+    by the sampled rank probe the exact test replaced: ``samples`` points
+    of the ball of ``radius`` around (x, p), all in one batched
+    evaluation, and every nonempty subfamily's rank at each compared with
+    its rank at (x, p).  It can falsify but never prove: it returns a
+    CQReport 'corroborated', or 'fails' with a witness subset and point.
+    A rank jump too small to clear the rank cutoff inside the ball goes
+    unseen."""
+    from fullstab.kkt import CQReport
+    from fullstab.modelspec import eval_bundle
+    from fullstab.polycone import rank, subsets
+
+    families = subsets(I, "active constraints")
+    next(families)  # the empty family has rank 0 everywhere
+    x0 = np.array([float(c) for c in x])
+    p0 = np.array([float(c) for c in p])
+    rng = np.random.default_rng(seed)
+    xs, ps = [], []
+    for _ in range(samples):
+        dx = rng.normal(size=model.n)
+        dp = rng.normal(size=model.d) if model.d else np.zeros(0)
+        norm = np.linalg.norm(np.concatenate([dx, dp]))
+        if norm > 0:
+            shift = radius * rng.uniform() / norm
+            xs.append(x0 + shift * dx)
+            ps.append(p0 + shift * dp)
+    xs, ps = np.array(xs), np.array(ps).reshape(len(xs), model.d)
+    grads = [bundle.grad_phi, *eval_bundle(model, xs, ps).grad_phi]
+    for subset in families:
+        base_rank = rank(grads[0][list(subset)])
+        for k in range(1, len(grads)):
+            rank_k = rank(grads[k][list(subset)])
+            if rank_k != base_rank:
+                return CQReport(
+                    "CRCQ",
+                    "fails",
+                    {
+                        "active_set": [i + 1 for i in I],
+                        "subset": [i + 1 for i in subset],
+                        "rank_at_center": base_rank,
+                        "rank_at_witness": rank_k,
+                        "witness_x": [float(v) for v in xs[k - 1]],
+                        "witness_p": [float(v) for v in ps[k - 1]],
+                    },
+                )
+    return CQReport(
+        "CRCQ",
+        "corroborated",
+        {"active_set": [i + 1 for i in I], "samples": samples, "radius": radius},
+    )
+
+
 def gusosc_draws(model, ref, ms, eta, seed):
     """The fixed-width draw stream of the sampled uniform test, one attempt
     at a time: (p, x, base vertex index, m uniforms in [-1, 1]), the same
@@ -842,6 +897,41 @@ def random_licq_model(rng):
         lines.append(f"constraint {linear} + {curve}{moving}{shift} <= 0")
     x, p = ", ".join(["0"] * n), ", ".join(["0"] * d)
     lines.append(f"reference x=({x}) p=({p}) v=(" + ", ".join(str(c) for c in v) + ")")
+    return parse_model("\n".join(lines) + "\n")
+
+
+def curved_multiplier_model(rng):
+    """Random model with k curved constraints active at x = 0 whose
+    gradients span only r < n directions, k - r >= 2, and a reference
+    multiplier with full support: dim Lambda = k - r >= 2 and the
+    Lagrangian Jacobian depends on lam through the constraint Hessians.
+    Every gradient has first entry >= 1, so MFCQ holds along -e1 and Lambda
+    is bounded.  About half the models make the first gradient equal to v,
+    which gives a vertex with support {1}, smaller than the others' when
+    r >= 2."""
+    n = int(rng.integers(3, 5))
+    r = int(rng.integers(1, n))
+    k = r + 2 + int(rng.integers(0, 2))
+    grads = np.zeros((k, n), dtype=int)
+    grads[:, 0] = rng.integers(1, 4, size=k)
+    grads[:, 1:r] = rng.integers(-3, 4, size=(k, r - 1))
+    weights = rng.integers(1, 4, size=k)
+    if rng.integers(2):
+        grads[0] = grads[1:].T @ weights[1:]
+        weights[0] = 0
+    v = grads.T @ weights  # f(0) = 0
+    jac = rng.integers(-2, 3, size=(n, n)) + 2 * np.eye(n, dtype=int)
+    lines = [f"dims n={n} d=0", "f = (" + ", ".join(linear_form(row) for row in jac) + ")"]
+    for g in grads:
+        curvature = " + ".join(
+            f"{int(rng.integers(-3, 4))}*x{a + 1}*x{b + 1}"
+            for a in range(n) for b in range(a, n)
+        )
+        lines.append(f"constraint {linear_form(g)} + {curvature} <= 0")
+    lines.append(
+        "reference x=(" + ", ".join(["0"] * n) + ") p=() v=("
+        + ", ".join(str(int(c)) for c in v) + ")"
+    )
     return parse_model("\n".join(lines) + "\n")
 
 

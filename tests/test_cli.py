@@ -119,7 +119,7 @@ class TestExitCodes:
     # certify's test above
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv, message", [
-        (["cones", "--seed", "-1"], "option seed must be at least 0, got -1"),
+        (["probe-monotone", "--seed", "-2"], "option seed must be at least 0, got -2"),
         (["probe-monotone", "--seed", "-1"], "option seed must be at least 0, got -1"),
         (["cones", "--tol-act", "nan"], "option tol_act must be finite and nonnegative, got nan"),
         (["cones", "--tol-act", "-1"], "option tol_act must be finite and nonnegative, got -1.0"),
@@ -311,17 +311,15 @@ class TestSubcommands:
         assert "ineq," in csv.read_text()
 
     def test_cones_evaluates_reference_once(self, tmp_path, monkeypatch):
-        # the rational reference is evaluated once, in Fractions: MFCQ and
-        # Lambda read that bundle, and the active set, tangent cone, LICQ
-        # and the CRCQ center its float cast; the CRCQ probe still
-        # evaluates its own samples
-        import fullstab.kkt as kkt
+        # the rational reference is evaluated once, in Fractions: MFCQ,
+        # CRCQ and Lambda read that bundle, and the active set, tangent
+        # cone and LICQ its float cast (kkt evaluates no bundle itself)
         import fullstab.modelspec as modelspec
         import fullstab.polycone as polycone
 
         points = []
         exact = []
-        for module in (modelspec, kkt, polycone):
+        for module in (modelspec, polycone):
             inner = module.eval_bundle
             monkeypatch.setattr(
                 module, "eval_bundle",
@@ -377,6 +375,7 @@ class TestFlagsPerSubcommand:
         ["solve", str(MODELS / "ex64.model"), "--grid-v", "3"],
         ["cones", str(MODELS / "ex64.model"), "--text"],
         ["certify", str(MODELS / "identity.model"), "--eta", "0.5"],
+        ["cones", str(MODELS / "ex64.model"), "--seed", "1"],
     ])
     def test_unread_flag_is_rejected(self, argv, capsys):
         assert run(argv) == 1

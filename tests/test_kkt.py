@@ -1,5 +1,9 @@
 """Constraint qualifications and multiplier polytopes.
 
+The exact CRCQ rank test is held to the sampled rank probe it replaced
+(``oracles.crcq_by_sampling``) on 33 models; the one model where they
+differ (phi_2 = x1 + x2^9) is a jump the probe cannot see.
+
 Expected multiplier vertices for the worked model come from solving the
 stationarity system by hand: with gradients (1,0,-1), (-1,0,-1), (0,1,-1),
 (0,-1,-1) and rhs (-1/4, 0, -1), the solutions are
@@ -13,7 +17,12 @@ import numpy as np
 import pytest
 
 from fullstab.defaults import RANK_TOL
-from fullstab.errors import InputError, NoMultiplierError, UnboundedMultiplierError
+from fullstab.errors import (
+    InputError,
+    LocalizationError,
+    NoMultiplierError,
+    UnboundedMultiplierError,
+)
 from fullstab.kkt import (
     _exact_solve,
     check_licq,
@@ -24,9 +33,18 @@ from fullstab.kkt import (
 from fullstab.modelspec import eval_bundle_exact, parse_model
 from fullstab.secondorder import scoc_probe
 from fullstab.simplex import solve_standard_lp
-from fullstab.stabharness import _max_independent_subset
+from fullstab.stabharness import CertifyOptions, _max_independent_subset, certify
 
-from conftest import crcq_at, exact_at, floats_at
+from conftest import (
+    DEPENDENT_CURVED,
+    STEEP_DEPENDENT,
+    crcq_at,
+    curv,
+    exact_at,
+    floats_at,
+    reference_gusosc,
+)
+from oracles import crcq_by_sampling, curved_multiplier_model, random_crcq_model
 
 ZERO3 = (Fraction(0), Fraction(0), Fraction(0))
 ZERO2 = (Fraction(0), Fraction(0))
@@ -98,33 +116,136 @@ class TestCRCQ:
         m = parse_model(
             "dims n=1 d=0\nf = (x1)\nconstraint x1^2 <= 0\nconstraint x1 <= 0\n"
         )
-        rep = crcq_at(m, (0,), (), samples=20, seed=3)
+        rep = crcq_at(m, (0,), ())
         assert rep.verdict == "fails"
         assert rep.witness["subset"] == [1]
-        assert rep.witness["rank_at_center"] == 0
-        assert rep.witness["rank_at_witness"] == 1
+        assert rep.witness["rank_at_reference"] == 0
+        assert rep.witness["rank_generic"] == 1
+        x = rep.witness["point"]["x"]
+        assert x[0] != 0 and rep.witness["point"]["p"] == []
 
     def test_nonvanishing_gradient_holds_by_licq(self, monkeypatch):
         # one active gradient 3 x1^2 + 1 != 0: LICQ holds, which implies
-        # CRCQ, so the probe decides without sampling
+        # CRCQ, so the probe decides without evaluating anywhere else
         from fullstab import kkt
 
         m = parse_model("dims n=1 d=0\nf = (x1)\nconstraint x1^3 + x1 <= 0\n")
-        monkeypatch.setattr(kkt, "eval_bundle", None)  # a sampled probe would call it
-        rep = crcq_at(m, (0,), (), samples=10)
+        monkeypatch.setattr(kkt, "at_probe_points", None)  # the rank test would call it
+        rep = crcq_at(m, (0,), ())
         assert rep.verdict == "holds"
         assert rep.witness == {"active_set": [1], "licq": True}
 
     def test_dependent_curved_gradients_sampled(self):
         # gradients 1 + 2 x1 and 2 are dependent at the origin, so LICQ
-        # fails and the probe samples; every subfamily keeps rank 1 nearby
+        # fails and the rank test runs; with n = 1 every subfamily has full
+        # rank 1 at the reference, which cannot rise
         m = parse_model(
             "dims n=1 d=0\nf = (x1)\nconstraint x1 + x1^2 <= 0\nconstraint 2*x1 <= 0\n"
         )
         assert licq_at(m, (0,), ()).verdict == "fails"
-        rep = crcq_at(m, (0,), (), samples=10)
-        assert rep.verdict == "corroborated"
-        assert rep.witness["samples"] == 10
+        rep = crcq_at(m, (0,), ())
+        assert rep.verdict == "holds"
+        assert rep.witness == {"active_set": [1, 2]}
+
+
+# phi_1 = x1 and phi_2 = x1 + x2^9: the family {1, 2} has rank 1 at the
+# reference and rank 2 wherever x2 != 0, a jump below the rank cutoff
+# inside the sampled probe's ball of radius 1e-2
+NINTH_POWER = (
+    "dims n=2 d=0\nf = (x1, x2)\nconstraint x1 <= 0\nconstraint x1 + x2^9 <= 0\n"
+    "reference x=(0, 0) p=() v=(0, 0)\n"
+)
+
+# two constraints active at the reference, the sampler's verdict in the
+# comment: a vanishing gradient, gradients proportional in x, a curvature
+# that separates them, a slope that moves with p, and opposite gradients
+TWO_CONSTRAINTS = [
+    "dims n=1 d=0\nf = (x1)\nconstraint x1^2 <= 0\nconstraint x1 <= 0\n"
+    "reference x=(0) p=() v=(0)\n",  # fails on {1}
+    DEPENDENT_CURVED,  # corroborated
+    "dims n=2 d=0\nf = (x1, x2)\nconstraint x1 <= 0\nconstraint x1 - x2^2 <= 0\n"
+    "reference x=(0, 0) p=() v=(0, 0)\n",  # fails on {1, 2}
+    "dims n=2 d=1\nf = (x1, x2)\nconstraint x1 + p1*x2 <= 0\nconstraint x1 <= 0\n"
+    "reference x=(0, 0) p=(0) v=(0, 0)\n",  # fails on {1, 2}
+    "dims n=2 d=0\nf = (x1, x2)\nconstraint x1 + x2^2 <= 0\nconstraint -x1 - x2^2 <= 0\n"
+    "reference x=(0, 0) p=() v=(0, 0)\n",  # corroborated
+]
+
+
+def _sampled_cases():
+    """The 33 models on which the exact rank test is held to the sampled
+    probe: curv-3..8, the two dependent models, seeded CRCQ models,
+    seeded models where CRCQ fails, and the two-constraint cases."""
+    cases = [pytest.param(parse_model(curv(k)), id=f"curv-{k}") for k in range(3, 9)]
+    cases += [pytest.param(parse_model(DEPENDENT_CURVED), id="DEPENDENT_CURVED"),
+              pytest.param(parse_model(STEEP_DEPENDENT), id="STEEP_DEPENDENT")]
+    cases += [pytest.param(random_crcq_model(np.random.default_rng(s)), id=f"crcq-{s}")
+              for s in range(8)]
+    cases += [pytest.param(curved_multiplier_model(np.random.default_rng(s)), id=f"multiplier-{s}")
+              for s in range(12)]
+    cases += [pytest.param(parse_model(text), id=f"two-{j}")
+              for j, text in enumerate(TWO_CONSTRAINTS)]
+    return cases
+
+
+class TestExactCRCQ:
+    """CRCQ off the affine and LICQ shortcuts: the rank of each subfamily at
+    the reference against its generic rank, read exactly at rational
+    points."""
+
+    @pytest.mark.parametrize("model", _sampled_cases())
+    def test_agrees_with_the_sampled_probe(self, model):
+        ref = model.reference
+        exact, I = exact_at(model, ref.x, ref.p)
+        rep = crcq_at(model, ref.x, ref.p)
+        sampled = crcq_by_sampling(model, exact.floats(), I, ref.x, ref.p)
+        assert rep.verdict == {"corroborated": "holds", "fails": "fails"}[sampled.verdict]
+        if rep.verdict == "fails":
+            assert rep.witness["subset"] == sampled.witness["subset"]
+            assert rep.witness["rank_at_reference"] == sampled.witness["rank_at_center"]
+            assert rep.witness["rank_generic"] >= sampled.witness["rank_at_witness"]
+
+    def test_ninth_power_jump_fails(self):
+        m = parse_model(NINTH_POWER)
+        exact, I = exact_at(m, (0, 0), ())
+        assert crcq_by_sampling(m, exact.floats(), I, (0, 0), ()).verdict == "corroborated"
+        rep = crcq_at(m, (0, 0), ())
+        assert rep.verdict == "fails"
+        assert rep.witness["subset"] == [1, 2]
+        assert rep.witness["rank_at_reference"] == 1 and rep.witness["rank_generic"] == 2
+        x = [Fraction(c) for c in rep.witness["point"]["x"]]
+        G = eval_bundle_exact(m, x, ()).grad_phi
+        assert G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0] != 0
+        gusosc = reference_gusosc(m)
+        assert gusosc.verdict == "not_run"
+        report = certify(m, CertifyOptions(grid_v=2, grid_p=2, n_random=0))
+        assert report.cq["crcq"] == rep.to_json_dict()
+        assert report.gusosc["verdict"] == "not_run"
+        assert report.verdict == "undetermined"
+
+    def test_no_evaluable_point_fails(self, monkeypatch):
+        # nothing is certified without a point: CRCQ fails with a reason
+        from fullstab import kkt
+
+        monkeypatch.setattr(kkt, "at_probe_points", lambda fn, n, d: iter(()))
+        rep = crcq_at(parse_model(NINTH_POWER), (0, 0), ())
+        assert rep.verdict == "fails"
+        assert rep.witness["reason"] == "the active gradients evaluate at no probe point"
+
+    def test_certify_cq_block_is_the_same_at_every_seed(self, monkeypatch):
+        # the localization is stubbed out: the cq block is decided before it
+        from fullstab import stabharness
+
+        def no_table(*args, **kwargs):
+            raise LocalizationError("not built")
+
+        monkeypatch.setattr(stabharness, "build_localization", no_table)
+        m = parse_model(curv(4))
+        blocks = [certify(m, CertifyOptions(seed=seed)).cq for seed in range(4)]
+        assert blocks[0]["crcq"] == {
+            "cq": "CRCQ", "verdict": "holds", "witness": {"active_set": [1, 2, 3, 4]},
+        }
+        assert all(block == blocks[0] for block in blocks)
 
 
 class TestMultiplierPolytope:

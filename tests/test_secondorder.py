@@ -55,10 +55,10 @@ from conftest import (
 )
 from oracles import (
     cofactor_det,
+    curved_multiplier_model,
     gssosc_by_scan,
     gusosc_sequential,
     licq_limit,
-    linear_form,
     min_quadratic_on_cone_sampling,
     random_crcq_model,
     random_licq_model,
@@ -437,7 +437,7 @@ class TestSampledGUSOSC:
     def test_random_curved_models_match_sequential_oracle(self, seed):
         m = random_crcq_model(np.random.default_rng(seed))
         assert reference_gusosc(m).details["premise"] == (
-            "MFCQ holds; CRCQ corroborated by the sampled rank probe"
+            "MFCQ holds; CRCQ holds"
         )
         self._faces_against_oracle(m, seed)
 
@@ -488,7 +488,7 @@ class TestSampledGUSOSC:
         def no_table(*args, **kwargs):
             raise LocalizationError("not built")
 
-        m = _curved_multiplier_model(np.random.default_rng(seed))
+        m = curved_multiplier_model(np.random.default_rng(seed))
         rep = reference_gusosc(m)
         assert rep.verdict == "not_run" and rep.modulus is None and not rep.ok
         assert rep.details["method"] == "not_run"
@@ -516,7 +516,7 @@ class TestSampledGUSOSC:
             return tables[0]
 
         monkeypatch.setattr(stabharness, "build_localization", built_once)
-        m = _curved_multiplier_model(np.random.default_rng(5))
+        m = curved_multiplier_model(np.random.default_rng(5))
         seen = []
         for seed in range(4):
             report = certify(m, CertifyOptions(seed=seed, grid_v=2, n_random=0))
@@ -609,9 +609,7 @@ class TestPVIPointwise:
         # the tangent cone and jac_f come from the bundle the caller
         # evaluated and the active set it passes, with no evaluation of
         # its own
-        import fullstab.kkt as kkt
         import fullstab.polycone as polycone
-        import fullstab.secondorder as secondorder
 
         m = parse_model(
             "dims n=2 d=0\nf = (x1, -x2)\nconstraint x2 <= 0\nconstraint -x2 <= 0\n"
@@ -619,11 +617,8 @@ class TestPVIPointwise:
         )
         args = _pointwise(m)
         calls = []
-        for module in (kkt, polycone):
-            inner = module.eval_bundle
-            monkeypatch.setattr(
-                module, "eval_bundle", lambda *a, inner=inner: calls.append(a) or inner(*a)
-            )
+        inner = polycone.eval_bundle
+        monkeypatch.setattr(polycone, "eval_bundle", lambda *a: calls.append(a) or inner(*a))
         assert check_pvi_pointwise(m, *args).verdict == "holds"
         assert calls == []
 
@@ -720,41 +715,6 @@ class TestSCOCProbe:
             scoc_probe(_exact(m), (Fraction(1), Fraction(0)), (0, 1))
 
 
-def _curved_multiplier_model(rng):
-    """Random model with k curved constraints active at x = 0 whose
-    gradients span only r < n directions, k - r >= 2, and a reference
-    multiplier with full support: dim Lambda = k - r >= 2 and the
-    Lagrangian Jacobian depends on lam through the constraint Hessians.
-    Every gradient has first entry >= 1, so MFCQ holds along -e1 and Lambda
-    is bounded.  About half the models make the first gradient equal to v,
-    which gives a vertex with support {1}, smaller than the others' when
-    r >= 2."""
-    n = int(rng.integers(3, 5))
-    r = int(rng.integers(1, n))
-    k = r + 2 + int(rng.integers(0, 2))
-    grads = np.zeros((k, n), dtype=int)
-    grads[:, 0] = rng.integers(1, 4, size=k)
-    grads[:, 1:r] = rng.integers(-3, 4, size=(k, r - 1))
-    weights = rng.integers(1, 4, size=k)
-    if rng.integers(2):
-        grads[0] = grads[1:].T @ weights[1:]
-        weights[0] = 0
-    v = grads.T @ weights  # f(0) = 0
-    jac = rng.integers(-2, 3, size=(n, n)) + 2 * np.eye(n, dtype=int)
-    lines = [f"dims n={n} d=0", "f = (" + ", ".join(linear_form(row) for row in jac) + ")"]
-    for g in grads:
-        curvature = " + ".join(
-            f"{int(rng.integers(-3, 4))}*x{a + 1}*x{b + 1}"
-            for a in range(n) for b in range(a, n)
-        )
-        lines.append(f"constraint {linear_form(g)} + {curvature} <= 0")
-    lines.append(
-        "reference x=(" + ", ".join(["0"] * n) + ") p=() v=("
-        + ", ".join(str(int(c)) for c in v) + ")"
-    )
-    return parse_model("\n".join(lines) + "\n")
-
-
 class TestLambdaScanAcrossPolytope:
     def test_all_vertices_visited(self, ex64_model):
         ms = reference_multipliers(ex64_model)
@@ -766,7 +726,7 @@ class TestLambdaScanAcrossPolytope:
         # Lambda is a polytope, so no multiplier beats the vertices: a
         # point inside a face has a larger strongly active set than each of
         # the face's vertices, and the form is affine in lam
-        model = _curved_multiplier_model(np.random.default_rng(seed))
+        model = curved_multiplier_model(np.random.default_rng(seed))
         ref = model.reference
         ms = reference_multipliers(model)
         assert ms.dim >= 2
