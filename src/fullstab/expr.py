@@ -6,9 +6,10 @@ integer powers and unary minus.  Everything stays exactly representable:
 literals are stored as :class:`fractions.Fraction`, so evaluation at
 rational points is exact and symbolic derivatives carry exact
 coefficients.  Division by zero raises :class:`EvaluationError` with the
-offending subtree, never a silent NaN.  The same evaluator runs at one
-point or at many: variables may be bound to numpy float columns, one row
-per point.
+offending subtree, never a silent NaN.  :func:`evaluate` walks a tree at
+one point or at many (numpy float columns, one row per point); it serves
+folding, exactness tests and the error path of the code that
+:mod:`fullstab.modelspec` compiles from a model's tables.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def fold_float(e: Expr) -> Expr:
     float is kept, so that evaluation raises there as before."""
     if isinstance(e, Var):
         return e
-    if not _has_var(e):
+    if not has_var(e):
         try:
             value = evaluate(e, (), ())
             if abs(value) <= _FLOAT_MAX:
@@ -224,16 +225,16 @@ def fold_float(e: Expr) -> Expr:
     return type(e)(fold_float(e.left), fold_float(e.right))
 
 
-def _has_var(e: Expr) -> bool:
+def has_var(e: Expr) -> bool:
     if isinstance(e, Var):
         return True
     if isinstance(e, Num):
         return False
     if isinstance(e, Neg):
-        return _has_var(e.operand)
+        return has_var(e.operand)
     if isinstance(e, Pow):
-        return _has_var(e.base)
-    return _has_var(e.left) or _has_var(e.right)
+        return has_var(e.base)
+    return has_var(e.left) or has_var(e.right)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ x-gradient of a scalar potential) with m inequality constraints
 phi_i(x, p) <= 0 and, optionally, a reference triple on the solution-map
 graph.  All derivative data (Jacobian of f, constraint gradients in x and
 p, Hessians), and the structure flags read from it, are built symbolically
-once at construction; the data is evaluated on demand, exactly at rational
-points.  The float path evaluates a copy of the tables folded once per
-model (:func:`expr.fold_float`), at one point or at a batch of points
-through the same code.  Both paths give arrays of one layout, Fractions in
-``dtype=object`` on the exact one.
+once at construction.  The first evaluation compiles the tables to one
+Python function that evaluates them exactly at rational points, and in
+floats at one point or at a batch, with the results of the tree walk
+(:func:`expr.evaluate`), which runs only to name an error.  Both paths
+give arrays of one layout, Fractions in ``dtype=object`` on the exact one.
 
 Model file format (UTF-8, '#' comments)::
 
@@ -25,9 +25,11 @@ present.  Variables are spelled x1..xn and p1..pd.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -98,8 +100,8 @@ class ParametricModel:
     f_affine: bool = field(default=False, compare=False)  # f affine in x
     # every phi_i affine in (x, p) and jac_f constant in (x, p)
     polyhedral: bool = field(default=False, compare=False)
-    # (f, jac_f, phi, grad_phi, hess_phi) by expr.fold_float
-    float_tables: tuple = field(default=(), compare=False, repr=False)
+    # the tables compiled at the first evaluation (_Program)
+    program: Optional["_Program"] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -115,72 +117,36 @@ class ParametricModel:
             raise DimensionError(
                 f"f has {len(self.f_components)} components, expected n={self.n}"
             )
-        n, d = self.n, self.d
-        f_jac = tuple(
-            tuple(ex.differentiate(fi, "x", j) for j in range(n))
-            for fi in self.f_components
-        )
-        grad_phi = tuple(
-            tuple(ex.differentiate(phi, "x", j) for j in range(n))
-            for phi in self.constraints
-        )
-        hess_phi = tuple(
-            tuple(
-                tuple(ex.differentiate(gj, "x", k) for k in range(n))
-                for gj in grads
-            )
-            for grads in grad_phi
-        )
-        affine_x = tuple(
-            all(ex.expr_is_zero(h, n, d) for row in hess for h in row)
-            for hess in hess_phi
-        )
-        affine_xp = tuple(
-            affine_x[i]
-            and all(
-                ex.expr_is_zero(ex.differentiate(g, "p", l), n, d)
-                for g in grad_phi[i]
-                for l in range(d)
-            )
-            for i in range(len(self.constraints))
-        )
-        phi_p = tuple(
-            tuple(ex.differentiate(phi, "p", l) for l in range(d))
-            for phi in self.constraints
-        )
-        param_free = tuple(all(ex.expr_is_zero(e, n, d) for e in row) for row in phi_p)
+        n, d, m = self.n, self.d, len(self.constraints)
+
+        def zero(entries):  # every entry is identically zero
+            return all(ex.expr_is_zero(e, n, d) for e in entries)
+
+        def partials(e, kind, count):
+            return tuple(ex.differentiate(e, kind, j) for j in range(count))
+
+        def all_zero(table, kind, count):  # every partial of every entry
+            return zero(ex.differentiate(e, kind, j) for e in table for j in range(count))
+
+        f_jac = tuple(partials(fi, "x", n) for fi in self.f_components)
+        grad_phi = tuple(partials(phi, "x", n) for phi in self.constraints)
+        hess_phi = tuple(tuple(partials(g, "x", n) for g in grads) for grads in grad_phi)
+        affine_x = tuple(zero(_entries(hess)) for hess in hess_phi)
+        affine_xp = tuple(affine_x[i] and all_zero(grad_phi[i], "p", d) for i in range(m))
+        phi_p = tuple(partials(phi, "p", d) for phi in self.constraints)
+        param_free = tuple(zero(row) for row in phi_p)
         jointly_affine = tuple(
-            affine_xp[i]
-            and (param_free[i] or all(
-                ex.expr_is_zero(ex.differentiate(e, "p", l), n, d)
-                for e in phi_p[i]
-                for l in range(d)
-            ))
-            for i in range(len(self.constraints))
+            affine_xp[i] and (param_free[i] or all_zero(phi_p[i], "p", d)) for i in range(m)
         )
-        f_affine = all(
-            ex.expr_is_zero(ex.differentiate(fij, "x", k), n, d)
-            for row in f_jac
-            for fij in row
-            for k in range(n)
+        f_affine = all_zero(_entries(f_jac), "x", n)
+        polyhedral = f_affine and all(jointly_affine) and all_zero(_entries(f_jac), "p", d)
+        derived = dict(
+            f_jac=f_jac, grad_phi=grad_phi, hess_phi=hess_phi, affine_x=affine_x,
+            affine_xp=affine_xp, phi_p=phi_p, param_free=param_free,
+            jointly_affine=jointly_affine, f_affine=f_affine, polyhedral=polyhedral,
         )
-        polyhedral = f_affine and all(jointly_affine) and all(
-            ex.expr_is_zero(ex.differentiate(fij, "p", l), n, d)
-            for row in f_jac
-            for fij in row
-            for l in range(d)
-        )
-        object.__setattr__(self, "f_jac", f_jac)
-        object.__setattr__(self, "grad_phi", grad_phi)
-        object.__setattr__(self, "hess_phi", hess_phi)
-        object.__setattr__(self, "affine_x", affine_x)
-        object.__setattr__(self, "affine_xp", affine_xp)
-        object.__setattr__(self, "phi_p", phi_p)
-        object.__setattr__(self, "param_free", param_free)
-        object.__setattr__(self, "jointly_affine", jointly_affine)
-        object.__setattr__(self, "f_affine", f_affine)
-        object.__setattr__(self, "polyhedral", polyhedral)
-        object.__setattr__(self, "float_tables", _fold(self.tables))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
         if self.reference is not None:
             self._check_reference()
 
@@ -188,18 +154,13 @@ class ParametricModel:
         ref = self.reference
         if len(ref.x) != self.n or len(ref.p) != self.d or len(ref.v) != self.n:
             raise DimensionError("reference dimensions do not match dims header")
-        phi = self.phi_values(ref.x, ref.p)
-        for i, val in enumerate(phi):
-            if float(val) > FEAS_TOL:
+        for i, phi in enumerate(self.constraints):
+            val = float(ex.evaluate(phi, ref.x, ref.p))
+            if val > FEAS_TOL:
                 raise InfeasiblePointError(
                     f"reference point violates constraint {i + 1}: "
-                    f"phi_{i + 1} = {float(val):.3e} > {FEAS_TOL}"
+                    f"phi_{i + 1} = {val:.3e} > {FEAS_TOL}"
                 )
-
-    # -- point evaluation ---------------------------------------------------
-
-    def phi_values(self, x, p):
-        return [ex.evaluate(phi, x, p) for phi in self.constraints]
 
 
 @dataclass(frozen=True)
@@ -244,59 +205,136 @@ class EvalBundle:
         return H
 
 
-def _fold(table):
-    if isinstance(table, tuple):
-        return tuple(_fold(t) for t in table)
-    return ex.fold_float(table)
+def _entries(table):
+    """A nested table's entries in row-major order: the flat order."""
+    return [e for t in table for e in _entries(t)] if isinstance(table, tuple) else [table]
 
 
-def _evaluate(table, x, p, cast):
-    if isinstance(table, tuple):
-        return [_evaluate(t, x, p, cast) for t in table]
-    return cast(ex.evaluate(table, x, p))
+def _pow(base, k):
+    if isinstance(base, np.ndarray):
+        # Python's float ** int (C pow) per row: numpy's power differs
+        # from it in the last bit
+        return np.fromiter(map(pow, base.tolist(), repeat(k)), float, len(base))
+    return base**k
 
 
-def _eval_tables(model: ParametricModel, tables, x, p, cast):
-    """``tables`` (f, jac_f, phi, grad_phi, hess_phi, or the first few of
-    them) at (x, p) as nested lists, each entry passed through ``cast`` as
-    it is evaluated."""
+def _div(a, b):
+    # a zero in any row of a column raises, as a scalar zero does
+    if not (b.all() if isinstance(b, np.ndarray) else b):
+        raise ZeroDivisionError
+    return a / b
+
+
+class _Program:
+    """The tables compiled to one function ``fn(x, p, c, out)`` that writes
+    each entry with a variable into ``out`` in the flat order (a template
+    holds the others) and computes a repeated subtree once.  Each maximal
+    variable-free subtree is a slot of ``c``: its Fraction on the exact
+    path, its value in the folded walk on the float path.  So ``fn`` does
+    the operations of :func:`expr.evaluate`, with the same results, and
+    raises only where the walk does: at a zero denominator or base of a
+    negative power, or on overflow.  The walk then runs to name the error,
+    as it does when a slot has no value on the path."""
+
+    _OPS = {ex.Add: "+", ex.Sub: "-", ex.Mul: "*"}
+
+    def __init__(self, model: ParametricModel):
+        self.entries = _entries(model.tables)
+        slots, names, lines, writes, constant = {}, {}, [], [], {}
+
+        def emit(e):
+            if isinstance(e, ex.Var):
+                return f"{e.kind}[{e.index}]"
+            if not ex.has_var(e):
+                return f"c[{slots.setdefault(e, len(slots))}]"
+            if isinstance(e, ex.Neg):
+                rhs = "-" + emit(e.operand)
+            elif isinstance(e, ex.Pow):
+                rhs = f"_pow({emit(e.base)}, {e.exponent})"
+            elif isinstance(e, ex.Div):
+                rhs = f"_div({emit(e.left)}, {emit(e.right)})"
+            else:
+                rhs = f"{emit(e.left)} {_Program._OPS[type(e)]} {emit(e.right)}"
+            if rhs not in names:
+                names[rhs] = f"t[{len(names)}]"
+                lines.append(f"    {names[rhs]} = {rhs}")
+            return names[rhs]
+
+        for j, e in enumerate(self.entries):
+            if ex.has_var(e):
+                writes.append(f"    out[{j}] = {emit(e)}")
+            else:
+                constant[j] = slots.setdefault(e, len(slots))
+        del emit  # the recursive closure is a cycle holding the tables
+        namespace = {"_pow": _pow, "_div": _div}
+        # temporaries in a list: compiled names are interned, in a table that never shrinks
+        head = f"def fn(x, p, c, out):\n    t = [None] * {len(names)}"
+        source = "\n".join([head, *lines, *writes, "    return"])
+        exec(compile(source, "<model>", "exec"), namespace)
+        self.fn = namespace.pop("fn")  # no cycle through fn.__globals__
+        # per path (exact or not): the slots (None if one lacks a value), template
+        self.paths = {}
+        for exact in (True, False):
+            values = [self._slot_value(e, exact) for e in slots]
+            template = [Fraction(0) if exact else 0.0] * len(self.entries)
+            for j, k in constant.items():
+                template[j] = template[j] if values[k] is None else values[k]
+            self.paths[exact] = (None if None in values else values), template
+
+    @staticmethod
+    def _slot_value(e, exact):
+        # the walk's value, None where it raises; a Fraction beyond every
+        # float (kept by fold_float) makes fn raise OverflowError where used
+        try:
+            return ex.evaluate(e if exact else ex.fold_float(e), (), ())
+        except EvaluationError:
+            return None
+
+
+def _values(model: ParametricModel, x, p, exact=False, size=None):
+    """The flat entries at (x, p), or at the rows of (K, n) and (K, d)
+    arrays on the float path (then an array of one row per entry): all of
+    them from the compiled function, or the first ``size`` from the walk."""
+    if exact:
+        x, p, batch = [Fraction(c) for c in x], [Fraction(c) for c in p], ()
+    else:
+        x, p = np.asarray(x, dtype=float), np.asarray(p, dtype=float)
+        batch = x.shape[:-1]
+        if not batch:
+            x, p = x.tolist(), p.tolist()
+        elif p.ndim != 2 or len(p) != len(x):
+            raise DimensionError(f"{len(x)} x rows but p has shape {p.shape}")
+        else:  # one float column per variable
+            x, p = list(np.ascontiguousarray(x.T)), list(np.ascontiguousarray(p.T))
     if len(x) != model.n or len(p) != model.d:
         raise DimensionError(
             f"point has dims ({len(x)}, {len(p)}), model needs ({model.n}, {model.d})"
         )
-    return _evaluate(tables, x, p, cast)
+    if model.program is None:
+        object.__setattr__(model, "program", _Program(model))
+    slots, template = model.program.paths[exact]
+    out = np.repeat(np.array(template)[:, None], *batch, axis=1) if batch else list(template)
+    with np.errstate(all="ignore"):
+        if slots is not None:
+            try:
+                model.program.fn(x, p, slots, out)
+                return np.asarray(out, dtype=object if exact else float)
+            except ArithmeticError:
+                pass
+        for j, e in enumerate(model.program.entries[:size]):
+            out[j] = ex.evaluate(e if exact else ex.fold_float(e), x, p)
+    return np.asarray(out[:size], dtype=object if exact else float)
 
 
-def _float_points(x, p):
-    """(x, p) as lists of floats at one point, or as lists of float columns
-    when x and p are (K, n) and (K, d) arrays of K points; with the cast
-    that gives every table entry the batch shape, () or (K,)."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if x.ndim == 1:
-        return x.tolist(), p.tolist(), (), float
-    if p.ndim != 2 or len(p) != len(x):
-        raise DimensionError(f"{len(x)} x rows but p has shape {p.shape}")
-    batch = x.shape[:1]
-    return (
-        list(np.ascontiguousarray(x.T)),
-        list(np.ascontiguousarray(p.T)),
-        batch,
-        lambda value: value if isinstance(value, np.ndarray) else np.full(batch, value),
-    )
-
-
-def _stack(table, shape, batch, dtype=float):
-    """A nested list of entries as an array of ``shape``, with the batch
-    axis first."""
-    a = np.array(table, dtype=dtype).reshape(shape + batch)
-    return np.moveaxis(a, -1, 0) if batch else a
-
-
-def _bundle(model: ParametricModel, tables, batch, dtype) -> EvalBundle:
+def _split(model: ParametricModel, flat) -> EvalBundle:
+    """The flat entries as a bundle of views, the batch axis first."""
     n, m = model.n, model.m
-    shapes = ((n,), (n, n), (m,), (m, n), (m, n, n))
-    return EvalBundle(*(_stack(t, shape, batch, dtype) for t, shape in zip(tables, shapes)))
+    flat, arrays, start = flat.T, [], 0
+    for shape in ((n,), (n, n), (m,), (m, n), (m, n, n)):
+        size = math.prod(shape)
+        arrays.append(flat[..., start : start + size].reshape(flat.shape[:-1] + shape))
+        start += size
+    return EvalBundle(*arrays)
 
 
 def eval_bundle(model: ParametricModel, x, p) -> EvalBundle:
@@ -305,30 +343,24 @@ def eval_bundle(model: ParametricModel, x, p) -> EvalBundle:
     arrays, every array of the bundle then with a leading K axis.  Raises
     EvaluationError on division by zero or a non-finite value at any
     point."""
-    x, p, batch, cast = _float_points(x, p)
-    with np.errstate(all="ignore"):
-        tables = _eval_tables(model, model.float_tables, x, p, cast)
-    bundle = _bundle(model, tables, batch, float)
-    if not all(np.all(np.isfinite(a)) for a in (bundle.f, bundle.jac_f, bundle.phi)):
+    flat = _values(model, x, p)
+    # f, jac_f and phi lead the flat order
+    if not np.isfinite(flat[: model.n * (model.n + 1) + model.m]).all():
         raise EvaluationError("non-finite value in evaluation bundle")
-    return bundle
+    return _split(model, flat)
 
 
 def eval_f(model: ParametricModel, x, p) -> np.ndarray:
     """f alone in floats, at one point or at the rows of (K, n) and (K, d)
-    arrays, from the same folded tables as :func:`eval_bundle`."""
-    x, p, batch, cast = _float_points(x, p)
-    with np.errstate(all="ignore"):
-        (f,) = _eval_tables(model, model.float_tables[:1], x, p, cast)
-    return _stack(f, (model.n,), batch)
+    arrays, from the same function as :func:`eval_bundle`."""
+    return _values(model, x, p, size=model.n)[: model.n].T
 
 
 def eval_bundle_exact(model: ParametricModel, x, p) -> EvalBundle:
     """The same data in Fractions at a rational point (see
     :func:`expr.is_rational`), in the layout of a one-point
     :func:`eval_bundle` with ``dtype=object``."""
-    x, p = [Fraction(c) for c in x], [Fraction(c) for c in p]
-    return _bundle(model, _eval_tables(model, model.tables, x, p, Fraction), (), object)
+    return _split(model, _values(model, x, p, exact=True))
 
 
 def eval_reference(model: ParametricModel, ref: ReferenceTriple):
@@ -490,13 +522,8 @@ def print_model(model: ParametricModel) -> str:
         lines.append(f"constraint {ex.to_string(phi)} <= 0")
     if model.reference is not None:
         ref = model.reference
-        lines.append(
-            "reference x=({}) p=({}) v=({})".format(
-                ", ".join(_format_number(c) for c in ref.x),
-                ", ".join(_format_number(c) for c in ref.p),
-                ", ".join(_format_number(c) for c in ref.v),
-            )
-        )
+        x, p, v = (", ".join(map(_format_number, vec)) for vec in (ref.x, ref.p, ref.v))
+        lines.append(f"reference x=({x}) p=({p}) v=({v})")
     return "\n".join(lines) + "\n"
 
 

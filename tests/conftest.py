@@ -1,3 +1,4 @@
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from fullstab.modelspec import ReferenceTriple, eval_bundle, eval_reference, par
 from fullstab.polycone import active_indices
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # phi_1 = -1/10^7 at the reference: |phi_1| is just above the double
 # TOL_ACT in Fractions and equal to it in floats
@@ -143,3 +145,18 @@ def identity_model():
 @pytest.fixture(scope="session")
 def circle_model():
     return parse_model((MODELS_DIR / "circle.model").read_text())
+
+
+@pytest.fixture(scope="session")
+def curved_benchmark_models():
+    """The five models of the benchmark's curved workload, with their
+    references, as the benchmark writes them."""
+    path = PERFBENCH / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses resolve the module by name
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return {bm.name: parse_model(bm.text(MODELS_DIR)) for bm in workloads._curved()}

@@ -37,7 +37,8 @@ from fractions import Fraction
 import numpy as np
 
 from fullstab import expr as ex
-from fullstab.modelspec import parse_model
+from fullstab.errors import DimensionError, EvaluationError
+from fullstab.modelspec import EvalBundle, parse_model
 
 
 def fd_gradient(fun, point, step=1e-5):
@@ -1233,3 +1234,67 @@ def estimate_from_inverse_two_walks(sample):
     if inv.kappa_hat > 0 and L_hat > 1.0 / inv.kappa_hat + TOL_INEQ:
         raise InconsistencyError(f"L_hat = {L_hat} exceeds 1/kappa_hat = {1.0 / inv.kappa_hat}")
     return L_hat
+
+
+def _fold(table):
+    if isinstance(table, tuple):
+        return tuple(_fold(t) for t in table)
+    return ex.fold_float(table)
+
+
+def _evaluate(table, x, p, cast):
+    if isinstance(table, tuple):
+        return [_evaluate(t, x, p, cast) for t in table]
+    return cast(ex.evaluate(table, x, p))
+
+
+def _eval_tables(model, tables, x, p, cast):
+    if len(x) != model.n or len(p) != model.d:
+        raise DimensionError(
+            f"point has dims ({len(x)}, {len(p)}), model needs ({model.n}, {model.d})"
+        )
+    return _evaluate(tables, x, p, cast)
+
+
+def _float_points(x, p):
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    if x.ndim == 1:
+        return x.tolist(), p.tolist(), (), float
+    if p.ndim != 2 or len(p) != len(x):
+        raise DimensionError(f"{len(x)} x rows but p has shape {p.shape}")
+    batch = x.shape[:1]
+    return (
+        list(np.ascontiguousarray(x.T)),
+        list(np.ascontiguousarray(p.T)),
+        batch,
+        lambda value: value if isinstance(value, np.ndarray) else np.full(batch, value),
+    )
+
+
+def _stack(table, shape, batch, dtype=float):
+    a = np.array(table, dtype=dtype).reshape(shape + batch)
+    return np.moveaxis(a, -1, 0) if batch else a
+
+
+def _bundle(model, tables, batch, dtype):
+    n, m = model.n, model.m
+    shapes = ((n,), (n, n), (m,), (m, n), (m, n, n))
+    return EvalBundle(*(_stack(t, shape, batch, dtype) for t, shape in zip(tables, shapes)))
+
+
+def tree_walk_bundle(model, x, p, exact=False):
+    """``eval_bundle`` (or, with ``exact``, ``eval_bundle_exact``) by the
+    recursive tree walk it replaced: every table entry evaluated by
+    ``expr.evaluate`` on the tables as ``expr.fold_float`` folds them (the
+    unfolded tables on the exact path), cast and stacked entry by entry."""
+    if exact:
+        x, p = [Fraction(c) for c in x], [Fraction(c) for c in p]
+        return _bundle(model, _eval_tables(model, model.tables, x, p, Fraction), (), object)
+    x, p, batch, cast = _float_points(x, p)
+    with np.errstate(all="ignore"):
+        tables = _eval_tables(model, _fold(model.tables), x, p, cast)
+    bundle = _bundle(model, tables, batch, float)
+    if not all(np.all(np.isfinite(a)) for a in (bundle.f, bundle.jac_f, bundle.phi)):
+        raise EvaluationError("non-finite value in evaluation bundle")
+    return bundle

@@ -5,6 +5,9 @@ all frozen expected values below were computed by hand evaluation plus the
 oracle before the implementation existed.
 """
 
+import builtins
+import gc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +21,7 @@ from fullstab.errors import (
     UnknownIdentifierError,
 )
 from fullstab.modelspec import (
+    ParametricModel,
     eval_bundle,
     eval_bundle_exact,
     eval_f,
@@ -25,8 +29,13 @@ from fullstab.modelspec import (
     print_model,
 )
 
-from conftest import MODELS_DIR
-from oracles import fd_partial, random_polynomial_expr
+from conftest import MODELS_DIR, curv
+from oracles import (
+    curved_multiplier_model,
+    fd_partial,
+    random_polynomial_expr,
+    tree_walk_bundle,
+)
 
 
 def parse_expr(text, n, d):
@@ -318,6 +327,135 @@ class TestColumnEvaluation:
         m = parse_model("dims n=1 d=0\nf = (x1*x1*x1*x1)\n")
         with pytest.raises(EvaluationError, match="non-finite"):
             eval_bundle(m, np.array([[1.0], [1e100]]), np.zeros((2, 0)))
+
+
+def _random_model(rng):
+    """A model of random rational f components (positive denominators, a
+    negative power, constant subtrees) and random polynomial constraints."""
+    n, d = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    f = tuple(_random_rational_expr(rng, n, d) for _ in range(n))
+    phi = tuple(random_polynomial_expr(rng, n, d) for _ in range(int(rng.integers(0, 3))))
+    return ParametricModel(n=n, d=d, f_components=f, constraints=phi)
+
+
+def _bit_models(curved_benchmark_models):
+    """Every shipped model, the curved benchmark bodies, curv-3..8, the
+    seeded curved multiplier models and random rational models."""
+    yield from (parse_model(path.read_text()) for path in sorted(MODELS_DIR.glob("*.model")))
+    yield from curved_benchmark_models.values()
+    yield from (parse_model(curv(k)) for k in range(3, 9))
+    yield from (curved_multiplier_model(np.random.default_rng(seed)) for seed in range(12))
+    rng = np.random.default_rng(23)
+    yield from (_random_model(rng) for _ in range(12))
+
+
+def _layout(a):
+    # the strides numpy reads: those of axes longer than 1
+    return [st for st, size in zip(a.strides, a.shape) if size > 1]
+
+
+def _raises_alike(call, oracle):
+    """``call`` and ``oracle`` raise the same EvaluationError message."""
+    with pytest.raises(EvaluationError) as expected:
+        oracle()
+    with pytest.raises(EvaluationError) as got:
+        call()
+    assert str(got.value) == str(expected.value)
+    return str(got.value)
+
+
+class TestCompiledEvaluator:
+    """The function each model compiles, held to the recursive tree walk
+    it replaced (``oracles.tree_walk_bundle``)."""
+
+    @pytest.mark.parametrize("K", [None, 0, 1, 117, 1000])
+    def test_same_bits_as_the_tree_walk(self, curved_benchmark_models, K):
+        rng = np.random.default_rng(7 if K is None else K)
+        for model in _bit_models(curved_benchmark_models):
+            shape = () if K is None else (K,)
+            X = rng.uniform(-1.5, 1.5, size=shape + (model.n,))
+            P = rng.uniform(-1.5, 1.5, size=shape + (model.d,))
+            got, expected = eval_bundle(model, X, P), tree_walk_bundle(model, X, P)
+            for a, b in zip(got.arrays(), expected.arrays()):
+                assert a.shape == b.shape and a.dtype == b.dtype == float
+                assert a.tobytes() == b.tobytes()
+                assert a.size == 0 or _layout(a) == _layout(b)
+            f = eval_f(model, X, P)
+            assert f.shape == expected.f.shape and f.tobytes() == expected.f.tobytes()
+
+    def test_same_fractions_as_the_tree_walk(self, curved_benchmark_models):
+        rng = np.random.default_rng(3)
+        for model in _bit_models(curved_benchmark_models):
+            x = [Fraction(int(a), int(b)) for a, b in rng.integers(1, 13, size=(model.n, 2))]
+            p = [Fraction(-int(a), int(b)) for a, b in rng.integers(1, 13, size=(model.d, 2))]
+            got, expected = eval_bundle_exact(model, x, p), tree_walk_bundle(model, x, p, True)
+            for a, b in zip(got.arrays(), expected.arrays()):
+                assert a.shape == b.shape and a.dtype == b.dtype == object
+                assert a.tolist() == b.tolist()
+                assert all(type(e) is Fraction for e in a.flat)
+
+    def test_zero_base_under_a_negative_power_in_a_batch(self):
+        m = parse_model("dims n=2 d=0\nf = (x1^-2 + x2, x2)\n")
+        X = np.array([[1.0, 2.0], [0.0, 1.0], [-2.0, 0.5]])
+        message = _raises_alike(
+            lambda: eval_bundle(m, X, np.zeros((3, 0))),
+            lambda: tree_walk_bundle(m, X, np.zeros((3, 0))),
+        )
+        assert message == "zero raised to a negative power in subexpression 'x1^-2'"
+        ok = eval_bundle(m, X[[0, 2]], np.zeros((2, 0)))
+        assert ok.f.tolist() == [[3.0, 2.0], [0.75, 0.5]]
+
+    @pytest.mark.parametrize("text, x", [
+        ("dims n=1 d=0\nf = (1/x1)\n", [0.0]),
+        ("dims n=1 d=0\nf = (x1/0)\n", [1.0]),
+        ("dims n=1 d=0\nf = (x1 + 1/(1 - 1))\n", [1.0]),
+        ("dims n=1 d=0\nf = (x1^2 + x1^-3)\n", [0.0]),
+        ("dims n=1 d=0\nf = (x1 + (1 + x1)^4000)\n", [1.0]),
+        ("dims n=1 d=0\nf = (x1 + 10^400*x1 - 10^400*x1)\n", [0.5]),
+        ("dims n=1 d=0\nf = (x1*x1*x1*x1)\n", [1e100]),
+        ("dims n=1 d=0\nf = (x1 - 1" + "0" * 400 + "*x1)\n", [0.5]),
+        ("dims n=2 d=0\nf = (x1, x2)\nconstraint x1 - 1/(x2 - x1) <= 0\n", [0.5, 0.5]),
+    ])
+    def test_errors_name_what_the_tree_walk_names(self, text, x):
+        m = parse_model(text)
+        for X, P in ((x, []), (np.array([[0.25] * m.n, x]), np.zeros((2, 0)))):
+            _raises_alike(lambda: eval_bundle(m, X, P), lambda: tree_walk_bundle(m, X, P))
+        point = [Fraction(c) for c in x]
+        try:
+            expected = tree_walk_bundle(m, point, [], True)
+        except EvaluationError:
+            _raises_alike(lambda: eval_bundle_exact(m, point, []),
+                          lambda: tree_walk_bundle(m, point, [], True))
+        else:
+            assert eval_bundle_exact(m, point, []).f.tolist() == expected.f.tolist()
+
+    def test_parsing_compiles_nothing(self, monkeypatch, ex64_text):
+        compiled = []
+        real = builtins.compile
+
+        def counting(source, filename, *args, **kwargs):
+            # an import may compile a module meanwhile; count the models'
+            if filename == "<model>":
+                compiled.append(source)
+            return real(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "compile", counting)
+        model = parse_model(ex64_text)
+        assert model.program is None and compiled == []
+        # the exact and the float paths run the one function
+        eval_bundle_exact(model, [0, 0, 0], [0, 0])
+        eval_bundle(model, [0.5, 0.0, 1.0], [0.0, 0.0])
+        eval_bundle(model, np.zeros((4, 3)), np.zeros((4, 2)))
+        eval_f(model, [0.5, 0.0, 1.0], [0.0, 0.0])
+        assert len(compiled) == 1 and model.program is not None
+
+    def test_the_model_alone_holds_its_function(self, ex64_text):
+        model = parse_model(ex64_text)
+        eval_bundle(model, [0.0, 0.0, 0.0], [0.0, 0.0])
+        fn = weakref.ref(model.program.fn)
+        del model
+        gc.collect()
+        assert fn() is None
 
 
 class TestRoundTrip:

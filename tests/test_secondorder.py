@@ -12,11 +12,8 @@ test to the graph-sampling oracle within a stated O(eta) band, the LICQ
 limit also to a least-squares oracle.
 """
 
-import importlib.util
 import math
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,24 +387,6 @@ class TestGUSOSC:
             sampled = gusosc_sequential(m, m.reference, reference_multipliers(m), eta0, 120, 5)
             if math.isfinite(gss.modulus):
                 assert min(gus.modulus, sampled.modulus) >= gss.modulus / 2 - 1e-9
-
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def curved_benchmark_models():
-    """The five models of the benchmark's curved workload, with their
-    references, as the benchmark writes them."""
-    path = PERFBENCH / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # dataclasses resolve the module by name
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
-    return {bm.name: parse_model(bm.text(MODELS_DIR)) for bm in workloads._curved()}
 
 
 class TestSampledGUSOSC:
