@@ -218,7 +218,7 @@ def _cmd_cones(args) -> int:
     K = critical_cone(T, v_hat)
     mfcq = check_mfcq(exact, I)
     licq = check_licq(floats, I)
-    crcq = probe_crcq(model, exact, I, licq=licq)
+    crcq = probe_crcq(model, exact, I)
     rays, lin = K.generators()
     payload = {
         "active_set": [i + 1 for i in I],

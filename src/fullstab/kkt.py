@@ -2,11 +2,11 @@
 
 MFCQ is decided by a small LP (exact rational pivoting whenever the point
 and model data are rational, so a zero margin is never a floating-point
-artifact); LICQ by a singular-value rank check; CRCQ by comparing each
-active subfamily's rank at the reference with its generic rank, read
-exactly at deterministic rational points, except for jointly affine data,
-where gradients are constant, and under LICQ, which implies it.  Nothing
-is sampled.
+artifact); LICQ, which only the report reads, by a singular-value rank
+check; CRCQ by comparing each active subfamily's rank at the reference
+with its generic rank, read exactly at deterministic rational points,
+except for jointly affine data, where gradients are constant.  Nothing is
+sampled.
 
 The multiplier set Lambda(x, p, v) = {lam >= 0 : sum lam_i grad phi_i =
 v - f(x, p), lam_i = 0 off the active set} is enumerated vertex by vertex
@@ -134,43 +134,45 @@ def check_licq(bundle: EvalBundle, I) -> CQReport:
 # CRCQ probe
 
 
-def probe_crcq(model: ParametricModel, bundle: EvalBundle, I, *, licq: CQReport) -> CQReport:
+def probe_crcq(model: ParametricModel, bundle: EvalBundle, I) -> CQReport:
     """Partial CRCQ in x at the reference, whose bundle (exact on rational
     data) is ``bundle`` with active set I: every active-gradient subfamily
-    S keeps its rank nearby.  ``licq`` is :func:`check_licq` there.
+    S keeps its rank nearby.
 
-    It holds on jointly affine constraints (constant gradients) and under
-    LICQ (full row rank persists).  Otherwise: the entries of grad_x phi_S
-    are rational in (x, p), rank is lower semicontinuous, and a minor not
-    identically zero vanishes on no open set, so S keeps its rank iff its
-    rank at the reference equals its generic rank.  That is read exactly at
-    the points of :func:`expr.at_probe_points`, with the Schwartz-Zippel
-    caveat of :func:`expr.expr_is_zero`; a family of full rank cannot rise.
-    'fails' names the first S (in :func:`polycone.subsets` order) whose
-    rank rises, with a point of its generic rank (not near the reference),
-    or says that no point evaluates, so nothing is certified.
+    It holds on jointly affine constraints (constant gradients).
+    Otherwise: the entries of grad_x phi_S are rational in (x, p), rank is
+    lower semicontinuous, and a minor not identically zero vanishes on no
+    open set, so S keeps its rank iff its rank at the reference equals its
+    generic rank.  That is read exactly at the points of
+    :func:`expr.at_probe_points`, with the Schwartz-Zippel caveat of
+    :func:`expr.expr_is_zero`; a family of full rank cannot rise, so the
+    points are evaluated only at the first family below full rank (never
+    under LICQ).  'fails' names the first S (in :func:`polycone.subsets`
+    order) whose rank rises, with a point of its generic rank (not near
+    the reference), or says that no point evaluates, so nothing is
+    certified.
     """
     if not I:
         return CQReport("CRCQ", "holds", {"active_set": [], "vacuous": True})
     active = [i + 1 for i in I]
     if all(model.affine_xp[i] for i in I):
         return CQReport("CRCQ", "holds", {"active_set": active, "affine": True})
-    if licq.ok:
-        return CQReport("CRCQ", "holds", {"active_set": active, "licq": True})
     families = subsets(I, "active constraints")
     next(families)  # the empty family has rank 0 everywhere
-    points = list(at_probe_points(
-        lambda x, p: (x, p, {i: [evaluate(g, x, p) for g in model.grad_phi[i]] for i in I}),
-        model.n, model.d,
-    ))
-    if not points:
-        reason = "the active gradients evaluate at no probe point"
-        return CQReport("CRCQ", "fails", {"active_set": active, "reason": reason})
+    points = None
     for subset in families:
         rows = bundle.grad_phi[list(subset)]
         base_rank = len(gauss_jordan(rows)[1]) if bundle.exact else rank(rows)
         if base_rank == min(len(subset), model.n):
             continue  # full rank cannot rise
+        if points is None:
+            points = list(at_probe_points(
+                lambda x, p: (x, p, {i: [evaluate(g, x, p) for g in model.grad_phi[i]] for i in I}),
+                model.n, model.d,
+            ))
+            if not points:
+                reason = "the active gradients evaluate at no probe point"
+                return CQReport("CRCQ", "fails", {"active_set": active, "reason": reason})
         ranks = [len(gauss_jordan([grads[i] for i in subset])[1]) for *_, grads in points]
         if max(ranks) > base_rank:
             x, p, _ = points[ranks.index(max(ranks))]

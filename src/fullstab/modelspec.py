@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -98,8 +99,6 @@ class ParametricModel:
     param_free: tuple = field(default=(), compare=False)  # phi_i independent of p
     jointly_affine: tuple = field(default=(), compare=False)  # phi_i affine in (x, p)
     f_affine: bool = field(default=False, compare=False)  # f affine in x
-    # every phi_i affine in (x, p) and jac_f constant in (x, p)
-    polyhedral: bool = field(default=False, compare=False)
     # the tables compiled at the first evaluation (_Program)
     program: Optional["_Program"] = field(default=None, init=False, compare=False, repr=False)
 
@@ -139,11 +138,10 @@ class ParametricModel:
             affine_xp[i] and (param_free[i] or all_zero(phi_p[i], "p", d)) for i in range(m)
         )
         f_affine = all_zero(_entries(f_jac), "x", n)
-        polyhedral = f_affine and all(jointly_affine) and all_zero(_entries(f_jac), "p", d)
         derived = dict(
             f_jac=f_jac, grad_phi=grad_phi, hess_phi=hess_phi, affine_x=affine_x,
             affine_xp=affine_xp, phi_p=phi_p, param_free=param_free,
-            jointly_affine=jointly_affine, f_affine=f_affine, polyhedral=polyhedral,
+            jointly_affine=jointly_affine, f_affine=f_affine,
         )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -155,11 +153,12 @@ class ParametricModel:
         if len(ref.x) != self.n or len(ref.p) != self.d or len(ref.v) != self.n:
             raise DimensionError("reference dimensions do not match dims header")
         for i, phi in enumerate(self.constraints):
-            val = float(ex.evaluate(phi, ref.x, ref.p))
+            val = ex.evaluate(phi, ref.x, ref.p)  # exact at a rational reference
             if val > FEAS_TOL:
+                shown = f"{float(val):.3e}" if val <= sys.float_info.max else "beyond every float"
                 raise InfeasiblePointError(
                     f"reference point violates constraint {i + 1}: "
-                    f"phi_{i + 1} = {val:.3e} > {FEAS_TOL}"
+                    f"phi_{i + 1} = {shown} > {FEAS_TOL}"
                 )
 
 
@@ -322,7 +321,9 @@ def _values(model: ParametricModel, x, p, exact=False, size=None):
             except ArithmeticError:
                 pass
         for j, e in enumerate(model.program.entries[:size]):
-            out[j] = ex.evaluate(e if exact else ex.fold_float(e), x, p)
+            out[j] = value = ex.evaluate(e if exact else ex.fold_float(e), x, p)
+            if not exact and isinstance(value, Fraction):  # a literal no float holds
+                raise EvaluationError("float overflow", ex.to_string(e))
     return np.asarray(out[:size], dtype=object if exact else float)
 
 

@@ -7,17 +7,15 @@ face-projected symmetric part, which contains every KKT point of the
 sphere-constrained problem and hence the global minimizer.
 
 The uniform neighborhood condition (GUSOSC) is decided at the reference,
-as 'holds'/'fails', and nothing is sampled.  When every constraint is
-affine in (x, p) and jac_f is constant it is a minimum over finitely many
-(reachable face, multiplier-vertex support) pairs, each face settled by
-one exact LP.  Where LICQ holds at the reference it is the pointwise
-strong second-order value, its limit as the neighborhood shrinks.
-Elsewhere under MFCQ + CRCQ it is the minimum over the same pairs with the
-Lagrangian Jacobian of each support's vertex.  Where CRCQ fails it is
-'not_run', since it no longer characterizes full stability.  The
-pointwise tests (strict complementarity subspaces, critical-cone spans,
-smooth positive definiteness, the bordered-determinant probe) are decided
-directly.
+as 'holds'/'fails', and nothing is sampled.  Under MFCQ + CRCQ it is a
+minimum over finitely many (reachable face, multiplier-vertex support)
+pairs of the Lagrangian Jacobian of each support's vertex, each face
+settled by one exact LP; on affine data with a constant jac_f that is the
+uniform value itself, and under LICQ the pointwise strong second-order
+value.  Where CRCQ fails it is 'not_run', since it no longer
+characterizes full stability.  The pointwise tests (strict
+complementarity subspaces, critical-cone spans, smooth positive
+definiteness, the bordered-determinant probe) are decided directly.
 """
 
 from __future__ import annotations
@@ -62,15 +60,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadForm:
-    """Quadratic form w -> <H w, w>; values always go through the symmetric
-    part, which represents the same form.  H may also be a (k, n, n) stack
-    of forms (see :func:`min_on_cone`)."""
+    """Quadratic form w -> <H w, w> of an (n, n) H; values always go
+    through the symmetric part, which represents the same form."""
 
     H: np.ndarray
 
     @property
     def sym(self) -> np.ndarray:
-        return 0.5 * (self.H + np.swapaxes(self.H, -1, -2))
+        return 0.5 * (self.H + self.H.T)
 
 
 @dataclass
@@ -114,40 +111,29 @@ def min_on_subspace(Q: QuadForm, V: SubspaceBasis):
 
 def min_on_cone(Q: QuadForm, K: ConeDesc):
     """Exact minimum of <H w, w> over K intersected with the unit sphere,
-    by face enumeration; +inf if K = {0}.  Returns (value, argmin).
-
-    For a (k, n, n) stack of forms over the one cone K the faces are
-    enumerated once, with one stacked eigensolve per face, and (values,
-    argmins) come back as a (k,) array and a list: entry j is what the call
-    on the j-th form alone returns, to the bit."""
+    by face enumeration; +inf if K = {0}.  Returns (value, argmin)."""
     Hs = Q.sym
-    forms = Hs.reshape(-1, K.n, K.n)
-    best = [math.inf] * len(forms)
-    best_w = [None] * len(forms)
+    best, best_w = math.inf, None
     for subset in subsets(range(K.G.shape[0]), "inequality rows"):
         rows = np.vstack([K.E, K.G[list(subset)]])
         V = null_space(rows, K.n)
         if V.shape[1] == 0:
             continue
-        M = V.T @ forms @ V
-        vals, vecs = np.linalg.eigh(0.5 * (M + np.swapaxes(M, -1, -2)))
-        for j in range(len(forms)):
-            for idx in range(vals.shape[1]):
-                if vals[j, idx] >= best[j]:
+        M = V.T @ Hs @ V
+        vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+        for idx in range(len(vals)):
+            if vals[idx] >= best:
+                break
+            w = V @ vecs[:, idx]
+            norm = np.linalg.norm(w)
+            if norm < 1e-12:
+                continue
+            w = w / norm
+            for cand in (w, -w):
+                if K.contains(cand, TOL_CONE):
+                    best, best_w = float(vals[idx]), cand
                     break
-                w = V @ vecs[j, :, idx]
-                norm = np.linalg.norm(w)
-                if norm < 1e-12:
-                    continue
-                w = w / norm
-                for cand in (w, -w):
-                    if K.contains(cand, TOL_CONE):
-                        best[j] = float(vals[j, idx])
-                        best_w[j] = cand
-                        break
-    if Hs.ndim == 2:
-        return best[0], best_w[0]
-    return np.array(best), best_w
+    return best, best_w
 
 
 # ---------------------------------------------------------------------------
@@ -209,52 +195,22 @@ def check_gusosc(
     ms: MultiplierSet,
     tol_pd: float = TOL_PD,
     *,
-    licq: CQReport,
     crcq: CQReport,
 ) -> SecondOrderReport:
     """Uniform second-order test around ``ref`` with multiplier set ``ms``
-    (enumerated once MFCQ holds), by the first of four paths that applies
-    (``licq`` and ``crcq`` are :func:`kkt.check_licq` and
-    :func:`kkt.probe_crcq` at the bundle and active set of ``ms``,
-    which the caller decides once):
-
-    1. every constraint affine in (x, p) and jac_f constant in (x, p):
-       decided exactly by face enumeration (:func:`_gusosc_by_faces`);
-    2. LICQ at the reference: decided exactly as the limit of the uniform
-       value, which is the pointwise strong second-order value
-       (:func:`_gusosc_licq_limit`);
-    3. CRCQ fails: not run (verdict 'not_run', modulus None), since the
-       test no longer characterizes full stability there;
-    4. otherwise (MFCQ + CRCQ without LICQ): the face enumeration of 1,
-       with the Lagrangian Jacobian of each support's vertex at the
-       reference as the form.
+    (enumerated once MFCQ holds), where ``crcq`` is :func:`kkt.probe_crcq`
+    at the bundle and active set of ``ms``, which the caller decides once.
+    Where CRCQ fails it is not run (verdict 'not_run', modulus None), since
+    the test no longer characterizes full stability there.  Otherwise it is
+    decided by face enumeration at the reference (:func:`_gusosc_by_faces`),
+    with the Lagrangian Jacobian of each support's vertex there as the form.
 
     The uniform value at radius eta is the infimum, over the graph points
     (x, p, v, lam) within eta of the reference, of the minimum of the
     Lagrangian Jacobian form over ``mixed_sign_cone(grad phi(x, p), I(x),
-    I_+(lam))``; each path gives its limit as eta -> 0.
+    I_+(lam))``; the face enumeration gives its limit as eta -> 0.
 
-    Why the limit is the pointwise value under LICQ.  Under LICQ,
-    Lambda(xbar, pbar, vbar) is a single lambar, LICQ persists near
-    (xbar, pbar), and the multipliers of nearby graph points are unique and
-    tend to lambar.  So their strongly active sets contain I_+ = I_+(lambar),
-    each mixed cone lies in null(grad phi_{I_+}(x, p)), and the value at
-    each point is at least the minimum of the form over that subspace.
-    That subspace tends to K = null(grad phi_{I_+}(xbar, pbar)), because the
-    rows of I_+ keep full rank, and the form tends to that of lambar; this
-    is the bound.  The bound is attained: for each p near pbar, LICQ lets x
-    sit on {phi_{I_+}(., p) = 0} with every other constraint strictly
-    inactive, and v = f + grad phi^T lam with lam > 0 on I_+ is a graph
-    point whose mixed cone is exactly the subspace.  Hence, as eta -> 0, the
-    uniform value tends to the minimum of the Lagrangian Jacobian form of
-    lambar over K, which is what :func:`check_gssosc` computes: when it is
-    positive the condition holds at every small eta, when it is negative
-    it fails at every eta (a zero reads 'fails', as on the other paths).
-    This is the "full stability iff SSOSC under LICQ" of Mordukhovich,
-    Nghia & Rockafellar, Math. Oper. Res. 40 (2015), carried over to the
-    variational system v in f(x, p) + d_x g(x, p).
-
-    Why path 4 gives the limit under MFCQ + CRCQ.  Vertices: the form is
+    Why the faces give the limit under MFCQ + CRCQ.  Vertices: the form is
     affine in lam and a larger strongly active set gives a smaller cone,
     so at each graph point the vertices of its multiplier polytope attain
     the minimum (as in :func:`check_gssosc`).  Supports: a vertex of a
@@ -274,14 +230,19 @@ def check_gusosc(
     its points tend to the reference's (they are a fixed polyhedral cone
     pulled back by d phi_K, K a basis of the face's gradients), and v = f
     + grad phi_J^T lam_J with J's vertex lam_J gives graph points with
-    that pair.  Reachability: on active constraints affine in (x, p) the
-    LP of :func:`_gusosc_by_faces` decides it.  So it does under CRCQ on
-    curved active constraints free of p.  When t* > 0, phi_I keeps its
-    rank, and the constant-rank theorem lifts the LP direction onto {phi_I
-    = 0}.  When t* = 0, Motzkin's transposition theorem gives mu >= 0 on
-    the other active constraints, nonzero on S, and some nu with sum mu_r
-    grad phi_r + sum nu_i grad phi_i = 0 at xbar (r in S, i in I).  Each
-    active phi is locally a function of phi_Khat, Khat a basis of I(xbar)
+    that pair.  LICQ implies CRCQ and makes Lambda one vertex lambar, and
+    the minimum is then the strong second-order value of lambar on
+    null(grad phi_{I_+}) that :func:`check_gssosc` computes (Mordukhovich,
+    Nghia & Rockafellar, Math. Oper. Res. 40, 2015).
+
+    Reachability: on active constraints affine in (x, p) the LP of
+    :func:`_gusosc_by_faces` decides it.  So it does under CRCQ on curved
+    active constraints free of p.  When t* > 0, phi_I keeps its rank, and
+    the constant-rank theorem lifts the LP direction onto {phi_I = 0}.
+    When t* = 0, Motzkin's transposition theorem gives mu >= 0 on the
+    other active constraints, nonzero on S, and some nu with sum mu_r grad
+    phi_r + sum nu_i grad phi_i = 0 at xbar (r in S, i in I).  Each active
+    phi is locally a function of phi_Khat, Khat a basis of I(xbar)
     containing one K of I (Janin), and on {phi_K = 0} the map from the
     other coordinates phi_Khat to phi_S keeps its rank (CRCQ on K and S),
     so its image is a manifold tangent at 0 to a space orthogonal to mu.
@@ -291,16 +252,15 @@ def check_gusosc(
     p1^2 and phi_2 = x1 (n = d = 1) the face {1} is reached at x1 = -p1^2,
     p1 != 0, while its LP needs w = 0 and w < 0.  So when an active
     constraint is curved and moves with p, the faces the LP rejects stay in
-    the minimum (``details['lp_rejected_kept']``): 'holds' is sound, and
-    'fails' is exact only when the minimum is attained on I(xbar), where
-    the reference itself is the graph point (``details
-    ['minimum_attained']``).  The premise, named in ``details['premise']``,
-    is decided at the reference: CRCQ by the exact rank test of
-    :func:`kkt.probe_crcq`."""
-    if model.polyhedral:
-        return _gusosc_by_faces(model, ref, ms, tol_pd)
-    if licq.ok:
-        return _gusosc_licq_limit(ms.bundle.floats(), ms, tol_pd)
+    the minimum (``details['lp_rejected_kept']``), and 'holds' is sound.
+    'fails' is exact there when a face attaining the minimum passes the LP
+    in x alone at pbar (dp = 0; ``details['minimum_attained']``): partial
+    CRCQ at pbar and the constant-rank theorem lift any w with G_I w = 0
+    and G_r w < 0 (r in I(xbar) outside I) onto {phi_I(., pbar) = 0} with
+    the other active constraints negative, where the graph points above
+    have that face.  Under LICQ every face passes.  The premise, named in
+    ``details['premise']``, is decided at the reference: CRCQ by the exact
+    rank test of :func:`kkt.probe_crcq`."""
     if not crcq.ok:
         details = {
             "method": "not_run",
@@ -312,25 +272,7 @@ def check_gusosc(
             "cones_evaluated": 0,
         }
         return SecondOrderReport("GUSOSC", "not_run", None, {}, details)
-    return _gusosc_by_faces(model, ref, ms, tol_pd, crcq)
-
-
-def _gusosc_licq_limit(bundle: EvalBundle, ms: MultiplierSet, tol_pd: float) -> SecondOrderReport:
-    """Uniform second-order test under LICQ at the point of the float
-    ``bundle``, decided as its limit, the strong second-order value of
-    :func:`check_gssosc` (see :func:`check_gusosc`).  The sample counters
-    read 0, as on the face path."""
-    limit = check_gssosc(bundle, ms, tol_pd)
-    details = {
-        "method": "licq_limit",
-        "strongly_active": [i + 1 for i in strict_complement(ms.vertices[0], ms.active)],
-        "samples_accepted": 0,
-        "samples_requested": 0,
-        "attempts": 0,
-        "cones_evaluated": len(ms.vertices),
-        "all_cones_trivial": not math.isfinite(limit.modulus),
-    }
-    return SecondOrderReport("GUSOSC", limit.verdict, limit.modulus, limit.witness, details)
+    return _gusosc_by_faces(model, ref, ms, tol_pd)
 
 
 def _gusosc_by_faces(
@@ -338,12 +280,9 @@ def _gusosc_by_faces(
     ref: ReferenceTriple,
     ms: MultiplierSet,
     tol_pd: float = TOL_PD,
-    crcq: Optional[CQReport] = None,
 ) -> SecondOrderReport:
     """Uniform second-order test decided by face enumeration at the
-    reference: exactly on polyhedral data (``model.polyhedral``), and
-    under MFCQ + CRCQ (``crcq``, the report it rests on, given) as the
-    bound that :func:`check_gusosc` derives.
+    reference under MFCQ + CRCQ, as :func:`check_gusosc` derives it.
 
     With constraints phi = G x + B p + c and a constant jac_f, the
     multipliers of graph points near the reference have supports that
@@ -356,10 +295,11 @@ def _gusosc_by_faces(
     iff the LP max t over (w, dp, t) in the unit box subject to G_I w +
     B_I dp = 0 and G_r w + B_r dp + t <= 0 for r in I(x) outside I has
     t* > 0; it is solved exactly on rational data.  Off that scope G and B
-    are taken at the reference, the form of pair (I, J) is the Lagrangian
-    Jacobian of J's vertex there (jac_f itself on polyhedral data), and
-    when an active constraint is curved and moves with p a face the LP
-    rejects stays in the minimum.
+    are taken at the reference and the form of pair (I, J) is the
+    Lagrangian Jacobian of J's vertex there.  When an active constraint is
+    curved and moves with p a face the LP rejects stays in the minimum, and
+    the minimum counts as attained when a face attaining it passes the LP
+    with dp = 0.
     """
     bundle, active, exact = ms.bundle, ms.active, ms.exact
     cast = Fraction if exact else float
@@ -376,27 +316,31 @@ def _gusosc_by_faces(
         for J, vert in supports.items()
     }
     # the LP decides when each active constraint is free of p or affine in
-    # (x, p) (see check_gusosc), as on polyhedral data
-    lp_decides = crcq is None or all(
-        model.param_free[i] or model.jointly_affine[i] for i in active
-    )
+    # (x, p) (see check_gusosc)
+    lp_decides = all(model.param_free[i] or model.jointly_affine[i] for i in active)
+    lps = 0
 
-    ell = at_reference = math.inf
+    def reachable(I, columns):
+        # the LP of face I over the columns of rows (w, and dp or not)
+        nonlocal lps
+        lps += 1
+        face = [k for k, i in enumerate(active) if i in I]
+        rest = [k for k, i in enumerate(active) if i not in I]
+        return _face_reachable(rows[face][:, columns], rows[rest][:, columns], exact)
+
+    ell = math.inf
     witness = {}
     pairs, kept = [], []
-    lps = 0
+    face_min = {}  # face passing the LP -> least value of its pairs
     for I in subsets(active, "active constraints"):
         inside = [J for J in supports if set(J) <= set(I)]
         if not inside:
             continue
-        if I != active:
-            lps += 1
-            face = [k for k, i in enumerate(active) if i in I]
-            rest = [k for k, i in enumerate(active) if i not in I]
-            if not _face_reachable(rows[face], rows[rest], exact):
-                if lp_decides:
-                    continue
-                kept.append([i + 1 for i in I])
+        passed = I == active or reachable(I, slice(None))
+        if not passed:
+            if lp_decides:
+                continue
+            kept.append([i + 1 for i in I])
         for J in inside:
             cone = mixed_sign_cone(ms.grad_matrix, I, J, model.n)
             val, w = min_on_cone(forms[J], cone)
@@ -406,8 +350,8 @@ def _gusosc_by_faces(
                 "value": None if not math.isfinite(val) else val,
             }
             pairs.append(pair)
-            if I == active:
-                at_reference = min(at_reference, val)
+            if passed:
+                face_min[I] = min(face_min.get(I, math.inf), val)
             if val < ell:
                 ell = val
                 witness = {
@@ -415,8 +359,15 @@ def _gusosc_by_faces(
                     "lambda": [float(c) for c in supports[J]],
                     "direction": [float(c) for c in w],
                 }
+    # only a face that passes the LP in (x, p) can pass it with dp = 0
+    attained = lp_decides or face_min[active] <= ell or any(
+        val <= ell and reachable(I, slice(model.n))
+        for I, val in face_min.items() if I != active
+    )
     verdict = "holds" if ell > tol_pd else "fails"
     details = {
+        "method": "faces",
+        "premise": "MFCQ holds; CRCQ holds",
         "samples_accepted": 0,
         "samples_requested": 0,
         "attempts": 0,
@@ -425,23 +376,18 @@ def _gusosc_by_faces(
         "pairs": pairs,
         "all_cones_trivial": not math.isfinite(ell),
         "exact": exact,
+        "reachability": "decided by the LP: each active constraint affine in "
+        "(x, p) or free of p" if lp_decides else "faces the LP rejects kept: "
+        "'holds' is sound, 'fails' is exact only where minimum_attained",
+        "lp_rejected_kept": kept,
+        "minimum_attained": attained,
     }
-    if crcq is not None:
-        details.update({
-            "method": "faces",
-            "premise": "MFCQ holds; CRCQ holds",
-            "reachability": "decided by the LP: each active constraint affine in "
-            "(x, p) or free of p" if lp_decides else "faces the LP rejects kept: "
-            "'holds' is sound, 'fails' is exact only where minimum_attained",
-            "lp_rejected_kept": kept,
-            "minimum_attained": lp_decides or at_reference <= ell,
-        })
     return SecondOrderReport("GUSOSC", verdict, ell, witness, details)
 
 
 def _face_reachable(face_rows, rest_rows, exact: bool) -> bool:
     """Whether some z in the unit box has face_rows . z = 0 and rest_rows . z
-    < 0, for rows [G_i | B_i] over z = (w, dp)."""
+    < 0, for rows [G_i | B_i] over z = (w, dp), or G_i over z = w."""
     rows = np.vstack([face_rows, rest_rows])
     if len(rows) < rows.shape[1]:
         # the signs depend only on the part of z in the row space, so with

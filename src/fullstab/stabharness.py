@@ -429,7 +429,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
     I = active_indices(exact.phi, opts.tol_act)
     mfcq = check_mfcq(exact, I)
     licq = check_licq(floats, I)
-    crcq = probe_crcq(model, exact, I, licq=licq)
+    crcq = probe_crcq(model, exact, I)
     cq = {
         "mfcq": mfcq.to_json_dict(),
         "licq": licq.to_json_dict(),
@@ -455,7 +455,7 @@ def certify(model: ParametricModel, options: Optional[CertifyOptions] = None) ->
     ms = _multipliers(exact, I, ref.v)
 
     gssosc = check_gssosc(floats, ms, tol_pd=opts.tol_pd)
-    gusosc = check_gusosc(model, ref, ms, opts.tol_pd, licq=licq, crcq=crcq)
+    gusosc = check_gusosc(model, ref, ms, opts.tol_pd, crcq=crcq)
     pvi = None
     v_hat = ref.v_hat(exact)
     if all(model.affine_x) and all(model.param_free):

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fullstab.kkt import check_licq, multiplier_polytope, probe_crcq
+from fullstab.kkt import multiplier_polytope, probe_crcq
 from fullstab.modelspec import ReferenceTriple, eval_bundle, eval_reference, parse_model
 from fullstab.polycone import active_indices
 
@@ -79,30 +79,21 @@ def reference_multipliers(model):
     return multiplier_polytope(*exact_at(model, ref.x, ref.p, ref.v), ref.v)
 
 
-def licq_of(ms):
-    """LICQ on the float cast of the bundle and active set that ``ms`` was
-    enumerated at: the report ``certify`` decides once and hands to the
-    CRCQ probe and the uniform test."""
-    return check_licq(ms.bundle.floats(), ms.active)
-
-
 def reference_gusosc(model, ms=None):
     """``check_gusosc`` at the model's reference, with Lambda (``ms``, or
-    :func:`reference_multipliers`), LICQ and CRCQ decided there as
-    ``certify`` decides them."""
+    :func:`reference_multipliers`) and CRCQ decided there as ``certify``
+    decides them."""
     from fullstab.secondorder import check_gusosc
 
     ms = reference_multipliers(model) if ms is None else ms
-    licq = licq_of(ms)
-    crcq = probe_crcq(model, ms.bundle, ms.active, licq=licq)
-    return check_gusosc(model, model.reference, ms, licq=licq, crcq=crcq)
+    crcq = probe_crcq(model, ms.bundle, ms.active)
+    return check_gusosc(model, model.reference, ms, crcq=crcq)
 
 
 def crcq_at(model, x, p):
-    """``probe_crcq`` at (x, p) on the bundle, active set and LICQ report
-    ``certify`` would hand it there."""
-    exact, I = exact_at(model, x, p)
-    return probe_crcq(model, exact, I, licq=check_licq(exact.floats(), I))
+    """``probe_crcq`` at (x, p) on the bundle and active set ``certify``
+    would hand it there."""
+    return probe_crcq(model, *exact_at(model, x, p))
 
 
 @pytest.hookimpl(hookwrapper=True)

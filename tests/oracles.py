@@ -13,7 +13,7 @@ sweep by its per-node append, merge and score loop, the vertex minimum of
 GSSOSC by a scan of points inside the multiplier polytope, the exact
 uniform test off the polyhedral scope by graph sampling
 (``gusosc_sequential``, on the seeded models of ``random_licq_model`` and
-``random_crcq_model`` among others) and its LICQ limit also by a
+``random_crcq_model`` among others) and its limit under LICQ also by a
 least-squares multiplier and one projected eigenvalue problem
 (``licq_limit``), the pruned face sweep by the sweep over every active-set
 guess (``full_face_sweep``), the stacked projection kernel by the one-row

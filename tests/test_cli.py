@@ -94,6 +94,26 @@ class TestExitCodes:
         )
         assert not (tmp_path / "rep.json").exists()
 
+    @pytest.mark.parametrize("constraint, message", [
+        ("x1 - {big}", "error: non-finite value in evaluation bundle\n"),
+        ("{big} - x1", "error: reference point violates constraint 1: "
+                       "phi_1 = beyond every float > 1e-09\n"),
+    ], ids=["feasible", "infeasible"])
+    def test_literal_beyond_every_float_exit_one(self, tmp_path, capsys, constraint, message):
+        # a 401-digit literal: the reference check compares the exact phi,
+        # and the float cast of the exact bundle raises the typed error
+        model = tmp_path / "big.model"
+        big = "1" + "0" * 400
+        model.write_text(
+            f"dims n=1 d=0\nf = (x1)\nconstraint {constraint.format(big=big)} <= 0\n"
+            "reference x=(0) p=() v=(0)\n"
+        )
+        code = run(["certify", str(model), "--json", str(tmp_path / "rep.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == message and "Traceback" not in err
+        assert not (tmp_path / "rep.json").exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flags, message", [
         (["--eta", "0"], "eta must be finite and positive"),

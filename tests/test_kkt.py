@@ -125,15 +125,16 @@ class TestCRCQ:
         assert x[0] != 0 and rep.witness["point"]["p"] == []
 
     def test_nonvanishing_gradient_holds_by_licq(self, monkeypatch):
-        # one active gradient 3 x1^2 + 1 != 0: LICQ holds, which implies
-        # CRCQ, so the probe decides without evaluating anywhere else
+        # one active gradient 3 x1^2 + 1 != 0: LICQ holds, so every
+        # subfamily has full rank at the reference, which cannot rise, and
+        # the rank test evaluates no probe point
         from fullstab import kkt
 
         m = parse_model("dims n=1 d=0\nf = (x1)\nconstraint x1^3 + x1 <= 0\n")
-        monkeypatch.setattr(kkt, "at_probe_points", None)  # the rank test would call it
+        monkeypatch.setattr(kkt, "at_probe_points", None)  # a call would raise
         rep = crcq_at(m, (0,), ())
         assert rep.verdict == "holds"
-        assert rep.witness == {"active_set": [1], "licq": True}
+        assert rep.witness == {"active_set": [1]}
 
     def test_dependent_curved_gradients_sampled(self):
         # gradients 1 + 2 x1 and 2 are dependent at the origin, so LICQ
@@ -189,7 +190,7 @@ def _sampled_cases():
 
 
 class TestExactCRCQ:
-    """CRCQ off the affine and LICQ shortcuts: the rank of each subfamily at
+    """CRCQ off the affine shortcut: the rank of each subfamily at
     the reference against its generic rank, read exactly at rational
     points."""
 

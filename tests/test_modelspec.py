@@ -213,6 +213,19 @@ class TestEvalBundle:
             (model.m,), (model.m, model.n), (model.m, model.n, model.n)
         ]
 
+    def test_bare_literal_beyond_every_float_raises_typed(self):
+        # an entry that is only a literal no float holds is the typed error
+        # naming it, at one point, on a batch and in eval_f; exact is exact
+        big = "1" + "0" * 400
+        m = parse_model(f"dims n=2 d=0\nf = (x1 + 1, {big})\n")
+        match = f"float overflow in subexpression '{big}'"
+        for x, p in (([0, 0], []), (np.zeros((3, 2)), np.zeros((3, 0)))):
+            with pytest.raises(EvaluationError, match=match):
+                eval_bundle(m, x, p)
+            with pytest.raises(EvaluationError, match=match):
+                eval_f(m, x, p)
+        assert eval_bundle_exact(m, [0, 0], []).f[1] == 10**400
+
     def test_float_view_of_an_overflowing_exact_bundle_raises(self):
         # f = 10^400 exactly, which no float holds
         m = parse_model("dims n=1 d=0\nf = (x1 + 10^400)\nreference x=(0) p=() v=(0)\n")

@@ -26,15 +26,15 @@ def test_every_traced_name_is_a_package_callable():
 
 def test_layer_metrics_read_gusosc_details_on_both_paths(tmp_path, monkeypatch):
     # the traced pass sums attempts, samples_accepted and cones_evaluated
-    # from every report's gusosc details, whichever path decided it: faces,
-    # the LICQ limit, or not run where CRCQ fails
+    # from every report's gusosc details, whichever path decided it: faces
+    # on curved and on polyhedral data, or not run where CRCQ fails
     monkeypatch.syspath_prepend(str(TRACER.parent))
     worker = importlib.import_module("worker")
     from fullstab.cli import run
 
     models = {
-        "faces": DEPENDENT_CURVED,
-        "licq_limit": (TRACER.parent.parent / "models" / "circle.model").read_text(),
+        "curved": DEPENDENT_CURVED,
+        "polyhedral": (TRACER.parent.parent / "models" / "identity.model").read_text(),
         "not_run": "dims n=2 d=0\nf = (2*x1, 2*x2)\nconstraint x1 <= 0\n"
                    "constraint x1 - x2^2 <= 0\nreference x=(0, 0) p=() v=(0, 0)\n",
     }
@@ -47,7 +47,7 @@ def test_layer_metrics_read_gusosc_details_on_both_paths(tmp_path, monkeypatch):
         assert run(argv + ["--json", str(out)]) == 0
         reports.append(json.loads(out.read_text()))
     details = [r["gusosc"]["details"] for r in reports]
-    assert [d["method"] for d in details] == list(models)
+    assert [d["method"] for d in details] == ["faces", "faces", "not_run"]
     assert reports[2]["verdict"] == "undetermined"
     for d in details:
         assert d["attempts"] == d["samples_accepted"] == 0

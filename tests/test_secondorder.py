@@ -7,9 +7,9 @@ complementarity and uniform tests to hand-derived worked-example values
 -1); the exact uniform test also to the graph-sampling oracle
 (``gusosc_sequential``) and to a sampling-only oracle; the vertex minimum
 of GSSOSC to a scan of the whole multiplier polytope on random curved
-models; the LICQ limit and the face path under MFCQ + CRCQ of the uniform
-test to the graph-sampling oracle within a stated O(eta) band, the LICQ
-limit also to a least-squares oracle.
+models; the face path of the uniform test, under LICQ and under MFCQ +
+CRCQ, to the graph-sampling oracle within a stated O(eta) band, and under
+LICQ also to a least-squares oracle of its limit.
 """
 
 import math
@@ -457,6 +457,49 @@ class TestSampledGUSOSC:
         assert rep.details["minimum_attained"] is True
         assert rep.verdict == "holds" and rep.modulus == pytest.approx(2.0, abs=1e-12)
 
+    # phi_1 = x1 + p1^2 and phi_2 = x1 as above with two more constraints
+    # affine in x: CRCQ holds, LICQ fails, and Lambda has the vertices e_1
+    # and e_2.  On the faces {1} and {1, 2} the cone is the plane u1 = 0,
+    # where the form (u2, u3) -> u2^2 + 4 u2 u3 + u3^2 reaches -1; on
+    # I(xbar) it is 1
+    ATTAINED = (
+        "dims n=3 d=1\nf = (x1, x2 + 2*x3, 2*x2 + x3)\nconstraint x1 + p1^2 <= 0\n"
+        "constraint x1 <= 0\nconstraint x2 <= 0\nconstraint x3 <= 0\n"
+        "reference x=(0, 0, 0) p=(0) v=(1, 0, 0)\n"
+    )
+    # the same with phi_4 = x1 - x2: at pbar every face with such a plane
+    # forces phi_4 = 0 with phi_2, phi_3 or both; moves in p reach {1, 3}
+    # (x1 = -p1^2, x2 = 0), but the LP in x alone reaches none of them
+    NOT_ATTAINED = ATTAINED.replace("constraint x3 <= 0", "constraint x1 - x2 <= 0")
+
+    @pytest.mark.parametrize("text, attained", [(ATTAINED, True), (NOT_ATTAINED, False)],
+                             ids=["attained", "not_attained"])
+    def test_lp_in_x_alone_decides_attainment(self, text, attained):
+        m = parse_model(text)
+        ms = reference_multipliers(m)
+        assert check_licq(_floats(m), ms.active).verdict == "fails"
+        rep = reference_gusosc(m, ms)
+        assert rep.details["premise"] == "MFCQ holds; CRCQ holds"
+        assert rep.details["reachability"].startswith("faces the LP rejects kept")
+        at_reference = [p["value"] for p in rep.details["pairs"] if p["active_set"] == [1, 2, 3, 4]]
+        assert at_reference and min(at_reference) == pytest.approx(1.0, abs=1e-12)
+        assert rep.verdict == "fails" and rep.modulus == pytest.approx(-1.0, abs=1e-12)
+        # the minimum lies off I(xbar): only the LP in x alone can find a
+        # face that attains it
+        assert rep.details["minimum_attained"] is attained
+        assert ([1, 2] in rep.details["lp_rejected_kept"]) is not attained
+
+    def test_one_details_key_set_on_every_decided_path(self, ex64_model, circle_model):
+        # polyhedral, LICQ and MFCQ + CRCQ models share the face path's keys
+        keys = [
+            set(reference_gusosc(m).details)
+            for m in (ex64_model, circle_model, parse_model(curv(3)), parse_model(self.ATTAINED))
+        ]
+        assert all(k == keys[0] for k in keys)
+        assert {"method", "premise", "reachability", "lp_rejected_kept", "minimum_attained",
+                "pairs", "exact", "reachability_lps", "attempts", "samples_accepted",
+                "cones_evaluated"} <= keys[0]
+
     @pytest.mark.parametrize("seed", range(12))
     def test_crcq_failure_not_run(self, seed, monkeypatch):
         # every seed of this family fails the CRCQ probe: no uniform value,
@@ -506,14 +549,15 @@ class TestSampledGUSOSC:
 
 
 class TestGusoscLicqLimit:
-    """Under LICQ check_gusosc reports the limit of the uniform value, the
-    pointwise strong second-order value, without sampling.  The limit is
-    checked against a least-squares oracle (``licq_limit``), and the
-    graph-sampling oracle at eta = 1e-2 is its oracle in turn: its modulus is a minimum
-    over graph points within eta, so it lies O(eta) from the limit.  The
-    stated bands: 0.3 eta on the curved benchmark models, whose gaps are
-    2.5e-3 (circle), 1.1e-3 (sphere-3d) and below 1e-7 (the others), and 5
-    eta on the seeded models, whose gaps reach 3.4e-2."""
+    """Under LICQ check_gusosc takes the face path, with no sampling, and
+    its minimum is the limit of the uniform value, the pointwise strong
+    second-order value.  The limit is checked against a least-squares
+    oracle (``licq_limit``), and the graph-sampling oracle at eta = 1e-2 is
+    its oracle in turn: its modulus is a minimum over graph points within
+    eta, so it lies O(eta) from the limit.  The stated bands: 0.3 eta on
+    the curved benchmark models, whose gaps are 2.5e-3 (circle), 1.1e-3
+    (sphere-3d) and below 1e-7 (the others), and 5 eta on the seeded
+    models, whose gaps reach 3.4e-2."""
 
     ETA = 1e-2
 
@@ -522,14 +566,18 @@ class TestGusoscLicqLimit:
         assert check_licq(_floats(m), ms.active).verdict == "holds"
         rep = reference_gusosc(m, ms)
         value, strong = licq_limit(_floats(m), ms.active, [float(c) for c in ref.v])
-        assert rep.details["method"] == "licq_limit"
-        assert rep.details["strongly_active"] == strong
+        assert rep.details["method"] == "faces"
+        # Lambda is one vertex, so every pair has its support I_+
+        assert {tuple(p["strongly_active"]) for p in rep.details["pairs"]} == {tuple(strong)}
+        # under LICQ every face is reached by a move in x alone
+        assert rep.details["lp_rejected_kept"] == [] and rep.details["minimum_attained"]
         assert rep.verdict == ("holds" if value > 1e-9 else "fails")
         assert rep.details["all_cones_trivial"] is (value == math.inf)
         sampled = gusosc_sequential(m, ref, ms, self.ETA, 200, seed)
         if value == math.inf:
             assert rep.modulus == sampled.modulus == math.inf
             return 0.0
+        assert rep.witness["strongly_active"] == strong
         assert abs(rep.modulus - value) <= 1e-12 * (1 + abs(value))
         gap = sampled.modulus - rep.modulus
         assert abs(gap) <= band * self.ETA
@@ -549,6 +597,25 @@ class TestGusoscLicqLimit:
     def test_seeded_licq_models(self, seed):
         m = random_licq_model(np.random.default_rng(seed))
         self._limit_against_oracles(m, 5.0, seed)
+
+    def test_licq_sweep_attains_every_minimum(self):
+        # the face LP keeps no face on these models, whose constraints are
+        # curved and move with p when d > 0, and the minimum reads attained on every
+        # seed: at seed 13 it is -2.285 on face {3}, below the -1.151 of
+        # I(xbar) = {1, 2, 3}, and face {3} passes the LP in x alone
+        for seed in range(400):
+            m = random_licq_model(np.random.default_rng(seed))
+            ms = reference_multipliers(m)
+            rep = reference_gusosc(m, ms)
+            assert rep.details["lp_rejected_kept"] == [], seed
+            assert rep.details["minimum_attained"] is True, seed
+            value, _ = licq_limit(_floats(m), ms.active, [float(c) for c in m.reference.v])
+            assert rep.modulus == pytest.approx(value, rel=1e-12, abs=1e-12), seed
+            if seed == 13:
+                at_reference = [p["value"] for p in rep.details["pairs"] if p["active_set"] == [1, 2, 3]]
+                assert rep.witness["active_set"] == [3]
+                assert rep.modulus == pytest.approx(-2.2848, abs=1e-4)
+                assert at_reference == [pytest.approx(-1.1512, abs=1e-4)]
 
 
 class TestPVIPointwise:

@@ -337,9 +337,9 @@ class TestCertify:
 
     @pytest.mark.parametrize("name", ["ex64", "circle"])
     def test_licq_decided_once(self, name, ex64_model, circle_model, monkeypatch):
-        # certify decides LICQ at the reference once and hands its report
-        # to the CRCQ probe and the uniform test, which on the circle both
-        # take their LICQ paths
+        # certify decides LICQ at the reference once, only to report it:
+        # the CRCQ probe and the uniform test read no LICQ, and on the
+        # circle, where LICQ holds, they take their one decided path
         import sys
 
         import fullstab.kkt as kkt
@@ -358,8 +358,9 @@ class TestCertify:
         rep = certify(model, CertifyOptions(samples=50, grid_v=3, grid_p=3, n_random=2))
         assert calls == ["certify"]
         if name == "circle":
-            assert rep.cq["crcq"]["witness"]["licq"] is True
-            assert rep.gusosc["details"]["method"] == "licq_limit"
+            assert rep.cq["licq"]["verdict"] == "holds"
+            assert rep.cq["crcq"]["witness"] == {"active_set": [1]}
+            assert rep.gusosc["details"]["method"] == "faces"
 
     def test_one_active_set_at_the_reference(self, monkeypatch):
         # phi_1 = -1/10^7 at the reference: in Fractions just outside the
@@ -401,13 +402,16 @@ class TestCertify:
     def test_circle_boundary_fully_stable(self, circle_model, seed):
         # the reference sits on the curved boundary with multiplier 1/2; on
         # the tangent line the Lagrangian Jacobian is (1 + 2 lambda) I = 2 I.
-        # LICQ holds, so GUSOSC is that limit, the same at every seed
+        # LICQ holds, so GUSOSC is that limit, the same at every seed: the
+        # faces {1} and I(xbar) = {1} are one, with the cone that line
         rep = certify(circle_model, CertifyOptions(seed=seed))
         details = rep.gusosc["details"]
         assert rep.verdict == "fully_stable"
         assert rep.gusosc["verdict"] == "holds"
-        assert details["method"] == "licq_limit"
-        assert details["strongly_active"] == [1]
+        assert details["method"] == "faces"
+        assert [p["strongly_active"] for p in details["pairs"]] == [[1]]
+        assert rep.gusosc["witness"]["active_set"] == rep.gusosc["witness"]["strongly_active"] == [1]
+        assert details["minimum_attained"] is True and details["lp_rejected_kept"] == []
         assert details["samples_accepted"] == details["samples_requested"] == 0
         assert details["all_cones_trivial"] is False
         assert rep.gusosc["modulus"] == pytest.approx(2.0, abs=1e-12)
