@@ -193,6 +193,31 @@ def evaluate(e: Expr, x: Sequence[Number], p: Sequence[Number]):
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def bounds(e: Expr, xbox, pbox, slack=0):
+    """Exact bounds (lo, hi) of ``e`` over a box of one (lo, hi) pair of
+    Fractions per variable, by interval arithmetic (Moore, 1966); None
+    where a denominator or a negative power's base may be 0.  A ``slack``
+    > 0 widens the interval of every node by slack (1 + |end|)."""
+    if isinstance(e, (Num, Var)):
+        ends = (e.value,) if isinstance(e, Num) else (xbox if e.kind == "x" else pbox)[e.index]
+    elif isinstance(e, (Neg, Pow)):
+        a = bounds(e.operand if isinstance(e, Neg) else e.base, xbox, pbox, slack)
+        if a is None or isinstance(e, Pow) and e.exponent < 0 and a[0] <= 0 <= a[1]:
+            return None
+        ends = [-c if isinstance(e, Neg) else c**e.exponent for c in a]
+        if isinstance(e, Pow) and e.exponent > 0 and e.exponent % 2 == 0 and a[0] < 0 < a[1]:
+            ends.append(_ZERO)
+    else:
+        a, b = bounds(e.left, xbox, pbox, slack), bounds(e.right, xbox, pbox, slack)
+        if a is None or b is None or isinstance(e, Div) and b[0] <= 0 <= b[1]:
+            return None
+        if isinstance(e, (Sub, Div)):  # a - b = a + (-b), a / b = a * (1 / b)
+            b = (-b[1], -b[0]) if isinstance(e, Sub) else (1 / b[1], 1 / b[0])
+        ends = [s + t if isinstance(e, (Add, Sub)) else s * t for s in a for t in b]
+    lo, hi = min(ends), max(ends)
+    return lo - slack * (1 + abs(lo)), hi + slack * (1 + abs(hi))
+
+
 def _has_zero(value) -> bool:
     if isinstance(value, np.ndarray):
         return bool((value == 0).any())

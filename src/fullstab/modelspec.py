@@ -368,12 +368,20 @@ def eval_reference(model: ParametricModel, ref: ReferenceTriple):
     """The reference evaluated once, as (exact, floats): ``exact`` is the
     Fraction bundle when x, p and v are all rational, and ``floats`` its
     cast (:meth:`EvalBundle.floats`); otherwise both are the float bundle.
-    The pointwise checks take these bundles instead."""
-    if ex.is_rational(ref.x, ref.p, ref.v):
-        exact = eval_bundle_exact(model, ref.x, ref.p)
-    else:
-        exact = eval_bundle(model, ref.x, ref.p)
-    return exact, exact.floats()
+    The pointwise checks take these bundles instead.  An exact entry that
+    no float holds raises EvaluationError naming it (e.g. phi_1)."""
+    if not ex.is_rational(ref.x, ref.p, ref.v):
+        return (bundle := eval_bundle(model, ref.x, ref.p)), bundle
+    exact = eval_bundle_exact(model, ref.x, ref.p)
+    try:
+        return exact, exact.floats()
+    except EvaluationError:
+        tables = zip(("f", "jac_f", "phi", "grad_phi", "hess_phi"), exact.arrays())
+        named = [(t + "".join(f"_{k + 1}" for k in at), a[at])
+                 for t, a in tables for at in np.ndindex(a.shape)]
+        j = next(j for j, (_, c) in enumerate(named) if abs(c) > ex._FLOAT_MAX)
+        raise EvaluationError(f"{named[j][0]} lies beyond every float",
+                              ex.to_string(model.program.entries[j])) from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ One uniqueness oracle and one cross-check, both at desk scale:
   guess.  Curved data run a Newton multistart (the same stencil of starts
   at every node) as one stacked Newton iteration per guess over every
   (node, start) pair of a chunk of nodes: one batched evaluation and one
-  batched linear solve per step.  A fixed-point solver cannot certify
-  single-valuedness, enumeration over a box can.  ``solve_faces`` runs it
-  on one node, ``build_localization`` on a grid.
+  batched linear solve per step; guesses with a constraint that exact
+  interval bounds keep negative on the box are skipped.  A fixed-point
+  solver cannot certify single-valuedness, enumeration over a box can.
+  ``solve_faces`` runs it on one node, ``build_localization`` on a grid.
 * ``solve_projected`` - semismooth Newton on the natural map
   F(x) = x - Proj_{C(p)}(x - (f(x, p) - v)), whose zeros are the
   solutions (Qi & Sun, Math. Program. 58, 1993), for constraints affine
@@ -43,6 +44,7 @@ halving the radii.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -63,6 +65,7 @@ from .errors import (
     EvaluationError,
     LocalizationError,
 )
+from .expr import bounds
 from .modelspec import ParametricModel, ReferenceTriple, eval_bundle
 from .polycone import (
     polyhedron_rows, project_onto_rows, rank, row_norms, row_space_projectors, subsets,
@@ -313,9 +316,9 @@ def _face_sweep(model, V, P, center, box_radius, tol_act):
     one stacked KKT residual scores every kept copy.  Otherwise every
     (node, start) pair of the Newton multistart runs in
     :func:`_newton_sweep`, one stacked iteration per guess over chunks of
-    nodes; the runs are filtered by the KKT residual, and per node the
-    least-residual copy of each duplicate is kept, the runs taken guess by
-    guess and start by start.
+    nodes, less the guesses with a constraint off the box; the runs are
+    filtered by the KKT residual, and per node the least-residual copy of
+    each duplicate is kept, the runs taken guess by guess and start by start.
     """
     n, m = model.n, model.m
     # a solution has a multiplier with independent support (Caratheodory's
@@ -392,8 +395,22 @@ def _newton_sweep(model, V, P, center, box_radius, tol_act, guesses):
     """The curved branch of :func:`_face_sweep`.  Nodes run in chunks of
     1, 2, 4, ... nodes; within a chunk each guess J is one
     :func:`_newton_stack` over every (node, start) pair.  A consumer that
-    stops at a node therefore wastes at most the rest of its chunk."""
+    stops at a node therefore wastes at most the rest of its chunk.
+
+    A guess J is dropped first if it holds a phi_i whose upper bound by
+    :func:`expr.bounds` with slack 2^-50 (above each float operation's
+    error) is below -1e-11 (1 + max ||v||) on the box: x within box_radius
+    + 1e-9 (1 + box_radius) of the center (any float x passing the box
+    test), p in the span of P's rows.  A kept row of J converged, in the
+    box, with |phi_i| <= ||F|| < 1e-12 (1 + ||v||) for the float phi_i."""
     n, m = model.n, model.m
+    r = Fraction(box_radius) * (1 + Fraction(1, 10**9)) + Fraction(1, 10**9)
+    xbox = [(c - r, c + r) for c in map(Fraction, center.tolist())]
+    pbox = [(Fraction(min(col)), Fraction(max(col))) for col in P.T.tolist()]
+    floor = -1e-11 * (1 + row_norms(V).max())
+    ends = [bounds(phi, xbox, pbox, Fraction(1, 2**50)) for phi in model.constraints]
+    off = {i for i, b in enumerate(ends) if b and b[1] < floor}
+    guesses = [J for J in guesses if off.isdisjoint(J)]
     starts = np.array(_newton_starts(center, box_radius, n))
     S = len(starts)
 
@@ -444,12 +461,12 @@ def _newton_sweep(model, V, P, center, box_radius, tol_act, guesses):
 def _merge(solutions):
     """Keep the first of each group of solutions whose x agree to 1e-7;
     deterministic order by x."""
-    merged = []
+    merged = []  # (x as a list, solution)
     for sol in solutions:
-        if not any(np.max(np.abs(prev[0] - sol[0])) < 1e-7 for prev in merged):
-            merged.append(sol)
-    merged.sort(key=lambda s: tuple(np.round(s[0], 12)))
-    return merged
+        x = sol[0].tolist()
+        if not any(max(abs(a - b) for a, b in zip(y, x)) < 1e-7 for y, _ in merged):
+            merged.append((x, sol))
+    return sorted((sol for _, sol in merged), key=lambda s: tuple(np.round(s[0], 12)))
 
 
 def solve_faces(

@@ -63,6 +63,19 @@ class TestExitCodes:
         )
         assert not (tmp_path / "rep.json").exists()
 
+    def test_pole_only_on_a_face_off_the_box_exit_zero(self, tmp_path, capsys):
+        # x1 - 1 <= 0 is off the whole box |x1| <= 1/5, so the sweep drops
+        # its face guess; Newton on that face would step onto x1 = 1, the
+        # pole of f, and end the run with a division by zero
+        model = tmp_path / "pole.model"
+        model.write_text(
+            "dims n=1 d=0\nf = (2*x1 + 1/(x1 - 1))\nconstraint x1 - 1 <= 0\n"
+            "reference x=(0) p=() v=(-1)\n"
+        )
+        code = run(["certify", str(model), "--json", str(tmp_path / "rep.json")])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "rep.json").read_text())["verdict"] == "fully_stable"
+
     def test_pole_in_the_affine_sweep_exit_one(self, tmp_path, capsys):
         # the p grid meets both poles; the error names the pole of the first
         # failing distinct p row, as one evaluation per row would, not the
@@ -95,13 +108,13 @@ class TestExitCodes:
         assert not (tmp_path / "rep.json").exists()
 
     @pytest.mark.parametrize("constraint, message", [
-        ("x1 - {big}", "error: non-finite value in evaluation bundle\n"),
+        ("x1 - {big}", "error: phi_1 lies beyond every float in subexpression 'x1 - {big}'\n"),
         ("{big} - x1", "error: reference point violates constraint 1: "
                        "phi_1 = beyond every float > 1e-09\n"),
     ], ids=["feasible", "infeasible"])
     def test_literal_beyond_every_float_exit_one(self, tmp_path, capsys, constraint, message):
         # a 401-digit literal: the reference check compares the exact phi,
-        # and the float cast of the exact bundle raises the typed error
+        # and the float cast of the exact bundle names the entry it fails at
         model = tmp_path / "big.model"
         big = "1" + "0" * 400
         model.write_text(
@@ -111,7 +124,7 @@ class TestExitCodes:
         code = run(["certify", str(model), "--json", str(tmp_path / "rep.json")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == message and "Traceback" not in err
+        assert err == message.format(big=big) and "Traceback" not in err
         assert not (tmp_path / "rep.json").exists()
 
     @pytest.mark.filterwarnings("error")

@@ -471,6 +471,120 @@ class TestCompiledEvaluator:
         assert fn() is None
 
 
+def _random_tree(rng, n, d, depth=4):
+    """A random tree over every node type: Num, Var, Add, Sub, Mul, Div,
+    Neg and Pow with exponents from -3 to 4."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            return ex.Num(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))))
+        kind = "p" if d and rng.random() < 0.4 else "x"
+        return ex.Var(kind, int(rng.integers(d if kind == "p" else n)))
+    make = [ex.Add, ex.Sub, ex.Mul, ex.Div, ex.Neg, ex.Pow][int(rng.integers(6))]
+    left = _random_tree(rng, n, d, depth - 1)
+    if make is ex.Neg:
+        return ex.Neg(left)
+    if make is ex.Pow:
+        return ex.Pow(left, int(rng.integers(-3, 5)))
+    return make(left, _random_tree(rng, n, d, depth - 1))
+
+
+def _node_types(e):
+    parts = [getattr(e, k) for k in ("left", "right", "operand", "base") if hasattr(e, k)]
+    return {type(e)}.union(*map(_node_types, parts))
+
+
+def _random_box(rng, count):
+    ends = [sorted(Fraction(int(a), int(b)) for a, b in rng.integers(-12, 13, size=(2, 2)) + [0, 13])
+            for _ in range(count)]
+    return [tuple(e) for e in ends]
+
+
+def _point_in(rng, box):
+    """A random rational point of the box, or one of its corners."""
+    corner = rng.random() < 0.2
+    return [(lo, hi)[int(rng.integers(2))] if corner else lo + (hi - lo) * Fraction(int(rng.integers(0, 101)), 100)
+            for lo, hi in box]
+
+
+class TestIntervalBounds:
+    """``expr.bounds`` encloses an expression over a box, exactly."""
+
+    def test_encloses_exact_values_on_random_trees(self):
+        rng = np.random.default_rng(26)
+        bounded, covered = 0, set()
+        for _ in range(400):
+            n, d = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+            e, xbox, pbox = _random_tree(rng, n, d), _random_box(rng, n), _random_box(rng, d)
+            b = ex.bounds(e, xbox, pbox)
+            if b is None:
+                continue
+            bounded += 1
+            covered |= _node_types(e)
+            lo, hi = b
+            assert type(lo) is Fraction and type(hi) is Fraction and lo <= hi
+            for _ in range(20):
+                # a box with no zero denominator has no pole: evaluate never raises
+                value = ex.evaluate(e, _point_in(rng, xbox), _point_in(rng, pbox))
+                assert lo <= value <= hi
+            wide = ex.bounds(e, xbox, pbox, Fraction(1, 2**50))
+            assert wide[0] < lo and hi < wide[1]
+        assert bounded >= 150
+        assert covered == {ex.Num, ex.Var, ex.Add, ex.Sub, ex.Mul, ex.Div, ex.Neg, ex.Pow}
+
+    def test_widened_bounds_hold_the_float_evaluation(self):
+        # the folded float walk is what the compiled evaluator computes,
+        # to the bit; the widened interval holds it at float points
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            n, d = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+            e, xbox, pbox = _random_tree(rng, n, d), _random_box(rng, n), _random_box(rng, d)
+            b = ex.bounds(e, xbox, pbox, Fraction(1, 2**50))
+            if b is None:
+                continue
+            folded = ex.fold_float(e)
+            for _ in range(10):
+                x = [float(c) for c in _point_in(rng, xbox)]
+                p = [float(c) for c in _point_in(rng, pbox)]
+                if all(lo <= c <= hi for c, (lo, hi) in zip(x + p, xbox + pbox)):
+                    assert b[0] <= ex.evaluate(folded, x, p) <= b[1]
+
+    def test_cancellation_is_held_only_by_the_widened_bounds(self):
+        # 2/5 + 10^16 rounds to 10^16 in floats, so the float value 0 lies
+        # outside the exact bounds [2/5, 2/5] but inside the widened ones
+        e = parse_expr("(x1 + 10000000000000000) - 10000000000000000", 1, 0)
+        box = [(Fraction(2, 5), Fraction(2, 5))]
+        assert ex.evaluate(ex.fold_float(e), [0.4], []) == 0.0
+        assert ex.bounds(e, box, []) == (Fraction(2, 5), Fraction(2, 5))
+        lo, hi = ex.bounds(e, box, [], Fraction(1, 2**50))
+        assert lo < 0 < hi
+
+    @pytest.mark.parametrize("text, box", [
+        ("1/x1", (-1, 1)),
+        ("1/x1", (0, 1)),
+        ("x1/(x1 - 1/2)", (0, 1)),
+        ("x1^-2", (-1, 2)),
+        ("(x1 - 1)^-1", (1, 3)),
+        ("2 + 1/(1 + 1/x1)", (-1, 1)),
+    ])
+    def test_none_where_a_denominator_holds_zero(self, text, box):
+        assert ex.bounds(parse_expr(text, 1, 0), [tuple(map(Fraction, box))], []) is None
+
+    @pytest.mark.parametrize("text, box, expected", [
+        ("x1^2", (-1, 2), (0, 4)),
+        ("x1^4", (-3, 1), (0, 81)),
+        ("x1^4", (-3, -1), (1, 81)),
+        ("x1^3", (-1, 2), (-1, 8)),
+        ("x1^-2", (-2, -1), (Fraction(1, 4), 1)),
+        ("1/x1", (1, 4), (Fraction(1, 4), 1)),
+        ("x1*x1", (-1, 2), (-2, 4)),
+        ("-x1 - p1", (-1, 2), (-4, 2)),
+    ])
+    def test_exact_ends(self, text, box, expected):
+        lo, hi = (Fraction(c) for c in box)
+        got = ex.bounds(parse_expr(text, 1, 1), [(lo, hi)], [(lo, hi)])
+        assert got == tuple(map(Fraction, expected))
+
+
 class TestRoundTrip:
     def test_print_parse_pointwise_identical(self, ex64_model):
         text = print_model(ex64_model)

@@ -653,6 +653,46 @@ class TestStackedNewtonSweep:
             for (x, lam, r), (xe, lame, re) in zip(g, e):
                 assert np.array_equal(x, xe) and np.array_equal(lam, lame) and r == re
 
+    @staticmethod
+    def _guesses_run(model, monkeypatch):
+        """The guesses J that reach the stacked Newton while a table of
+        ``model`` is built and held to the unpruned oracle."""
+        seen = set()
+        newton = visolver._newton_stack
+
+        def recording(model, V, P, J, Z):
+            seen.add(tuple(J))
+            return newton(model, V, P, J, Z)
+
+        monkeypatch.setattr(visolver, "_newton_stack", recording)
+        TestStackedNewtonSweep._assert_table_matches_oracle(model)
+        return seen
+
+    def test_constraint_off_the_box_never_reaches_newton(self, monkeypatch):
+        # x1^2 + x2^2 - 1 is at most 2 (1/5)^2 - 1 < 0 on the box
+        model = parse_model(CURVED_MODELS["disk-inactive"])
+        assert self._guesses_run(model, monkeypatch) == {()}
+
+    @pytest.mark.parametrize("constraints, seen", [
+        # the upper end is -1e-12, inside the margin 1e-11 (1 + max ||v||)
+        (["x1 - 1/5 - 12/10000000000 - 1/1000000000000"], {(), (0,)}),
+        # the upper end is -2e-11, outside it
+        (["x1 - 1/5 - 12/10000000000 - 2/100000000000"], {()}),
+        # the exact upper end of the first is -9e-9, but its terms of 2e8
+        # widen it past 0; the second is off by far
+        (["1000000000*x1 - 200000001.2 - 2/100000000",
+          "1000000000*(x1^2 + x2^2) - 1000000000"], {(), (0,)}),
+    ], ids=["grazing-kept", "grazing-off", "scale-1e9"])
+    def test_margin_models_match_oracle(self, constraints, seen, monkeypatch):
+        # the box is |x| <= 1/5 widened by 1e-9 (1 + 1/5): the face of x1 = c
+        # lies just beyond it, so it is never kept either way
+        model = parse_model(
+            "dims n=2 d=1\nf = (2*x1 + p1, x2 + x2^3 - x1/2)\n"
+            + "".join(f"constraint {c} <= 0\n" for c in constraints)
+            + "reference x=(0, 0) p=(0) v=(0, 0)\n"
+        )
+        assert self._guesses_run(model, monkeypatch) == seen
+
     def test_pole_in_chunk_after_bad_node(self):
         # nodes 1 and 2 share a chunk; node 1 has three roots in the box and
         # the start x = 2 of node 2 sits on its pole.  A consumer stopping
